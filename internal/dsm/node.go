@@ -47,6 +47,13 @@ type Node struct {
 	task *vm.Task
 
 	pagerSrv *pager.Server // home only
+
+	// idle holds the parked op procs, most recently used last; each is
+	// represented by the future it waits on, and completing that future
+	// with an op is how the op is handed over. Loop goroutine only.
+	idle []*sim.FutureOf[func(*sim.Proc)]
+
+	opTimeout time.Duration // opTimeout, except in tests that shorten it
 }
 
 // Open assembles and starts the mesh node with the given ID: transport
@@ -63,7 +70,7 @@ func Open(cfg *MeshConfig, self int) (*Node, error) {
 		return nil, fmt.Errorf("dsm: node %d is not in the mesh config", self)
 	}
 
-	n := &Node{Cfg: cfg, Self: mesh.NodeID(self)}
+	n := &Node{Cfg: cfg, Self: mesh.NodeID(self), opTimeout: opTimeout}
 	n.eng = sim.NewEngine()
 	n.loop = rt.NewLoop(n.eng)
 
@@ -151,23 +158,46 @@ func (n *Node) Addr() string {
 	return ""
 }
 
-// do runs one operation as a proc on the protocol engine and measures its
-// wall-clock latency — injection overhead included, exactly what a
+// do runs one operation on an op proc of the protocol engine and measures
+// its wall-clock latency — injection overhead included, exactly what a
 // libdsm caller would observe.
 func (n *Node) do(name string, fn func(p *sim.Proc) error) (time.Duration, error) {
+	// done is per call, so an op that outlives its timeout reports to a
+	// channel nobody reads, never to the proc's next caller.
 	done := make(chan error, 1)
+	op := func(p *sim.Proc) { done <- fn(p) }
+	timeout := time.NewTimer(n.opTimeout)
+	defer timeout.Stop()
 	start := time.Now()
-	n.loop.Inject(func() {
-		n.eng.Spawn(name, func(p *sim.Proc) {
-			done <- fn(p)
-		})
-	})
+	n.loop.Inject(func() { n.startOp(op) })
 	select {
 	case err := <-done:
 		return time.Since(start), err
-	case <-time.After(opTimeout):
-		return time.Since(start), fmt.Errorf("dsm: %s timed out after %v", name, opTimeout)
+	case <-timeout.C:
+		return time.Since(start), fmt.Errorf("dsm: %s timed out after %v", name, n.opTimeout)
 	}
+}
+
+// startOp hands op to a parked op proc, spawning one only when none is
+// idle: the pool grows to the peak number of concurrent ops and its procs
+// keep their grown stacks, so the steady state creates no goroutine and
+// copies no stack per op. Runs on the loop goroutine.
+func (n *Node) startOp(op func(*sim.Proc)) {
+	if k := len(n.idle); k > 0 {
+		next := n.idle[k-1]
+		n.idle = n.idle[:k-1]
+		next.Set(op)
+		return
+	}
+	next := sim.NewFutureOf[func(*sim.Proc)](n.eng)
+	n.eng.Spawn("op", func(p *sim.Proc) {
+		for {
+			op(p)
+			next.Reinit(n.eng)
+			n.idle = append(n.idle, next)
+			op, _ = next.Wait(p)
+		}
+	})
 }
 
 // Read fetches the u64 at addr in the shared region, faulting the page in
@@ -247,8 +277,11 @@ func (n *Node) Counters() map[string]int64 {
 func (n *Node) TransportStats() netx.Stats { return n.tr.Stats() }
 
 // Close stops the node: clock first (no more protocol progress), then the
-// transport (peers see clean EOFs or bounces).
+// op procs — parked in the pool or mid-operation, they are unwound rather
+// than left pinning their goroutines and the node — then the transport
+// (peers see clean EOFs or bounces).
 func (n *Node) Close() {
 	n.loop.Stop()
+	n.eng.KillProcs()
 	n.tr.Close()
 }

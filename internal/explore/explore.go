@@ -124,8 +124,10 @@ func runOne(sc *Scenario, prefix []int, rng *sim.RNG, mutate Mutate) Outcome {
 	var regions []*machine.Region
 	drained := false
 	func() {
-		// Protocol panics on the engine goroutine (stray acks, transport
-		// misuse) are findings, not crashes.
+		// Protocol panics are findings, not crashes — whether raised in an
+		// event handler (stray acks, transport misuse) or on a proc's stack
+		// (an illegal (state, event) reached from Kernel.Fault, workload
+		// code): the engine re-raises a proc's panic in RunMax's caller.
 		defer func() {
 			if r := recover(); r != nil {
 				report("panic", fmt.Errorf("panic: %v", r))
@@ -194,6 +196,10 @@ func runOne(sc *Scenario, prefix []int, rng *sim.RNG, mutate Mutate) Outcome {
 			Nodes:   snapshotTraces(c),
 		}
 	}
+	// The verdicts and traces are taken. Procs still parked — on every
+	// deadlock, step-bound, crash-fate and panic finding — are unwound now:
+	// left alone, each pins its goroutine and, through its stack, c.
+	c.Eng.KillProcs()
 	return out
 }
 

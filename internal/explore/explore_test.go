@@ -3,10 +3,14 @@ package explore
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"asvm/internal/asvm"
 	"asvm/internal/machine"
+	"asvm/internal/sim"
+	"asvm/internal/vm"
 )
 
 // dropXferReaders re-plants the classic lost-reader-list bug: an ownership
@@ -212,5 +216,86 @@ func TestExplorationReportsCoverage(t *testing.T) {
 				t.Fatalf("coverage recorded on illegal cell %d×%d", s, e)
 			}
 		}
+	}
+}
+
+// rw2With is the rw2 scenario with one extra step run by node 1's worker,
+// on its proc, after its first write.
+func rw2With(name string, extra func(c *machine.Cluster, p *sim.Proc)) *Scenario {
+	return &Scenario{
+		Name:    name,
+		Bounded: true,
+		Params:  func() machine.Params { return smallParams(2) },
+		Run: func(c *machine.Cluster, fail func(error)) []*machine.Region {
+			r := c.NewSharedRegion(name, 1, []int{0, 1})
+			for n := 0; n < 2; n++ {
+				n := n
+				worker(c, fail, n, r, func(p *sim.Proc, t *vm.Task) error {
+					if err := t.WriteU64(p, addr(0, n), uint64(n)); err != nil {
+						return err
+					}
+					if n == 1 {
+						extra(c, p)
+					}
+					_, err := t.ReadU64(p, addr(0, 1-n))
+					return err
+				})
+			}
+			return []*machine.Region{r}
+		},
+	}
+}
+
+// TestProcPanicIsAFinding: a panic raised on a proc's stack — here from
+// workload code, in the field from an illegal (state, event) under
+// Kernel.Fault — comes back as an Outcome of kind "panic" carrying the
+// choice string that reproduces it. It must not take the process down,
+// which it did while procs were goroutines of their own.
+func TestProcPanicIsAFinding(t *testing.T) {
+	sc := rw2With("panic2", func(*machine.Cluster, *sim.Proc) { panic("workload bug") })
+	ks := []int{1, 0, 1}
+	out := Replay(sc, ks, nil)
+	if out.V == nil {
+		t.Fatal("a panicking proc produced a clean outcome")
+	}
+	if out.V.Kind != "panic" {
+		t.Fatalf("violation kind = %q, want panic (err: %v)", out.V.Kind, out.V.Err)
+	}
+	if !strings.Contains(out.V.Err.Error(), "workload bug") {
+		t.Errorf("finding lost the panic value: %v", out.V.Err)
+	}
+	got := Ks(out.V.Choices)
+	if len(got) < len(ks) || !reflect.DeepEqual(got[:len(ks)], ks) {
+		t.Errorf("choice trace %v does not extend the replayed prefix %v", got, ks)
+	}
+	if !strings.Contains(out.V.String(), "[choices "+EncodeChoices(got)+"]") {
+		t.Errorf("violation does not print its choice string: %v", out.V)
+	}
+	if again := Replay(sc, got, nil); again.V == nil || again.V.String() != out.V.String() {
+		t.Errorf("the choice string does not reproduce the finding:\n  %v\n  %v", out.V, again.V)
+	}
+	// The drivers fold it in the same way.
+	if r := Walk(sc, 5, 1, nil); r.V == nil || r.V.Kind != "panic" {
+		t.Errorf("walk over a panicking scenario: %v", r.V)
+	}
+}
+
+// TestDeadlockedRunsLeakNoGoroutines: a run that ends with procs parked for
+// good reports the deadlock and then unwinds them. 200 such runs leave the
+// goroutine count where it started; before KillProcs each run abandoned its
+// parked procs — and through their stacks its whole cluster — forever.
+func TestDeadlockedRunsLeakNoGoroutines(t *testing.T) {
+	sc := rw2With("deadlock2", func(c *machine.Cluster, p *sim.Proc) {
+		sim.NewFuture(c.Eng).Wait(p) // nobody ever completes it
+	})
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		out := Replay(sc, []int{i % 2}, nil)
+		if out.V == nil || out.V.Kind != "deadlock" {
+			t.Fatalf("run %d: outcome %v, want a deadlock finding", i, out.V)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d over 200 deadlocked runs", before, after)
 	}
 }

@@ -76,7 +76,7 @@ func BenchmarkScheduleRunDeep(b *testing.B) {
 }
 
 // BenchmarkProcPingPong measures one proc step: the engine dispatching a
-// proc wakeup plus the two-way channel handoff of park/resume. Two procs
+// proc wakeup plus the coroutine switch into the proc and back. Two procs
 // alternate microsecond sleeps, which is the access pattern of every
 // simulated task in the repo (compute, block, repeat).
 func BenchmarkProcPingPong(b *testing.B) {

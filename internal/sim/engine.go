@@ -173,7 +173,7 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	q      eventQueue
-	nprocs int // live procs, for leak detection
+	procs  []*Proc // live procs, for leak detection and KillProcs
 	halted bool
 
 	// batch holds the same-timestamp cohort currently being dispatched:
@@ -429,9 +429,9 @@ func (e *Engine) Pending() int {
 
 // LiveProcs reports the number of procs that have been spawned and have not
 // yet finished. Useful for detecting stuck protocol operations in tests.
-func (e *Engine) LiveProcs() int { return e.nprocs }
+func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // String implements fmt.Stringer for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%v pending=%d procs=%d}", e.now, e.Pending(), e.nprocs)
+	return fmt.Sprintf("sim.Engine{now=%v pending=%d procs=%d}", e.now, e.Pending(), len(e.procs))
 }

@@ -185,6 +185,34 @@ func TestLiveProcsLeakDetection(t *testing.T) {
 	if e.LiveProcs() != 0 {
 		t.Fatalf("LiveProcs = %d after unblocking, want 0", e.LiveProcs())
 	}
+
+	// A leak nobody can complete is unwound by KillProcs: the parked proc's
+	// own defers run, it never gets past its park, and a proc that was
+	// spawned but never stepped is dropped without running at all.
+	var deferred, resumed, started bool
+	e.Spawn("abandoned", func(p *Proc) {
+		defer func() { deferred = true }()
+		NewFuture(e).Wait(p)
+		resumed = true
+	})
+	e.Run()
+	e.Spawn("unstarted", func(p *Proc) { started = true })
+	if e.LiveProcs() != 2 {
+		t.Fatalf("LiveProcs = %d, want the abandoned and the unstarted proc", e.LiveProcs())
+	}
+	e.KillProcs()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after KillProcs, want 0", e.LiveProcs())
+	}
+	if !deferred || resumed || started {
+		t.Fatalf("after kill: deferred=%v resumed=%v started=%v, want true false false", deferred, resumed, started)
+	}
+	// The unstarted proc's start-up wakeup is still queued; it is a no-op.
+	e.Run()
+	if started || e.LiveProcs() != 0 {
+		t.Fatalf("killed proc ran on a later Run: started=%v live=%d", started, e.LiveProcs())
+	}
+	e.KillProcs() // nothing left: a no-op
 }
 
 // TestZeroSleepYieldsFairness documents the Sleep(0) contract: a zero-length

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -191,5 +192,171 @@ func TestManyProcsDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic end time: %v vs %v", a, b)
+	}
+}
+
+// TestProcSteppedAcrossGoroutines: a proc belongs to its engine, not to the
+// goroutine that spawned it or last stepped it. The wall-clock loop
+// (rt.Loop) builds the engine on one goroutine and runs it on another; here
+// every RunUntil is on a fresh one.
+func TestProcSteppedAcrossGoroutines(t *testing.T) {
+	e := NewEngine()
+	var trace []Time
+	e.Spawn("mover", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			p.Sleep(time.Millisecond)
+			trace = append(trace, p.Now())
+		}
+	})
+	for i := 1; i <= 4; i++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			e.RunUntil(Time(i) * time.Millisecond)
+		}()
+		<-done
+		if len(trace) != i || trace[i-1] != Time(i)*time.Millisecond {
+			t.Fatalf("after run %d: trace = %v", i, trace)
+		}
+	}
+	if e.LiveProcs() != 0 {
+		t.Fatalf("proc leak: %d live", e.LiveProcs())
+	}
+}
+
+// TestProcDeepStackAcrossParks recurses through about 1 MB of proc stack,
+// parking at every level on the way down and again on the way back, so the
+// stack is grown (copied) many times between switches and every frame must
+// survive them.
+func TestProcDeepStackAcrossParks(t *testing.T) {
+	const depth = 1024
+	var descend func(p *Proc, d int) int
+	descend = func(p *Proc, d int) int {
+		var frame [1024]byte // ~1 KB per level
+		for i := range frame {
+			frame[i] = byte(d)
+		}
+		p.Sleep(time.Microsecond)
+		sum := 0
+		if d > 1 {
+			sum = descend(p, d-1)
+		}
+		p.Sleep(time.Microsecond)
+		for _, b := range frame {
+			if b != byte(d) {
+				t.Errorf("frame at depth %d was corrupted across a park", d)
+				break
+			}
+		}
+		return sum + d
+	}
+	e := NewEngine()
+	got := 0
+	e.Spawn("deep", func(p *Proc) { got = descend(p, depth) })
+	// A second proc keeps the engine switching between two stacks.
+	e.Spawn("other", func(p *Proc) {
+		for i := 0; i < 2*depth; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	e.Run()
+	if want := depth * (depth + 1) / 2; got != want {
+		t.Fatalf("deep recursion returned %d, want %d", got, want)
+	}
+	if e.Now() != 2*depth*time.Microsecond {
+		t.Fatalf("now = %v, want %v", e.Now(), 2*depth*time.Microsecond)
+	}
+}
+
+// TestProcPanicReachesRunCaller: a panic on a proc's stack comes out of Run
+// on the goroutine that called it, carrying the value it was raised with —
+// which is what lets the explorer fold it into a finding.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	boom := &struct{ why string }{"illegal transition"}
+	var deferred bool
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(time.Second) })
+	e.Spawn("doomed", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Sleep(time.Millisecond)
+		panic(boom)
+	})
+	var got interface{}
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+		t.Error("Run returned normally past a proc's panic")
+	}()
+	if got != interface{}(boom) {
+		t.Fatalf("recovered %#v, want the proc's own panic value %p", got, boom)
+	}
+	if !deferred {
+		t.Error("the panicking proc's defer did not run")
+	}
+	if e.LiveProcs() != 1 {
+		t.Fatalf("LiveProcs = %d, want only the bystander", e.LiveProcs())
+	}
+	// The engine is still usable: the bystander finishes on the next Run.
+	e.Run()
+	if e.LiveProcs() != 0 || e.Now() != time.Second {
+		t.Fatalf("after resume: live=%d now=%v", e.LiveProcs(), e.Now())
+	}
+}
+
+// TestProcGoexitEndsRun: runtime.Goexit on a proc's stack — which is what
+// t.FailNow, t.Fatal and t.SkipNow do — ends the goroutine that is running
+// the engine (its defers run) instead of leaving Run waiting forever for a
+// proc that will never hand control back.
+func TestProcGoexitEndsRun(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("quitter", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
+	})
+	exited := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(exited)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after Goexit inside a proc")
+	}
+	if returned {
+		t.Fatal("Run returned normally; Goexit should have unwound its caller")
+	}
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", e.LiveProcs())
+	}
+
+	// The testing package's flavour: the subtest ends (as skipped) at the
+	// proc's SkipNow instead of hanging in Run.
+	t.Run("SkipNow", func(t *testing.T) {
+		e := NewEngine()
+		e.Spawn("skipper", func(p *Proc) { t.SkipNow() })
+		e.Run()
+		t.Error("Run returned past t.SkipNow inside a proc")
+	})
+}
+
+// TestProcSwitchZeroAllocs guards the park/resume path: once a proc exists,
+// stepping it allocates nothing.
+func TestProcSwitchZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	defer e.KillProcs()
+	e.RunUntil(time.Millisecond)
+	allocs := testing.AllocsPerRun(10000, func() {
+		e.RunUntil(e.Now() + time.Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("proc switch allocates %.1f allocs/op, want 0", allocs)
 	}
 }
