@@ -16,10 +16,7 @@
 //	asvmbench -crash                 # degradation sweep under node crashes
 //	asvmbench -scale                 # 64-1024 node zipf scale-out sweep
 //	asvmbench -exp kv                # portable kv workload (netdemo's sim twin)
-//	asvmbench -explore               # schedule-exploration smoke (asvmcheck)
 //	asvmbench -workers 1             # serial cells (for profiling a cell)
-//	asvmbench -json BENCH.json       # machine-readable perf snapshot only
-//	asvmbench -engine parallel       # lane-parallel engine (same results)
 //	asvmbench -cpuprofile cpu.pb.gz  # pprof the run (see EXPERIMENTS.md)
 package main
 
@@ -32,10 +29,6 @@ import (
 	"time"
 
 	"asvm/internal/exp"
-	"asvm/internal/explore"
-	"asvm/internal/machine"
-	"asvm/internal/workload"
-	"asvm/internal/xport"
 )
 
 func main() {
@@ -44,41 +37,15 @@ func main() {
 		chaos   = flag.Bool("chaos", false, "run the chaos degradation sweep (same as -exp chaos)")
 		crash   = flag.Bool("crash", false, "run the crash-stop degradation sweep (same as -exp crash)")
 		scale   = flag.Bool("scale", false, "run the 64-1024 node scale-out sweep (same as -exp scale)")
-		explOpt = flag.Bool("explore", false, "run the schedule-exploration smoke pass and exit")
 		quick   = flag.Bool("quick", false, "reduced sweeps (small node counts, few iterations)")
 		iters   = flag.Int("iters", 10, "EM3D iterations (results are scaled to the paper's 100)")
 		seed    = flag.Uint64("seed", 1, "workload RNG seed")
 		workers = flag.Int("workers", 0, "parallel experiment cells (0 = GOMAXPROCS, 1 = serial)")
-		jsonOut = flag.String("json", "", "write a machine-readable benchmark snapshot to this path and exit")
 		list    = flag.Bool("list", false, "list the valid -exp experiment names and exit")
-		engine  = flag.String("engine", "serial", "event engine: serial | parallel (per-node event lanes; identical results)")
-		lanes   = flag.Int("lanes", exp.SnapshotEngineLanes, "event lanes for -engine=parallel")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this path at exit")
-		rto     = flag.Duration("rto", 0, "chaos/crash sweeps: initial retransmit timeout (0 = calibrated 4ms)")
-		rtoMax  = flag.Duration("rtomax", 0, "chaos/crash sweeps: retransmit backoff cap (0 = calibrated 64ms)")
-		retries = flag.Int("retries", 0, "chaos/crash sweeps: retransmits before a peer is declared down (0 = calibrated 30)")
 	)
 	flag.Parse()
-
-	// Reliability-layer tuning for the chaos and crash sweeps. Zero values
-	// keep the calibrated defaults, so plain runs are unchanged.
-	workload.ReliableCfg = xport.ReliableConfig{
-		RTO:        *rto,
-		MaxRTO:     *rtoMax,
-		MaxRetries: *retries,
-	}
-
-	switch *engine {
-	case "serial":
-	case "parallel":
-		// Set once at startup, before any cluster is built: every
-		// DefaultParams in every experiment cell picks it up.
-		machine.DefaultEngineLanes = *lanes
-	default:
-		fmt.Fprintf(os.Stderr, "asvmbench: -engine must be serial or parallel, got %q\n", *engine)
-		os.Exit(2)
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -115,22 +82,6 @@ func main() {
 		return
 	}
 
-	if *jsonOut != "" {
-		t0 := time.Now()
-		snap, err := exp.CollectSnapshot(*seed, *workers, *quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asvmbench: snapshot failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := snap.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "asvmbench: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (engine %.0f events/sec, %.1fs total)\n",
-			*jsonOut, snap.EngineEventsPerSec, time.Since(t0).Seconds())
-		return
-	}
-
 	nodesSweep := []int{1, 2, 4, 8, 16, 32, 64}
 	readerSweep := []int{1, 2, 4, 8, 16, 32, 64}
 	chainSweep := []int{1, 2, 4, 8, 12, 16}
@@ -156,12 +107,6 @@ func main() {
 		fmt.Printf("[%s done in %.1fs]\n\n", name, time.Since(t0).Seconds())
 	}
 
-	if *explOpt {
-		// Schedule exploration is a protocol check, not an experiment cell:
-		// it perturbs schedules, so its runs never feed the result tables.
-		run("explore", func() error { return explore.Smoke(os.Stdout, 200, *seed) })
-		return
-	}
 	if *chaos {
 		*which = "chaos"
 	}

@@ -60,7 +60,9 @@ func main() {
 				if err := tasks[n].WriteU64(p, vm.Addr(lo+1)*vm.PageSize, v); err != nil {
 					log.Fatal(err)
 				}
-				in.ReleaseRange(lo, lo+2)
+				if err := in.ReleaseRange(lo, lo+2); err != nil {
+					log.Fatal(err)
+				}
 			}
 			done++
 		})
@@ -80,7 +82,9 @@ func main() {
 				if a != b {
 					torn++
 				}
-				in.ReleaseRange(rec, rec+2)
+				if err := in.ReleaseRange(rec, rec+2); err != nil {
+					log.Fatal(err)
+				}
 			}
 		}
 	})

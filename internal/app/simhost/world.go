@@ -40,9 +40,7 @@ type Spec struct {
 // app.Host views to workload threads. Tasks are one per node, mapping
 // every object the node shares at the spec-order base addresses.
 //
-// Task and barrier creation mutate world state and are not synchronized:
-// SPMD workloads must create barriers and Prepare their nodes before Run
-// (under the lane-parallel engine, bodies execute concurrently). A
+// SPMD workloads create barriers and Prepare their nodes before Run. A
 // single-driver workload may instead let Host calls create tasks lazily
 // mid-run — task creation and mapping schedule no events, so the executed
 // schedule is identical either way.
@@ -159,24 +157,13 @@ func (w *World) NewBarrier() int {
 	return w.nextBar
 }
 
-// Go starts a driver thread on the engine's default lane, bound to the
-// given node (the Table 1 microbenchmarks drive the whole mesh from one
-// thread, hopping nodes with Host.On).
-func (w *World) Go(node int, name string, body func(h app.Host) error) {
-	idx := len(w.errs)
-	w.errs = append(w.errs, nil)
-	w.C.Spawn(name, func(p *sim.Proc) {
-		if err := body(host{w: w, p: p, node: node}); err != nil {
-			w.errs[idx] = err
-		}
-	})
-}
-
-// GoOn starts an SPMD thread with event-lane affinity for its node.
+// GoOn starts a workload thread bound to the given node: one per node for
+// SPMD workloads, or a single driver that hops nodes with Host.On (the
+// Table 1 microbenchmarks drive the whole mesh from one thread).
 func (w *World) GoOn(node int, name string, body func(h app.Host) error) {
 	idx := len(w.errs)
 	w.errs = append(w.errs, nil)
-	w.C.SpawnOn(node, name, func(p *sim.Proc) {
+	w.C.Spawn(name, func(p *sim.Proc) {
 		if err := body(host{w: w, p: p, node: node}); err != nil {
 			w.errs[idx] = err
 		}
@@ -271,8 +258,7 @@ func (h host) Unlock(obj int, lo, hi int64) error {
 	if in == nil {
 		return fmt.Errorf("simhost: node %d has no instance of %q", h.node, r.Name)
 	}
-	in.ReleaseRange(vm.PageIdx(lo), vm.PageIdx(hi))
-	return nil
+	return in.ReleaseRange(vm.PageIdx(lo), vm.PageIdx(hi))
 }
 
 // Fork copies this node's task to another node under the active system's

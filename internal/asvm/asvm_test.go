@@ -783,7 +783,9 @@ func TestRangeLockExclusivity(t *testing.T) {
 		}
 		p.Sleep(50 * time.Millisecond)
 		releasedAt = p.Now()
-		in1().ReleaseRange(0, 2)
+		if err := in1().ReleaseRange(0, 2); err != nil {
+			t.Error(err)
+		}
 	})
 	c.eng.Spawn("thief", func(p *sim.Proc) {
 		p.Sleep(10 * time.Millisecond) // let the holder acquire first
@@ -843,7 +845,10 @@ func TestRangeLockAtomicMultiPageUpdate(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				in.ReleaseRange(0, 2)
+				if err := in.ReleaseRange(0, 2); err != nil {
+					t.Error(err)
+					return
+				}
 				p.Sleep(time.Millisecond)
 			}
 			done++

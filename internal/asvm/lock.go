@@ -51,8 +51,12 @@ func (in *Instance) AcquireRange(p *sim.Proc, task *vm.Task, base vm.Addr, lo, h
 }
 
 // ReleaseRange unlocks [lo, hi): held pages become ordinary owned pages
-// and queued foreign requests are served.
-func (in *Instance) ReleaseRange(lo, hi vm.PageIdx) {
+// and queued foreign requests are served. Pages in the range that are not
+// held are skipped, so an empty range is a no-op.
+func (in *Instance) ReleaseRange(lo, hi vm.PageIdx) error {
+	if lo < 0 || hi > in.info.SizePages {
+		return fmt.Errorf("asvm: bad unlock range [%d,%d)", lo, hi)
+	}
 	for idx := lo; idx < hi; idx++ {
 		sl := &in.slots[idx]
 		if !sl.held {
@@ -65,6 +69,7 @@ func (in *Instance) ReleaseRange(lo, hi vm.PageIdx) {
 			in.drainQueue(idx)
 		}
 	}
+	return nil
 }
 
 // Held reports whether the page is currently range-locked by this node.

@@ -97,6 +97,33 @@ func TestControlPlane(t *testing.T) {
 		t.Fatalf("ctrl unlock: %v", err)
 	}
 
+	// Spans and addresses outside the 4-page region are a client's mistake,
+	// not the node's: each comes back as an Err reply (never a panic on the
+	// node's loop, which would take the daemon down), an empty unlock is
+	// still a no-op, and the node goes on serving with its one op proc
+	// parked as before.
+	waitPool(t, nodes[1], 1, 1)
+	for _, req := range []CtrlRequest{
+		{Op: "unlock", Lo: 0, Hi: 1 << 20},
+		{Op: "unlock", Lo: -1, Hi: 1},
+		{Op: "lock", Lo: 0, Hi: 1 << 20},
+		{Op: "lock", Lo: -1, Hi: 1},
+		{Op: "read", Addr: 1 << 40},
+		{Op: "write", Addr: 1 << 40, Val: 1},
+	} {
+		resp, _ := clients[1].roundTrip(req)
+		if resp.OK || resp.Err == "" {
+			t.Errorf("ctrl %+v: reply %+v, want an Err reply", req, resp)
+		}
+	}
+	if _, err := clients[1].Unlock(2, 2); err != nil {
+		t.Errorf("ctrl unlock of an empty range: %v", err)
+	}
+	if v, _, err := clients[1].Read(8); err != nil || v != 77 {
+		t.Fatalf("ctrl read after bad requests = %d, %v; want 77", v, err)
+	}
+	waitPool(t, nodes[1], 1, 1)
+
 	if err := DrainMesh(clients, 3, 10*time.Second); err != nil {
 		t.Fatalf("drain over control plane: %v", err)
 	}

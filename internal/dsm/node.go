@@ -231,8 +231,7 @@ func (n *Node) Lock(lo, hi int64) (time.Duration, error) {
 // Unlock releases pages [lo, hi).
 func (n *Node) Unlock(lo, hi int64) (time.Duration, error) {
 	return n.do("unlock", func(p *sim.Proc) error {
-		n.inst.ReleaseRange(vm.PageIdx(lo), vm.PageIdx(hi))
-		return nil
+		return n.inst.ReleaseRange(vm.PageIdx(lo), vm.PageIdx(hi))
 	})
 }
 

@@ -61,7 +61,7 @@ func distRun(sys machine.System, nodes, pages, rounds int, seed uint64) (*sim.Se
 		}
 		// Per-proc deterministic access order.
 		order := rng.Perm(pages)
-		c.SpawnOn(n, "dist", func(pr *sim.Proc) {
+		c.Spawn("dist", func(pr *sim.Proc) {
 			for round := 0; round < rounds; round++ {
 				for _, pg := range order {
 					want := vm.ProtRead

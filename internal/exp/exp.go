@@ -60,26 +60,6 @@ func Table1(w io.Writer, seed uint64, workers int) error {
 	return nil
 }
 
-// Table1Latencies runs the Table 1 grid and returns the measured latencies
-// keyed by system, row-aligned with workload.Table1Scenarios — the
-// machine-readable form behind Table1, used by benchmark snapshots.
-func Table1Latencies(seed uint64, workers int) (map[machine.System][]time.Duration, error) {
-	scs := workload.Table1Scenarios()
-	systems := []machine.System{machine.SysASVM, machine.SysXMM}
-	lats, err := RunCells(workers, len(scs)*len(systems), func(i int) (time.Duration, error) {
-		return workload.MeasureFault(systems[i%2], scs[i/2], seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[machine.System][]time.Duration{}
-	for i := range scs {
-		out[machine.SysASVM] = append(out[machine.SysASVM], lats[2*i])
-		out[machine.SysXMM] = append(out[machine.SysXMM], lats[2*i+1])
-	}
-	return out, nil
-}
-
 // Figure10 regenerates Figure 10: write-fault latency vs. read copies.
 // Every (readers, configuration) pair is an independent cell.
 func Figure10(w io.Writer, readers []int, seed uint64, workers int) error {

@@ -3,12 +3,9 @@ package exp
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"asvm/internal/machine"
 )
 
 func TestRunCellsOrderedResults(t *testing.T) {
@@ -110,103 +107,5 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEngineParallelByteIdentical extends the determinism contract to
-// engine-level parallelism: with machine.DefaultEngineLanes raised, every
-// cluster runs on the parallel lane engine, and each experiment's rendered
-// output must still be byte-identical to the serial engine's. This is the
-// whole-repo version of sim's TestLaneMergeMatchesSerial: the executed
-// schedule, every counter and every Series must survive lane sharding.
-//
-// Deliberately not t.Parallel: it mutates the package-level default that
-// cluster construction reads.
-func TestEngineParallelByteIdentical(t *testing.T) {
-	experiments := []struct {
-		name string
-		run  func(w *bytes.Buffer) error
-	}{
-		{"table1", func(w *bytes.Buffer) error { return Table1(w, 1, 1) }},
-		{"table2", func(w *bytes.Buffer) error { return Table2(w, []int{1, 2, 4}, 1, 1) }},
-		{"fig11", func(w *bytes.Buffer) error { return Figure11(w, []int{1, 2}, 1, 1) }},
-		{"dist", func(w *bytes.Buffer) error { return Distribution(w, 4, 8, 2, 1, 1) }},
-		{"scale", func(w *bytes.Buffer) error { return Scale(w, 1, 1, true) }},
-		{"ablation-transport", func(w *bytes.Buffer) error { return AblationTransport(w, 1, 1) }},
-	}
-	old := machine.DefaultEngineLanes
-	defer func() { machine.DefaultEngineLanes = old }()
-	for _, e := range experiments {
-		var serial bytes.Buffer
-		machine.DefaultEngineLanes = 1
-		if err := e.run(&serial); err != nil {
-			t.Fatalf("%s serial: %v", e.name, err)
-		}
-		for _, lanes := range []int{2, 4, 7} {
-			var parallel bytes.Buffer
-			machine.DefaultEngineLanes = lanes
-			if err := e.run(&parallel); err != nil {
-				t.Fatalf("%s lanes=%d: %v", e.name, lanes, err)
-			}
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-				t.Fatalf("%s: lanes=%d output differs from serial:\n--- serial ---\n%s\n--- lanes=%d ---\n%s",
-					e.name, lanes, serial.String(), lanes, parallel.String())
-			}
-		}
-	}
-}
-
-// TestSnapshotQuick checks CollectSnapshot fills every section and that the
-// simulated metrics (not the wall-clock ones) are reproducible.
-func TestSnapshotQuick(t *testing.T) {
-	a, err := CollectSnapshot(1, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EngineEventsPerSec <= 0 || a.EngineEvents == 0 {
-		t.Fatalf("engine throughput not measured: %+v", a)
-	}
-	if len(a.Table1MS["ASVM"]) != 7 || len(a.Table1MS["XMM"]) != 7 {
-		t.Fatalf("table1 section incomplete: %v", a.Table1MS)
-	}
-	for _, series := range Table2Series {
-		if len(a.Table2MBs[series]) != len(a.Table2Nodes) {
-			t.Fatalf("table2 series %q incomplete: %v", series, a.Table2MBs)
-		}
-	}
-	if len(a.Fig11FitMS["ASVM"]) != 2 || len(a.Fig11FitMS["XMM"]) != 2 {
-		t.Fatalf("fig11 fit missing: %v", a.Fig11FitMS)
-	}
-	if len(a.ScaleNodes) == 0 || a.ScaleNodes[0] != 64 || a.ScaleFaultP50MS[0] <= 0 ||
-		a.ScaleRingScanHops[0] == 0 {
-		t.Fatalf("scale section incomplete: nodes=%v p50=%v hops=%v",
-			a.ScaleNodes, a.ScaleFaultP50MS, a.ScaleRingScanHops)
-	}
-	b, err := CollectSnapshot(1, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(a.Table1MS) != fmt.Sprint(b.Table1MS) ||
-		fmt.Sprint(a.Table2MBs) != fmt.Sprint(b.Table2MBs) ||
-		fmt.Sprint(a.Fig11FitMS) != fmt.Sprint(b.Fig11FitMS) ||
-		fmt.Sprint(a.ScaleFaultP99MS) != fmt.Sprint(b.ScaleFaultP99MS) ||
-		fmt.Sprint(a.ScaleRingScanHops) != fmt.Sprint(b.ScaleRingScanHops) {
-		t.Fatal("simulated snapshot metrics changed with worker count")
-	}
-}
-
-func TestTable1LatenciesMatchesTable1(t *testing.T) {
-	lats, err := Table1Latencies(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rendered bytes.Buffer
-	if err := Table1(&rendered, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Spot-check: the first ASVM latency appears in the rendered table.
-	first := fmt.Sprintf("%.2f", float64(lats[machine.SysASVM][0])/float64(time.Millisecond))
-	if !bytes.Contains(rendered.Bytes(), []byte(first)) {
-		t.Fatalf("rendered Table 1 missing measured value %s:\n%s", first, rendered.String())
 	}
 }

@@ -16,10 +16,9 @@ import (
 // This file is the scale-out scenario generator: seeded 64–1024-node cells
 // with many concurrent shared objects, zipf-skewed access, per-node
 // open/close churn and mixed read/write tenants, run through the machine
-// layer (serial or lane-parallel engine — byte-identical either way) with
-// per-cell invariant checks and a forwarding-cost ledger. It is the
-// workload the O(1) membership work exists for: nothing here may scan a
-// node list on the protocol path.
+// layer with per-cell invariant checks and a forwarding-cost ledger. It is
+// the workload the O(1) membership work exists for: nothing here may scan
+// a node list on the protocol path.
 
 // ScaleCell describes one scale cell: the machine, the object population,
 // the access skew, and the churn/tenant knobs. Everything is derived from
@@ -317,8 +316,7 @@ func ScaleCells(seed uint64, quick bool) []ScaleCell {
 
 // Scale runs the scale-out sweep and renders the report: fault latency
 // percentiles and the forwarding ledger per cell. Nothing in the output is
-// wall-clock derived — the bytes are identical across -workers and
-// -engine settings.
+// wall-clock derived — the bytes are identical across -workers settings.
 func Scale(w io.Writer, seed uint64, workers int, quick bool) error {
 	cells := ScaleCells(seed, quick)
 	results, err := RunCells(workers, len(cells), func(i int) (ScaleResult, error) {

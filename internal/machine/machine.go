@@ -102,8 +102,7 @@ type Params struct {
 	// Reliable layers per-link sequence numbers, acks and retransmission
 	// over the transport. Chaos runs set it together with Fault; it can
 	// also run alone to measure the layer's overhead on a clean wire.
-	Reliable    bool
-	ReliableCfg xport.ReliableConfig
+	Reliable bool
 
 	// Crash schedules crash-stop node failures (and optional restarts) at
 	// virtual times. An active plan implies Reliable: peer-down detection
@@ -113,21 +112,7 @@ type Params struct {
 
 	// Seed drives all randomness in workloads.
 	Seed uint64
-
-	// EngineLanes, when above 1, runs the simulation on the deterministic
-	// parallel engine with that many event lanes (nodes are mapped onto
-	// lanes round-robin, lookahead comes from Mesh.LookaheadFloor). The
-	// executed schedule — and every simulated metric — is identical to the
-	// serial engine's; only wall-clock speed differs. 0/1 = serial.
-	EngineLanes int
 }
-
-// DefaultEngineLanes is the lane count DefaultParams starts from, so a
-// whole experiment sweep can be switched to the parallel engine in one
-// place (asvmbench -engine=parallel sets it at startup). It is read at
-// Params construction time only and is not safe to change concurrently
-// with cluster construction.
-var DefaultEngineLanes = 1
 
 // DefaultParams returns the calibrated configuration for n nodes.
 func DefaultParams(n int) Params {
@@ -149,7 +134,6 @@ func DefaultParams(n int) Params {
 		ASVM:               asvm.DefaultConfig(),
 		XMMCopyThreads:     64,
 		Seed:               1,
-		EngineLanes:        DefaultEngineLanes,
 	}
 }
 
@@ -219,7 +203,7 @@ func New(p Params) *Cluster {
 	if p.Crash.Active() {
 		p.Reliable = true // crash detection lives in the reliability layer
 	}
-	e := sim.NewParallelEngine(p.EngineLanes, p.Mesh.LookaheadFloor())
+	e := sim.NewEngine()
 	c := &Cluster{
 		P:           p,
 		Eng:         e,
@@ -245,7 +229,7 @@ func New(p Params) *Cluster {
 		c.TR = c.FaultTR
 	}
 	if p.Reliable {
-		c.RelTR = xport.NewReliable(e, c.TR, p.ReliableCfg)
+		c.RelTR = xport.NewReliable(e, c.TR, xport.ReliableConfig{})
 		c.TR = c.RelTR
 	}
 
@@ -367,48 +351,16 @@ func (c *Cluster) NewSharedRegion(name string, sizePages vm.PageIdx, nodeIdxs []
 	if len(nodeIdxs) == 0 {
 		panic("machine: region needs nodes")
 	}
-	home := nodeIdxs[0]
-	id := c.nextID(mesh.NodeID(home))
-	io := pager.IONodeFor(mesh.NodeID(home), c.P.Nodes, c.P.IORatio)
-	backing := c.PagingSpace[io]
-	r := &Region{
-		Name: name, SizePages: sizePages, ID: id, Home: home,
-		Nodes:    append([]int(nil), nodeIdxs...),
-		objs:     make(map[int]*vm.Object),
-		pagerSrv: backing,
-		nodeSet:  newNodeSet(nodeIdxs),
-	}
-	switch c.P.System {
-	case SysASVM:
-		nodes := make([]*asvm.Node, len(nodeIdxs))
-		for i, n := range nodeIdxs {
-			nodes[i] = c.ASVMs[n]
-		}
-		info, objs := asvm.Setup(id, sizePages, nodes, 0, backing, c.P.ASVM)
-		r.info = info
-		for i, n := range nodeIdxs {
-			r.objs[n] = objs[i]
-		}
-	case SysXMM:
-		nodes := make([]*xmm.Node, len(nodeIdxs))
-		for i, n := range nodeIdxs {
-			nodes[i] = c.XMMs[n]
-		}
-		objs := xmm.SetupShared(id, sizePages, nodes, 0, backing)
-		for i, n := range nodeIdxs {
-			r.objs[n] = objs[i]
-		}
-	}
-	c.regions = append(c.regions, r)
-	return r
+	home := mesh.NodeID(nodeIdxs[0])
+	backing := c.PagingSpace[pager.IONodeFor(home, c.P.Nodes, c.P.IORatio)]
+	return c.newRegion(name, sizePages, c.nextID(home), nodeIdxs, backing)
 }
 
 // NewMappedFile creates a file-pager-backed shared object (a memory-mapped
 // file) on the I/O node serving the home node's group, optionally
 // preloading sizePages of content.
 func (c *Cluster) NewMappedFile(name string, sizePages vm.PageIdx, nodeIdxs []int, preload bool) (*Region, *pager.Server) {
-	home := nodeIdxs[0]
-	io := pager.IONodeFor(mesh.NodeID(home), c.P.Nodes, c.P.IORatio)
+	io := pager.IONodeFor(mesh.NodeID(nodeIdxs[0]), c.P.Nodes, c.P.IORatio)
 	id := c.nextID(io)
 	srv := pager.NewServer(c.Eng, c.TR, io, c.HW[io].Disk, c.P.Pager, "file-"+name, c.P.TrackData)
 	srv.CacheInMemory = true // UFS buffers file pages on the I/O node
@@ -417,36 +369,40 @@ func (c *Cluster) NewMappedFile(name string, sizePages vm.PageIdx, nodeIdxs []in
 			srv.Preload(id, i, nil)
 		}
 	}
+	return c.newRegion(name, sizePages, id, nodeIdxs, srv), srv
+}
+
+// newRegion attaches object id to every listed node under the active
+// system, with srv as its backing store, and registers the region for
+// crash recovery. The first listed node is the home.
+func (c *Cluster) newRegion(name string, sizePages vm.PageIdx, id vm.ObjID, nodeIdxs []int, srv *pager.Server) *Region {
 	r := &Region{
-		Name: name, SizePages: sizePages, ID: id, Home: home,
+		Name: name, SizePages: sizePages, ID: id, Home: nodeIdxs[0],
 		Nodes:    append([]int(nil), nodeIdxs...),
 		objs:     make(map[int]*vm.Object),
 		pagerSrv: srv,
 		nodeSet:  newNodeSet(nodeIdxs),
 	}
+	var objs []*vm.Object
 	switch c.P.System {
 	case SysASVM:
 		nodes := make([]*asvm.Node, len(nodeIdxs))
 		for i, n := range nodeIdxs {
 			nodes[i] = c.ASVMs[n]
 		}
-		info, objs := asvm.Setup(id, sizePages, nodes, 0, srv, c.P.ASVM)
-		r.info = info
-		for i, n := range nodeIdxs {
-			r.objs[n] = objs[i]
-		}
+		r.info, objs = asvm.Setup(id, sizePages, nodes, 0, srv, c.P.ASVM)
 	case SysXMM:
 		nodes := make([]*xmm.Node, len(nodeIdxs))
 		for i, n := range nodeIdxs {
 			nodes[i] = c.XMMs[n]
 		}
-		objs := xmm.SetupShared(id, sizePages, nodes, 0, srv)
-		for i, n := range nodeIdxs {
-			r.objs[n] = objs[i]
-		}
+		objs = xmm.SetupShared(id, sizePages, nodes, 0, srv)
+	}
+	for i, o := range objs {
+		r.objs[nodeIdxs[i]] = o
 	}
 	c.regions = append(c.regions, r)
-	return r, srv
+	return r
 }
 
 // TaskOn creates a task on a node and maps the region at base.
@@ -477,13 +433,6 @@ func (c *Cluster) RemoteFork(parent *vm.Task, dstIdx int, name string) (*vm.Task
 // Spawn starts a proc.
 func (c *Cluster) Spawn(name string, fn func(p *sim.Proc)) *sim.Proc {
 	return c.Eng.Spawn(name, fn)
-}
-
-// SpawnOn starts a proc with event-lane affinity for the node it simulates
-// work on: its wakeups queue on that node's lane under the parallel engine.
-// Identical to Spawn on a serial engine.
-func (c *Cluster) SpawnOn(nodeIdx int, name string, fn func(p *sim.Proc)) *sim.Proc {
-	return c.Eng.SpawnOn(c.Eng.LaneFor(nodeIdx), name, fn)
 }
 
 // Run drives the simulation to completion and returns the final virtual

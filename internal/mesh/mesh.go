@@ -41,17 +41,6 @@ type Config struct {
 	LinkContention bool
 }
 
-// LookaheadFloor returns the minimum latency of any cross-node message:
-// router setup plus one hop of wormhole routing (serialization, NIC
-// queueing and latency choice points only add to it). This is the
-// conservative lookahead a parallel engine needs — an event on one node
-// cannot cause an event on another node earlier than this floor, so a
-// window of this width can be drained per-node in parallel. See
-// sim.NewParallelEngine and DESIGN.md §10.
-func (c Config) LookaheadFloor() time.Duration {
-	return c.SetupLatency + c.HopLatency
-}
-
 // DefaultConfig returns Paragon-like interconnect parameters for n nodes,
 // arranged in the squarest mesh that fits.
 func DefaultConfig(n int) Config {
@@ -171,11 +160,6 @@ func (nw *Network) Send(src, dst NodeID, bytes int, deliver func()) {
 	}
 	ser := nw.serialization(bytes)
 	flight := nw.cfg.SetupLatency + time.Duration(nw.Hops(src, dst))*nw.cfg.HopLatency + nw.chooseExtraLatency()
-	// The delivery runs on the destination's event lane: the wire crossing
-	// is where simulated control transfers between nodes, so it is the one
-	// place lane affinity must be re-tagged (everything the handler
-	// schedules afterwards inherits the lane).
-	lane := nw.eng.LaneFor(int(dst))
 	nw.nics[src].Do(ser, func() {
 		if nw.cfg.LinkContention {
 			stall := nw.occupyRoute(src, dst, ser)
@@ -183,10 +167,10 @@ func (nw *Network) Send(src, dst NodeID, bytes int, deliver func()) {
 				nw.Stats.LinkStalls++
 				nw.Stats.LinkStallDur += stall
 			}
-			nw.eng.ScheduleLane(lane, stall+flight, deliver)
+			nw.eng.Schedule(stall+flight, deliver)
 			return
 		}
-		nw.eng.ScheduleLane(lane, flight, deliver)
+		nw.eng.Schedule(flight, deliver)
 	})
 }
 
@@ -198,16 +182,14 @@ type hop struct {
 	nw     *Network
 	flight time.Duration
 	next   sim.Runnable
-	lane   int // destination node's event lane
 }
 
-// Run implements sim.Runnable: serialization finished, enter the wire. The
-// arrival is tagged with the destination's event lane (see Send).
+// Run implements sim.Runnable: serialization finished, enter the wire.
 func (h *hop) Run() {
-	nw, flight, next, lane := h.nw, h.flight, h.next, h.lane
+	nw, flight, next := h.nw, h.flight, h.next
 	h.next = nil
 	nw.hopPool = append(nw.hopPool, h)
-	nw.eng.ScheduleRunLane(lane, flight, next)
+	nw.eng.ScheduleRun(flight, next)
 }
 
 // SendRun transmits like Send but resumes a Runnable at the destination
@@ -236,7 +218,6 @@ func (nw *Network) SendRun(src, dst NodeID, bytes int, r sim.Runnable) {
 	}
 	h.flight = flight
 	h.next = r
-	h.lane = nw.eng.LaneFor(int(dst))
 	nw.nics[src].DoRun(ser, h)
 }
 

@@ -64,26 +64,15 @@ const maxEventChoices = 8
 // SetChooser installs (or, with nil, removes) the schedule-exploration
 // hook. Must not be called while the engine is running events.
 //
-// Installing a chooser permanently retires the engine's parallel lanes and
-// returns any live dispatch batch to the heap: ChoiceEvent points are
-// defined against the heap's same-timestamp candidate sets, which batching
-// and lanes deliberately avoid materializing. Exploration always runs on
-// the serial per-event path (DESIGN.md §10).
+// Installing a chooser returns any live dispatch batch to the heap:
+// ChoiceEvent points are defined against the heap's same-timestamp
+// candidate sets, which batching deliberately avoids materializing.
+// Exploration always runs on the per-event path.
 func (e *Engine) SetChooser(c Chooser) {
 	if c != nil {
-		e.dropFastPaths()
+		e.flushBatch()
 	}
 	e.chooser = c
-}
-
-// dropFastPaths moves every event onto the serial heap: the dispatch batch
-// is flushed and, if parallel lanes are live, they are drained and retired.
-// Event keys are untouched, so the schedule is unchanged.
-func (e *Engine) dropFastPaths() {
-	if e.par != nil && !e.par.retired {
-		e.par.retire()
-	}
-	e.flushBatch()
 }
 
 // Exploring reports whether a Chooser is installed. Cost-model code uses it
@@ -137,7 +126,7 @@ func (e *Engine) popChoose() event {
 // was halted with events still pending).
 func (e *Engine) RunMax(max uint64) bool {
 	e.halted = false
-	e.dropFastPaths() // per-event pops need everything on the serial heap
+	e.flushBatch() // per-event pops need everything on the heap
 	for e.q.len() > 0 && !e.halted {
 		if max == 0 {
 			return false

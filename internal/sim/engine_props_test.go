@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -305,5 +306,187 @@ func TestFutureManyWaitersOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("waiters woke out of order: %v", order)
 		}
+	}
+}
+
+// TestBatchedSameInstantFIFO is the property test for batched dispatch:
+// events that fan out same-instant work mid-dispatch, across several
+// cohorts, must still execute in global (time, seq) FIFO order — the batch
+// bypasses the heap, never the ordering contract.
+func TestBatchedSameInstantFIFO(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	id := 0
+	add := func(delay Time, fanout int) {
+		var fn func()
+		myID := id
+		id++
+		fn = func() {
+			order = append(order, myID)
+			for f := 0; f < fanout; f++ {
+				// Same-instant children: these must run after
+				// everything already scheduled for this instant.
+				child := id
+				id++
+				order := &order
+				e.Schedule(0, func() { *order = append(*order, child) })
+			}
+		}
+		e.Schedule(delay, fn)
+	}
+	// Three cohorts at 0µs, 1µs, 2µs; each root fans out two
+	// same-instant children.
+	for c := 0; c < 3; c++ {
+		add(Time(c)*time.Microsecond, 2)
+		add(Time(c)*time.Microsecond, 0)
+	}
+	e.Run()
+	if len(order) != 12 {
+		t.Fatalf("executed %d events, want 12", len(order))
+	}
+	// Roots get ids 0..5 at schedule time (two per cohort); children
+	// get ids at execution time (6,7 then 8,9 then 10,11). Per cohort
+	// the two roots run in schedule order, then the first root's
+	// same-instant children run after both — FIFO across the
+	// batch/heap boundary.
+	want := []int{0, 1, 6, 7, 2, 3, 8, 9, 4, 5, 10, 11}
+	for i := range order {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+// genWorkload loads a fresh engine with a randomized self-extending event
+// mix, hands it to drive to execute, and returns the execution order as
+// event ids. Every event appends its id and may schedule children with
+// random delays (including zero — same-instant chains). The generator is
+// seeded and draws only inside events, so two run loops given the same seed
+// see the exact same schedule requests for as long as they execute in the
+// same order. onExec, when non-nil, is called at the end of every event.
+func genWorkload(seed uint64, onExec, drive func(e *Engine)) []int {
+	const roots, maxDepth = 20, 6
+	e := NewEngine()
+	rng := NewRNG(seed)
+	var order []int
+	nextID := 0
+	var spawn func(depth int) func()
+	spawn = func(depth int) func() {
+		id := nextID
+		nextID++
+		return func() {
+			order = append(order, id)
+			if depth < maxDepth {
+				for k := rng.Intn(3); k > 0; k-- {
+					e.Schedule(Time(rng.Intn(5))*time.Microsecond, spawn(depth+1))
+				}
+			}
+			if onExec != nil {
+				onExec(e)
+			}
+		}
+	}
+	for i := 0; i < roots; i++ {
+		e.Schedule(Time(rng.Intn(50))*time.Microsecond, spawn(0))
+	}
+	drive(e)
+	return order
+}
+
+// TestBatchedRunMatchesReferenceLoops is the randomized differential test
+// for the batched fast path: Run's dispatch (same-instant work bypassing the
+// heap) must execute the exact order of the per-event reference loops —
+// RunMax and a run under an all-zeros Chooser, which pop every event off
+// the heap — and must keep it when the run is cut into RunUntil slices and
+// resumed after Halts that land in the middle of a same-instant cohort.
+func TestBatchedRunMatchesReferenceLoops(t *testing.T) {
+	midCohortHalts := 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		want := genWorkload(seed, nil, func(e *Engine) {
+			if !e.RunMax(1 << 40) {
+				t.Fatalf("seed %d: RunMax did not drain", seed)
+			}
+		})
+		check := func(mode string, got []int) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: %s executed %d events in an order that differs from RunMax's %d",
+					seed, mode, len(got), len(want))
+			}
+		}
+		check("Run", genWorkload(seed, nil, func(e *Engine) { e.Run() }))
+		check("zero-Chooser Run", genWorkload(seed, nil, func(e *Engine) {
+			e.SetChooser(&fixedChooser{})
+			e.Run()
+		}))
+		n := 0
+		haltEveryFifth := func(e *Engine) {
+			if n++; n%5 == 0 {
+				e.Halt()
+			}
+		}
+		check("RunUntil slices with Halts", genWorkload(seed, haltEveryFifth, func(e *Engine) {
+			for e.Pending() > 0 {
+				e.RunUntil(e.Now() + 3*time.Microsecond)
+				if at, ok := e.NextEventAt(); ok && at == e.Now() {
+					midCohortHalts++
+				}
+			}
+		}))
+	}
+	if midCohortHalts == 0 {
+		t.Fatal("no Halt landed mid-cohort; the resume arm tested nothing")
+	}
+}
+
+// TestQueueShrinksAfterBurst pins the fix for the queue's backing array
+// never shrinking: after a 1M-event burst fully drains, Run releases the
+// backing memory, while steady-state queues below shrinkCap keep their
+// free-list array.
+func TestQueueShrinksAfterBurst(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	const burst = 1 << 20
+	for i := 0; i < burst; i++ {
+		e.Schedule(Time(i%1000)*time.Microsecond, fn)
+	}
+	if got := cap(e.q.ev); got < burst {
+		t.Fatalf("burst capacity %d, want >= %d", got, burst)
+	}
+	e.Run()
+	if got := cap(e.q.ev); got > shrinkCap {
+		t.Fatalf("post-run capacity %d, want <= shrinkCap (%d)", got, shrinkCap)
+	}
+	// Steady state below the threshold: capacity must be retained (the
+	// free-list trick), not churned.
+	for i := 0; i < 100; i++ {
+		e.Schedule(time.Microsecond, fn)
+	}
+	e.Run()
+	c := cap(e.q.ev)
+	for i := 0; i < 100; i++ {
+		e.Schedule(time.Microsecond, fn)
+	}
+	e.Run()
+	if cap(e.q.ev) != c {
+		t.Fatalf("steady-state capacity churned: %d -> %d", c, cap(e.q.ev))
+	}
+}
+
+// TestScheduleRunZeroAllocs guards the hot path at 0 allocs/op with no
+// chooser installed.
+func TestScheduleRunZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	i := 0
+	allocs := testing.AllocsPerRun(20000, func() {
+		e.Schedule(Time(i%64)*time.Microsecond, fn)
+		i++
+		if e.Pending() >= 1024 {
+			e.RunUntil(e.Now() + time.Millisecond)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule/run path allocates %.1f allocs/op, want 0", allocs)
 	}
 }

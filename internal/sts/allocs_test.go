@@ -10,10 +10,10 @@ import (
 )
 
 // TestMessagePathZeroAllocs guards the steady-state STS round trip at
-// 0 allocs/op — the CI benchmark-regression leg runs this alongside the
-// sim package's TestScheduleRunZeroAllocs, so an allocation creeping into
-// either hot path fails the build rather than silently eroding the
-// BENCH_*.json trajectory.
+// 0 allocs/op, alongside the sim package's TestScheduleRunZeroAllocs: an
+// allocation creeping into either hot path fails the build rather than
+// silently moving the benchmark's sts.msgpath_allocs and
+// sim.allocs_per_event.
 func TestMessagePathZeroAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	net := mesh.New(eng, 2, mesh.DefaultConfig(2))

@@ -48,14 +48,6 @@ type ChaosResult struct {
 	PeersDowned       uint64
 }
 
-// ReliableCfg tunes the reliability layer (initial RTO, backoff cap,
-// retry budget) for every chaos and crash cell this package builds. The
-// zero value means the calibrated defaults (4ms initial RTO, 64ms cap,
-// 30 retries) — existing sweep output is bit-identical unless a run sets
-// it, e.g. via asvmbench -rto/-rtomax/-retries. Set once at startup,
-// before any cells run, like machine.DefaultEngineLanes.
-var ReliableCfg xport.ReliableConfig
-
 // chaosParams builds cluster parameters with the chaos stack enabled:
 // fault injection below, the reliability layer above.
 func chaosParams(nodes int, seed uint64, plan xport.FaultPlan) machine.Params {
@@ -63,7 +55,6 @@ func chaosParams(nodes int, seed uint64, plan xport.FaultPlan) machine.Params {
 	p.Seed = seed
 	p.Fault = plan
 	p.Reliable = true
-	p.ReliableCfg = ReliableCfg
 	return p
 }
 

@@ -94,7 +94,7 @@ func ChaosCrash(cfg CrashConfig, plan xport.FaultPlan) (ChaosResult, error) {
 			return ChaosResult{}, err
 		}
 		rng := sim.NewRNG(cfg.Seed<<16 ^ uint64(n)*0x9E3779B97F4A7C15)
-		c.SpawnOn(n, fmt.Sprintf("churn%d", n), func(p *sim.Proc) {
+		c.Spawn(fmt.Sprintf("churn%d", n), func(p *sim.Proc) {
 			for round := 0; round < cfg.Rounds; round++ {
 				idx := vm.PageIdx(rng.Intn(int(cfg.Pages)))
 				addr := vm.Addr(idx) * vm.PageSize

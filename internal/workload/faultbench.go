@@ -110,7 +110,7 @@ func measureFaultOn(c *machine.Cluster, sc FaultScenario) (time.Duration, *machi
 	}
 
 	var lat time.Duration
-	w.Go(1, "bench", func(h app.Host) error {
+	w.GoOn(1, "bench", func(h app.Host) error {
 		// The initial writer dirties the page (and keeps its copy).
 		if err := h.Write(0, 0, 1); err != nil {
 			return err
@@ -200,7 +200,7 @@ func MeasureChainFault(sys machine.System, chain int, seed uint64) (time.Duratio
 	}
 
 	var mean time.Duration
-	w.Go(0, "bench", func(h app.Host) error {
+	w.GoOn(0, "bench", func(h app.Host) error {
 		for i := 0; i < regionPages; i++ {
 			if err := h.Write(0, int64(i*vm.PageSize), uint64(i+1)); err != nil {
 				return err
