@@ -134,7 +134,7 @@ func (r *wireReader) data() []byte {
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
+	out := make([]byte, n) // a copy: DecodeMsg must not retain its input
 	copy(out, b)
 	return out
 }

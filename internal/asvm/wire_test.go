@@ -112,11 +112,66 @@ func TestWireAppendsToDst(t *testing.T) {
 // netx's wire version alongside).
 func TestWireGoldenFrames(t *testing.T) {
 	c := WireCodec()
-	golden := []struct {
-		name string
-		msg  interface{}
-		hex  string
-	}{
+	for _, g := range goldenFrames() {
+		want := g.want(t)
+		got, err := c.AppendMsg(nil, g.msg)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", g.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: wire form changed\n  got  %x\n  want %x", g.name, got, want)
+		}
+	}
+}
+
+// DecodeMsg must not retain its input (the xport.WireCodec contract): netx
+// reads every frame of a connection into one buffer and overwrites it with
+// the next frame while the decoded message is still queued for the engine.
+// Each kind's golden frame is decoded, the input is poisoned, and the
+// message must still encode to the original bytes.
+func TestWireDecodeDoesNotRetainInput(t *testing.T) {
+	c := WireCodec()
+	kinds := make(map[byte]bool)
+	for _, g := range goldenFrames() {
+		want := g.want(t)
+		in := append([]byte(nil), want...)
+		m, err := c.DecodeMsg(in)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", g.name, err)
+		}
+		for i := range in {
+			in[i] = 0xFF
+		}
+		got, err := c.AppendMsg(nil, m)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", g.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: decoded message aliases its input\n  got  %x\n  want %x", g.name, got, want)
+		}
+		kinds[want[0]] = true
+	}
+	if len(kinds) != 12 {
+		t.Errorf("golden frames cover %d message kinds, want all 12", len(kinds))
+	}
+}
+
+type goldenFrame struct {
+	name string
+	msg  interface{}
+	hex  string
+}
+
+func (g goldenFrame) want(t *testing.T) []byte {
+	b, err := hex.DecodeString(g.hex)
+	if err != nil {
+		t.Fatalf("%s: bad golden hex: %v", g.name, err)
+	}
+	return b
+}
+
+func goldenFrames() []goldenFrame {
+	return []goldenFrame{
 		{
 			"accessReq",
 			&accessReq{
@@ -228,19 +283,6 @@ func TestWireGoldenFrames(t *testing.T) {
 			"0b" + "01000000" + "0700000000000000" + "0300000000000000" + "01",
 		},
 	}
-	for _, g := range golden {
-		want, err := hex.DecodeString(g.hex)
-		if err != nil {
-			t.Fatalf("%s: bad golden hex: %v", g.name, err)
-		}
-		got, err := c.AppendMsg(nil, g.msg)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", g.name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: wire form changed\n  got  %x\n  want %x", g.name, got, want)
-		}
-	}
 }
 
 // Corrupt input must come back as errors, never panics or silent
@@ -306,9 +348,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := c.DecodeMsg(b)
+		in := append([]byte(nil), b...)
+		m, err := c.DecodeMsg(in)
 		if err != nil {
 			return
+		}
+		// The reader reuses its buffer: poison the input, and the message
+		// must still be what a fresh decode of the same bytes gives.
+		for i := range in {
+			in[i] = 0xFF
+		}
+		if fresh, err := c.DecodeMsg(b); err != nil || !reflect.DeepEqual(m, fresh) {
+			t.Fatalf("decoded %T aliases its input: after poisoning %#v, fresh %#v (err %v)", m, m, fresh, err)
 		}
 		enc, err := c.AppendMsg(nil, m)
 		if err != nil {

@@ -1,8 +1,12 @@
 package dsm
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"asvm/internal/mesh"
+	"asvm/internal/vm"
 )
 
 // The scenario-level parity tests (real mesh vs simulated twin through
@@ -160,5 +164,84 @@ func TestControlPlane(t *testing.T) {
 	case <-srvs[0].Shutdown:
 	case <-time.After(5 * time.Second):
 		t.Fatal("shutdown request did not trip the server's Shutdown gate")
+	}
+}
+
+// tcpMesh opens an n-node dsm mesh over TCP loopback on ephemeral ports:
+// every node listens on :0 and learns its peers' real addresses before
+// anything is sent.
+func tcpMesh(t *testing.T, n int, pages int64) []*Node {
+	t.Helper()
+	cfg := &MeshConfig{Region: "tcp", Pages: pages, Home: 0}
+	for i := 0; i < n; i++ {
+		cfg.Nodes = append(cfg.Nodes, NodeSpec{ID: i, Xport: "127.0.0.1:0"})
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nd, err := Open(cfg, i)
+		if err != nil {
+			t.Fatalf("tcp mesh node %d: %v", i, err)
+		}
+		t.Cleanup(nd.Close)
+		nodes[i] = nd
+	}
+	for _, nd := range nodes {
+		for j, peer := range nodes {
+			nd.tr.AddPeer(mesh.NodeID(j), peer.Addr())
+		}
+	}
+	return nodes
+}
+
+// Two writers falsely sharing one page: each fault is served by at most
+// about one page supply. That ratio is what the loop's ordering rule buys:
+// the faulting proc uses the page it was granted before the next frame —
+// typically the other writer's request for the page back, sent right
+// behind the grant — is handled. When every queued frame was handled
+// first, the page went back unused, both writers re-requested, and the
+// pair traded it 13-25 times per fault in this test. It needs sockets:
+// over net.Pipe every Write is a synchronous hand-off, two frames are
+// never queued behind one another, and the old loop read 1.0 as well.
+func TestFalseSharingSuppliesPerFault(t *testing.T) {
+	nodes := tcpMesh(t, 2, 4)
+	const writes = 2000
+	sum := func() (faults, supplies int64) {
+		for _, nd := range nodes {
+			c := nd.Counters()
+			faults += c["faults"]
+			supplies += c["data_supplies"]
+		}
+		return
+	}
+	f0, s0 := sum()
+	errs := make(chan error, len(nodes))
+	for i, nd := range nodes {
+		go func() {
+			addr := vm.Addr(8 * i) // disjoint words of page 0
+			for k := 1; k <= writes; k++ {
+				want := uint64(i)<<32 | uint64(k)
+				if _, err := nd.Write(addr, want); err != nil {
+					errs <- err
+					return
+				}
+				if got, _, err := nd.Read(addr); err != nil || got != want {
+					errs <- fmt.Errorf("node %d write %d: read back %d, %v; want %d", i, k, got, err, want)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainNodes(t, nodes, 10*time.Second)
+	f1, s1 := sum()
+	faults, supplies := f1-f0, s1-s0
+	t.Logf("%d faults, %d data supplies (%.2f per fault)", faults, supplies, float64(supplies)/float64(faults))
+	if faults == 0 || float64(supplies) > 1.5*float64(faults) {
+		t.Fatalf("%d data supplies for %d faults: more than 1.5 per fault", supplies, faults)
 	}
 }

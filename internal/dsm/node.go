@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"sync"
 	"time"
 
 	"asvm/internal/asvm"
@@ -52,6 +53,8 @@ type Node struct {
 	// represented by the future it waits on, and completing that future
 	// with an op is how the op is handed over. Loop goroutine only.
 	idle []*sim.FutureOf[func(*sim.Proc)]
+
+	calls sync.Pool // *opCall, see do
 
 	opTimeout time.Duration // opTimeout, except in tests that shorten it
 }
@@ -158,22 +161,41 @@ func (n *Node) Addr() string {
 	return ""
 }
 
+// opCall is do's per-call state, reused across calls: the result channel,
+// the backstop timer, and the closure that starts fn on an op proc.
+type opCall struct {
+	fn    func(p *sim.Proc) error
+	done  chan error
+	timer *time.Timer
+	start func() // on the loop: hand an op proc "done <- fn(p)"
+}
+
 // do runs one operation on an op proc of the protocol engine and measures
 // its wall-clock latency — injection overhead included, exactly what a
 // libdsm caller would observe.
 func (n *Node) do(name string, fn func(p *sim.Proc) error) (time.Duration, error) {
-	// done is per call, so an op that outlives its timeout reports to a
-	// channel nobody reads, never to the proc's next caller.
-	done := make(chan error, 1)
-	op := func(p *sim.Proc) { done <- fn(p) }
-	timeout := time.NewTimer(n.opTimeout)
-	defer timeout.Stop()
+	c, _ := n.calls.Get().(*opCall)
+	if c == nil {
+		c = &opCall{done: make(chan error, 1), timer: time.NewTimer(n.opTimeout)}
+		run := func(p *sim.Proc) { c.done <- c.fn(p) }
+		c.start = func() { n.startOp(run) }
+	}
+	c.timer.Reset(n.opTimeout)
+	c.fn = fn
 	start := time.Now()
-	n.loop.Inject(func() { n.startOp(op) })
+	n.loop.Inject(c.start)
 	select {
-	case err := <-done:
-		return time.Since(start), err
-	case <-timeout.C:
+	case err := <-c.done:
+		lat := time.Since(start)
+		// Only a call whose timer never fired goes back to the pool: an op
+		// that outlives its timeout reports to a channel nobody reads,
+		// never to the next caller.
+		if c.timer.Stop() {
+			c.fn = nil
+			n.calls.Put(c)
+		}
+		return lat, err
+	case <-c.timer.C:
 		return time.Since(start), fmt.Errorf("dsm: %s timed out after %v", name, n.opTimeout)
 	}
 }

@@ -237,3 +237,23 @@ func TestOpsLeaveNoTimersBehind(t *testing.T) {
 		t.Fatalf("heap objects grew from %d to %d over 50k local-hit reads", before, after)
 	}
 }
+
+// do reuses its per-call state — result channel, backstop timer, the run
+// and start closures — so a local-hit read costs only what Read itself
+// allocates: 3 objects, where a fresh timer, channel and closure pair per
+// op made it 11. The bound leaves room for -race, under which sync.Pool
+// drops a quarter of what it is given.
+func TestLocalHitAllocs(t *testing.T) {
+	n := pipeMesh(t, 1, 4)[0]
+	read := func() {
+		if _, _, err := n.Read(0); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
+	for i := 0; i < 1000; i++ { // fault the page in, grow the loop's queues
+		read()
+	}
+	if allocs := testing.AllocsPerRun(10_000, read); allocs > 6 {
+		t.Fatalf("a local-hit read allocates %.0f objects, want <= 6", allocs)
+	}
+}

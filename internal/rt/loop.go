@@ -80,7 +80,8 @@ func (l *Loop) Stop() {
 // Inject queues fn to run on the loop goroutine at the current virtual
 // instant, after events already due. It is safe from any goroutine and
 // never blocks; this is how socket readers deliver messages and control
-// servers start operations. Injections are executed in arrival order.
+// servers start operations. Injections are executed in arrival order, and
+// what one makes runnable at that instant runs before the next is taken.
 func (l *Loop) Inject(fn func()) {
 	l.mu.Lock()
 	l.inj = append(l.inj, fn)
@@ -129,16 +130,22 @@ func (l *Loop) run(ctx context.Context) {
 	defer close(l.done)
 	timer := time.NewTimer(maxIdleWait)
 	defer timer.Stop()
+	var fns []func()
 	for {
-		// Everything injected so far runs first, in arrival order, at the
-		// current virtual instant (handlers typically Send or Spawn, which
-		// schedule further events).
+		// Injections run in arrival order at the current virtual instant,
+		// each followed by whatever it made runnable at that instant (a
+		// proc whose future it completed, an op it started) — the
+		// simulator's ordering, where a delivery's same-instant consequences
+		// run before the next delivery. Running the whole queue first let
+		// the request behind a grant give the page away before the granted
+		// proc had touched it.
 		l.mu.Lock()
-		fns := l.inj
-		l.inj = nil
+		fns, l.inj = l.inj, fns[:0]
 		l.mu.Unlock()
-		for _, fn := range fns {
+		for i, fn := range fns {
+			fns[i] = nil
 			fn()
+			l.eng.RunUntil(l.eng.Now())
 		}
 
 		// Advance the virtual clock to the wall clock and run everything

@@ -104,3 +104,39 @@ func TestLoopStop(t *testing.T) {
 		t.Fatal("Call succeeded after Stop")
 	}
 }
+
+// What one injection makes runnable retires before the next injection is
+// taken — the simulator's delivery order. A and B are queued back to back
+// (from inside an injection, so the loop cannot run between them): A
+// completes the future a parked proc waits on, and B must find that proc
+// already run. With every queued injection executed before any engine
+// event, B ran first — on the mesh, the request behind a grant gave the
+// page away before the granted proc had used it.
+func TestLoopRetiresInjectionBeforeNext(t *testing.T) {
+	eng := sim.NewEngine()
+	l := NewLoop(eng)
+	l.Start(context.Background())
+	defer l.Stop()
+
+	for round := 0; round < 100; round++ {
+		procRan := false
+		seenByB := make(chan bool, 1)
+		l.Inject(func() {
+			fut := sim.NewFutureOf[int](eng)
+			eng.Spawn("waiter", func(p *sim.Proc) {
+				fut.Wait(p)
+				procRan = true
+			})
+			l.Inject(func() { fut.Set(1) })         // A
+			l.Inject(func() { seenByB <- procRan }) // B
+		})
+		select {
+		case ran := <-seenByB:
+			if !ran {
+				t.Fatalf("round %d: injection B ran before the proc injection A woke", round)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("injection B never ran")
+		}
+	}
+}

@@ -19,8 +19,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"asvm/internal/mesh"
+	"asvm/internal/xport"
 )
 
 // wireVersion is the frame-format generation. The hello exchange rejects
@@ -51,42 +53,48 @@ const (
 // length prefix allocating gigabytes.
 const defaultMaxFrame = 1 << 20
 
-// wireMsg is a parsed msg/bounce frame body.
+// wireMsg is a parsed msg/bounce frame body. protoName and encoded alias
+// the buffer the frame was read into.
 type wireMsg struct {
-	kind         byte
-	src, dst     mesh.NodeID
-	protoName    string
-	payloadBytes int
-	encoded      []byte
+	kind      byte
+	src, dst  mesh.NodeID
+	protoName []byte
+	encoded   []byte
 }
 
-// appendFrame wraps body in a length prefix and appends to dst.
-func appendFrame(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
-}
+// msgFixed is what a msg frame carries besides the proto name and the
+// encoded message: length prefix, kind, src, dst, name length,
+// payloadBytes, encoded length.
+const msgFixed = 4 + 1 + 4 + 4 + 2 + 4 + 4
 
 // appendHello appends a complete hello frame.
 func appendHello(dst []byte, self mesh.NodeID) []byte {
-	var body [7]byte
-	body[0] = frameHello
-	binary.LittleEndian.PutUint16(body[1:3], wireVersion)
-	binary.LittleEndian.PutUint32(body[3:7], uint32(int32(self)))
-	return appendFrame(dst, body[:])
+	dst = binary.LittleEndian.AppendUint32(dst, 7)
+	dst = append(dst, frameHello)
+	dst = binary.LittleEndian.AppendUint16(dst, wireVersion)
+	return binary.LittleEndian.AppendUint32(dst, uint32(int32(self)))
 }
 
-// appendMsgBody appends a msg/bounce frame *body* (no length prefix) to
-// dst. The body is built once at Send time and reused verbatim if the
-// receiver bounces it.
-func appendMsgBody(dst []byte, kind byte, src, dstNode mesh.NodeID, protoName string, payloadBytes int, encoded []byte) []byte {
-	dst = append(dst, kind)
+// appendMsgFrame appends a complete msg frame — length prefix, header and
+// codec's encoding of m — to dst. The codec appends in place and the two
+// lengths are patched afterwards, so a frame is built once, in one buffer.
+func appendMsgFrame(dst []byte, src, dstNode mesh.NodeID, protoName string, payloadBytes int, codec xport.WireCodec, m interface{}) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, frameMsg)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(src)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(dstNode)))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(protoName)))
 	dst = append(dst, protoName...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadBytes))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(encoded)))
-	return append(dst, encoded...)
+	dst = append(dst, 0, 0, 0, 0)
+	enc := len(dst)
+	dst, err := codec.AppendMsg(dst, m)
+	if err != nil {
+		return dst, err
+	}
+	binary.LittleEndian.PutUint32(dst[enc-4:], uint32(len(dst)-enc))
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst, nil
 }
 
 // parseMsgBody parses a msg/bounce frame body (kind byte included).
@@ -103,9 +111,8 @@ func parseMsgBody(body []byte) (wireMsg, error) {
 	if len(rest) < nameLen+8 {
 		return m, fmt.Errorf("netx: truncated message frame")
 	}
-	m.protoName = string(rest[:nameLen])
+	m.protoName = rest[:nameLen]
 	rest = rest[nameLen:]
-	m.payloadBytes = int(binary.LittleEndian.Uint32(rest[0:4]))
 	encLen := int(binary.LittleEndian.Uint32(rest[4:8]))
 	rest = rest[8:]
 	if len(rest) != encLen {
@@ -115,31 +122,33 @@ func parseMsgBody(body []byte) (wireMsg, error) {
 	return m, nil
 }
 
-// readFrame reads one length-prefixed frame body from r. maxFrame guards
-// the allocation implied by the length prefix.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one frame from r into buf, which grows only when a frame
+// is larger than any before it, and returns the whole frame — length
+// prefix included, so a bounce goes back out verbatim. The result aliases
+// buf: it is valid until the next call. maxFrame guards the allocation
+// implied by the length prefix.
+func readFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int(n) > maxFrame {
-		return nil, fmt.Errorf("netx: frame of %d bytes exceeds limit %d", n, maxFrame)
+	n := int(binary.LittleEndian.Uint32(buf))
+	if n > maxFrame {
+		return buf, fmt.Errorf("netx: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	buf = slices.Grow(buf, n)[:4+n]
+	_, err := io.ReadFull(r, buf[4:])
+	return buf, err
 }
 
 // readHello reads and validates the hello frame that must open every
 // connection, returning the peer's claimed node ID.
 func readHello(r io.Reader, maxFrame int) (mesh.NodeID, error) {
-	body, err := readFrame(r, maxFrame)
+	frame, err := readFrame(r, nil, maxFrame)
 	if err != nil {
 		return 0, fmt.Errorf("netx: reading hello: %w", err)
 	}
+	body := frame[4:]
 	if len(body) != 7 || body[0] != frameHello {
 		return 0, fmt.Errorf("netx: connection did not open with a hello frame")
 	}

@@ -112,14 +112,34 @@ type Transport struct {
 	}
 }
 
-// outFrame is one queued outbound message: the prebuilt frame body plus
-// what a local Nack needs if the peer turns out to be unreachable.
+// outFrame is one queued outbound message: the prebuilt frame plus what a
+// local Nack needs if the peer turns out to be unreachable. buf belongs to
+// Send until queued, then to the peer's writer; whoever settles the frame
+// (written, or failed to a Nack) returns it to its pool.
 type outFrame struct {
-	body  []byte
+	buf   *[]byte
 	proto xport.ProtoID
 	dst   mesh.NodeID
 	m     interface{}
 }
+
+// framePools holds outbound frame buffers in two size classes, header
+// frames and page frames (key: larger than smallFrame), so a buffer is
+// sized to the frame it carries and a long queue of header frames never
+// pins page-sized buffers.
+var framePools = map[bool]*sync.Pool{false: {}, true: {}}
+
+const smallFrame = 512
+
+func getFrameBuf(size int) *[]byte {
+	if b, _ := framePools[size > smallFrame].Get().(*[]byte); b != nil {
+		return b
+	}
+	b := make([]byte, 0, size)
+	return &b
+}
+
+func putFrameBuf(b *[]byte) { framePools[cap(*b) > smallFrame].Put(b) }
 
 // peerLink is the outbound half of one peering: a queue drained by a
 // dedicated writer goroutine that owns the connection and its lifecycle.
@@ -237,25 +257,28 @@ func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 		return
 	}
 
-	codec := xport.LookupWireCodec(proto.Name())
+	name := proto.Name()
+	codec := xport.LookupWireCodec(name)
 	if codec == nil {
-		panic(fmt.Sprintf("netx: no wire codec registered for channel %q", proto.Name()))
+		panic(fmt.Sprintf("netx: no wire codec registered for channel %q", name))
 	}
-	encoded, err := codec.AppendMsg(nil, m)
-	if err != nil {
-		panic(fmt.Sprintf("netx: encoding %T for channel %q: %v", m, proto.Name(), err))
+	// 64: room for the message's own header fields around the payload.
+	buf := getFrameBuf(msgFixed + len(name) + payloadBytes + 64)
+	var err error
+	if *buf, err = appendMsgFrame((*buf)[:0], src, dst, name, payloadBytes, codec, m); err != nil {
+		panic(fmt.Sprintf("netx: encoding %T for channel %q: %v", m, name, err))
 	}
-	body := appendMsgBody(nil, frameMsg, src, dst, proto.Name(), payloadBytes, encoded)
 
 	t.outstanding.Add(1)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		t.outstanding.Add(-1)
+		putFrameBuf(buf)
 		t.nackLocal(dst, proto, m)
 		return
 	}
-	p.q = append(p.q, outFrame{body: body, proto: proto, dst: dst, m: m})
+	p.q = append(p.q, outFrame{buf: buf, proto: proto, dst: dst, m: m})
 	p.cond.Signal()
 	p.mu.Unlock()
 }
@@ -285,7 +308,6 @@ func (t *Transport) writer(p *peerLink) {
 			conn.Close()
 		}
 	}()
-	var wbuf []byte
 	for {
 		p.mu.Lock()
 		for len(p.q) == 0 && !p.closed {
@@ -331,11 +353,13 @@ func (t *Transport) writer(p *peerLink) {
 			// went out on; a dedicated reader turns them into local Nacks.
 			// It dies with the connection.
 			t.wg.Add(1)
-			go t.readBounces(c)
+			go func() {
+				defer t.wg.Done()
+				t.readFrames(c, p.id, false)
+			}()
 		}
 		for i, f := range batch {
-			wbuf = appendFrame(wbuf[:0], f.body)
-			if _, err := conn.Write(wbuf); err != nil {
+			if _, err := conn.Write(*f.buf); err != nil {
 				conn.Close()
 				conn = nil
 				t.markDown(p)
@@ -343,8 +367,9 @@ func (t *Transport) writer(p *peerLink) {
 				break
 			}
 			t.st.framesSent.Add(1)
-			t.st.bytesSent.Add(uint64(len(wbuf)))
+			t.st.bytesSent.Add(uint64(len(*f.buf)))
 			t.outstanding.Add(-1)
+			putFrameBuf(f.buf)
 		}
 	}
 }
@@ -359,6 +384,7 @@ func (t *Transport) markDown(p *peerLink) {
 func (t *Transport) failBatch(batch []outFrame) {
 	for _, f := range batch {
 		t.outstanding.Add(-1)
+		putFrameBuf(f.buf)
 		t.nackLocal(f.dst, f.proto, f.m)
 	}
 }
@@ -409,124 +435,117 @@ func (t *Transport) ServeConn(c net.Conn) {
 	t.inbound.Store(c, struct{}{})
 	defer t.inbound.Delete(c)
 
-	if _, err := readHello(c, t.cfg.MaxFrame); err != nil {
-		return
+	if peer, err := readHello(c, t.cfg.MaxFrame); err == nil {
+		t.readFrames(c, peer, true)
 	}
-	var bounceBuf []byte
+}
+
+// route is one proto name resolved against this process's registries. Each
+// connection caches the routes its frames use, so a steady-state frame
+// costs no global lock and no string.
+type route struct {
+	proto xport.ProtoID
+	codec xport.WireCodec
+	h     xport.Handler // nil until Self registers one
+}
+
+// resolve returns the connection's route for name, resolving it on first
+// sight; nil when this process has no codec for the channel.
+func resolve(routes map[string]*route, name []byte) *route {
+	r := routes[string(name)]
+	if r == nil {
+		if codec := xport.LookupWireCodec(string(name)); codec != nil {
+			r = &route{proto: xport.RegisterProto(string(name)), codec: codec}
+			routes[string(name)] = r
+		}
+	}
+	return r
+}
+
+// readFrames handles the frames arriving on c until it breaks (EOF or a
+// broken conn is the peer's problem to retry). On an inbound connection
+// peer is the hello's node ID, messages arrive, and this goroutine is the
+// only writer: an undeliverable message is echoed back so the sender's
+// transport raises the standard Nack. On an outbound one the only
+// legitimate traffic is bounces of messages this process sent. Every frame
+// is read into one buffer that nothing may keep past the next read.
+func (t *Transport) readFrames(c net.Conn, peer mesh.NodeID, inbound bool) {
+	var frame []byte
+	routes := make(map[string]*route)
 	for {
-		body, err := readFrame(c, t.cfg.MaxFrame)
-		if err != nil {
-			return // EOF or broken conn: peer's problem to retry
+		var err error
+		if frame, err = readFrame(c, frame, t.cfg.MaxFrame); err != nil {
+			return
 		}
 		t.st.framesRecv.Add(1)
-		t.st.bytesRecv.Add(uint64(4 + len(body)))
+		t.st.bytesRecv.Add(uint64(len(frame)))
+		body := frame[4:]
 		if len(body) == 0 {
 			continue
 		}
-		switch body[0] {
-		case frameMsg:
-			wm, err := parseMsgBody(body)
-			if err != nil {
-				t.st.decodeErrors.Add(1)
-				return // framing is broken; nothing downstream is trustworthy
-			}
-			if !t.deliver(wm) {
-				// Undeliverable here: echo the frame back so the sender's
-				// transport raises the standard Nack. TCP is full duplex;
-				// this reader goroutine is the connection's only writer.
-				t.st.bouncesSent.Add(1)
-				wm.kind = frameBounce
-				body[0] = frameBounce
-				bounceBuf = appendFrame(bounceBuf[:0], body)
-				if _, err := c.Write(bounceBuf); err != nil {
-					return
-				}
-			}
-		case frameBounce:
-			t.st.bouncesRecv.Add(1)
-			wm, err := parseMsgBody(body)
-			if err != nil {
-				t.st.decodeErrors.Add(1)
-				return
-			}
-			t.bounceToSender(wm)
-		default:
+		wm, err := parseMsgBody(body)
+		// A message is from the peer, a bounce is of a message of ours;
+		// otherwise the framing is broken or the peer lies, and nothing
+		// downstream is trustworthy.
+		legit := wm.kind == frameMsg && inbound && wm.src == peer ||
+			wm.kind == frameBounce && wm.src == t.cfg.Self
+		if err != nil || !legit {
 			t.st.decodeErrors.Add(1)
 			return
 		}
+		r := resolve(routes, wm.protoName)
+		if wm.kind == frameBounce {
+			// Our own message, echoed: back to the standard local Nack.
+			t.st.bouncesRecv.Add(1)
+			if m, ok := t.decode(r, wm); ok {
+				t.nackLocal(wm.dst, r.proto, m)
+			}
+		} else if !t.deliver(r, wm) {
+			t.st.bouncesSent.Add(1)
+			body[0] = frameBounce
+			if _, err := c.Write(frame); err != nil {
+				return
+			}
+		}
 	}
+}
+
+// decode decodes wm with its route's codec; false when this process has no
+// codec for the channel or the encoding is corrupt.
+func (t *Transport) decode(r *route, wm wireMsg) (interface{}, bool) {
+	if r == nil {
+		return nil, false
+	}
+	m, err := r.codec.DecodeMsg(wm.encoded)
+	if err != nil {
+		t.st.decodeErrors.Add(1)
+	}
+	return m, err == nil
 }
 
 // deliver decodes an inbound message and hands it to the registered
 // handler via the exec. Returns false when this process cannot accept it
 // (wrong destination, no handler, no codec) — the caller bounces.
-func (t *Transport) deliver(wm wireMsg) bool {
-	if wm.dst != t.cfg.Self {
+func (t *Transport) deliver(r *route, wm wireMsg) bool {
+	if wm.dst != t.cfg.Self || r == nil {
 		return false
 	}
-	proto := xport.RegisterProto(wm.protoName) // idempotent name->ID mapping
-	h := t.handler(proto)
-	if h == nil {
+	if r.h == nil {
+		if r.h = t.handler(r.proto); r.h == nil {
+			return false
+		}
+	}
+	m, ok := t.decode(r, wm)
+	if !ok {
 		return false
 	}
-	codec := xport.LookupWireCodec(wm.protoName)
-	if codec == nil {
-		return false
-	}
-	m, err := codec.DecodeMsg(wm.encoded)
-	if err != nil {
-		t.st.decodeErrors.Add(1)
-		return false
-	}
-	src := wm.src
+	h, src := r.h, wm.src
 	t.outstanding.Add(1)
 	t.exec.Inject(func() {
 		t.outstanding.Add(-1)
 		h(src, m)
 	})
 	return true
-}
-
-// readBounces drains the inbound half of an *outbound* connection, where
-// the only legitimate traffic is bounce frames for messages this process
-// sent. It exits when the connection dies.
-func (t *Transport) readBounces(c net.Conn) {
-	defer t.wg.Done()
-	for {
-		body, err := readFrame(c, t.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		if len(body) == 0 || body[0] != frameBounce {
-			continue
-		}
-		wm, err := parseMsgBody(body)
-		if err != nil {
-			t.st.decodeErrors.Add(1)
-			return
-		}
-		t.st.bouncesRecv.Add(1)
-		t.bounceToSender(wm)
-	}
-}
-
-// bounceToSender turns a bounce frame for one of our own messages back
-// into the standard local Nack.
-func (t *Transport) bounceToSender(wm wireMsg) {
-	if wm.src != t.cfg.Self {
-		return // not ours; drop
-	}
-	proto := xport.RegisterProto(wm.protoName)
-	codec := xport.LookupWireCodec(wm.protoName)
-	if codec == nil {
-		return
-	}
-	m, err := codec.DecodeMsg(wm.encoded)
-	if err != nil {
-		t.st.decodeErrors.Add(1)
-		return
-	}
-	t.nackLocal(wm.dst, proto, m)
 }
 
 // Outstanding reports messages accepted by Send whose fate is not yet

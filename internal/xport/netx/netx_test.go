@@ -46,7 +46,7 @@ func init() { xport.RegisterWireCodec("netxtest", testCodec{}) }
 // the rt.Loop the daemon uses.
 type testExec struct{ ch chan func() }
 
-func newTestExec(t *testing.T) *testExec {
+func newTestExec(t testing.TB) *testExec {
 	e := &testExec{ch: make(chan func(), 4096)}
 	done := make(chan struct{})
 	go func() {
@@ -66,10 +66,11 @@ type recvd struct {
 	m   interface{}
 }
 
-// pipePair wires two transports together with net.Pipe in both
-// directions: each side's Dial hands the opposite end to the other
-// transport's ServeConn, exactly as a TCP accept loop would.
-func pipePair(t *testing.T) (*Transport, *Transport, chan recvd, chan recvd) {
+// pipeTransports wires two transports (nodes 0 and 1) together with
+// net.Pipe in both directions: each side's Dial hands the opposite end to
+// the other transport's ServeConn, exactly as a TCP accept loop would.
+// Nothing is registered yet.
+func pipeTransports(t testing.TB) (*Transport, *Transport) {
 	t.Helper()
 	var ta, tb *Transport
 	dialInto := func(target **Transport) func(string) (net.Conn, error) {
@@ -83,7 +84,13 @@ func pipePair(t *testing.T) (*Transport, *Transport, chan recvd, chan recvd) {
 	ta = New(newTestExec(t), Config{Self: 0, Peers: map[mesh.NodeID]string{1: "pipe:b"}, Dial: dialInto(&tb)})
 	tb = New(newTestExec(t), Config{Self: 1, Peers: map[mesh.NodeID]string{0: "pipe:a"}, Dial: dialInto(&ta)})
 	t.Cleanup(func() { ta.Close(); tb.Close() })
+	return ta, tb
+}
 
+// pipePair is pipeTransports with a channel-fed handler on each side.
+func pipePair(t *testing.T) (*Transport, *Transport, chan recvd, chan recvd) {
+	t.Helper()
+	ta, tb := pipeTransports(t)
 	chA := make(chan recvd, 64)
 	chB := make(chan recvd, 64)
 	ta.Register(0, testProto, func(src mesh.NodeID, m interface{}) { chA <- recvd{src, m} })
@@ -129,18 +136,7 @@ func TestPipeDelivery(t *testing.T) {
 // back as a Nack on the sender's own handler, with src = the unreachable
 // node — the exact contract the forwarding fallback chain relies on.
 func TestRemoteBounceBecomesNack(t *testing.T) {
-	var ta, tb *Transport
-	dialInto := func(target **Transport) func(string) (net.Conn, error) {
-		return func(string) (net.Conn, error) {
-			c1, c2 := net.Pipe()
-			tp := *target
-			go tp.ServeConn(c2)
-			return c1, nil
-		}
-	}
-	ta = New(newTestExec(t), Config{Self: 0, Peers: map[mesh.NodeID]string{1: "pipe:b"}, Dial: dialInto(&tb)})
-	tb = New(newTestExec(t), Config{Self: 1, Peers: map[mesh.NodeID]string{0: "pipe:a"}, Dial: dialInto(&ta)})
-	t.Cleanup(func() { ta.Close(); tb.Close() })
+	ta, tb := pipeTransports(t)
 
 	chA := make(chan recvd, 16)
 	ta.Register(0, testProto, func(src mesh.NodeID, m interface{}) { chA <- recvd{src, m} })

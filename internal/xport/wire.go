@@ -26,7 +26,10 @@ type WireCodec interface {
 	// DecodeMsg parses one encoded message, returning the exact Go form
 	// the protocol's registered Handler expects (pointer kinds stay
 	// pointers, value kinds stay values). It must return an error — never
-	// panic — on corrupt input, and must reject trailing bytes.
+	// panic — on corrupt input, and must reject trailing bytes. It must not
+	// retain b: the caller reads the next frame into the same buffer while
+	// the returned message is still in use, so whatever the message keeps
+	// (page data, reader lists) is copied out.
 	DecodeMsg(b []byte) (interface{}, error)
 }
 
