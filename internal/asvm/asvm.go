@@ -145,6 +145,7 @@ func (n *Node) putReq(b *accessReq) {
 
 func (n *Node) putGrant(b *grantMsg) {
 	if n.poolMsgs {
+		vm.PutPageBuf(b.Data)
 		n.grantPool.put(b)
 	}
 }
@@ -239,6 +240,9 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	case msgPageOffer:
 		msg := m.(pageOffer)
 		n.inst(msg.Obj).dispatch(EvPageOffer, msg.Idx, m)
+		if n.poolMsgs { // like a box's, the offer's page is dead after dispatch
+			vm.PutPageBuf(msg.Data)
+		}
 	case msgPageOfferAck:
 		msg := m.(pageOfferAck)
 		n.inst(msg.Obj).dispatch(EvPageOfferAck, msg.Idx, m)

@@ -159,7 +159,7 @@ func (n *Node) nackGrant(dead mesh.NodeID, g grantMsg) {
 	if sl.state == StInvalid && in.o.Pages[g.Idx] == nil && g.HasData {
 		// We shipped the contents with the grant and kept nothing: take
 		// the page back and own it here again.
-		pg := n.K.InstallPage(in.o, g.Idx, copyData(g.Data), vm.ProtRead)
+		pg := n.K.InstallPage(in.o, g.Idx, g.Data, vm.ProtRead)
 		if !g.AtPagerCopy {
 			pg.Dirty = true
 		}

@@ -74,6 +74,10 @@ type (
 		// instead of waiting forever. From carries the dead home's ID.
 		Unavailable bool
 		From        mesh.NodeID
+
+		// sentPut, never on the wire: sendGrant sets it when deliveries are
+		// exactly-once (Node.poolMsgs), which lets WireSent release Data.
+		sentPut bool
 	}
 
 	// invalMsg removes a read copy; the reader learns the new owner for
@@ -280,3 +284,12 @@ func (toPagerAck) WireBytes() int      { return 0 }
 
 func (pushScanAck) Kind() xport.MsgKind { return msgPushScanAck }
 func (pushScanAck) WireBytes() int      { return 0 }
+
+// WireSent is called by a socket transport once the grant's frame is written:
+// the box will never be delivered in this process, so its page snapshot is
+// dead. (A send that fails comes back as a Nack instead; putGrant puts it.)
+func (g *grantMsg) WireSent() {
+	if g.sentPut {
+		vm.PutPageBuf(g.Data)
+	}
+}

@@ -134,9 +134,7 @@ func (r *wireReader) data() []byte {
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n) // a copy: DecodeMsg must not retain its input
-	copy(out, b)
-	return out
+	return copyData(b) // a copy (a page: pooled): DecodeMsg must not retain its input
 }
 func (r *wireReader) nodes() []mesh.NodeID {
 	n := r.u32()

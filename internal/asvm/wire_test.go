@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asvm/internal/mesh"
+	"asvm/internal/sim"
 	"asvm/internal/vm"
 	"asvm/internal/xport"
 )
@@ -373,4 +374,40 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decode/encode not idempotent:\n  first  %#v\n  second %#v", m, m2)
 		}
 	})
+}
+
+// captureTransport records what is sent through it.
+type captureTransport struct{ sent []interface{} }
+
+func (*captureTransport) Name() string                                       { return "capture" }
+func (*captureTransport) Register(mesh.NodeID, xport.ProtoID, xport.Handler) {}
+func (c *captureTransport) Send(_, _ mesh.NodeID, _ xport.ProtoID, _ int, m interface{}) {
+	c.sent = append(c.sent, m)
+}
+
+// A grant lets the socket transport release its page snapshot at write time
+// only in the exactly-once regime that governs every other recycling: with
+// message pooling off (a duplicating or retransmitting transport below), the
+// same box may be encoded again, and WireSent must leave its Data alone.
+func TestGrantWireSentFollowsPoolingRegime(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := &captureTransport{}
+	nd := NewNode(eng, vm.NewKernel(eng, 0, vm.Costs{}, vm.NewPhysMem(0), true), tr, DefaultConfig())
+	in := &Instance{nd: nd}
+	for _, pooling := range []bool{true, false} {
+		nd.SetMsgPooling(pooling)
+		page := vm.GetPageBuf()
+		clear(page)
+		in.sendGrant(1, grantMsg{Data: page, HasData: true})
+		g := tr.sent[len(tr.sent)-1].(*grantMsg)
+		if g.sentPut != pooling {
+			t.Fatalf("pooling %v: grant sent with sentPut=%v", pooling, g.sentPut)
+		}
+		g.WireSent()
+		// Under -race a returned buffer is poisoned: that is how "left
+		// alone" is observable.
+		if kept := page[0] == 0; !pooling && !kept {
+			t.Fatal("WireSent released a grant's snapshot with message pooling off")
+		}
+	}
 }

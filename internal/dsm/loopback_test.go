@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -243,5 +244,79 @@ func TestFalseSharingSuppliesPerFault(t *testing.T) {
 	t.Logf("%d faults, %d data supplies (%.2f per fault)", faults, supplies, float64(supplies)/float64(faults))
 	if faults == 0 || float64(supplies) > 1.5*float64(faults) {
 		t.Fatalf("%d data supplies for %d faults: more than 1.5 per fault", supplies, faults)
+	}
+}
+
+// Eviction and invalidation over sockets with every read checked. Every
+// page buffer on the way — a frame, a message's snapshot, a decoder's copy
+// — is recycled, and under -race a returned buffer is poisoned: a buffer
+// given back while anyone still reads it, or a frame installed over
+// leftovers, fails a read here.
+//
+// First under memory pressure: each node has room for four pages and works
+// on eight of its own, so owned pages keep leaving — offered to the others
+// (who are as full, and decline), parked at the home's pager, paged back
+// in. Nodes keep to their own pages there because of a protocol bug this test found and does not fix
+// (the simulator has it too): serving a read downgrades the owner's page
+// and marks it clean, and a clean owner page evicted to the pager is
+// dropped as "already there" although the pager never saw it. (A node with
+// room to accept offers is left out for the same kind of reason: the first
+// accepted offer ends in a fault livelock on the wall-clock engine, at the
+// parent commit as here.) Then with memory unlimited again, every node reads and writes every page: read
+// copies are invalidated, ownership is stolen.
+func TestEvictionInvalidationOverTCPEveryReadChecked(t *testing.T) {
+	const pages, frames, words = 24, 4, 4
+	nodes := tcpMesh(t, 3, pages)
+	setMem := func(capacity int) {
+		for _, nd := range nodes {
+			nd.loop.Call(func() {
+				mem := vm.NewPhysMem(capacity)
+				mem.ResidentPages = nd.kern.Mem.ResidentPages
+				nd.kern.Mem = mem
+			})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	model := make(map[vm.Addr]uint64)
+	op := 0
+	run := func(ops int, pageFor func(node int) int) {
+		for end := op + ops; op < end; op++ {
+			i := rng.Intn(len(nodes))
+			nd := nodes[i]
+			addr := vm.Addr(pageFor(i))*vm.PageSize + vm.Addr(8*rng.Intn(words))
+			if rng.Intn(3) == 0 {
+				model[addr] = uint64(op)
+				if _, err := nd.Write(addr, uint64(op)); err != nil {
+					t.Fatalf("op %d: write %#x on node %d: %v", op, addr, i, err)
+				}
+			} else if got, _, err := nd.Read(addr); err != nil || got != model[addr] {
+				t.Fatalf("op %d: read %#x on node %d = %d, %v; want %d", op, addr, i, got, err, model[addr])
+			}
+		}
+	}
+	count := func(name string) (n int64) {
+		for _, nd := range nodes {
+			n += nd.Counters()[name]
+		}
+		return n
+	}
+
+	setMem(frames)
+	run(4000, func(node int) int { return node + len(nodes)*rng.Intn(pages/len(nodes)) })
+	drainNodes(t, nodes, 10*time.Second) // evictions still in flight must land before the pressure lifts
+	offers, parked, pagedIn := count("pageoffer_declined"), count("evict_to_pager"), count("home_pager_supplies")
+	t.Logf("under pressure: %d evictions, %d offers declined, %d pages parked at the pager, %d paged back in",
+		count("evictions"), offers, parked, pagedIn)
+	if offers == 0 || parked == 0 || pagedIn == 0 {
+		t.Fatal("the pressure phase did not offer pages around, park them at the pager and page them back in")
+	}
+
+	setMem(0)
+	run(4000, func(int) int { return rng.Intn(pages) })
+	drainNodes(t, nodes, 10*time.Second)
+	invals, steals := count("invalidations"), count("write_grants")
+	t.Logf("unlimited: %d invalidations, %d ownership transfers", invals, steals)
+	if invals == 0 || steals == 0 {
+		t.Fatal("the sharing phase invalidated or stole nothing")
 	}
 }

@@ -51,7 +51,7 @@ type Node struct {
 
 	// idle holds the parked op procs, most recently used last; each is
 	// represented by the future it waits on, and completing that future
-	// with an op is how the op is handed over. Loop goroutine only.
+	// with an op is how the op is handed over. Engine owner only.
 	idle []*sim.FutureOf[func(*sim.Proc)]
 
 	calls sync.Pool // *opCall, see do
@@ -167,12 +167,14 @@ type opCall struct {
 	fn    func(p *sim.Proc) error
 	done  chan error
 	timer *time.Timer
-	start func() // on the loop: hand an op proc "done <- fn(p)"
+	start func() // on the engine: hand an op proc "done <- fn(p)"
 }
 
 // do runs one operation on an op proc of the protocol engine and measures
-// its wall-clock latency — injection overhead included, exactly what a
-// libdsm caller would observe.
+// its wall-clock latency — hand-over included, exactly what a libdsm caller
+// would observe. On an idle engine the op starts on this goroutine (done is
+// buffered), so a local hit never leaves it; an op that parks on a fault is
+// finished by whoever delivers its grant.
 func (n *Node) do(name string, fn func(p *sim.Proc) error) (time.Duration, error) {
 	c, _ := n.calls.Get().(*opCall)
 	if c == nil {
@@ -183,7 +185,7 @@ func (n *Node) do(name string, fn func(p *sim.Proc) error) (time.Duration, error
 	c.timer.Reset(n.opTimeout)
 	c.fn = fn
 	start := time.Now()
-	n.loop.Inject(c.start)
+	n.loop.Do(c.start)
 	select {
 	case err := <-c.done:
 		lat := time.Since(start)
@@ -203,7 +205,7 @@ func (n *Node) do(name string, fn func(p *sim.Proc) error) (time.Duration, error
 // startOp hands op to a parked op proc, spawning one only when none is
 // idle: the pool grows to the peak number of concurrent ops and its procs
 // keep their grown stacks, so the steady state creates no goroutine and
-// copies no stack per op. Runs on the loop goroutine.
+// copies no stack per op. Runs on the engine's owner.
 func (n *Node) startOp(op func(*sim.Proc)) {
 	if k := len(n.idle); k > 0 {
 		next := n.idle[k-1]

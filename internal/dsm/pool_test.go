@@ -12,7 +12,7 @@ import (
 	"asvm/internal/sim"
 )
 
-// poolState reads the op-proc pool on the loop goroutine: live procs on the
+// poolState reads the op-proc pool on the engine: live procs on the
 // node's engine, and how many of them are parked idle.
 func poolState(t *testing.T, n *Node) (live, idle int) {
 	t.Helper()
@@ -242,7 +242,9 @@ func TestOpsLeaveNoTimersBehind(t *testing.T) {
 // and start closures — so a local-hit read costs only what Read itself
 // allocates: 3 objects, where a fresh timer, channel and closure pair per
 // op made it 11. The bound leaves room for -race, under which sync.Pool
-// drops a quarter of what it is given.
+// drops a quarter of what it is given. And it never leaves the caller: the
+// engine is idle, so do borrows it and the op proc is stepped from the
+// calling goroutine — no wake-up of the loop goroutine, none back.
 func TestLocalHitAllocs(t *testing.T) {
 	n := pipeMesh(t, 1, 4)[0]
 	read := func() {
@@ -252,6 +254,28 @@ func TestLocalHitAllocs(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ { // fault the page in, grow the loop's queues
 		read()
+	}
+	// An op runs on its proc's coroutine, so "who is running me" is read off
+	// the goroutine dump: the goroutine inside the engine's turn must be the
+	// one inside do. The loop goroutine owns the engine for a moment every
+	// 250 ms; an op that lands then is legitimately queued, hence the retry.
+	onCaller, seen := false, false
+	for try := 0; try < 20 && !onCaller; try++ {
+		n.do("whoami", func(*sim.Proc) error {
+			buf := make([]byte, 1<<20)
+			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				if strings.Contains(g, "rt.(*Loop).turn") {
+					seen, onCaller = true, strings.Contains(g, "dsm.(*Node).do")
+				}
+			}
+			return nil
+		})
+	}
+	if !seen {
+		t.Fatal("no goroutine is inside rt.(*Loop).turn while an op runs: this check is out of date")
+	}
+	if !onCaller {
+		t.Fatal("a local op on an idle engine ran on another goroutine than its caller's")
 	}
 	if allocs := testing.AllocsPerRun(10_000, read); allocs > 6 {
 		t.Fatalf("a local-hit read allocates %.0f objects, want <= 6", allocs)

@@ -114,7 +114,7 @@ type Server struct {
 	PageIns, PageOuts   uint64
 	DiskReads, DiskSkip uint64
 
-	clients uint64 // reply-channel namer for NewClient
+	clients map[mesh.NodeID]int // per-node reply-channel namer for NewClient
 }
 
 // NewServer registers a pager server on ioNode under the given channel
@@ -246,17 +246,24 @@ type Client struct {
 }
 
 // NewClient creates a client on node self for the given server. Reply
-// channels are named by a per-server counter, not a package global: a
-// global would race (and make names run-order dependent) when independent
-// simulations execute in parallel in the experiment harness. (The interned
-// ProtoID values themselves may vary with cross-cell registration order,
-// but they are opaque dispatch keys — only names reach reports.)
+// channels are named by a counter per (server, node), not a package global:
+// a global would race (and make names run-order dependent) when independent
+// simulations execute in parallel in the experiment harness. Handlers are
+// registered per node, so clients on different nodes share a channel — a
+// counter per server alone interned one channel per client, and transports
+// whose handler rows are dense in ProtoID then paid nodes² table entries.
+// (The interned ProtoID values themselves may vary with cross-cell
+// registration order, but they are opaque dispatch keys — only names reach
+// reports.)
 func NewClient(eng *sim.Engine, tr xport.Transport, self mesh.NodeID, server *Server) *Client {
-	server.clients++
+	if server.clients == nil {
+		server.clients = make(map[mesh.NodeID]int)
+	}
+	server.clients[self]++
 	c := &Client{
 		eng: eng, tr: tr, self: self,
 		server: server.NodeID(), proto: server.Proto(),
-		replyTo: xport.RegisterProto(fmt.Sprintf("pager/%s/r%d", server.Name, server.clients)),
+		replyTo: xport.RegisterProto(fmt.Sprintf("pager/%s/r%d", server.Name, server.clients[self])),
 		pendIn:  make(map[uint64]func([]byte, bool)),
 		pendOut: make(map[uint64]func()),
 	}

@@ -10,10 +10,11 @@
 // injection queue instead of touching it directly.
 //
 // The invariant the seam preserves is the engine's own: everything that
-// touches engine state — events, procs, protocol handlers, injected
-// closures — executes on the loop goroutine, mutually exclusively. The
-// rest of the process only ever calls Inject/Call, so the protocol core
-// remains as single-threaded (and race-free) live as it is simulated.
+// touches engine state — events, procs, protocol handlers, queued
+// closures — executes on the engine's owner, mutually exclusively: the loop
+// goroutine, or a Do caller that found the engine idle. The rest of the
+// process only ever calls Do/Inject/Call, so the protocol core remains as
+// single-threaded (and race-free) live as it is simulated.
 package rt
 
 import (
@@ -29,8 +30,12 @@ type Loop struct {
 	eng   *sim.Engine
 	start time.Time
 
-	mu  sync.Mutex
-	inj []func()
+	mu      sync.Mutex
+	inj     []func()
+	spare   []func()   // the last batch's backing array, for the next swap
+	owned   bool       // a goroutine is inside the engine, or assembling it before Start
+	stopped bool       // nothing queued from here on will ever run
+	left    *sync.Cond // an owner left the engine; Stop waits on it
 
 	wake   chan struct{}
 	done   chan struct{}
@@ -40,65 +45,97 @@ type Loop struct {
 	stopOnce  sync.Once
 }
 
-// NewLoop wraps eng, which must not be driven by anyone else once the loop
-// starts.
+// NewLoop wraps eng, which from then on only its owner may touch: until
+// Start whoever assembles the node around it (Do and Inject only queue),
+// afterwards whoever is inside a queued closure.
 func NewLoop(eng *sim.Engine) *Loop {
-	return &Loop{
-		eng:  eng,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+	l := &Loop{
+		eng:   eng,
+		owned: true,
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
+	l.left = sync.NewCond(&l.mu)
+	return l
 }
 
-// Engine returns the wrapped engine. Callers outside the loop goroutine
-// must not touch it directly — go through Inject or Call.
-func (l *Loop) Engine() *sim.Engine { return l.eng }
-
-// Start launches the loop goroutine. The loop runs until ctx is cancelled
-// or Stop is called. Virtual time zero is the moment Start is called.
+// Start releases the engine and launches the loop goroutine. The loop runs
+// until ctx is cancelled or Stop is called. Virtual time zero is the moment
+// Start is called.
 func (l *Loop) Start(ctx context.Context) {
 	l.startOnce.Do(func() {
 		ctx, l.cancel = context.WithCancel(ctx)
 		l.start = time.Now()
+		l.mu.Lock()
+		l.owned = false
+		l.mu.Unlock()
 		go l.run(ctx)
 	})
 }
 
-// Stop cancels the loop and waits for the loop goroutine to exit.
-// Injections queued after Stop are never executed.
+// Stop cancels the loop and returns once the loop goroutine has exited and
+// no other owner is inside the engine. Closures still queued, and any
+// handed to Do or Inject afterwards, are dropped.
 func (l *Loop) Stop() {
 	l.stopOnce.Do(func() {
 		if l.cancel != nil {
 			l.cancel()
 		}
+		l.mu.Lock()
+		l.stopped, l.inj = true, nil
+		for l.cancel != nil && l.owned { // never started: the assembler's for good
+			l.left.Wait()
+		}
+		l.mu.Unlock()
 	})
 	if l.cancel != nil {
 		<-l.done
 	}
 }
 
-// Inject queues fn to run on the loop goroutine at the current virtual
-// instant, after events already due. It is safe from any goroutine and
-// never blocks; this is how socket readers deliver messages and control
-// servers start operations. Injections are executed in arrival order, and
-// what one makes runnable at that instant runs before the next is taken.
-func (l *Loop) Inject(fn func()) {
+// queue appends fn, unless the loop has stopped, and reports whether the
+// engine is idle.
+func (l *Loop) queue(fn func()) bool {
 	l.mu.Lock()
-	l.inj = append(l.inj, fn)
+	if !l.stopped {
+		l.inj = append(l.inj, fn)
+	}
+	idle := !l.owned && !l.stopped
 	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
+	return idle
+}
+
+// Inject queues fn to run on the engine at the current virtual instant,
+// after events already due, and never runs it on the caller: it is safe
+// from inside the engine (a self-send queues, it does not recurse), and fn
+// may block on something the caller does next. Closures run in arrival
+// order, and what one makes runnable runs before the next is taken.
+func (l *Loop) Inject(fn func()) {
+	if l.queue(fn) {
+		l.wakeLoop()
 	}
 }
 
-// Call runs fn on the loop goroutine and waits for it to finish — the
-// synchronous flavour of Inject, for reading engine or protocol state
-// from outside. Returns false (without running fn) if the loop has
-// stopped.
+// Do queues fn like Inject, and whoever brings work to an idle engine runs
+// it: the caller takes the engine and drains the queue on its own goroutine
+// — a socket reader runs the handler of the frame it just decoded, a client
+// its own operation — instead of waking the loop goroutine to. On an owned
+// engine fn is left to the owner. A borrowing owner drains only the batch it
+// found; more work or a pending timer it hands to the loop goroutine.
+func (l *Loop) Do(fn func()) {
+	if l.queue(fn) {
+		if _, handOver := l.turn(false); handOver {
+			l.wakeLoop()
+		}
+	}
+}
+
+// Call runs fn on the engine and waits for it to finish — the synchronous
+// flavour of Do, for reading engine or protocol state from outside.
+// Returns false (without running fn) if the loop has stopped.
 func (l *Loop) Call(fn func()) bool {
 	ran := make(chan struct{})
-	l.Inject(func() {
+	l.Do(func() {
 		fn()
 		close(ran)
 	})
@@ -117,56 +154,74 @@ func (l *Loop) Call(fn func()) bool {
 	}
 }
 
-// Elapsed returns the wall time since the loop started — the wall-clock
-// reading of the engine's virtual "now".
-func (l *Loop) Elapsed() time.Duration { return time.Since(l.start) }
-
 // maxIdleWait bounds how long the loop sleeps with no queued events: a
 // periodic wake costs nothing and guards against a missed signal ever
 // stalling delivery.
 const maxIdleWait = 250 * time.Millisecond
 
-func (l *Loop) run(ctx context.Context) {
-	defer close(l.done)
-	timer := time.NewTimer(maxIdleWait)
-	defer timer.Stop()
-	var fns []func()
+func (l *Loop) wakeLoop() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// turn takes the engine, if it is idle, and runs the queued closures — one
+// batch, or batch after batch untilEmpty. It reports how long the engine may
+// sleep, and whether work or timers are left for the loop goroutine.
+func (l *Loop) turn(untilEmpty bool) (wait time.Duration, handOver bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.owned {
+		return maxIdleWait, false // its owner wakes the loop goroutine if need be
+	}
+	l.owned = true
 	for {
-		// Injections run in arrival order at the current virtual instant,
+		batch := l.inj
+		l.inj, l.spare = l.spare[:0], nil
+		l.mu.Unlock()
+		// Closures run in arrival order at the current virtual instant,
 		// each followed by whatever it made runnable at that instant (a
 		// proc whose future it completed, an op it started) — the
 		// simulator's ordering, where a delivery's same-instant consequences
 		// run before the next delivery. Running the whole queue first let
 		// the request behind a grant give the page away before the granted
 		// proc had touched it.
-		l.mu.Lock()
-		fns, l.inj = l.inj, fns[:0]
-		l.mu.Unlock()
-		for i, fn := range fns {
-			fns[i] = nil
+		for i, fn := range batch {
+			batch[i] = nil
 			fn()
 			l.eng.RunUntil(l.eng.Now())
 		}
-
 		// Advance the virtual clock to the wall clock and run everything
 		// due. The nil-fn anchor pins now == elapsed exactly even when the
-		// queue is empty, so relative timers armed by injected work are
+		// queue is empty, so relative timers armed by queued work are
 		// measured from the true wall instant.
 		elapsed := time.Since(l.start)
 		l.eng.ScheduleAt(elapsed, nil)
 		l.eng.RunUntil(elapsed)
-
-		// Sleep until the next timer is due, an injection arrives, or the
-		// context ends.
-		wait := maxIdleWait
-		if at, ok := l.eng.NextEventAt(); ok {
-			if w := at - time.Since(l.start); w < wait {
-				wait = w
-			}
-			if wait < 0 {
-				wait = 0
-			}
+		at, timers := l.eng.NextEventAt()
+		l.mu.Lock()
+		l.spare = batch[:0]
+		if untilEmpty && len(l.inj) > 0 {
+			continue
 		}
+		l.owned = false
+		l.left.Signal()
+		if timers {
+			return min(maxIdleWait, max(0, at-time.Since(l.start))), true
+		}
+		return maxIdleWait, len(l.inj) > 0
+	}
+}
+
+func (l *Loop) run(ctx context.Context) {
+	defer close(l.done)
+	timer := time.NewTimer(maxIdleWait)
+	defer timer.Stop()
+	for {
+		// Run what is queued and due, then sleep until the next timer is
+		// due, work arrives, or the context ends.
+		wait, _ := l.turn(true)
 		if !timer.Stop() {
 			select {
 			case <-timer.C:

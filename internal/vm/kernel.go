@@ -127,15 +127,16 @@ func (k *Kernel) touch(pg *Page) {
 
 // InstallPage inserts page contents into an object with the given lock and
 // returns the new page. It panics if the page is already resident — callers
-// must check. data may be nil (zero / untracked).
+// must check. data may be nil (zero / untracked) and is copied, never
+// adopted: the caller's buffer stays the caller's.
 func (k *Kernel) InstallPage(o *Object, idx PageIdx, data []byte, lock Prot) *Page {
 	if _, dup := o.Pages[idx]; dup {
 		panic(fmt.Sprintf("vm: double install of %v page %d on node %d", o.ID, idx, k.Node))
 	}
 	pg := &Page{Idx: idx, Lock: lock}
 	if k.TrackData {
-		pg.Data = make([]byte, PageSize)
-		copy(pg.Data, data)
+		pg.Data = GetPageBuf() // recycled: every byte is overwritten
+		clear(pg.Data[copy(pg.Data, data):])
 	}
 	o.Pages[idx] = pg
 	k.Mem.ResidentPages++
@@ -144,7 +145,8 @@ func (k *Kernel) InstallPage(o *Object, idx PageIdx, data []byte, lock Prot) *Pa
 	return pg
 }
 
-// removeFrame drops a resident page and frees its frame.
+// removeFrame drops a resident page and frees its frame (back to the pool:
+// nothing may still hold the page's Data).
 func (k *Kernel) removeFrame(o *Object, idx PageIdx) {
 	pg, ok := o.Pages[idx]
 	if !ok {
@@ -155,6 +157,8 @@ func (k *Kernel) removeFrame(o *Object, idx PageIdx) {
 	}
 	delete(o.Pages, idx)
 	k.Mem.ResidentPages--
+	PutPageBuf(pg.Data)
+	pg.Data = nil
 }
 
 // RemovePage is removeFrame plus waking any procs waiting for an eviction
@@ -558,7 +562,8 @@ func (k *Kernel) faultShadowHit(p *sim.Proc, obj, src *Object, idx PageIdx, pg *
 		return nil, false, nil // raced; retry
 	}
 	k.Ctr.V[sim.CtrCowCopies]++
-	newPg := k.InstallPage(obj, idx, pg.Data, ProtWrite)
+	// Re-read the source: pg may have been replaced during the sleep.
+	newPg := k.InstallPage(obj, idx, src.Pages[idx].Data, ProtWrite)
 	if obj.Mgr == nil && obj.NeedsPush(idx) {
 		k.localPush(p, obj, idx, newPg)
 	}
@@ -729,12 +734,14 @@ func (k *Kernel) LockRequest(o *Object, idx PageIdx, newLock Prot, pushFirst boo
 		o.MarkPushed(idx)
 	}
 	if newLock == ProtNone {
-		wasDirty := pg.Dirty
+		// The manager sees the page gone, its contents intact until it returns.
 		data := pg.Data
+		pg.Data = nil
 		k.RemovePage(o, idx)
-		if wasDirty && o.Mgr != nil {
+		if pg.Dirty && o.Mgr != nil {
 			o.Mgr.DataReturn(o, idx, data, true, false)
 		}
+		PutPageBuf(data)
 	} else if newLock < pg.Lock {
 		if pg.Dirty && newLock < ProtWrite && o.Mgr != nil {
 			// Downgrading a dirty page cleans it through the manager.

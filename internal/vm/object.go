@@ -181,6 +181,9 @@ type MemoryManager interface {
 	// (a lock downgrade of a dirty page); kept=false means the page is
 	// leaving the cache (eviction or flush) and the manager must finish
 	// the removal with Kernel.RemovePage once it has disposed of the data.
+	// data is the page's own frame: it is valid until that RemovePage — or,
+	// when a flush already removed the page, only until DataReturn returns
+	// — and a manager that needs it longer copies it.
 	DataReturn(o *Object, idx PageIdx, data []byte, dirty, kept bool)
 
 	// Terminate tells the manager this node no longer maps the object.

@@ -49,7 +49,9 @@ func (cp *CopyPager) handleRequest(req copyReq) {
 		reply := copyReply{PagerID: req.PagerID, Idx: req.Idx}
 		payload := 0
 		if pg.Data != nil {
-			reply.Data = pg.Data
+			// A copy: the source frame may be evicted and recycled while
+			// the reply is in flight.
+			reply.Data = append([]byte(nil), pg.Data...)
 			payload = vm.PageSize
 		} else {
 			// Metadata-only run, or genuinely zero: either way the

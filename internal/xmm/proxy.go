@@ -46,7 +46,9 @@ func (p *Proxy) sendReq(idx vm.PageIdx, want vm.Prot) {
 // node-initiated eviction that must round-trip to the manager.
 func (p *Proxy) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, kept bool) {
 	if p.capturing {
-		p.capturedData = data
+		// A copy: data is the page's frame, the kernel's again (and
+		// recyclable) long before the flushAck is read.
+		p.capturedData = append([]byte(nil), data...)
 		p.capturedDirt = dirty
 		return
 	}

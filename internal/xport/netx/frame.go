@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"asvm/internal/mesh"
 	"asvm/internal/xport"
@@ -122,29 +121,54 @@ func parseMsgBody(body []byte) (wireMsg, error) {
 	return m, nil
 }
 
-// readFrame reads one frame from r into buf, which grows only when a frame
-// is larger than any before it, and returns the whole frame — length
-// prefix included, so a bounce goes back out verbatim. The result aliases
-// buf: it is valid until the next call. maxFrame guards the allocation
-// implied by the length prefix.
-func readFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
-	buf = slices.Grow(buf[:0], 4)[:4]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, err
+// frameReader cuts frames out of a byte stream with one Read per wake-up:
+// whatever the socket has goes into one buffer, and next hands out the whole
+// frames in it — length prefix included, so a bounce goes back out verbatim.
+// A frame aliases the buffer: it is valid, and the caller's to write into,
+// until the next call. The buffer grows to the largest frame seen, never past
+// maxFrame + 4: the limit is enforced on the prefix, before any allocation.
+type frameReader struct {
+	r         io.Reader
+	buf, rest []byte // rest: the tail of buf read and not yet handed out
+	maxFrame  int
+}
+
+func newFrameReader(r io.Reader, maxFrame int) *frameReader {
+	// 4 KB: a read's worth of header frames, until a page frame grows it.
+	return &frameReader{r: r, buf: make([]byte, min(4096, maxFrame+4)), maxFrame: maxFrame}
+}
+
+func (fr *frameReader) next() ([]byte, error) {
+	for {
+		need := 4
+		if len(fr.rest) >= 4 {
+			n := int(binary.LittleEndian.Uint32(fr.rest))
+			if n > fr.maxFrame {
+				return nil, fmt.Errorf("netx: frame of %d bytes exceeds limit %d", n, fr.maxFrame)
+			}
+			if need += n; len(fr.rest) >= need {
+				frame := fr.rest[:need:need]
+				fr.rest = fr.rest[need:]
+				return frame, nil
+			}
+		}
+		// Move the partial frame to the front of a buffer that can hold all
+		// of it (the frame handed out last is dead by now), and read on.
+		if need > len(fr.buf) {
+			fr.buf = make([]byte, need)
+		}
+		have := copy(fr.buf, fr.rest)
+		n, err := fr.r.Read(fr.buf[have:])
+		if fr.rest = fr.buf[:have+n]; n == 0 && err != nil {
+			return nil, err
+		}
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if n > maxFrame {
-		return buf, fmt.Errorf("netx: frame of %d bytes exceeds limit %d", n, maxFrame)
-	}
-	buf = slices.Grow(buf, n)[:4+n]
-	_, err := io.ReadFull(r, buf[4:])
-	return buf, err
 }
 
 // readHello reads and validates the hello frame that must open every
 // connection, returning the peer's claimed node ID.
-func readHello(r io.Reader, maxFrame int) (mesh.NodeID, error) {
-	frame, err := readFrame(r, nil, maxFrame)
+func readHello(fr *frameReader) (mesh.NodeID, error) {
+	frame, err := fr.next()
 	if err != nil {
 		return 0, fmt.Errorf("netx: reading hello: %w", err)
 	}

@@ -11,13 +11,16 @@ import (
 	"asvm/internal/xport"
 )
 
-// Exec serializes work onto the goroutine that owns the protocol engine.
-// rt.Loop implements it; socket readers and writer goroutines never touch
-// protocol state directly — every delivery and every Nack goes through
-// Inject, so the protocol core stays single-threaded exactly as it is
-// under the simulator.
+// Exec serializes work onto whoever owns the protocol engine. rt.Loop
+// implements it; socket readers and writer goroutines never touch protocol
+// state directly — every delivery and every Nack goes through it, so the
+// protocol core stays single-threaded exactly as it is under the
+// simulator. Do may run fn on the caller when the engine is idle (a reader
+// runs the handler of the frame it just decoded); Inject never does
+// (self-sends and local Nacks come from inside the engine: they queue).
 type Exec interface {
 	Inject(fn func())
+	Do(fn func())
 }
 
 // Config assembles a Transport for one node of a mesh.
@@ -95,6 +98,10 @@ type Transport struct {
 
 	peers map[mesh.NodeID]*peerLink
 
+	// sendRoutes caches each channel's wire name and codec, so a steady-state
+	// Send takes no registry lock and builds no string. Engine owner only.
+	sendRoutes map[xport.ProtoID]route
+
 	ln      net.Listener
 	inbound sync.Map // net.Conn -> struct{}
 	wg      sync.WaitGroup
@@ -122,6 +129,11 @@ type outFrame struct {
 	dst   mesh.NodeID
 	m     interface{}
 }
+
+// wireSent is implemented by messages that hold something for the wire only
+// (a pooled page snapshot): a writer calls it once the frame is written, at
+// most once per message and never for one that comes back as a Nack.
+type wireSent interface{ WireSent() }
 
 // framePools holds outbound frame buffers in two size classes, header
 // frames and page frames (key: larger than smallFrame), so a buffer is
@@ -158,10 +170,11 @@ type peerLink struct {
 // connections; outbound writers start lazily on first send.
 func New(exec Exec, cfg Config) *Transport {
 	t := &Transport{
-		cfg:      cfg.withDefaults(),
-		exec:     exec,
-		handlers: make(map[xport.ProtoID]xport.Handler),
-		peers:    make(map[mesh.NodeID]*peerLink),
+		cfg:        cfg.withDefaults(),
+		exec:       exec,
+		handlers:   make(map[xport.ProtoID]xport.Handler),
+		sendRoutes: make(map[xport.ProtoID]route),
+		peers:      make(map[mesh.NodeID]*peerLink),
 	}
 	for id, addr := range t.cfg.Peers {
 		t.AddPeer(id, addr)
@@ -257,16 +270,19 @@ func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 		return
 	}
 
-	name := proto.Name()
-	codec := xport.LookupWireCodec(name)
-	if codec == nil {
-		panic(fmt.Sprintf("netx: no wire codec registered for channel %q", name))
+	r, ok := t.sendRoutes[proto]
+	if !ok {
+		r.name = proto.Name()
+		if r.codec = xport.LookupWireCodec(r.name); r.codec == nil {
+			panic(fmt.Sprintf("netx: no wire codec registered for channel %q", r.name))
+		}
+		t.sendRoutes[proto] = r
 	}
 	// 64: room for the message's own header fields around the payload.
-	buf := getFrameBuf(msgFixed + len(name) + payloadBytes + 64)
+	buf := getFrameBuf(msgFixed + len(r.name) + payloadBytes + 64)
 	var err error
-	if *buf, err = appendMsgFrame((*buf)[:0], src, dst, name, payloadBytes, codec, m); err != nil {
-		panic(fmt.Sprintf("netx: encoding %T for channel %q: %v", m, name, err))
+	if *buf, err = appendMsgFrame((*buf)[:0], src, dst, r.name, payloadBytes, r.codec, m); err != nil {
+		panic(fmt.Sprintf("netx: encoding %T for channel %q: %v", m, r.name, err))
 	}
 
 	t.outstanding.Add(1)
@@ -324,7 +340,7 @@ func (t *Transport) writer(p *peerLink) {
 		}
 		batch := p.q
 		p.q = nil
-		down := time.Now().Before(p.downUntil)
+		down := !p.downUntil.IsZero() && time.Now().Before(p.downUntil)
 		addr := p.addr
 		p.mu.Unlock()
 
@@ -370,6 +386,9 @@ func (t *Transport) writer(p *peerLink) {
 			t.st.bytesSent.Add(uint64(len(*f.buf)))
 			t.outstanding.Add(-1)
 			putFrameBuf(f.buf)
+			if r, ok := f.m.(wireSent); ok {
+				r.WireSent()
+			}
 		}
 	}
 }
@@ -435,9 +454,7 @@ func (t *Transport) ServeConn(c net.Conn) {
 	t.inbound.Store(c, struct{}{})
 	defer t.inbound.Delete(c)
 
-	if peer, err := readHello(c, t.cfg.MaxFrame); err == nil {
-		t.readFrames(c, peer, true)
-	}
+	t.readFrames(c, 0, true)
 }
 
 // route is one proto name resolved against this process's registries. Each
@@ -445,6 +462,7 @@ func (t *Transport) ServeConn(c net.Conn) {
 // costs no global lock and no string.
 type route struct {
 	proto xport.ProtoID
+	name  string // Send's cache only
 	codec xport.WireCodec
 	h     xport.Handler // nil until Self registers one
 }
@@ -468,13 +486,19 @@ func resolve(routes map[string]*route, name []byte) *route {
 // only writer: an undeliverable message is echoed back so the sender's
 // transport raises the standard Nack. On an outbound one the only
 // legitimate traffic is bounces of messages this process sent. Every frame
-// is read into one buffer that nothing may keep past the next read.
+// aliases the reader's buffer: nothing may keep it past the next read.
 func (t *Transport) readFrames(c net.Conn, peer mesh.NodeID, inbound bool) {
-	var frame []byte
+	fr := newFrameReader(c, t.cfg.MaxFrame)
+	if inbound {
+		var err error
+		if peer, err = readHello(fr); err != nil {
+			return
+		}
+	}
 	routes := make(map[string]*route)
 	for {
-		var err error
-		if frame, err = readFrame(c, frame, t.cfg.MaxFrame); err != nil {
+		frame, err := fr.next()
+		if err != nil {
 			return
 		}
 		t.st.framesRecv.Add(1)
@@ -524,7 +548,8 @@ func (t *Transport) decode(r *route, wm wireMsg) (interface{}, bool) {
 }
 
 // deliver decodes an inbound message and hands it to the registered
-// handler via the exec. Returns false when this process cannot accept it
+// handler via the exec, which runs it on this goroutine if the engine is
+// idle. Returns false when this process cannot accept it
 // (wrong destination, no handler, no codec) — the caller bounces.
 func (t *Transport) deliver(r *route, wm wireMsg) bool {
 	if wm.dst != t.cfg.Self || r == nil {
@@ -541,7 +566,7 @@ func (t *Transport) deliver(r *route, wm wireMsg) bool {
 	}
 	h, src := r.h, wm.src
 	t.outstanding.Add(1)
-	t.exec.Inject(func() {
+	t.exec.Do(func() {
 		t.outstanding.Add(-1)
 		h(src, m)
 	})

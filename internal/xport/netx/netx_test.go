@@ -60,6 +60,7 @@ func newTestExec(t testing.TB) *testExec {
 }
 
 func (e *testExec) Inject(fn func()) { e.ch <- fn }
+func (e *testExec) Do(fn func())     { e.ch <- fn }
 
 type recvd struct {
 	src mesh.NodeID
