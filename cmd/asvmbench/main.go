@@ -12,9 +12,9 @@
 //	asvmbench -exp table1            # one experiment
 //	asvmbench -exp all -quick        # everything, reduced sweeps
 //	asvmbench -exp table3 -iters 10  # EM3D with 10 iterations (scaled)
-//	asvmbench -chaos                 # degradation sweep under message faults
-//	asvmbench -crash                 # degradation sweep under node crashes
-//	asvmbench -scale                 # 64-1024 node zipf scale-out sweep
+//	asvmbench -exp chaos             # degradation sweep under message faults
+//	asvmbench -exp crash             # degradation sweep under node crashes
+//	asvmbench -exp scale             # 64-1024 node zipf scale-out sweep
 //	asvmbench -exp kv                # portable kv workload (netdemo's sim twin)
 //	asvmbench -workers 1             # serial cells (for profiling a cell)
 //	asvmbench -cpuprofile cpu.pb.gz  # pprof the run (see EXPERIMENTS.md)
@@ -34,9 +34,6 @@ import (
 func main() {
 	var (
 		which   = flag.String("exp", "all", "experiment: table1|fig10|fig11|table2|table3|dist|ablations|chaos|crash|scale|kv|all")
-		chaos   = flag.Bool("chaos", false, "run the chaos degradation sweep (same as -exp chaos)")
-		crash   = flag.Bool("crash", false, "run the crash-stop degradation sweep (same as -exp crash)")
-		scale   = flag.Bool("scale", false, "run the 64-1024 node scale-out sweep (same as -exp scale)")
 		quick   = flag.Bool("quick", false, "reduced sweeps (small node counts, few iterations)")
 		iters   = flag.Int("iters", 10, "EM3D iterations (results are scaled to the paper's 100)")
 		seed    = flag.Uint64("seed", 1, "workload RNG seed")
@@ -107,15 +104,6 @@ func main() {
 		fmt.Printf("[%s done in %.1fs]\n\n", name, time.Since(t0).Seconds())
 	}
 
-	if *chaos {
-		*which = "chaos"
-	}
-	if *crash {
-		*which = "crash"
-	}
-	if *scale {
-		*which = "scale"
-	}
 	all := *which == "all"
 	if _, err := exp.ParseExp(*which); err != nil {
 		fmt.Fprintf(os.Stderr, "asvmbench: %v\n", err)

@@ -41,7 +41,7 @@ func main() {
 	mp.MemMB = *memMB
 	mp.Seed = *seed
 	cluster := machine.New(mp)
-	d, err := workload.RunEM3DOn(cluster, cfg)
+	d, _, err := workload.RunEM3D(cluster, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "em3d: %v\n", err)
 		os.Exit(1)

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"asvm/internal/machine"
 	"asvm/internal/workload"
@@ -20,9 +21,18 @@ func main() {
 	)
 	fmt.Printf("EM3D: %d cells, %d nodes, %d iterations (paper runs 100)\n\n", cells, nodes, iters)
 
+	// run assembles the cluster the configuration asks for and runs EM3D.
+	run := func(sys machine.System, cfg workload.EM3DConfig) (time.Duration, error) {
+		p := machine.DefaultParams(cfg.Nodes)
+		p.System = sys
+		p.MemMB = cfg.MemMB
+		p.Seed = cfg.Seed
+		d, _, err := workload.RunEM3D(machine.New(p), cfg)
+		return d, err
+	}
 	seq := workload.DefaultEM3D(cells, 1, iters)
 	seq.MemMB = 0
-	seqTime, err := workload.RunEM3D(machine.SysASVM, seq)
+	seqTime, err := run(machine.SysASVM, seq)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +40,7 @@ func main() {
 
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
 		cfg := workload.DefaultEM3D(cells, nodes, iters)
-		d, err := workload.RunEM3D(sys, cfg)
+		d, err := run(sys, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

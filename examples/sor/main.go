@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"asvm/internal/machine"
 	"asvm/internal/workload"
@@ -19,13 +20,20 @@ func main() {
 		iters      = 3
 	)
 	fmt.Printf("red-black SOR: %dx%d grid, %d nodes, %d sweeps\n\n", rows, cols, nodes, iters)
-	seq, err := workload.RunSOR(machine.SysASVM, workload.DefaultSOR(rows, cols, 1, iters))
+	// run assembles a cluster of the configuration's size and runs SOR.
+	run := func(sys machine.System, cfg workload.SORConfig) (time.Duration, error) {
+		p := machine.DefaultParams(cfg.Nodes)
+		p.System = sys
+		d, _, err := workload.RunSOR(machine.New(p), cfg)
+		return d, err
+	}
+	seq, err := run(machine.SysASVM, workload.DefaultSOR(rows, cols, 1, iters))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("sequential:     %8.3f s\n", seq.Seconds())
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
-		d, err := workload.RunSOR(sys, workload.DefaultSOR(rows, cols, nodes, iters))
+		d, err := run(sys, workload.DefaultSOR(rows, cols, nodes, iters))
 		if err != nil {
 			log.Fatal(err)
 		}

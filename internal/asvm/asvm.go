@@ -31,9 +31,6 @@ type Config struct {
 	DynamicCacheSize int
 	// StaticCacheSize bounds each static manager's cache (entries).
 	StaticCacheSize int
-	// PageOfferReserve is the minimum free pages a node must keep to
-	// accept an internode page transfer.
-	PageOfferReserve int
 
 	// HopBound caps how many forwarding hops a request may take before it
 	// escalates to the deterministic ring scan. 0 means the legacy
@@ -55,9 +52,12 @@ func DefaultConfig() Config {
 		StaticForwarding:  true,
 		DynamicCacheSize:  4096,
 		StaticCacheSize:   16384,
-		PageOfferReserve:  4,
 	}
 }
+
+// pageOfferReserve is the minimum free pages a node must keep to accept an
+// internode page transfer.
+const pageOfferReserve = 4
 
 // Node is the per-node ASVM runtime.
 type Node struct {

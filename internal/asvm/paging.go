@@ -270,7 +270,7 @@ func actOwnerXferAck(in *Instance, idx vm.PageIdx, m interface{}) {
 // memory allows. (offerTake)
 func actPageOffer(in *Instance, idx vm.PageIdx, m interface{}) {
 	po := m.(pageOffer)
-	accept := in.nd.K.Mem.FreePages() > in.info.Cfg.PageOfferReserve &&
+	accept := in.nd.K.Mem.FreePages() > pageOfferReserve &&
 		in.o.Pages[idx] == nil
 	if accept {
 		pg := in.nd.K.InstallPage(in.o, idx, po.Data, vm.ProtRead)

@@ -2,7 +2,6 @@ package asvm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"asvm/internal/sim"
@@ -405,14 +404,6 @@ func TransitionLegal(s PageProtoState, e ProtoEvent) bool {
 	return protoTable[s][e] != nil
 }
 
-// TransitionName returns a legal pair's action name.
-func TransitionName(s PageProtoState, e ProtoEvent) (string, bool) {
-	if t := protoTable[s][e]; t != nil {
-		return t.name, true
-	}
-	return "", false
-}
-
 // LegalTransitions counts the table's legal entries.
 func LegalTransitions() int {
 	n := 0
@@ -442,22 +433,4 @@ func TransitionMatrix() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// TransitionActions lists the distinct action names in the table, sorted.
-func TransitionActions() []string {
-	seen := map[string]bool{}
-	for s := 0; s < NumPageStates; s++ {
-		for e := 0; e < NumProtoEvents; e++ {
-			if t := protoTable[s][e]; t != nil {
-				seen[t.name] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -219,7 +219,7 @@ func (n *Node) startOp(op func(*sim.Proc)) {
 			op(p)
 			next.Reinit(n.eng)
 			n.idle = append(n.idle, next)
-			op, _ = next.Wait(p)
+			op = next.Wait(p)
 		}
 	})
 }

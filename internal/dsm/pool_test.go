@@ -98,8 +98,8 @@ func TestOpProcPoolGrowsToPeakConcurrency(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				if _, err := n.do("gated", func(p *sim.Proc) error {
-					_, err := gate.Wait(p)
-					return err
+					gate.Wait(p)
+					return nil
 				}); err != nil {
 					t.Errorf("gated op: %v", err)
 				}

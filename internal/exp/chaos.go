@@ -5,6 +5,8 @@ import (
 	"io"
 	"time"
 
+	"asvm/internal/machine"
+	"asvm/internal/sim"
 	"asvm/internal/workload"
 	"asvm/internal/xport"
 )
@@ -36,12 +38,101 @@ func ChaosPlanFor(rate float64) xport.FaultPlan {
 	}}
 }
 
-// chaosCell is one (workload, rate) grid point.
+// ChaosResult is one chaos or crash cell: the workload's own metric plus
+// the fault and recovery counters that explain the degradation.
+type ChaosResult struct {
+	// Metric is the workload's figure of merit (seconds for fault latency
+	// and EM3D, MB/s for the file benchmarks, completed operations for the
+	// crash churn).
+	Metric float64
+
+	// Msgs is total transport traffic (both wire protocols).
+	Msgs uint64
+	// Injected faults.
+	Dropped, Duplicated, Delayed uint64
+	// Recovery work done by the reliability layer.
+	Retransmits, DupsSuppressed, AcksSent, Nacks uint64
+
+	// RingScanHops counts global ring-scan forwarding hops — the O(n)
+	// fallback the hint caches exist to avoid. A healthy run keeps it near
+	// zero; faults and crashes push requests onto the ring.
+	RingScanHops int64
+
+	// Crash-stop degradation (crash-sweep cells; all zero on crash-free
+	// runs). Crashes/Restarts are executed plan fates; the rest aggregate
+	// the protocol counters across nodes: faults aborted with typed
+	// errors, faults re-driven past a dead peer, ownership and dirty
+	// contents that died with a node, surviving read copies dropped, and
+	// forwarding hints evicted.
+	Crashes, Restarts int
+	FaultsAborted     int64
+	FaultRedrives     int64
+	OwnershipLost     int64
+	PagesLost         int64
+	CopiesDropped     int64
+	HintEvictions     int64
+	PeersDowned       uint64
+}
+
+// chaosWorkload is one workload body run on a chaos cluster: it returns the
+// workload's metric and the region to validate.
+type chaosWorkload func(c *machine.Cluster) (float64, *machine.Region, error)
+
+// runChaos is the one place a chaos cluster is built: p's workload
+// configuration with fault injection below and the reliability layer
+// above. It runs the workload, checks the ASVM global invariants on the
+// drained cluster and gathers the counters.
+func runChaos(p machine.Params, plan xport.FaultPlan, run chaosWorkload) (ChaosResult, error) {
+	p.Fault = plan
+	p.Reliable = true
+	c := machine.New(p)
+	metric, r, err := run(c)
+	if err != nil {
+		return ChaosResult{}, err
+	}
+	if err := c.CheckInvariants(r); err != nil {
+		return ChaosResult{}, err
+	}
+	res := ChaosResult{Metric: metric}
+	if c.STSTR != nil {
+		res.Msgs += c.STSTR.Msgs
+	}
+	if c.NormaTR != nil {
+		res.Msgs += c.NormaTR.Msgs
+	}
+	if f := c.FaultTR; f != nil {
+		res.Dropped, res.Duplicated, res.Delayed = f.Dropped, f.Duplicated, f.Delayed
+	}
+	if rel := c.RelTR; rel != nil {
+		res.Retransmits, res.DupsSuppressed = rel.Retransmits, rel.DupsSuppressed
+		res.AcksSent, res.Nacks = rel.AcksSent, rel.Nacks
+		res.PeersDowned = rel.PeersDowned
+	}
+	res.Crashes, res.Restarts = c.CrashStats.Crashes, c.CrashStats.Restarts
+	// The dying nodes' own in-flight faults, failed by the kernel at the
+	// crash instant, count as aborted alongside the survivors' typed
+	// failures below.
+	res.FaultsAborted += int64(c.CrashStats.FaultsAborted)
+	for _, nd := range c.ASVMs {
+		res.FaultsAborted += nd.Ctr.V[sim.CtrFaultsAborted]
+		res.FaultRedrives += nd.Ctr.V[sim.CtrFaultRedrives]
+		res.OwnershipLost += nd.Ctr.V[sim.CtrOwnershipLost]
+		res.PagesLost += nd.Ctr.V[sim.CtrPagesLost]
+		res.CopiesDropped += nd.Ctr.V[sim.CtrCopiesDropped]
+		res.HintEvictions += nd.Ctr.V[sim.CtrHintEvictions]
+		res.RingScanHops += nd.Ctr.V[sim.CtrRingScanHops]
+	}
+	return res, nil
+}
+
+// chaosCell is one (workload, rate) grid point: the workload runs on a
+// chaos cluster built from params.
 type chaosCell struct {
 	workload string
 	unit     string
 	rate     float64
-	run      func(plan xport.FaultPlan) (workload.ChaosResult, error)
+	params   machine.Params
+	run      chaosWorkload
 }
 
 // chaosCells builds the sweep grid: every workload crossed with every rate,
@@ -58,34 +149,39 @@ func chaosCells(rates []float64, seed uint64, quick bool) []chaosCell {
 	}
 
 	var cells []chaosCell
-	add := func(name, unit string, run func(plan xport.FaultPlan) (workload.ChaosResult, error)) {
+	add := func(name, unit string, p machine.Params, run chaosWorkload) {
 		for _, rate := range rates {
-			cells = append(cells, chaosCell{workload: name, unit: unit, rate: rate, run: run})
+			cells = append(cells, chaosCell{workload: name, unit: unit, rate: rate, params: p, run: run})
 		}
 	}
 	for _, sc := range scs {
 		sc := sc
-		add("fault: "+sc.Name, "ms", func(plan xport.FaultPlan) (workload.ChaosResult, error) {
-			return workload.ChaosFault(sc, seed, plan)
+		p := cellParams(machine.SysASVM, workload.FaultClusterSize(sc), seed)
+		p.TrackData = true
+		add("fault: "+sc.Name, "ms", p, func(c *machine.Cluster) (float64, *machine.Region, error) {
+			lat, r, err := workload.MeasureFault(c, sc)
+			return lat.Seconds(), r, err
 		})
 	}
-	add(fmt.Sprintf("filebench write, %d nodes", fileNodes), "MB/s",
-		func(plan xport.FaultPlan) (workload.ChaosResult, error) {
-			return workload.ChaosFileWrite(fileNodes, seed, plan)
+	fileParams := cellParams(machine.SysASVM, workload.FileClusterSize(fileNodes), seed)
+	add(fmt.Sprintf("filebench write, %d nodes", fileNodes), "MB/s", fileParams,
+		func(c *machine.Cluster) (float64, *machine.Region, error) {
+			return workload.MeasureFileWrite(c, fileNodes)
 		})
-	add(fmt.Sprintf("filebench read, %d nodes", fileNodes), "MB/s",
-		func(plan xport.FaultPlan) (workload.ChaosResult, error) {
-			return workload.ChaosFileRead(fileNodes, seed, plan)
+	add(fmt.Sprintf("filebench read, %d nodes", fileNodes), "MB/s", fileParams,
+		func(c *machine.Cluster) (float64, *machine.Region, error) {
+			return workload.MeasureFileRead(c, fileNodes)
 		})
-	add(fmt.Sprintf("em3d %dc/%dn/%di", em3d.Cells, em3d.Nodes, em3d.Iters), "s",
-		func(plan xport.FaultPlan) (workload.ChaosResult, error) {
-			return workload.ChaosEM3D(em3d, plan)
+	add(fmt.Sprintf("em3d %dc/%dn/%di", em3d.Cells, em3d.Nodes, em3d.Iters), "s", em3dParams(machine.SysASVM, em3d),
+		func(c *machine.Cluster) (float64, *machine.Region, error) {
+			d, r, err := workload.RunEM3D(c, em3d)
+			return d.Seconds(), r, err
 		})
 	return cells
 }
 
 // chaosMetric renders a result's metric in its workload's unit.
-func chaosMetric(r workload.ChaosResult, unit string) string {
+func chaosMetric(r ChaosResult, unit string) string {
 	switch unit {
 	case "ms":
 		return fmt.Sprintf("%.2f ms", r.Metric*1e3)
@@ -99,7 +195,7 @@ func chaosMetric(r workload.ChaosResult, unit string) string {
 // chaosDelta renders the metric's change against the same workload's
 // zero-fault baseline. For latencies (ms, s) positive is slower; for
 // throughput (MB/s) the sign is flipped so "+" always means degradation.
-func chaosDelta(r, base workload.ChaosResult, unit string) string {
+func chaosDelta(r, base ChaosResult, unit string) string {
 	if base.Metric == 0 {
 		return "-"
 	}
@@ -118,11 +214,11 @@ func chaosDelta(r, base workload.ChaosResult, unit string) string {
 // dups plus retransmissions whose original survived).
 func Chaos(w io.Writer, rates []float64, seed uint64, workers int, quick bool) error {
 	cells := chaosCells(rates, seed, quick)
-	results, err := RunCells(workers, len(cells), func(i int) (workload.ChaosResult, error) {
+	results, err := RunCells(workers, len(cells), func(i int) (ChaosResult, error) {
 		c := cells[i]
-		res, err := c.run(ChaosPlanFor(c.rate))
+		res, err := runChaos(c.params, ChaosPlanFor(c.rate), c.run)
 		if err != nil {
-			return workload.ChaosResult{}, fmt.Errorf("chaos %q drop=%.3f%%: %w", c.workload, c.rate*100, err)
+			return ChaosResult{}, fmt.Errorf("chaos %q drop=%.3f%%: %w", c.workload, c.rate*100, err)
 		}
 		return res, nil
 	})

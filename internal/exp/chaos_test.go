@@ -4,9 +4,24 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"asvm/internal/workload"
 )
+
+// quickChaosRun runs the quick grid's cell for the named workload at the
+// given seed under the drop rate's plan.
+func quickChaosRun(t *testing.T, name string, seed uint64, rate float64) ChaosResult {
+	t.Helper()
+	for _, c := range chaosCells([]float64{rate}, seed, true) {
+		if strings.HasPrefix(c.workload, name) {
+			res, err := runChaos(c.params, ChaosPlanFor(rate), c.run)
+			if err != nil {
+				t.Fatalf("%s: %v", c.workload, err)
+			}
+			return res
+		}
+	}
+	t.Fatalf("no quick chaos cell named %q", name)
+	return ChaosResult{}
+}
 
 // TestChaosSweepCompletes runs the quick chaos grid at the default rates:
 // every cell must finish (no deadlock under drops), drain, and pass the
@@ -37,10 +52,7 @@ func TestChaosSweepCompletes(t *testing.T) {
 // at least once per dropped frame (acks can be dropped too, so retransmits
 // can exceed drops, and every redundant delivery is suppressed).
 func TestChaosRecoversEveryDrop(t *testing.T) {
-	res, err := workload.ChaosFileWrite(2, 1, ChaosPlanFor(0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickChaosRun(t, "filebench write, 2 nodes", 1, 0.01)
 	if res.Dropped == 0 {
 		t.Fatalf("1%% drop plan dropped nothing: %+v", res)
 	}
@@ -68,25 +80,15 @@ func TestChaosZeroRatePlanInactive(t *testing.T) {
 // counter — including the fault-injection ones — to come back identical:
 // chaos is seeded, not random.
 func TestChaosDeterministicCells(t *testing.T) {
-	plan := ChaosPlanFor(0.01)
-	a, err := workload.ChaosFault(workload.Table1Scenarios()[0], 1, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := workload.ChaosFault(workload.Table1Scenarios()[0], 1, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const row = "fault: write fault, 1 read copy"
+	a := quickChaosRun(t, row, 1, 0.01)
+	b := quickChaosRun(t, row, 1, 0.01)
 	if a != b {
 		t.Fatalf("same seed, different chaos:\n a=%+v\n b=%+v", a, b)
 	}
 	// A different workload seed shifts the fault stream too (the fault RNG
 	// is derived from the cluster seed).
-	c, err := workload.ChaosFault(workload.Table1Scenarios()[0], 2, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == c {
+	if c := quickChaosRun(t, row, 2, 0.01); a == c {
 		t.Fatalf("seeds 1 and 2 produced identical chaos: %+v", a)
 	}
 }
@@ -116,12 +118,7 @@ func TestChaosSerialParallelByteIdentical(t *testing.T) {
 // quick grid's EM3D cell) at the sweep's heaviest rate on its own, so a
 // failure here isn't buried in the full grid.
 func TestChaosEM3DUnderFaults(t *testing.T) {
-	cfg := workload.DefaultEM3D(8000, 2, 2)
-	cfg.MemMB = 8
-	res, err := workload.ChaosEM3D(cfg, ChaosPlanFor(0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickChaosRun(t, "em3d 8000c/2n/2i", 1, 0.01)
 	if res.Metric <= 0 || res.Msgs == 0 {
 		t.Fatalf("em3d cell produced no work: %+v", res)
 	}

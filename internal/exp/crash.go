@@ -5,7 +5,9 @@ import (
 	"io"
 	"time"
 
+	"asvm/internal/machine"
 	"asvm/internal/workload"
+	"asvm/internal/xport"
 )
 
 // This file is the crash sweep: the crash-churn workload crossed over
@@ -63,15 +65,27 @@ func CrashConfigFor(cell CrashCell, seed uint64, quick bool) workload.CrashConfi
 
 // RunCrashCells executes the sweep grid and returns per-cell results,
 // deterministic for a given seed regardless of the worker count.
-func RunCrashCells(cells []CrashCell, seed uint64, workers int, quick bool) ([]workload.ChaosResult, error) {
-	return RunCells(workers, len(cells), func(i int) (workload.ChaosResult, error) {
+func RunCrashCells(cells []CrashCell, seed uint64, workers int, quick bool) ([]ChaosResult, error) {
+	return RunCells(workers, len(cells), func(i int) (ChaosResult, error) {
 		cell := cells[i]
-		res, err := workload.ChaosCrash(CrashConfigFor(cell, seed, quick), ChaosPlanFor(cell.Rate))
+		res, err := runCrash(CrashConfigFor(cell, seed, quick), ChaosPlanFor(cell.Rate))
 		if err != nil {
-			return workload.ChaosResult{}, fmt.Errorf("crash sweep crashed=%d restart=%v drop=%.2f%%: %w",
+			return ChaosResult{}, fmt.Errorf("crash sweep crashed=%d restart=%v drop=%.2f%%: %w",
 				cell.Crashed, cell.Restart, cell.Rate*100, err)
 		}
 		return res, nil
+	})
+}
+
+// runCrash runs the crash-churn workload on a chaos cluster carrying cfg's
+// crash plan; Metric is the completed operation count.
+func runCrash(cfg workload.CrashConfig, plan xport.FaultPlan) (ChaosResult, error) {
+	p := cellParams(machine.SysASVM, cfg.Nodes, cfg.Seed)
+	p.TrackData = true
+	p.Crash = cfg.Plan()
+	return runChaos(p, plan, func(c *machine.Cluster) (float64, *machine.Region, error) {
+		n, r, err := workload.CrashChurn(c, cfg)
+		return float64(n), r, err
 	})
 }
 

@@ -5,14 +5,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"asvm/internal/workload"
 )
 
 // TestCrashSweepQuick runs the full quick grid once and checks the
 // degradation contract cell by cell: the crash-free cell is perfectly
 // clean, every crashed cell records its executed fates, and nothing
-// panics or corrupts survivor state (ChaosCrash invariant-checks each
+// panics or corrupts survivor state (runChaos invariant-checks each
 // drained cluster internally).
 func TestCrashSweepQuick(t *testing.T) {
 	cells := CrashCells()
@@ -104,11 +102,11 @@ func TestCrashCellRestartRecovers(t *testing.T) {
 	seed := uint64(3)
 	cfgPerm := CrashConfigFor(CrashCell{Crashed: 1}, seed, true)
 	cfgRest := CrashConfigFor(CrashCell{Crashed: 1, Restart: true}, seed, true)
-	perm, err := workload.ChaosCrash(cfgPerm, ChaosPlanFor(0))
+	perm, err := runCrash(cfgPerm, ChaosPlanFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, err := workload.ChaosCrash(cfgRest, ChaosPlanFor(0))
+	rest, err := runCrash(cfgRest, ChaosPlanFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,33 @@ import (
 	"asvm/internal/workload"
 )
 
+// cellParams is the calibrated configuration of one experiment cell: every
+// cell runs on its own fresh cluster, which the experiment (not the
+// workload) assembles.
+func cellParams(sys machine.System, nodes int, seed uint64) machine.Params {
+	p := machine.DefaultParams(nodes)
+	p.System = sys
+	p.Seed = seed
+	return p
+}
+
+// em3dParams is the cluster an EM3D configuration runs on: its node count,
+// per-node memory and graph seed.
+func em3dParams(sys machine.System, cfg workload.EM3DConfig) machine.Params {
+	p := cellParams(sys, cfg.Nodes, cfg.Seed)
+	p.MemMB = cfg.MemMB
+	return p
+}
+
+// measureFault runs one fault scenario on a fresh data-tracking cluster of
+// the scenario's size.
+func measureFault(sys machine.System, sc workload.FaultScenario, seed uint64) (time.Duration, error) {
+	p := cellParams(sys, workload.FaultClusterSize(sc), seed)
+	p.TrackData = true
+	lat, _, err := workload.MeasureFault(machine.New(p), sc)
+	return lat, err
+}
+
 // ms renders a duration in paper-style milliseconds.
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
@@ -41,7 +68,7 @@ func Table1(w io.Writer, seed uint64, workers int) error {
 		cells = append(cells, cell{machine.SysASVM, sc}, cell{machine.SysXMM, sc})
 	}
 	lats, err := RunCells(workers, len(cells), func(i int) (time.Duration, error) {
-		lat, err := workload.MeasureFault(cells[i].sys, cells[i].sc, seed)
+		lat, err := measureFault(cells[i].sys, cells[i].sc, seed)
 		if err != nil {
 			return 0, fmt.Errorf("T1 %v %q: %w", cells[i].sys, cells[i].sc.Name, err)
 		}
@@ -88,7 +115,7 @@ func Figure10(w io.Writer, readers []int, seed uint64, workers int) error {
 	}
 	lats, err := RunCells(workers, len(cells), func(i int) (time.Duration, error) {
 		c := cells[i]
-		lat, err := workload.MeasureFault(cfgs[c.cfg].sys, workload.FaultScenario{
+		lat, err := measureFault(cfgs[c.cfg].sys, workload.FaultScenario{
 			Name: "fig10", Readers: c.r, Write: true, FaulterHasCopy: cfgs[c.cfg].upgrade,
 		}, seed)
 		if err != nil {
@@ -135,7 +162,9 @@ func Figure11(w io.Writer, chains []int, seed uint64, workers int) error {
 	systems := []machine.System{machine.SysASVM, machine.SysXMM}
 	lats, err := RunCells(workers, 2*len(chains), func(i int) (time.Duration, error) {
 		n, sys := chains[i/2], systems[i%2]
-		lat, err := workload.MeasureChainFault(sys, n, seed)
+		p := cellParams(sys, n+1, seed)
+		p.TrackData = true
+		lat, _, err := workload.MeasureChainFault(machine.New(p), n)
 		if err != nil {
 			return 0, fmt.Errorf("F11 %v n=%d: %w", sys, n, err)
 		}
@@ -205,16 +234,15 @@ var Table2Series = []string{"ASVM write", "XMM write", "ASVM read", "XMM read"}
 // behind Table2, used by benchmark snapshots.
 func Table2Rates(nodes []int, seed uint64, workers int) (map[string][]float64, error) {
 	measure := func(series string, n int) (float64, error) {
-		switch series {
-		case "ASVM write":
-			return workload.MeasureFileWrite(machine.SysASVM, n, seed)
-		case "XMM write":
-			return workload.MeasureFileWrite(machine.SysXMM, n, seed)
-		case "ASVM read":
-			return workload.MeasureFileRead(machine.SysASVM, n, seed)
-		default:
-			return workload.MeasureFileRead(machine.SysXMM, n, seed)
+		sys, run := machine.SysASVM, workload.MeasureFileRead
+		if series == "XMM write" || series == "XMM read" {
+			sys = machine.SysXMM
 		}
+		if series == "ASVM write" || series == "XMM write" {
+			run = workload.MeasureFileWrite
+		}
+		rate, _, err := run(machine.New(cellParams(sys, workload.FileClusterSize(n), seed)), n)
+		return rate, err
 	}
 	vals, err := RunCells(workers, 4*len(nodes), func(i int) (float64, error) {
 		n, series := nodes[i/4], Table2Series[i%4]
@@ -312,7 +340,7 @@ func Table3(w io.Writer, sizes, nodes []int, iters int, seed uint64, workers int
 	}
 	durs, err := RunCells(workers, len(grid), func(i int) (time.Duration, error) {
 		c := grid[i]
-		d, err := workload.RunEM3D(c.sys, c.cfg)
+		d, _, err := workload.RunEM3D(machine.New(em3dParams(c.sys, c.cfg)), c.cfg)
 		if err != nil {
 			return 0, fmt.Errorf("T3 %v cells=%d n=%d: %w", c.sys, c.cells, c.n, err)
 		}

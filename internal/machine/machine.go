@@ -51,9 +51,6 @@ type Params struct {
 	// limits entirely (microbenchmarks).
 	MemMB int
 
-	// OSMemMB is memory reserved for kernel + OS servers per node.
-	OSMemMB int
-
 	// MemPages, when nonzero, sets the per-node VM cache capacity directly
 	// in pages, overriding MemMB. The schedule explorer uses it to build
 	// tiny caches (2–4 pages) where eviction and ownership transfer
@@ -66,18 +63,6 @@ type Params struct {
 
 	// System picks ASVM or XMM.
 	System System
-
-	// IORatio is compute nodes per I/O (disk) node; Paragon: 32.
-	IORatio int
-
-	// DiskSeek and DiskBytesPerSecond model the I/O node disks (1996
-	// SCSI: several ms positioning, a few MB/s sustained). DiskWriteSeek
-	// is the pageout positioning cost — paging-space writes also allocate
-	// blocks, which made them several times slower than reads and is what
-	// the paper's 38 ms XMM rows measure.
-	DiskSeek           time.Duration
-	DiskWriteSeek      time.Duration
-	DiskBytesPerSecond float64
 
 	Mesh  mesh.Config
 	Norma norma.Costs
@@ -114,26 +99,37 @@ type Params struct {
 	Seed uint64
 }
 
+// The Paragon testbed's fixed constants: the paper never varies them.
+const (
+	// OSMemMB is memory reserved for kernel + OS servers per node.
+	OSMemMB = 7
+	// IORatio is compute nodes per I/O (disk) node.
+	IORatio = 32
+	// DiskSeek and DiskBytesPerSecond model the I/O node disks (1996
+	// SCSI: several ms positioning, a few MB/s sustained). DiskWriteSeek
+	// is the pageout positioning cost — paging-space writes also allocate
+	// blocks, which made them several times slower than reads and is what
+	// the paper's 38 ms XMM rows measure.
+	DiskSeek           = 3 * time.Millisecond
+	DiskWriteSeek      = 16 * time.Millisecond
+	DiskBytesPerSecond = 5e6
+)
+
 // DefaultParams returns the calibrated configuration for n nodes.
 func DefaultParams(n int) Params {
 	return Params{
-		Nodes:              n,
-		MemMB:              0, // unlimited unless an experiment sets it
-		OSMemMB:            7,
-		TrackData:          false,
-		System:             SysASVM,
-		IORatio:            32,
-		DiskSeek:           3 * time.Millisecond,
-		DiskWriteSeek:      16 * time.Millisecond,
-		DiskBytesPerSecond: 5e6,
-		Mesh:               mesh.DefaultConfig(n),
-		Norma:              norma.DefaultCosts(),
-		STS:                sts.DefaultCosts(),
-		VM:                 vm.DefaultCosts(),
-		Pager:              pager.DefaultCosts(),
-		ASVM:               asvm.DefaultConfig(),
-		XMMCopyThreads:     64,
-		Seed:               1,
+		Nodes:          n,
+		MemMB:          0, // unlimited unless an experiment sets it
+		TrackData:      false,
+		System:         SysASVM,
+		Mesh:           mesh.DefaultConfig(n),
+		Norma:          norma.DefaultCosts(),
+		STS:            sts.DefaultCosts(),
+		VM:             vm.DefaultCosts(),
+		Pager:          pager.DefaultCosts(),
+		ASVM:           asvm.DefaultConfig(),
+		XMMCopyThreads: 64,
+		Seed:           1,
 	}
 }
 
@@ -146,7 +142,7 @@ func (p Params) UserPages() int {
 	if p.MemMB <= 0 {
 		return 0
 	}
-	usable := p.MemMB - p.OSMemMB
+	usable := p.MemMB - OSMemMB
 	if usable < 1 {
 		usable = 1
 	}
@@ -236,9 +232,9 @@ func New(p Params) *Cluster {
 	// I/O nodes: disks + paging space (default pager). NORMA carries the
 	// pager protocol under XMM; STS under ASVM (the pager interface cost
 	// difference is part of what the paper measures).
-	for i := 0; i < p.Nodes; i += max(1, p.IORatio) {
+	for i := 0; i < p.Nodes; i += IORatio {
 		io := mesh.NodeID(i)
-		c.HW[i].AttachDisk(e, p.DiskSeek, p.DiskBytesPerSecond).SetWriteSeek(p.DiskWriteSeek)
+		c.HW[i].AttachDisk(e, DiskSeek, DiskBytesPerSecond).SetWriteSeek(DiskWriteSeek)
 		c.PagingSpace[io] = pager.NewServer(e, c.TR, io, c.HW[i].Disk,
 			p.Pager, fmt.Sprintf("dp%d", i), p.TrackData)
 	}
@@ -249,7 +245,7 @@ func New(p Params) *Cluster {
 	}
 	// Anonymous pageout goes to the group's paging space.
 	for i, k := range c.Kerns {
-		io := pager.IONodeFor(mesh.NodeID(i), p.Nodes, p.IORatio)
+		io := pager.IONodeFor(mesh.NodeID(i), p.Nodes, IORatio)
 		srv := c.PagingSpace[io]
 		if srv != nil {
 			k.DefaultMgr = pager.NewBinding(k, e, c.TR, srv)
@@ -352,7 +348,7 @@ func (c *Cluster) NewSharedRegion(name string, sizePages vm.PageIdx, nodeIdxs []
 		panic("machine: region needs nodes")
 	}
 	home := mesh.NodeID(nodeIdxs[0])
-	backing := c.PagingSpace[pager.IONodeFor(home, c.P.Nodes, c.P.IORatio)]
+	backing := c.PagingSpace[pager.IONodeFor(home, c.P.Nodes, IORatio)]
 	return c.newRegion(name, sizePages, c.nextID(home), nodeIdxs, backing)
 }
 
@@ -360,7 +356,7 @@ func (c *Cluster) NewSharedRegion(name string, sizePages vm.PageIdx, nodeIdxs []
 // file) on the I/O node serving the home node's group, optionally
 // preloading sizePages of content.
 func (c *Cluster) NewMappedFile(name string, sizePages vm.PageIdx, nodeIdxs []int, preload bool) (*Region, *pager.Server) {
-	io := pager.IONodeFor(mesh.NodeID(nodeIdxs[0]), c.P.Nodes, c.P.IORatio)
+	io := pager.IONodeFor(mesh.NodeID(nodeIdxs[0]), c.P.Nodes, IORatio)
 	id := c.nextID(io)
 	srv := pager.NewServer(c.Eng, c.TR, io, c.HW[io].Disk, c.P.Pager, "file-"+name, c.P.TrackData)
 	srv.CacheInMemory = true // UFS buffers file pages on the I/O node
@@ -438,13 +434,6 @@ func (c *Cluster) Spawn(name string, fn func(p *sim.Proc)) *sim.Proc {
 // Run drives the simulation to completion and returns the final virtual
 // time.
 func (c *Cluster) Run() sim.Time { return c.Eng.Run() }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // DestroyRegion tears a shared region down on every node, freeing its
 // frames and protocol state. The region must be quiesced (no faults in

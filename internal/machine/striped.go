@@ -26,7 +26,7 @@ func (c *Cluster) NewStripedFile(name string, sizePages vm.PageIdx, nodeIdxs, st
 	servers := make([]*pager.Server, len(stripeNodes))
 	for i, sn := range stripeNodes {
 		if c.HW[sn].Disk == nil {
-			c.HW[sn].AttachDisk(c.Eng, c.P.DiskSeek, c.P.DiskBytesPerSecond).SetWriteSeek(c.P.DiskWriteSeek)
+			c.HW[sn].AttachDisk(c.Eng, DiskSeek, DiskBytesPerSecond).SetWriteSeek(DiskWriteSeek)
 		}
 		servers[i] = pager.NewServer(c.Eng, c.TR, mesh.NodeID(sn), c.HW[sn].Disk,
 			c.P.Pager, fmt.Sprintf("stripe%d-%s", i, name), c.P.TrackData)

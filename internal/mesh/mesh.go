@@ -32,13 +32,6 @@ type Config struct {
 	// SetupLatency is the fixed wire-level cost per message independent of
 	// size (router setup, DMA initiation).
 	SetupLatency time.Duration
-
-	// LinkContention additionally models occupancy of every directed mesh
-	// link along a message's XY route: concurrent messages crossing the
-	// same links queue behind each other. Off by default — the calibrated
-	// results treat the sender NIC as the bandwidth bottleneck, which is
-	// accurate until bisection traffic dominates.
-	LinkContention bool
 }
 
 // DefaultConfig returns Paragon-like interconnect parameters for n nodes,
@@ -64,26 +57,14 @@ type Network struct {
 	cfg  Config
 	nics []*sim.Server // per-node outgoing NIC
 
-	// linkBusy tracks per-directed-link occupancy when LinkContention is
-	// on, keyed by the link's source node and direction.
-	linkBusy map[linkKey]time.Duration
-
 	// hopPool recycles the in-flight stage objects of SendRun.
 	hopPool []*hop
 
 	// Stats counts traffic.
 	Stats struct {
-		Messages     uint64
-		Bytes        uint64
-		LinkStalls   uint64
-		LinkStallDur time.Duration
+		Messages uint64
+		Bytes    uint64
 	}
-}
-
-// linkKey identifies a directed link leaving a node.
-type linkKey struct {
-	from NodeID
-	dir  int // 0 +x, 1 -x, 2 +y, 3 -y
 }
 
 // New builds a network for nodes 0..n-1 using cfg.
@@ -91,19 +72,13 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.Width*cfg.Height < n {
 		panic(fmt.Sprintf("mesh: %dx%d mesh cannot hold %d nodes", cfg.Width, cfg.Height, n))
 	}
-	nw := &Network{eng: e, cfg: cfg, linkBusy: make(map[linkKey]time.Duration)}
+	nw := &Network{eng: e, cfg: cfg}
 	nw.nics = make([]*sim.Server, n)
 	for i := range nw.nics {
 		nw.nics[i] = sim.NewServer(e, fmt.Sprintf("nic%d", i))
 	}
 	return nw
 }
-
-// Size returns the number of nodes attached to the network.
-func (nw *Network) Size() int { return len(nw.nics) }
-
-// Config returns the interconnect configuration.
-func (nw *Network) Config() Config { return nw.cfg }
 
 // Coord returns the mesh coordinates of a node.
 func (nw *Network) Coord(n NodeID) (x, y int) {
@@ -146,34 +121,6 @@ func (nw *Network) chooseExtraLatency() time.Duration {
 	return latencyChoiceSteps[nw.eng.Choose(sim.ChoiceLatency, len(latencyChoiceSteps))]
 }
 
-// Send transmits a message of the given size from src to dst and runs
-// deliver at the destination when the last byte arrives. The sender's NIC
-// is occupied for the serialization time, so concurrent sends from the same
-// node queue behind each other. Loopback (src == dst) is delivered with
-// only the setup latency.
-func (nw *Network) Send(src, dst NodeID, bytes int, deliver func()) {
-	nw.Stats.Messages++
-	nw.Stats.Bytes += uint64(bytes)
-	if src == dst {
-		nw.eng.Schedule(nw.cfg.SetupLatency+nw.chooseExtraLatency(), deliver)
-		return
-	}
-	ser := nw.serialization(bytes)
-	flight := nw.cfg.SetupLatency + time.Duration(nw.Hops(src, dst))*nw.cfg.HopLatency + nw.chooseExtraLatency()
-	nw.nics[src].Do(ser, func() {
-		if nw.cfg.LinkContention {
-			stall := nw.occupyRoute(src, dst, ser)
-			if stall > 0 {
-				nw.Stats.LinkStalls++
-				nw.Stats.LinkStallDur += stall
-			}
-			nw.eng.Schedule(stall+flight, deliver)
-			return
-		}
-		nw.eng.Schedule(flight, deliver)
-	})
-}
-
 // hop is the pooled in-flight stage of a SendRun: it rides the sender NIC
 // as a Runnable and, when serialization completes, schedules the message's
 // wire flight to the final target. The pool is a plain slice — the engine
@@ -192,15 +139,14 @@ func (h *hop) Run() {
 	nw.eng.ScheduleRun(flight, next)
 }
 
-// SendRun transmits like Send but resumes a Runnable at the destination
-// instead of calling a closure, keeping the whole path allocation-free.
-// The LinkContention configuration (off in all calibrated runs) falls back
-// to the closure path, which is the only place route occupancy is modelled.
+// SendRun transmits a message of the given size from src to dst and runs
+// r at the destination when the last byte arrives. The sender's NIC is
+// occupied for the serialization time, so concurrent sends from the same
+// node queue behind each other; links are not modelled (the calibrated
+// results treat the sender NIC as the bandwidth bottleneck). Loopback
+// (src == dst) is delivered with only the setup latency. The in-flight
+// stage is pooled, keeping the whole path allocation-free.
 func (nw *Network) SendRun(src, dst NodeID, bytes int, r sim.Runnable) {
-	if nw.cfg.LinkContention {
-		nw.Send(src, dst, bytes, r.Run)
-		return
-	}
 	nw.Stats.Messages++
 	nw.Stats.Bytes += uint64(bytes)
 	if src == dst {
@@ -220,61 +166,6 @@ func (nw *Network) SendRun(src, dst NodeID, bytes int, r sim.Runnable) {
 	h.next = r
 	nw.nics[src].DoRun(ser, h)
 }
-
-// occupyRoute reserves every directed link on the XY route for the
-// message's serialization time (a wormhole burst occupies the whole path
-// at once). It returns how long the message must stall for the most
-// loaded link to free up.
-func (nw *Network) occupyRoute(src, dst NodeID, ser time.Duration) time.Duration {
-	now := nw.eng.Now()
-	avail := now
-	route := nw.route(src, dst)
-	for _, lk := range route {
-		if b := nw.linkBusy[lk]; b > avail {
-			avail = b
-		}
-	}
-	for _, lk := range route {
-		nw.linkBusy[lk] = avail + ser
-	}
-	return avail - now
-}
-
-// route lists the directed links of the XY path from src to dst.
-func (nw *Network) route(src, dst NodeID) []linkKey {
-	sx, sy := nw.Coord(src)
-	dx, dy := nw.Coord(dst)
-	var out []linkKey
-	x, y := sx, sy
-	for x != dx {
-		if dx > x {
-			out = append(out, linkKey{nw.nodeAt(x, y), 0})
-			x++
-		} else {
-			out = append(out, linkKey{nw.nodeAt(x, y), 1})
-			x--
-		}
-	}
-	for y != dy {
-		if dy > y {
-			out = append(out, linkKey{nw.nodeAt(x, y), 2})
-			y++
-		} else {
-			out = append(out, linkKey{nw.nodeAt(x, y), 3})
-			y--
-		}
-	}
-	return out
-}
-
-// nodeAt maps mesh coordinates back to a node id.
-func (nw *Network) nodeAt(x, y int) NodeID {
-	return NodeID(y*nw.cfg.Width + x)
-}
-
-// NIC exposes a node's outgoing NIC server for accounting in tests and
-// experiments.
-func (nw *Network) NIC(n NodeID) *sim.Server { return nw.nics[n] }
 
 func abs(v int) int {
 	if v < 0 {

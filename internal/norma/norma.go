@@ -121,9 +121,9 @@ func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 	// Sender message processor, then the wire, then the receiver message
 	// processor, then the handler.
 	t.nodes[src].MsgProc.Do(sendCost, func() {
-		t.net.Send(src, dst, wire, func() {
+		t.net.SendRun(src, dst, wire, wireFn(func() {
 			t.deliver(src, dst, recvCost, h, m)
-		})
+		}))
 	})
 }
 
@@ -163,17 +163,22 @@ func (t *Transport) nack(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 	t.Bytes += uint64(wire + t.costs.HeaderBytes)
 	perSide := t.costs.PortTranslateCPU + t.perKB(payloadBytes)
 	t.nodes[src].MsgProc.Do(t.costs.SendCPU+perSide, func() {
-		t.net.Send(src, dst, wire, func() {
+		t.net.SendRun(src, dst, wire, wireFn(func() {
 			t.nodes[dst].MsgProc.Do(t.costs.RecvCPU+perSide, func() {
-				t.net.Send(dst, src, t.costs.HeaderBytes, func() {
+				t.net.SendRun(dst, src, t.costs.HeaderBytes, wireFn(func() {
 					t.nodes[src].MsgProc.Do(t.costs.RecvCPU, func() {
 						back(dst, xport.Nack{Dst: dst, Proto: proto, Msg: m})
 					})
-				})
+				}))
 			})
-		})
+		}))
 	})
 }
+
+// wireFn runs a delivery closure as the mesh's Runnable.
+type wireFn func()
+
+func (f wireFn) Run() { f() }
 
 func (t *Transport) perKB(payloadBytes int) time.Duration {
 	return time.Duration(float64(payloadBytes) / 1024 * float64(t.costs.PerKBCPU))

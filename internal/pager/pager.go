@@ -157,11 +157,6 @@ func (s *Server) Has(obj vm.ObjID, idx vm.PageIdx) bool {
 	return s.exists[backingKey{obj, idx}]
 }
 
-// Contents returns stored contents (tests only).
-func (s *Server) Contents(obj vm.ObjID, idx vm.PageIdx) []byte {
-	return s.backing[backingKey{obj, idx}]
-}
-
 func (s *Server) handle(src mesh.NodeID, m interface{}) {
 	switch msg := m.(type) {
 	case PageInReq:

@@ -42,9 +42,6 @@ func NewStriped(eng *sim.Engine, tr xport.Transport, self mesh.NodeID, servers [
 	return s
 }
 
-// Stripes returns the stripe count.
-func (s *Striped) Stripes() int { return len(s.clients) }
-
 func (s *Striped) stripe(idx vm.PageIdx) *Client {
 	return s.clients[int(idx)%len(s.clients)]
 }

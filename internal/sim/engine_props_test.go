@@ -271,11 +271,7 @@ func TestTypedFutureNoBoxing(t *testing.T) {
 	f := NewFutureOf[int](e)
 	var got int
 	e.Spawn("w", func(p *Proc) {
-		v, err := f.Wait(p)
-		if err != nil {
-			t.Errorf("unexpected error: %v", err)
-		}
-		got = v
+		got = f.Wait(p)
 	})
 	e.Schedule(time.Millisecond, func() { f.Set(42) })
 	e.Run()

@@ -1,25 +1,20 @@
 package sim
 
-// FutureOf is a one-shot completion carrying a typed value and an optional
-// error. Procs block on it with Wait; event-driven code completes it with
-// Set or Fail and may attach callbacks with OnDone. A future may be
+// FutureOf is a one-shot completion carrying a typed value. Procs block on
+// it with Wait; event-driven code completes it with Set. A future may be
 // completed only once; completing it twice panics, because in a protocol
 // simulation a double completion is always a protocol bug worth crashing on.
 //
-// The single-waiter and single-callback cases (by far the most common) are
-// stored inline, so waiting on a future does not allocate; waking a waiter
-// goes through the engine's proc fast path and does not allocate either.
+// The single-waiter case (by far the most common) is stored inline, so
+// waiting on a future does not allocate; waking a waiter goes through the
+// engine's proc fast path and does not allocate either.
 type FutureOf[T any] struct {
 	eng   *Engine
 	done  bool
 	value T
-	err   error
 
 	w0      *Proc   // first waiter, inlined
 	waiters []*Proc // overflow beyond the first
-
-	cb0 func(T, error) // first callback, inlined
-	cbs []func(T, error)
 }
 
 // Future is the untyped future used by protocol code that carries no value
@@ -40,19 +35,18 @@ func NewFutureOf[T any](e *Engine) *FutureOf[T] {
 
 // Reinit returns a future to the incomplete state, binding it to e — the
 // hook that lets callers embed futures in pooled structures and reuse the
-// allocation. It panics if a waiter or callback is still attached: those
-// hold the future's identity across events, and rebinding under them would
-// hand a stale completion to the next user. (A completed future has no
-// attachments left — complete() clears them as it wakes/schedules.)
+// allocation. It panics if a waiter is still attached: a waiter holds the
+// future's identity across events, and rebinding under it would hand a
+// stale completion to the next user. (A completed future has no waiters
+// left — Set clears them as it wakes them.)
 func (f *FutureOf[T]) Reinit(e *Engine) {
-	if f.w0 != nil || len(f.waiters) != 0 || f.cb0 != nil || len(f.cbs) != 0 {
-		panic("sim: Reinit of a future with waiters or callbacks attached")
+	if f.w0 != nil || len(f.waiters) != 0 {
+		panic("sim: Reinit of a future with waiters attached")
 	}
 	var zero T
 	f.eng = e
 	f.done = false
 	f.value = zero
-	f.err = nil
 }
 
 // Done reports whether the future has been completed.
@@ -62,26 +56,13 @@ func (f *FutureOf[T]) Done() bool { return f.done }
 // before completion).
 func (f *FutureOf[T]) Value() T { return f.value }
 
-// Err returns the error the future was completed with, if any.
-func (f *FutureOf[T]) Err() error { return f.err }
-
-// Set completes the future successfully, waking all waiting procs and firing
-// callbacks in registration order.
-func (f *FutureOf[T]) Set(v T) { f.complete(v, nil) }
-
-// Fail completes the future with an error.
-func (f *FutureOf[T]) Fail(err error) {
-	var zero T
-	f.complete(zero, err)
-}
-
-func (f *FutureOf[T]) complete(v T, err error) {
+// Set completes the future, waking all waiting procs in arrival order.
+func (f *FutureOf[T]) Set(v T) {
 	if f.done {
 		panic("sim: Future completed twice")
 	}
 	f.done = true
 	f.value = v
-	f.err = err
 	if p := f.w0; p != nil {
 		f.w0 = nil
 		f.eng.wake(p)
@@ -90,20 +71,11 @@ func (f *FutureOf[T]) complete(v T, err error) {
 		f.eng.wake(p)
 	}
 	f.waiters = nil
-	if cb := f.cb0; cb != nil {
-		f.cb0 = nil
-		f.eng.Schedule(0, func() { cb(v, err) })
-	}
-	for _, cb := range f.cbs {
-		cb := cb
-		f.eng.Schedule(0, func() { cb(v, err) })
-	}
-	f.cbs = nil
 }
 
-// Wait blocks the proc until the future is complete and returns its value
-// and error. If already complete it returns immediately without yielding.
-func (f *FutureOf[T]) Wait(p *Proc) (T, error) {
+// Wait blocks the proc until the future is complete and returns its value.
+// If already complete it returns immediately without yielding.
+func (f *FutureOf[T]) Wait(p *Proc) T {
 	if !f.done {
 		if f.w0 == nil && len(f.waiters) == 0 {
 			f.w0 = p
@@ -112,21 +84,5 @@ func (f *FutureOf[T]) Wait(p *Proc) (T, error) {
 		}
 		p.park()
 	}
-	return f.value, f.err
-}
-
-// OnDone registers a callback to run (as its own event) when the future
-// completes. If the future is already complete the callback is scheduled
-// immediately.
-func (f *FutureOf[T]) OnDone(cb func(v T, err error)) {
-	if f.done {
-		v, err := f.value, f.err
-		f.eng.Schedule(0, func() { cb(v, err) })
-		return
-	}
-	if f.cb0 == nil && len(f.cbs) == 0 {
-		f.cb0 = cb
-	} else {
-		f.cbs = append(f.cbs, cb)
-	}
+	return f.value
 }

@@ -54,11 +54,7 @@ func TestProcFutureWait(t *testing.T) {
 	f := NewFuture(e)
 	var got interface{}
 	e.Spawn("waiter", func(p *Proc) {
-		v, err := f.Wait(p)
-		if err != nil {
-			t.Errorf("unexpected error: %v", err)
-		}
-		got = v
+		got = f.Wait(p)
 	})
 	e.Schedule(7*time.Millisecond, func() { f.Set(99) })
 	e.Run()
@@ -77,8 +73,7 @@ func TestFutureWaitAfterSet(t *testing.T) {
 	var got interface{}
 	e.Spawn("late", func(p *Proc) {
 		before := p.Now()
-		v, _ := f.Wait(p)
-		got = v
+		got = f.Wait(p)
 		if p.Now() != before {
 			t.Errorf("Wait on done future advanced time")
 		}
@@ -116,25 +111,6 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 		}
 	}()
 	f.Set(2)
-}
-
-func TestFutureOnDone(t *testing.T) {
-	e := NewEngine()
-	f := NewFuture(e)
-	var got interface{}
-	f.OnDone(func(v interface{}, err error) { got = v })
-	e.Schedule(time.Millisecond, func() { f.Set(5) })
-	e.Run()
-	if got != 5 {
-		t.Fatalf("OnDone saw %v, want 5", got)
-	}
-	// Registration after completion fires too.
-	fired := false
-	f.OnDone(func(v interface{}, err error) { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("OnDone after completion never fired")
-	}
 }
 
 func TestJoin(t *testing.T) {
@@ -179,12 +155,16 @@ func TestManyProcsDeterministic(t *testing.T) {
 	run := func() Time {
 		e := NewEngine()
 		rng := NewRNG(7)
-		bar := NewBarrier(e, 50)
+		// The last proc to arrive releases the others.
+		release, arrived := NewFuture(e), 0
 		for i := 0; i < 50; i++ {
 			d := time.Duration(rng.Intn(5000)) * time.Microsecond
 			e.Spawn("p", func(p *Proc) {
 				p.Sleep(d)
-				bar.Await(p)
+				if arrived++; arrived == 50 {
+					release.Set(nil)
+				}
+				release.Wait(p)
 				p.Sleep(time.Millisecond)
 			})
 		}

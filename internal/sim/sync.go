@@ -1,9 +1,7 @@
 package sim
 
-// Synchronization primitives for procs. All of these follow the engine's
+// Semaphore is a counting semaphore for procs. It follows the engine's
 // determinism rules: wakeups are scheduled events, FIFO among equal times.
-
-// Semaphore is a counting semaphore for procs.
 type Semaphore struct {
 	eng     *Engine
 	tokens  int
@@ -25,15 +23,6 @@ func (s *Semaphore) Acquire(p *Proc) {
 	p.park()
 }
 
-// TryAcquire takes a token without blocking; it reports whether it got one.
-func (s *Semaphore) TryAcquire() bool {
-	if s.tokens > 0 {
-		s.tokens--
-		return true
-	}
-	return false
-}
-
 // Release returns one token, waking the longest-waiting proc if any.
 func (s *Semaphore) Release() {
 	if len(s.waiters) > 0 {
@@ -44,96 +33,3 @@ func (s *Semaphore) Release() {
 	}
 	s.tokens++
 }
-
-// Available reports the current token count.
-func (s *Semaphore) Available() int { return s.tokens }
-
-// Mutex is a binary semaphore with Lock/Unlock naming.
-type Mutex struct{ sem *Semaphore }
-
-// NewMutex returns an unlocked mutex.
-func NewMutex(e *Engine) *Mutex { return &Mutex{sem: NewSemaphore(e, 1)} }
-
-// Lock acquires the mutex, blocking the proc until it is free.
-func (m *Mutex) Lock(p *Proc) { m.sem.Acquire(p) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.sem.Release() }
-
-// Barrier blocks procs until a fixed number have arrived, then releases them
-// all; it is reusable (generation-counted).
-type Barrier struct {
-	eng     *Engine
-	n       int
-	arrived int
-	waiters []*Proc
-	// Generations counts completed barrier episodes.
-	Generations int
-}
-
-// NewBarrier returns a barrier for n participants.
-func NewBarrier(e *Engine, n int) *Barrier {
-	if n < 1 {
-		panic("sim: barrier needs at least one participant")
-	}
-	return &Barrier{eng: e, n: n}
-}
-
-// Await blocks the proc until n procs (including this one) have arrived.
-func (b *Barrier) Await(p *Proc) {
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.Generations++
-		ws := b.waiters
-		b.waiters = nil
-		for _, w := range ws {
-			b.eng.wake(w)
-		}
-		return
-	}
-	b.waiters = append(b.waiters, p)
-	p.park()
-}
-
-// CondQueue is a FIFO wait queue: procs Wait, event code Signals one or
-// Broadcasts all. Unlike sync.Cond there is no associated lock; the
-// simulation is logically single-threaded.
-type CondQueue struct {
-	eng     *Engine
-	waiters []*Proc
-}
-
-// NewCondQueue returns an empty queue bound to the engine.
-func NewCondQueue(e *Engine) *CondQueue { return &CondQueue{eng: e} }
-
-// Wait enqueues the proc and blocks it until signalled.
-func (c *CondQueue) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.park()
-}
-
-// Signal wakes the longest-waiting proc, if any, and reports whether one was
-// woken.
-func (c *CondQueue) Signal() bool {
-	if len(c.waiters) == 0 {
-		return false
-	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.eng.wake(p)
-	return true
-}
-
-// Broadcast wakes all waiting procs and returns how many were woken.
-func (c *CondQueue) Broadcast() int {
-	n := len(c.waiters)
-	for _, p := range c.waiters {
-		c.eng.wake(p)
-	}
-	c.waiters = nil
-	return n
-}
-
-// Len reports the number of waiting procs.
-func (c *CondQueue) Len() int { return len(c.waiters) }

@@ -25,23 +25,8 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	if peak != 2 {
 		t.Fatalf("peak concurrency = %d, want 2", peak)
 	}
-	if sem.Available() != 2 {
-		t.Fatalf("tokens leaked: %d available, want 2", sem.Available())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, 1)
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire failed with token available")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("TryAcquire succeeded with no tokens")
-	}
-	sem.Release()
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire failed after release")
+	if sem.tokens != 2 {
+		t.Fatalf("tokens leaked: %d available, want 2", sem.tokens)
 	}
 }
 
@@ -70,113 +55,26 @@ func TestSemaphoreFIFO(t *testing.T) {
 	}
 }
 
+// TestMutexMutualExclusion: a one-token semaphore is the procs' mutex.
 func TestMutexMutualExclusion(t *testing.T) {
 	e := NewEngine()
-	mu := NewMutex(e)
+	mu := NewSemaphore(e, 1)
 	inside := false
 	violations := 0
 	for i := 0; i < 4; i++ {
 		e.Spawn("w", func(p *Proc) {
-			mu.Lock(p)
+			mu.Acquire(p)
 			if inside {
 				violations++
 			}
 			inside = true
 			p.Sleep(time.Millisecond)
 			inside = false
-			mu.Unlock()
+			mu.Release()
 		})
 	}
 	e.Run()
 	if violations != 0 {
 		t.Fatalf("%d mutual-exclusion violations", violations)
-	}
-}
-
-func TestBarrierReleasesAllTogether(t *testing.T) {
-	e := NewEngine()
-	bar := NewBarrier(e, 3)
-	var release []Time
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn("w", func(p *Proc) {
-			p.Sleep(time.Duration(i+1) * time.Millisecond)
-			bar.Await(p)
-			release = append(release, p.Now())
-		})
-	}
-	e.Run()
-	if len(release) != 3 {
-		t.Fatalf("released %d, want 3", len(release))
-	}
-	for _, r := range release {
-		if r != 3*time.Millisecond {
-			t.Fatalf("release times %v, want all 3ms", release)
-		}
-	}
-	if bar.Generations != 1 {
-		t.Fatalf("generations = %d, want 1", bar.Generations)
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	e := NewEngine()
-	bar := NewBarrier(e, 2)
-	laps := 0
-	for i := 0; i < 2; i++ {
-		e.Spawn("w", func(p *Proc) {
-			for lap := 0; lap < 5; lap++ {
-				p.Sleep(time.Millisecond)
-				bar.Await(p)
-				if p.Name() == "w" {
-					laps++
-				}
-			}
-		})
-	}
-	e.Run()
-	if bar.Generations != 5 {
-		t.Fatalf("generations = %d, want 5", bar.Generations)
-	}
-	if laps != 10 {
-		t.Fatalf("laps = %d, want 10", laps)
-	}
-}
-
-func TestBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(NewEngine(), 0)
-}
-
-func TestCondQueueSignalBroadcast(t *testing.T) {
-	e := NewEngine()
-	q := NewCondQueue(e)
-	woken := 0
-	for i := 0; i < 4; i++ {
-		e.Spawn("w", func(p *Proc) {
-			q.Wait(p)
-			woken++
-		})
-	}
-	e.Schedule(time.Millisecond, func() {
-		if !q.Signal() {
-			t.Error("Signal found no waiter")
-		}
-	})
-	e.Schedule(2*time.Millisecond, func() {
-		if n := q.Broadcast(); n != 3 {
-			t.Errorf("Broadcast woke %d, want 3", n)
-		}
-	})
-	e.Run()
-	if woken != 4 {
-		t.Fatalf("woken = %d, want 4", woken)
-	}
-	if q.Signal() {
-		t.Fatal("Signal on empty queue reported a wake")
 	}
 }

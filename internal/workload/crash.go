@@ -8,7 +8,6 @@ import (
 	"asvm/internal/machine"
 	"asvm/internal/sim"
 	"asvm/internal/vm"
-	"asvm/internal/xport"
 )
 
 // This file is the crash-sweep workload: a churning read/write mix over one
@@ -70,15 +69,14 @@ func (cfg CrashConfig) Plan() machine.CrashPlan {
 	return p
 }
 
-// ChaosCrash runs the crash-churn workload under a crash plan plus an
-// optional message-fault plan. Metric is total completed operations across
-// all nodes (higher is better; the zero-crash cell is the baseline).
-func ChaosCrash(cfg CrashConfig, plan xport.FaultPlan) (ChaosResult, error) {
-	p := chaosParams(cfg.Nodes, cfg.Seed, plan)
-	p.TrackData = true
-	p.Crash = cfg.Plan()
-	c := machine.New(p)
-
+// CrashChurn runs the crash-churn workload on c, which must have cfg.Nodes
+// nodes and cfg.Plan() as its crash plan. Returned is the number of
+// operations completed across all nodes (higher is better; the zero-crash
+// cell is the baseline) and the shared region.
+func CrashChurn(c *machine.Cluster, cfg CrashConfig) (int, *machine.Region, error) {
+	if err := checkNodes(c, cfg.Nodes); err != nil {
+		return 0, nil, err
+	}
 	all := make([]int, cfg.Nodes)
 	for i := range all {
 		all[i] = i
@@ -91,7 +89,7 @@ func ChaosCrash(cfg CrashConfig, plan xport.FaultPlan) (ChaosResult, error) {
 		n := n
 		task, err := c.TaskOn(n, fmt.Sprintf("churn%d", n), r, 0)
 		if err != nil {
-			return ChaosResult{}, err
+			return 0, nil, err
 		}
 		rng := sim.NewRNG(cfg.Seed<<16 ^ uint64(n)*0x9E3779B97F4A7C15)
 		c.Spawn(fmt.Sprintf("churn%d", n), func(p *sim.Proc) {
@@ -133,9 +131,9 @@ func ChaosCrash(cfg CrashConfig, plan xport.FaultPlan) (ChaosResult, error) {
 	}
 	c.Run()
 	if benchErr != nil {
-		return ChaosResult{}, benchErr
+		return 0, nil, benchErr
 	}
-	return collectChaos(c, r, float64(completed))
+	return completed, r, nil
 }
 
 func isNodeCrashed(err error) bool {

@@ -72,7 +72,7 @@ func (cfg EM3DConfig) Feasible() bool {
 	if cfg.MemMB <= 0 {
 		return true
 	}
-	userBytes := int64(cfg.Nodes) * int64(cfg.MemMB-7) * (1 << 20)
+	userBytes := int64(cfg.Nodes) * int64(cfg.MemMB-machine.OSMemMB) * (1 << 20)
 	return cfg.DatasetBytes() <= userBytes
 }
 
@@ -176,33 +176,16 @@ func setToSlice(m map[vm.PageIdx]bool) []vm.PageIdx {
 	return out
 }
 
-// RunEM3D executes the benchmark on a fresh cluster and returns the
-// execution time of the computation loop (initialization excluded, like
-// the paper).
-func RunEM3D(sys machine.System, cfg EM3DConfig) (time.Duration, error) {
-	if cfg.Cells%cfg.Nodes != 0 {
-		return 0, fmt.Errorf("workload: %d cells not divisible by %d nodes", cfg.Cells, cfg.Nodes)
-	}
-	mp := machine.DefaultParams(cfg.Nodes)
-	mp.System = sys
-	mp.MemMB = cfg.MemMB
-	mp.Seed = cfg.Seed
-	c := machine.New(mp)
-	return RunEM3DOn(c, cfg)
-}
-
-// RunEM3DOn executes the benchmark on an existing cluster (so callers can
-// inspect its statistics afterwards).
-func RunEM3DOn(c *machine.Cluster, cfg EM3DConfig) (time.Duration, error) {
-	d, _, err := runEM3DRegion(c, cfg)
-	return d, err
-}
-
-// runEM3DRegion is RunEM3DOn plus the shared region, for protocol-state
-// validation after the run.
-func runEM3DRegion(c *machine.Cluster, cfg EM3DConfig) (time.Duration, *machine.Region, error) {
-	if cfg.Cells%cfg.Nodes != 0 {
+// RunEM3D executes the benchmark on c, which must have cfg.Nodes nodes
+// (with cfg.MemMB of memory each), and returns the execution time of the
+// computation loop (initialization excluded, like the paper) and the
+// shared region.
+func RunEM3D(c *machine.Cluster, cfg EM3DConfig) (time.Duration, *machine.Region, error) {
+	if cfg.Nodes < 1 || cfg.Cells%cfg.Nodes != 0 {
 		return 0, nil, fmt.Errorf("workload: %d cells not divisible by %d nodes", cfg.Cells, cfg.Nodes)
+	}
+	if err := checkNodes(c, cfg.Nodes); err != nil {
+		return 0, nil, err
 	}
 	regionPages := vm.PageIdx((cfg.DatasetBytes() + vm.PageSize - 1) / vm.PageSize)
 	w, err := simhost.NewWorld(c, []simhost.Spec{{Name: "em3d", Pages: int64(regionPages)}})

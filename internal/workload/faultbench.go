@@ -3,7 +3,9 @@
 // the mapped-file transfer benchmark (Table 2, Figures 12/13), and the
 // EM3D application (Table 3). Every workload body programs against the
 // portable app.Host API; this package supplies the simulator harness
-// around it (cluster assembly, measurement, validation).
+// around it (role layout, measurement, the region to validate). Each
+// workload has one entry point, which runs on a cluster the caller
+// assembled with the node count the workload states.
 package workload
 
 import (
@@ -45,8 +47,8 @@ func Table1Scenarios() []FaultScenario {
 	}
 }
 
-// FaultClusterSize returns the node count MeasureFault uses for a scenario
-// (chaos runs build their own cluster of this size).
+// FaultClusterSize returns the node count a cluster running the scenario
+// must have.
 func FaultClusterSize(sc FaultScenario) int {
 	n := sc.Readers + 3
 	if n < 5 {
@@ -55,26 +57,18 @@ func FaultClusterSize(sc FaultScenario) int {
 	return n
 }
 
-// MeasureFault runs one scenario on a fresh cluster of the given system
-// and returns the observed fault latency. Node roles: node 0 hosts the
+// MeasureFault runs one scenario on c, which must have FaultClusterSize(sc)
+// nodes, and returns the observed fault latency plus the benchmark region
+// for protocol-state validation. Node roles: node 0 hosts the
 // manager/home stack (remote from everyone else, like the paper's "XMM
 // stack is remote" setup), node 1 is the initial writer — whose retained
 // copy is the first "read copy" of the write scenarios, which is what
 // makes the measured fault the *first* request by another node in the
 // single-copy row — and the last node faults.
-func MeasureFault(sys machine.System, sc FaultScenario, seed uint64) (time.Duration, error) {
-	p := machine.DefaultParams(FaultClusterSize(sc))
-	p.System = sys
-	p.Seed = seed
-	p.TrackData = true
-	lat, _, err := measureFaultOn(machine.New(p), sc)
-	return lat, err
-}
-
-// measureFaultOn runs one scenario on an existing cluster (which must have
-// FaultClusterSize(sc) nodes) and also returns the benchmark region so the
-// caller can validate protocol state.
-func measureFaultOn(c *machine.Cluster, sc FaultScenario) (time.Duration, *machine.Region, error) {
+func MeasureFault(c *machine.Cluster, sc FaultScenario) (time.Duration, *machine.Region, error) {
+	if err := checkNodes(c, FaultClusterSize(sc)); err != nil {
+		return 0, nil, err
+	}
 	n := c.P.Nodes
 
 	w, err := simhost.NewWorld(c, []simhost.Spec{{Name: "bench", Pages: 4}})
@@ -157,48 +151,25 @@ func measureFaultOn(c *machine.Cluster, sc FaultScenario) (time.Duration, *machi
 	return lat, w.Region(0), nil
 }
 
-// MeasureWriteFaultVsReaders sweeps Figure 10: write-fault (and upgrade)
-// latency against the number of read copies.
-func MeasureWriteFaultVsReaders(sys machine.System, readers []int, upgrade bool, seed uint64) ([]time.Duration, error) {
-	out := make([]time.Duration, len(readers))
-	for i, r := range readers {
-		lat, err := MeasureFault(sys, FaultScenario{
-			Name:           fmt.Sprintf("fig10 r=%d", r),
-			Readers:        r,
-			Write:          true,
-			FaulterHasCopy: upgrade,
-		}, seed)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = lat
-	}
-	return out, nil
-}
-
-// MeasureChainFault reproduces Figure 11: a 128 KB region is initialized
-// on node 0, a chain of copies spans `chain` additional nodes (one remote
-// fork per node), and the last node faults in every page. Returned is the
-// mean per-page fault latency.
-func MeasureChainFault(sys machine.System, chain int, seed uint64) (time.Duration, error) {
+// MeasureChainFault reproduces Figure 11 on c, which must have chain+1
+// nodes: a 128 KB region is initialized on node 0, a chain of copies spans
+// `chain` additional nodes (one remote fork per node), and the last node
+// faults in every page. Returned is the mean per-page fault latency and the
+// region.
+func MeasureChainFault(c *machine.Cluster, chain int) (time.Duration, *machine.Region, error) {
 	const regionPages = 16 // 128 KByte
-	n := chain + 1
-	if n < 2 {
-		return 0, fmt.Errorf("workload: chain needs at least 1 hop")
+	if chain < 1 {
+		return 0, nil, fmt.Errorf("workload: chain needs at least 1 hop")
 	}
-	p := machine.DefaultParams(n)
-	p.System = sys
-	p.Seed = seed
-	p.TrackData = true
-	c := machine.New(p)
-
+	if err := checkNodes(c, chain+1); err != nil {
+		return 0, nil, err
+	}
 	w, err := simhost.NewWorld(c, []simhost.Spec{
 		{Name: "chain", Pages: regionPages, Nodes: []int{0}, Private: true},
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-
 	var mean time.Duration
 	w.GoOn(0, "bench", func(h app.Host) error {
 		for i := 0; i < regionPages; i++ {
@@ -228,7 +199,16 @@ func MeasureChainFault(sys machine.System, chain int, seed uint64) (time.Duratio
 		return nil
 	})
 	if err := w.Run(); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return mean, nil
+	return mean, w.Region(0), nil
+}
+
+// checkNodes rejects a cluster whose size differs from what the workload
+// lays its roles out over.
+func checkNodes(c *machine.Cluster, want int) error {
+	if c.P.Nodes != want {
+		return fmt.Errorf("workload: cluster has %d nodes, want %d", c.P.Nodes, want)
+	}
+	return nil
 }

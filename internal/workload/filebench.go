@@ -16,49 +16,37 @@ const FileBenchBytes = 4 << 20
 // FileBenchPages is the file size in pages.
 const FileBenchPages = FileBenchBytes / vm.PageSize
 
-// FileClusterSize returns the node count the file benchmarks use for
-// nNodes active clients (one extra so the I/O node stays off the clients).
-func FileClusterSize(nNodes int) int {
-	total := nNodes + 1
-	if total < 2 {
-		total = 2
-	}
-	return total
-}
+// FileClusterSize returns the node count a cluster running a file
+// benchmark for nNodes active clients must have: one extra, so the I/O
+// node (node 0) stays off the clients.
+func FileClusterSize(nNodes int) int { return nNodes + 1 }
 
-// fileUsers returns the client node indices for the benchmarks (node 0 —
-// the I/O node — stays off the client list except in the 1-node corner).
-func fileUsers(total, nNodes int) []int {
+// fileUsers checks c against the size contract and returns the client node
+// indices 1..nNodes.
+func fileUsers(c *machine.Cluster, nNodes int) ([]int, error) {
+	if nNodes < 1 {
+		return nil, fmt.Errorf("workload: file benchmark needs at least 1 client, got %d", nNodes)
+	}
+	if err := checkNodes(c, FileClusterSize(nNodes)); err != nil {
+		return nil, err
+	}
 	users := make([]int, nNodes)
 	for i := range users {
 		users[i] = i + 1
-		if users[i] >= total {
-			users[i] = 0
-		}
 	}
-	if nNodes == 1 {
-		users = []int{1}
-	}
-	return users
+	return users, nil
 }
 
-// MeasureFileWrite reproduces Table 2's write rows: nNodes map the same
-// (initially empty) 4 MB file and each writes a disjoint section using
-// asynchronous writes (dirty pages are not forced out). Returned is the
-// mean per-node effective transfer rate in MB/s.
-func MeasureFileWrite(sys machine.System, nNodes int, seed uint64) (float64, error) {
-	p := machine.DefaultParams(FileClusterSize(nNodes))
-	p.System = sys
-	p.Seed = seed
-	rate, _, err := fileWriteOn(machine.New(p), nNodes)
-	return rate, err
-}
-
-// fileWriteOn runs the write benchmark on an existing cluster (which must
-// have FileClusterSize(nNodes) nodes), returning the rate and the file
-// region for protocol-state validation.
-func fileWriteOn(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
-	users := fileUsers(c.P.Nodes, nNodes)
+// MeasureFileWrite reproduces Table 2's write rows on c, which must have
+// FileClusterSize(nNodes) nodes: nNodes map the same (initially empty) 4 MB
+// file and each writes a disjoint section using asynchronous writes (dirty
+// pages are not forced out). Returned is the mean per-node effective
+// transfer rate in MB/s and the file region.
+func MeasureFileWrite(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
+	users, err := fileUsers(c, nNodes)
+	if err != nil {
+		return 0, nil, err
+	}
 	w, err := simhost.NewWorld(c, []simhost.Spec{
 		{Name: "bench", Pages: FileBenchPages, Nodes: users, File: true},
 	})
@@ -99,26 +87,14 @@ func fileWriteOn(c *machine.Cluster, nNodes int) (float64, *machine.Region, erro
 	return sumRate / float64(nNodes), w.Region(0), nil
 }
 
-// MeasureFileRead reproduces Table 2's read rows: nNodes read the entire
-// preloaded 4 MB file in parallel. Returned is the mean per-node rate in
-// MB/s.
-func MeasureFileRead(sys machine.System, nNodes int, seed uint64) (float64, error) {
-	p := machine.DefaultParams(FileClusterSize(nNodes))
-	p.System = sys
-	p.Seed = seed
-	rate, _, err := fileReadOn(machine.New(p), nNodes)
-	return rate, err
-}
-
-// fileReadOn runs the read benchmark on an existing cluster (which must
-// have FileClusterSize(nNodes) nodes).
-func fileReadOn(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
-	users := make([]int, nNodes)
-	for i := range users {
-		users[i] = i + 1
-	}
-	if nNodes == 1 {
-		users = []int{1}
+// MeasureFileRead reproduces Table 2's read rows on c, which must have
+// FileClusterSize(nNodes) nodes: nNodes read the entire preloaded 4 MB file
+// in parallel. Returned is the mean per-node rate in MB/s and the file
+// region.
+func MeasureFileRead(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
+	users, err := fileUsers(c, nNodes)
+	if err != nil {
+		return 0, nil, err
 	}
 	w, err := simhost.NewWorld(c, []simhost.Spec{
 		{Name: "bench", Pages: FileBenchPages, Nodes: users, File: true, Preload: true},
@@ -137,7 +113,7 @@ func fileReadOn(c *machine.Cluster, nNodes int) (float64, *machine.Region, error
 			t0 := h.Now()
 			// Stagger starting offsets so nodes don't convoy on the same
 			// page, like independent readers would.
-			start := (i * FileBenchPages) / max(nNodes, 1)
+			start := (i * FileBenchPages) / nNodes
 			for k := 0; k < FileBenchPages; k++ {
 				pg := (start + k) % FileBenchPages
 				if _, err := h.Read(0, int64(pg*vm.PageSize)); err != nil {
@@ -159,11 +135,4 @@ func fileReadOn(c *machine.Cluster, nNodes int) (float64, *machine.Region, error
 		sumRate += float64(FileBenchBytes) / times[i].Seconds() / 1e6
 	}
 	return sumRate / float64(nNodes), w.Region(0), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

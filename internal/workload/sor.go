@@ -26,11 +26,6 @@ type SORConfig struct {
 	Nodes int
 	// PerElemCompute is the update cost per grid element.
 	PerElemCompute time.Duration
-	// MemMB is per-node memory (0 = unlimited).
-	MemMB int
-	// Seed drives nothing yet (the grid is deterministic) but keeps the
-	// interface uniform.
-	Seed uint64
 }
 
 // DefaultSOR returns a medium-size configuration.
@@ -38,26 +33,18 @@ func DefaultSOR(rows, cols, nodes, iters int) SORConfig {
 	return SORConfig{
 		Rows: rows, Cols: cols, Iters: iters, Nodes: nodes,
 		PerElemCompute: 150 * time.Nanosecond,
-		MemMB:          0,
-		Seed:           1,
 	}
 }
 
-// RunSOR executes the solver and returns the time for the iteration loop.
-func RunSOR(sys machine.System, cfg SORConfig) (time.Duration, error) {
-	if cfg.Rows%cfg.Nodes != 0 {
-		return 0, fmt.Errorf("workload: %d rows not divisible by %d nodes", cfg.Rows, cfg.Nodes)
+// RunSOR executes the solver on c, which must have cfg.Nodes nodes, and
+// returns the time for the iteration loop and the grid region.
+func RunSOR(c *machine.Cluster, cfg SORConfig) (time.Duration, *machine.Region, error) {
+	if cfg.Nodes < 1 || cfg.Rows%cfg.Nodes != 0 {
+		return 0, nil, fmt.Errorf("workload: %d rows not divisible by %d nodes", cfg.Rows, cfg.Nodes)
 	}
-	mp := machine.DefaultParams(cfg.Nodes)
-	mp.System = sys
-	mp.MemMB = cfg.MemMB
-	mp.Seed = cfg.Seed
-	c := machine.New(mp)
-	return RunSOROn(c, cfg)
-}
-
-// RunSOROn executes the solver on an existing cluster.
-func RunSOROn(c *machine.Cluster, cfg SORConfig) (time.Duration, error) {
+	if err := checkNodes(c, cfg.Nodes); err != nil {
+		return 0, nil, err
+	}
 	rowBytes := int64(cfg.Cols) * 8
 	gridBytes := rowBytes * int64(cfg.Rows)
 	regionPages := vm.PageIdx((gridBytes + vm.PageSize - 1) / vm.PageSize)
@@ -67,7 +54,7 @@ func RunSOROn(c *machine.Cluster, cfg SORConfig) (time.Duration, error) {
 	}
 	w, err := simhost.NewWorld(c, []simhost.Spec{{Name: "sor", Pages: int64(regionPages)}})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	bar := w.NewBarrier()
 
@@ -103,7 +90,7 @@ func RunSOROn(c *machine.Cluster, cfg SORConfig) (time.Duration, error) {
 		compute := time.Duration(rowsPer*cfg.Cols) * cfg.PerElemCompute
 
 		if err := w.Prepare(n); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		w.GoOn(n, fmt.Sprintf("sor%d", n), func(h app.Host) error {
 			touch := func(pages []vm.PageIdx, write bool) error {
@@ -147,12 +134,12 @@ func RunSOROn(c *machine.Cluster, cfg SORConfig) (time.Duration, error) {
 		})
 	}
 	if err := w.Run(); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	var first, last sim.Time
 	for n := range all {
 		if ends[n] == 0 {
-			return 0, fmt.Errorf("workload: sor node %d never finished", n)
+			return 0, nil, fmt.Errorf("workload: sor node %d never finished", n)
 		}
 		if n == 0 || starts[n] < first {
 			first = starts[n]
@@ -161,5 +148,5 @@ func RunSOROn(c *machine.Cluster, cfg SORConfig) (time.Duration, error) {
 			last = ends[n]
 		}
 	}
-	return last - first, nil
+	return last - first, w.Region(0), nil
 }

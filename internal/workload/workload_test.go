@@ -7,6 +7,44 @@ import (
 	"asvm/internal/machine"
 )
 
+// newCluster assembles the nodes-node cluster a test runs one workload on.
+func newCluster(sys machine.System, nodes int, seed uint64, trackData bool) *machine.Cluster {
+	p := machine.DefaultParams(nodes)
+	p.System = sys
+	p.Seed = seed
+	p.TrackData = trackData
+	return machine.New(p)
+}
+
+func measureFault(sys machine.System, sc FaultScenario, seed uint64) (time.Duration, error) {
+	lat, _, err := MeasureFault(newCluster(sys, FaultClusterSize(sc), seed, true), sc)
+	return lat, err
+}
+
+func measureChainFault(sys machine.System, chain int) (time.Duration, error) {
+	lat, _, err := MeasureChainFault(newCluster(sys, chain+1, 1, true), chain)
+	return lat, err
+}
+
+func measureFile(run func(*machine.Cluster, int) (float64, *machine.Region, error), sys machine.System, nNodes int) (float64, error) {
+	rate, _, err := run(newCluster(sys, FileClusterSize(nNodes), 1, false), nNodes)
+	return rate, err
+}
+
+func runEM3D(sys machine.System, cfg EM3DConfig) (time.Duration, error) {
+	p := machine.DefaultParams(cfg.Nodes)
+	p.System = sys
+	p.MemMB = cfg.MemMB
+	p.Seed = cfg.Seed
+	d, _, err := RunEM3D(machine.New(p), cfg)
+	return d, err
+}
+
+func runSOR(sys machine.System, cfg SORConfig) (time.Duration, error) {
+	d, _, err := RunSOR(newCluster(sys, cfg.Nodes, 1, false), cfg)
+	return d, err
+}
+
 func TestTable1ScenarioCount(t *testing.T) {
 	if n := len(Table1Scenarios()); n != 7 {
 		t.Fatalf("scenarios = %d, want 7 (paper Table 1 rows)", n)
@@ -18,11 +56,11 @@ func TestFaultASVMBeatsXMMOnEveryRow(t *testing.T) {
 		if sc.Readers > 4 {
 			sc.Readers = 4 // keep the unit test fast; the bench runs full size
 		}
-		a, err := MeasureFault(machine.SysASVM, sc, 1)
+		a, err := measureFault(machine.SysASVM, sc, 1)
 		if err != nil {
 			t.Fatalf("%s ASVM: %v", sc.Name, err)
 		}
-		x, err := MeasureFault(machine.SysXMM, sc, 1)
+		x, err := measureFault(machine.SysXMM, sc, 1)
 		if err != nil {
 			t.Fatalf("%s XMM: %v", sc.Name, err)
 		}
@@ -34,11 +72,11 @@ func TestFaultASVMBeatsXMMOnEveryRow(t *testing.T) {
 
 func TestFaultLatencyGrowsWithReaders(t *testing.T) {
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
-		lat2, err := MeasureFault(sys, FaultScenario{Readers: 2, Write: true}, 1)
+		lat2, err := measureFault(sys, FaultScenario{Readers: 2, Write: true}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat8, err := MeasureFault(sys, FaultScenario{Readers: 8, Write: true}, 1)
+		lat8, err := measureFault(sys, FaultScenario{Readers: 8, Write: true}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +88,11 @@ func TestFaultLatencyGrowsWithReaders(t *testing.T) {
 
 func TestMeasureFaultDeterministic(t *testing.T) {
 	sc := FaultScenario{Readers: 2, Write: true}
-	a, err := MeasureFault(machine.SysASVM, sc, 7)
+	a, err := measureFault(machine.SysASVM, sc, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureFault(machine.SysASVM, sc, 7)
+	b, err := measureFault(machine.SysASVM, sc, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +103,11 @@ func TestMeasureFaultDeterministic(t *testing.T) {
 
 func TestChainFaultGrowsLinearly(t *testing.T) {
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
-		l1, err := MeasureChainFault(sys, 1, 1)
+		l1, err := measureChainFault(sys, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l3, err := MeasureChainFault(sys, 3, 1)
+		l3, err := measureChainFault(sys, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +119,11 @@ func TestChainFaultGrowsLinearly(t *testing.T) {
 
 func TestChainASVMMuchFlatterThanXMM(t *testing.T) {
 	slope := func(sys machine.System) time.Duration {
-		l1, err := MeasureChainFault(sys, 1, 1)
+		l1, err := measureChainFault(sys, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l5, err := MeasureChainFault(sys, 5, 1)
+		l5, err := measureChainFault(sys, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +136,11 @@ func TestChainASVMMuchFlatterThanXMM(t *testing.T) {
 }
 
 func TestFileWriteRatesDeclineWithNodes(t *testing.T) {
-	r1, err := MeasureFileWrite(machine.SysASVM, 1, 1)
+	r1, err := measureFile(MeasureFileWrite, machine.SysASVM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := MeasureFileWrite(machine.SysASVM, 8, 1)
+	r8, err := measureFile(MeasureFileWrite, machine.SysASVM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +153,19 @@ func TestFileWriteRatesDeclineWithNodes(t *testing.T) {
 }
 
 func TestFileReadASVMSustainsXMMCollapses(t *testing.T) {
-	a2, err := MeasureFileRead(machine.SysASVM, 2, 1)
+	a2, err := measureFile(MeasureFileRead, machine.SysASVM, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := MeasureFileRead(machine.SysASVM, 8, 1)
+	a8, err := measureFile(MeasureFileRead, machine.SysASVM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := MeasureFileRead(machine.SysXMM, 2, 1)
+	x2, err := measureFile(MeasureFileRead, machine.SysXMM, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x8, err := MeasureFileRead(machine.SysXMM, 8, 1)
+	x8, err := measureFile(MeasureFileRead, machine.SysXMM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +209,7 @@ func TestEM3DASVMSpeedsUpXMMSlowsDown(t *testing.T) {
 		if nodes == 1 {
 			cfg.MemMB = 0
 		}
-		d, err := RunEM3D(sys, cfg)
+		d, err := runEM3D(sys, cfg)
 		if err != nil {
 			t.Fatalf("%v nodes=%d: %v", sys, nodes, err)
 		}
@@ -190,11 +228,11 @@ func TestEM3DASVMSpeedsUpXMMSlowsDown(t *testing.T) {
 
 func TestEM3DDeterministic(t *testing.T) {
 	cfg := DefaultEM3D(8000, 4, 2)
-	a, err := RunEM3D(machine.SysASVM, cfg)
+	a, err := runEM3D(machine.SysASVM, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEM3D(machine.SysASVM, cfg)
+	b, err := runEM3D(machine.SysASVM, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,18 +267,18 @@ func TestEM3DPlanCoversAllOwnPages(t *testing.T) {
 
 func TestEM3DRejectsIndivisibleCells(t *testing.T) {
 	cfg := DefaultEM3D(1000, 3, 1)
-	if _, err := RunEM3D(machine.SysASVM, cfg); err == nil {
+	if _, err := runEM3D(machine.SysASVM, cfg); err == nil {
 		t.Fatal("1000 cells on 3 nodes should be rejected")
 	}
 }
 
 func TestSORBothSystemsCorrectAndOrdered(t *testing.T) {
 	// The SOR halo-exchange pattern: ASVM scales, XMM pays the manager.
-	a, err := RunSOR(machine.SysASVM, DefaultSOR(512, 512, 4, 3))
+	a, err := runSOR(machine.SysASVM, DefaultSOR(512, 512, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := RunSOR(machine.SysXMM, DefaultSOR(512, 512, 4, 3))
+	x, err := runSOR(machine.SysXMM, DefaultSOR(512, 512, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +291,11 @@ func TestSORBothSystemsCorrectAndOrdered(t *testing.T) {
 }
 
 func TestSORScalesUnderASVM(t *testing.T) {
-	seq, err := RunSOR(machine.SysASVM, DefaultSOR(1024, 1024, 1, 2))
+	seq, err := runSOR(machine.SysASVM, DefaultSOR(1024, 1024, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSOR(machine.SysASVM, DefaultSOR(1024, 1024, 4, 2))
+	par, err := runSOR(machine.SysASVM, DefaultSOR(1024, 1024, 4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,24 +305,68 @@ func TestSORScalesUnderASVM(t *testing.T) {
 }
 
 func TestSORRejectsIndivisibleRows(t *testing.T) {
-	if _, err := RunSOR(machine.SysASVM, DefaultSOR(100, 100, 3, 1)); err == nil {
+	if _, err := runSOR(machine.SysASVM, DefaultSOR(100, 100, 3, 1)); err == nil {
 		t.Fatal("100 rows on 3 nodes accepted")
 	}
 }
 
+// TestMeasureWriteFaultVsReadersSweep checks Figure 10's shape: write
+// faults get slower with more read copies, and an upgrade fault (the
+// faulter holds a copy) is cheaper than a plain write fault.
 func TestMeasureWriteFaultVsReadersSweep(t *testing.T) {
-	lats, err := MeasureWriteFaultVsReaders(machine.SysASVM, []int{1, 4}, false, 1)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(readers int, upgrade bool) time.Duration {
+		lat, err := measureFault(machine.SysASVM, FaultScenario{Readers: readers, Write: true, FaulterHasCopy: upgrade}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lat
 	}
-	if len(lats) != 2 || lats[1] <= lats[0] {
-		t.Fatalf("sweep = %v, want increasing", lats)
+	w1, w4, u4 := sweep(1, false), sweep(4, false), sweep(4, true)
+	if w4 <= w1 {
+		t.Fatalf("sweep = [%v %v], want increasing", w1, w4)
 	}
-	ups, err := MeasureWriteFaultVsReaders(machine.SysASVM, []int{4}, true, 1)
-	if err != nil {
-		t.Fatal(err)
+	if u4 >= w4 {
+		t.Fatalf("upgrade (%v) not cheaper than write fault (%v)", u4, w4)
 	}
-	if ups[0] >= lats[1] {
-		t.Fatalf("upgrade (%v) not cheaper than write fault (%v)", ups[0], lats[1])
+}
+
+// TestEntryPointsRejectWrongSizeCluster pins the size contract: every
+// workload entry point handed a cluster of the wrong size returns an
+// error instead of panicking on a missing node.
+func TestEntryPointsRejectWrongSizeCluster(t *testing.T) {
+	sc := Table1Scenarios()[0]
+	em3d := DefaultEM3D(8000, 4, 1)
+	sor := DefaultSOR(64, 64, 4, 1)
+	crash := DefaultCrash(4, 1, 1)
+	runs := map[string]func(c *machine.Cluster) error{
+		"MeasureFault": func(c *machine.Cluster) error { _, _, err := MeasureFault(c, sc); return err },
+		"MeasureChainFault": func(c *machine.Cluster) error {
+			_, _, err := MeasureChainFault(c, 3)
+			return err
+		},
+		"MeasureFileWrite": func(c *machine.Cluster) error { _, _, err := MeasureFileWrite(c, 3); return err },
+		"MeasureFileRead":  func(c *machine.Cluster) error { _, _, err := MeasureFileRead(c, 3); return err },
+		"RunEM3D":          func(c *machine.Cluster) error { _, _, err := RunEM3D(c, em3d); return err },
+		"RunSOR":           func(c *machine.Cluster) error { _, _, err := RunSOR(c, sor); return err },
+		"CrashChurn":       func(c *machine.Cluster) error { _, _, err := CrashChurn(c, crash); return err },
+	}
+	// The right sizes are 5, 4, 4, 4, 4, 4 and 4 nodes: 2 is too small for
+	// all of them, 9 too large.
+	for name, run := range runs {
+		for _, nodes := range []int{2, 9} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on %d nodes panicked: %v", name, nodes, r)
+					}
+				}()
+				if err := run(newCluster(machine.SysASVM, nodes, 1, true)); err == nil {
+					t.Errorf("%s accepted a %d-node cluster", name, nodes)
+				}
+			}()
+		}
+	}
+	if _, _, err := MeasureFileWrite(newCluster(machine.SysASVM, 1, 1, false), 0); err == nil {
+		t.Error("MeasureFileWrite accepted 0 clients")
 	}
 }

@@ -88,9 +88,6 @@ func NewFaulty(e *sim.Engine, inner Transport, plan FaultPlan, rng *sim.RNG) *Fa
 	return &FaultyTransport{inner: inner, eng: e, plan: plan, rng: rng}
 }
 
-// Inner returns the wrapped transport.
-func (t *FaultyTransport) Inner() Transport { return t.inner }
-
 // Name implements Transport; the wrapper is cost-transparent and keeps the
 // inner transport's name.
 func (t *FaultyTransport) Name() string { return t.inner.Name() }

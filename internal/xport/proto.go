@@ -65,11 +65,3 @@ func (p ProtoID) Name() string {
 
 // String implements fmt.Stringer so %v/%s on a ProtoID prints the name.
 func (p ProtoID) String() string { return p.Name() }
-
-// NumProtos returns how many channels have been registered, an upper bound
-// transports can use to size dispatch tables.
-func NumProtos() int {
-	protoRegistry.Lock()
-	defer protoRegistry.Unlock()
-	return len(protoRegistry.names)
-}

@@ -198,9 +198,6 @@ func (r *Reliable) OnPeerDown(n mesh.NodeID, fn func(ErrPeerDown)) {
 	r.onDown[n] = fn
 }
 
-// Inner returns the wrapped transport.
-func (r *Reliable) Inner() Transport { return r.inner }
-
 // Name implements Transport; the layer is name-transparent.
 func (r *Reliable) Name() string { return r.inner.Name() }
 
