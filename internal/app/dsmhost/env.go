@@ -37,11 +37,6 @@ type Conn interface {
 type Env struct {
 	conns []Conn
 
-	// StepRounds and FinalRounds are the stability windows (consecutive
-	// polls with every node quiet and total frame traffic unchanged) for
-	// the per-step and the final drain; DrainTimeout bounds each wait.
-	StepRounds  int
-	FinalRounds int
 	// DrainTimeout bounds each drain; on expiry the error is a
 	// dsm.ErrDrainTimeout.
 	DrainTimeout time.Duration
@@ -49,16 +44,17 @@ type Env struct {
 	start time.Time
 }
 
+// The drains' stability windows: consecutive polls with every node quiet
+// and total frame traffic unchanged, after each step and at the end.
+const (
+	stepRounds  = 3
+	finalRounds = 5
+)
+
 // New builds an Env over explicit conns (mostly for tests; use
 // FromClients or FromNodes).
 func New(conns []Conn) *Env {
-	return &Env{
-		conns:        conns,
-		StepRounds:   3,
-		FinalRounds:  5,
-		DrainTimeout: 30 * time.Second,
-		start:        time.Now(),
-	}
+	return &Env{conns: conns, DrainTimeout: 30 * time.Second, start: time.Now()}
 }
 
 // FromClients builds an Env over control-plane clients, one per mesh
@@ -103,14 +99,14 @@ func (e *Env) Step(node int, label string, fn func(h app.Host) error) (time.Dura
 	if err := fn(host{env: e, node: node, lat: &lat}); err != nil {
 		return lat, err
 	}
-	if err := e.drain(e.StepRounds); err != nil {
+	if err := e.drain(stepRounds); err != nil {
 		return lat, fmt.Errorf("dsmhost: drain after %s: %w", label, err)
 	}
 	return lat, nil
 }
 
 // Drain implements app.Env with the stricter final stability window.
-func (e *Env) Drain() error { return e.drain(e.FinalRounds) }
+func (e *Env) Drain() error { return e.drain(finalRounds) }
 
 func (e *Env) drain(rounds int) error {
 	pollers := make([]dsm.QuietPoller, len(e.conns))

@@ -118,54 +118,12 @@ type Node struct {
 	// crash-free run, so the strict panics keep their full force there.
 	crashEra bool
 
-	// poolMsgs enables message-box recycling (see msgPool). On by default;
-	// machine.New turns it off when the transport stack can duplicate or
-	// retain deliveries (fault injection, reliable retransmission).
-	poolMsgs bool
-
 	// Free lists for the hot wire kinds, one per concrete type.
 	reqPool   msgPool[accessReq]
 	grantPool msgPool[grantMsg]
 	invalPool msgPool[invalMsg]
 	iackPool  msgPool[invalAck]
 	oupdPool  msgPool[ownerUpdate]
-}
-
-// SetMsgPooling toggles message-box recycling. It must be off whenever a
-// delivery is not exactly-once-and-then-dead: a duplicating fault plan or a
-// retransmitting reliability layer may hand the same box to handle twice,
-// and a recycled box read twice is memory corruption, not a protocol bug.
-func (n *Node) SetMsgPooling(on bool) { n.poolMsgs = on }
-
-func (n *Node) putReq(b *accessReq) {
-	if n.poolMsgs {
-		n.reqPool.put(b)
-	}
-}
-
-func (n *Node) putGrant(b *grantMsg) {
-	if n.poolMsgs {
-		vm.PutPageBuf(b.Data)
-		n.grantPool.put(b)
-	}
-}
-
-func (n *Node) putInval(b *invalMsg) {
-	if n.poolMsgs {
-		n.invalPool.put(b)
-	}
-}
-
-func (n *Node) putInvalAck(b *invalAck) {
-	if n.poolMsgs {
-		n.iackPool.put(b)
-	}
-}
-
-func (n *Node) putOwnerUpdate(b *ownerUpdate) {
-	if n.poolMsgs {
-		n.oupdPool.put(b)
-	}
 }
 
 // NewNode creates the ASVM runtime for one node and registers its
@@ -176,7 +134,6 @@ func NewNode(eng *sim.Engine, k *vm.Kernel, tr xport.Transport, cfg Config) *Nod
 		instances: make(map[vm.ObjID]*Instance),
 		Ctr:       sim.NewCounters(),
 		Trace:     newTraceBuf(k.Node),
-		poolMsgs:  true,
 	}
 	tr.Register(n.Self, Proto, n.handle)
 	return n
@@ -214,23 +171,24 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	case msgAccessReq:
 		msg := m.(*accessReq)
 		n.inst(msg.Obj).dispatch(EvAccessReq, msg.Idx, m)
-		n.putReq(msg)
+		n.reqPool.put(msg)
 	case msgGrant:
 		msg := m.(*grantMsg)
 		n.inst(msg.Obj).dispatch(EvGrant, msg.Idx, m)
-		n.putGrant(msg)
+		vm.PutPageBuf(msg.Data)
+		n.grantPool.put(msg)
 	case msgInval:
 		msg := m.(*invalMsg)
 		n.inst(msg.Obj).dispatch(EvInval, msg.Idx, m)
-		n.putInval(msg)
+		n.invalPool.put(msg)
 	case msgInvalAck:
 		msg := m.(*invalAck)
 		n.inst(msg.Obj).dispatch(EvInvalAck, msg.Idx, m)
-		n.putInvalAck(msg)
+		n.iackPool.put(msg)
 	case msgOwnerUpdate:
 		msg := m.(*ownerUpdate)
 		n.inst(msg.Obj).dispatch(EvOwnerUpdate, msg.Idx, m)
-		n.putOwnerUpdate(msg)
+		n.oupdPool.put(msg)
 	case msgOwnerXfer:
 		msg := m.(ownerXfer)
 		n.inst(msg.Obj).dispatch(EvOwnerXfer, msg.Idx, m)
@@ -240,9 +198,7 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	case msgPageOffer:
 		msg := m.(pageOffer)
 		n.inst(msg.Obj).dispatch(EvPageOffer, msg.Idx, m)
-		if n.poolMsgs { // like a box's, the offer's page is dead after dispatch
-			vm.PutPageBuf(msg.Data)
-		}
+		vm.PutPageBuf(msg.Data) // like a box's, the offer's page is dead after dispatch
 	case msgPageOfferAck:
 		msg := m.(pageOfferAck)
 		n.inst(msg.Obj).dispatch(EvPageOfferAck, msg.Idx, m)
@@ -272,30 +228,29 @@ func (n *Node) handleNack(nk xport.Nack) {
 	n.Ctr.V[sim.CtrNacks]++
 	switch msg := nk.Msg.(type) {
 	case *accessReq:
-		if n.Hooks.DropNackResume {
-			n.putReq(msg)
-			return
+		if !n.Hooks.DropNackResume {
+			n.inst(msg.Obj).dispatch(EvReqNack, msg.Idx, nk)
 		}
-		n.inst(msg.Obj).dispatch(EvReqNack, msg.Idx, nk)
-		n.putReq(msg)
+		n.reqPool.put(msg)
 	case *ownerUpdate:
 		// A hint refresh for an unreachable static manager: lose the hint,
 		// requests will fall through to the home instead.
 		n.Ctr.V[sim.CtrHintNacks]++
-		n.putOwnerUpdate(msg)
+		n.oupdPool.put(msg)
 	case *grantMsg:
 		n.nackGrant(nk.Dst, *msg)
-		n.putGrant(msg)
+		vm.PutPageBuf(msg.Data)
+		n.grantPool.put(msg)
 	case *invalMsg:
 		// The reader we were invalidating is dead: it holds no copy any
 		// more, which is exactly what the invalidation wanted.
 		if in := n.instances[msg.Obj]; in != nil {
 			in.completeInvalTarget(msg.Seq, nk.Dst)
 		}
-		n.putInval(msg)
+		n.invalPool.put(msg)
 	case *invalAck:
 		// Our ack to a dead invalidator: nothing left to confirm.
-		n.putInvalAck(msg)
+		n.iackPool.put(msg)
 	case ownerXfer:
 		// The reader we offered ownership to is dead: treat as declined.
 		if in := n.instances[msg.Obj]; in != nil {
@@ -306,6 +261,7 @@ func (n *Node) handleNack(nk xport.Nack) {
 		if in := n.instances[msg.Obj]; in != nil {
 			in.completeXfer(msg.Seq, false)
 		}
+		vm.PutPageBuf(msg.Data)
 	case toPager:
 		// The home is down: the evicted contents have nowhere to go. The
 		// data is gone (crash-stop) — count the loss and finish the

@@ -1,7 +1,9 @@
 package asvm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"asvm/internal/mesh"
 	"asvm/internal/sim"
@@ -233,19 +235,10 @@ func (n *Node) instancesSorted() []*Instance {
 	for _, in := range n.instances {
 		out = append(out, in)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && lessObjID(out[j].info.ID, out[j-1].info.ID); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b *Instance) int {
+		return cmp.Or(cmp.Compare(a.info.ID.Node, b.info.ID.Node), cmp.Compare(a.info.ID.Seq, b.info.ID.Seq))
+	})
 	return out
-}
-
-func lessObjID(a, b vm.ObjID) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	return a.Seq < b.Seq
 }
 
 // completePendingFor completes, in deterministic seq order, every protocol
@@ -265,7 +258,7 @@ func (in *Instance) completePendingFor(dead mesh.NodeID) {
 			}
 		}
 	}
-	sortSeqsAsc(seqs)
+	slices.Sort(seqs)
 	for _, s := range seqs {
 		in.completeInvalTarget(s, dead)
 	}
@@ -276,7 +269,7 @@ func (in *Instance) completePendingFor(dead mesh.NodeID) {
 			seqs = append(seqs, s)
 		}
 	}
-	sortSeqsAsc(seqs)
+	slices.Sort(seqs)
 	for _, s := range seqs {
 		in.completeXfer(s, false)
 	}
@@ -287,20 +280,12 @@ func (in *Instance) completePendingFor(dead mesh.NodeID) {
 			seqs = append(seqs, s)
 		}
 	}
-	sortSeqsAsc(seqs)
+	slices.Sort(seqs)
 	for _, s := range seqs {
 		if w := in.pendPgr[s]; w.dirty {
 			in.nd.Ctr.V[sim.CtrPagesLost]++
 		}
 		in.completePgr(s)
-	}
-}
-
-func sortSeqsAsc(ss []uint64) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
 	}
 }
 

@@ -219,7 +219,6 @@ func (in *Instance) send(to mesh.NodeID, m xport.Msg) {
 // cover every hot-path protocol message, so the steady-state send side
 // allocates nothing.
 func (in *Instance) sendGrant(to mesh.NodeID, g grantMsg) {
-	g.sentPut = in.nd.poolMsgs
 	in.send(to, in.nd.grantPool.get(g))
 }
 
@@ -236,8 +235,8 @@ func (in *Instance) sendOwnerUpdate(to mesh.NodeID, u ownerUpdate) {
 }
 
 // copyData snapshots page contents for a message (nil stays nil in
-// metadata-only runs) into a pooled page buffer, which the receiver puts
-// back with the box (see Node.putGrant); anything longer reallocates.
+// metadata-only runs) into a pooled page buffer, which goes back with the
+// message (see msgPool); anything longer reallocates.
 func copyData(d []byte) []byte {
 	if d == nil {
 		return nil

@@ -74,10 +74,6 @@ type (
 		// instead of waiting forever. From carries the dead home's ID.
 		Unavailable bool
 		From        mesh.NodeID
-
-		// sentPut, never on the wire: sendGrant sets it when deliveries are
-		// exactly-once (Node.poolMsgs), which lets WireSent release Data.
-		sentPut bool
 	}
 
 	// invalMsg removes a read copy; the reader learns the new owner for
@@ -207,13 +203,19 @@ const (
 // the pager already has the contents).
 
 // msgPool is a free list of boxed messages for one wire kind. The hot
-// message kinds are sent as *T so the interface box itself is reusable:
-// Node.handle returns each box after its dispatch completes (the protocol
-// never retains one — actions copy the value out). Recycling is gated by
-// Node.poolMsgs: a transport that can duplicate a delivery or retain a
-// message for retransmission (fault injection, the reliable wrapper) makes
-// "dead after dispatch" false, so under those wrappers put is a no-op and
-// every box is simply garbage collected.
+// message kinds are sent as *T so the interface box itself is reusable.
+//
+// The rule, for boxes and for the page snapshot a grant or page offer
+// carries: each is recycled exactly once, by its last consumer. That is the
+// receiver, once Node.handle's dispatch returns (the protocol never retains
+// a box — actions copy the value out); or the sender, when the message
+// comes back as a Nack and handleNack has acted on it; or, for a grant's
+// snapshot only, a socket transport's writer once the frame is written
+// (WireSent). The transport stack makes "last" well defined: a base
+// transport delivers or bounces each send once, and xport.Reliable hands
+// each frame up once however many copies duplication and retransmission
+// put on the wire (a copy after the first is suppressed or, bounced, dropped
+// before it reaches the handler).
 type msgPool[T any] struct {
 	free []*T
 }
@@ -287,9 +289,6 @@ func (pushScanAck) WireBytes() int      { return 0 }
 
 // WireSent is called by a socket transport once the grant's frame is written:
 // the box will never be delivered in this process, so its page snapshot is
-// dead. (A send that fails comes back as a Nack instead; putGrant puts it.)
-func (g *grantMsg) WireSent() {
-	if g.sentPut {
-		vm.PutPageBuf(g.Data)
-	}
-}
+// dead. (A send that fails comes back as a Nack instead, and handleNack
+// returns the snapshot.)
+func (g *grantMsg) WireSent() { vm.PutPageBuf(g.Data) }

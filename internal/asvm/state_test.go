@@ -2,6 +2,8 @@ package asvm
 
 import (
 	"fmt"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -24,17 +26,26 @@ InvalWait: AccessReq=queueReq Grant=grantBusy InvalAck=invalAck OwnerUpdate=owne
 XferOut: AccessReq=queueReq Grant=grantBusy OwnerUpdate=ownerHint OwnerXfer=xferDecline OwnerXferAck=xferAck PageOffer=offerDecline PageOfferAck=offerAck ToPagerAck=pagerAck FaultWrite=upgradeQueue Evict=evictCancel Teardown=teardown ReqNack=nackResume Crash=crash PeerDown=peerDead
 `
 
-// The crash-stop model (this PR) legalized 33 new pairs — Crash and
-// PeerDown in every state, grantBusy in the four busy states, and the
-// loose pager ack (a Lost report's ack is sequence-matched, so it may
-// return to a slot in any non-XferOut state) — taking the legal count
-// from 103 to 136.
+// The crash-stop model legalized 33 pairs — Crash and PeerDown in every
+// state, grantBusy in the four busy states, and the loose pager ack (a Lost
+// report's ack is sequence-matched, so it may return to a slot in any
+// non-XferOut state) — taking the legal count from 103 to 136. DESIGN.md
+// states the count too; the test reads it there, so the two cannot drift.
 func TestTransitionMatrixGolden(t *testing.T) {
 	if got := TransitionMatrix(); got != goldenMatrix {
 		t.Errorf("transition matrix changed.\ngot:\n%s\nwant:\n%s", got, goldenMatrix)
 	}
 	if got := LegalTransitions(); got != 136 {
 		t.Errorf("LegalTransitions() = %d, want 136", got)
+	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stated := regexp.MustCompile(`\*\*The table\.\*\* (\d+ of the \d+) cells are legal`).FindSubmatch(design)
+	want := fmt.Sprintf("%d of the %d", LegalTransitions(), NumPageStates*NumProtoEvents)
+	if stated == nil || string(stated[1]) != want {
+		t.Errorf("DESIGN.md must say \"**The table.** %s cells are legal\"; it says %q", want, stated)
 	}
 }
 

@@ -385,29 +385,39 @@ func (c *captureTransport) Send(_, _ mesh.NodeID, _ xport.ProtoID, _ int, m inte
 	c.sent = append(c.sent, m)
 }
 
-// A grant lets the socket transport release its page snapshot at write time
-// only in the exactly-once regime that governs every other recycling: with
-// message pooling off (a duplicating or retransmitting transport below), the
-// same box may be encoded again, and WireSent must leave its Data alone.
-func TestGrantWireSentFollowsPoolingRegime(t *testing.T) {
+// A sent grant's page snapshot has one last consumer on the sending side: a
+// socket transport's writer once the frame is written (WireSent), or, when
+// the send comes back as a Nack instead, handleNack, which returns the box
+// to its free list as well. Under -race a returned buffer is poisoned: that
+// is how "returned" is observable.
+func TestGrantSnapshotReturnsOnWireSentOrNack(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := &captureTransport{}
 	nd := NewNode(eng, vm.NewKernel(eng, 0, vm.Costs{}, vm.NewPhysMem(0), true), tr, DefaultConfig())
 	in := &Instance{nd: nd}
-	for _, pooling := range []bool{true, false} {
-		nd.SetMsgPooling(pooling)
+	probe := vm.GetPageBuf()
+	clear(probe)
+	vm.PutPageBuf(probe)
+	poisoning := probe[0] != 0
+	send := func() (*grantMsg, []byte) {
 		page := vm.GetPageBuf()
 		clear(page)
-		in.sendGrant(1, grantMsg{Data: page, HasData: true})
-		g := tr.sent[len(tr.sent)-1].(*grantMsg)
-		if g.sentPut != pooling {
-			t.Fatalf("pooling %v: grant sent with sentPut=%v", pooling, g.sentPut)
-		}
-		g.WireSent()
-		// Under -race a returned buffer is poisoned: that is how "left
-		// alone" is observable.
-		if kept := page[0] == 0; !pooling && !kept {
-			t.Fatal("WireSent released a grant's snapshot with message pooling off")
-		}
+		in.sendGrant(1, grantMsg{Obj: vm.ObjID{Node: 1, Seq: 7}, Data: page, HasData: true})
+		return tr.sent[len(tr.sent)-1].(*grantMsg), page
+	}
+
+	g, page := send()
+	g.WireSent()
+	if poisoning && page[0] == 0 {
+		t.Error("WireSent left the written grant's snapshot out of the pool")
+	}
+
+	g, page = send()
+	nd.handle(1, xport.Nack{Dst: 1, Proto: Proto, Msg: g})
+	if poisoning && page[0] == 0 {
+		t.Error("handleNack left the bounced grant's snapshot out of the pool")
+	}
+	if !reflect.DeepEqual(*g, grantMsg{}) || nd.grantPool.get(grantMsg{}) != g {
+		t.Error("handleNack did not return the bounced grant's box to the free list")
 	}
 }

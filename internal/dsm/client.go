@@ -84,16 +84,13 @@ func (c *Client) Unlock(lo, hi int64) (time.Duration, error) {
 	return time.Duration(resp.LatencyNS), err
 }
 
-// Quiet polls the node's local drain state; frames is its total frame
-// traffic so far (the stability signal for mesh-wide drain).
-func (c *Client) Quiet() (quiet bool, frames uint64, err error) {
+// QuietFrames implements QuietPoller over the control plane: the node's
+// local drain state, and its total frame traffic so far (the stability
+// signal for mesh-wide drain).
+func (c *Client) QuietFrames() (quiet bool, frames uint64, err error) {
 	resp, err := c.roundTrip(CtrlRequest{Op: "quiet"})
 	return resp.Quiet, resp.Frames, err
 }
-
-// QuietFrames is Quiet under the QuietPoller seam's name, so a []*Client
-// mesh drains through the same loop as in-process []*Node meshes.
-func (c *Client) QuietFrames() (bool, uint64, error) { return c.Quiet() }
 
 // Counters fetches the node's merged protocol counters.
 func (c *Client) Counters() (map[string]int64, error) {
@@ -136,23 +133,13 @@ func (e ErrDrainTimeout) Error() string {
 		e.Waited, e.LastActivity)
 }
 
-// DrainMesh waits until every node reports quiet AND total frame traffic
-// has stopped moving for stableRounds consecutive polls. One quiet
+// DrainPollers waits until every node reports quiet AND total frame
+// traffic has stopped moving for stableRounds consecutive polls. One quiet
 // reading per node is not enough: a frame in flight on the wire is
 // invisible to both endpoints, so drain is only believable when nothing
-// has changed anywhere for a window. On timeout the returned error is an
-// ErrDrainTimeout.
-func DrainMesh(clients []*Client, stableRounds int, timeout time.Duration) error {
-	pollers := make([]QuietPoller, len(clients))
-	for i, c := range clients {
-		pollers[i] = c
-	}
-	return DrainPollers(pollers, stableRounds, timeout)
-}
-
-// DrainPollers is DrainMesh over the seam: the same stability-window
-// logic for any mix of control-plane clients, in-process nodes, or
-// fakes.
+// has changed anywhere for a window. The pollers may be any mix of
+// control-plane clients, in-process nodes, or fakes. On timeout the
+// returned error is an ErrDrainTimeout.
 func DrainPollers(pollers []QuietPoller, stableRounds int, timeout time.Duration) error {
 	if stableRounds < 2 {
 		stableRounds = 2

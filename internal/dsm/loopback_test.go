@@ -65,6 +65,7 @@ func TestControlPlane(t *testing.T) {
 
 	srvs := make([]*CtrlServer, n)
 	clients := make([]*Client, n)
+	pollers := make([]QuietPoller, n)
 	for i, nd := range nodes {
 		s, err := ServeCtrl(nd, "127.0.0.1:0")
 		if err != nil {
@@ -77,7 +78,7 @@ func TestControlPlane(t *testing.T) {
 			t.Fatalf("control client %d: %v", i, err)
 		}
 		t.Cleanup(c.Close)
-		clients[i] = c
+		clients[i], pollers[i] = c, c
 	}
 
 	if _, err := clients[0].Write(8, 77); err != nil {
@@ -129,7 +130,7 @@ func TestControlPlane(t *testing.T) {
 	}
 	waitPool(t, nodes[1], 1, 1)
 
-	if err := DrainMesh(clients, 3, 10*time.Second); err != nil {
+	if err := DrainPollers(pollers, 3, 10*time.Second); err != nil {
 		t.Fatalf("drain over control plane: %v", err)
 	}
 	ctrs, err := clients[0].Counters()

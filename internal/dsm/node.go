@@ -263,7 +263,7 @@ func (n *Node) Unlock(lo, hi int64) (time.Duration, error) {
 // events and nothing outstanding in the transport. Frames in flight on
 // the wire are invisible to both endpoints, so mesh-wide drain detection
 // must see every node quiet with stable counters over a window, not one
-// Quiet reading (see Client.DrainMesh).
+// Quiet reading (see DrainPollers).
 func (n *Node) Quiet() bool {
 	quiet := false
 	ok := n.loop.Call(func() {

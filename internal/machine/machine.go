@@ -80,13 +80,13 @@ type Params struct {
 	ASVMOverNorma bool
 
 	// Fault injects message drops/duplicates/delays below the reliability
-	// layer (chaos runs). The zero plan leaves the wire untouched — no
-	// wrapper is even installed.
+	// layer (chaos runs). An active plan implies Reliable. The zero plan
+	// leaves the wire untouched — no wrapper is even installed.
 	Fault xport.FaultPlan
 
 	// Reliable layers per-link sequence numbers, acks and retransmission
-	// over the transport. Chaos runs set it together with Fault; it can
-	// also run alone to measure the layer's overhead on a clean wire.
+	// over the transport. Fault and Crash plans turn it on; it can also
+	// run alone to measure the layer's overhead on a clean wire.
 	Reliable bool
 
 	// Crash schedules crash-stop node failures (and optional restarts) at
@@ -196,8 +196,10 @@ func New(p Params) *Cluster {
 	if p.Nodes < 1 {
 		panic("machine: need at least one node")
 	}
-	if p.Crash.Active() {
-		p.Reliable = true // crash detection lives in the reliability layer
+	if p.Crash.Active() || p.Fault.Active() {
+		// Crash detection and retransmission live in the reliability layer:
+		// without it one dropped message hangs the protocol.
+		p.Reliable = true
 	}
 	e := sim.NewEngine()
 	c := &Cluster{
@@ -255,13 +257,7 @@ func New(p Params) *Cluster {
 	switch p.System {
 	case SysASVM:
 		for i := 0; i < p.Nodes; i++ {
-			nd := asvm.NewNode(e, c.Kerns[i], c.TR, p.ASVM)
-			// Message-box recycling assumes every delivery is exactly-once
-			// and dead after dispatch. A duplicating fault plan or the
-			// retransmitting reliability layer breaks that, so chaos
-			// configurations run un-pooled.
-			nd.SetMsgPooling(!p.Fault.Active() && !p.Reliable)
-			c.ASVMs = append(c.ASVMs, nd)
+			c.ASVMs = append(c.ASVMs, asvm.NewNode(e, c.Kerns[i], c.TR, p.ASVM))
 		}
 		c.proto = asvm.NewCluster(c.ASVMs)
 	case SysXMM:

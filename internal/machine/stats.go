@@ -10,7 +10,8 @@ import (
 // statistics, protocol counters aggregated across nodes, transport and
 // interconnect traffic, message-processor utilization and disk activity.
 // This is the system/application-level monitoring interface the paper's
-// §6 alludes to; the per-counter semantics live next to their Inc sites.
+// §6 alludes to; the per-counter semantics live next to the sites that bump
+// them.
 func (c *Cluster) StatsReport(w io.Writer) {
 	fmt.Fprintf(w, "=== cluster statistics (%v, %d nodes, t=%v) ===\n",
 		c.P.System, c.P.Nodes, c.Eng.Now())

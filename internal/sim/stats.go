@@ -284,7 +284,7 @@ var ctrNames = [NumCtrs]string{
 	CtrZeroFills:          "zero_fills",
 }
 
-// ctrByName inverts ctrNames so string-keyed Inc/Get route to the array.
+// ctrByName inverts ctrNames so Get can look a counter up by its name.
 var ctrByName = func() map[string]Ctr {
 	m := make(map[string]Ctr, NumCtrs)
 	for k, name := range ctrNames {
@@ -302,62 +302,33 @@ func (k Ctr) String() string {
 }
 
 // Counters is a named set of monotonically increasing counters used for
-// protocol accounting (messages sent, faults served, pageouts, ...).
-//
-// The fixed counters live in the enum-indexed array V — the fast path is
-// c.V[CtrMsgs]++, one indexed add with no hashing. The string API (Inc,
-// Get) still works for any name: known names route to the array, unknown
-// ones overflow to a map, so ad-hoc counters in tests and tools keep
-// working. Names()/Get make both kinds indistinguishable to reports.
+// protocol accounting (messages sent, faults served, pageouts, ...): an
+// enum-indexed array, so the hot path is c.V[CtrMsgs]++ — one indexed add
+// with no hashing. Reports read counters by name through Names and Get.
 type Counters struct {
-	// V is the enum-indexed fast path; increment entries directly.
 	V [NumCtrs]int64
-
-	m map[string]int64 // overflow: dynamically named counters
 }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters { return &Counters{} }
 
-// Inc adds delta (typically 1) to the named counter.
-func (c *Counters) Inc(name string, delta int64) {
-	if k, ok := ctrByName[name]; ok {
-		c.V[k] += delta
-		return
-	}
-	if c.m == nil {
-		c.m = make(map[string]int64)
-	}
-	c.m[name] += delta
-}
-
-// Get returns the counter's value (zero if never incremented).
+// Get returns the named counter's value (zero for an unknown name).
 func (c *Counters) Get(name string) int64 {
 	if k, ok := ctrByName[name]; ok {
 		return c.V[k]
 	}
-	return c.m[name]
+	return 0
 }
 
-// Names returns the names of all touched counters in sorted order. A fixed
-// counter is touched when nonzero (every production site increments by 1);
-// overflow counters are touched once Inc'd, as before.
+// Names returns the names of all touched (nonzero) counters in sorted
+// order.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m)+8)
+	names := make([]string, 0, 8)
 	for k, v := range c.V {
 		if v != 0 {
 			names = append(names, ctrNames[k])
 		}
 	}
-	for k := range c.m {
-		names = append(names, k)
-	}
 	sort.Strings(names)
 	return names
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.V = [NumCtrs]int64{}
-	c.m = nil
 }

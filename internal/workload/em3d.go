@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"asvm/internal/app"
@@ -162,17 +163,13 @@ func planEM3D(cfg EM3DConfig) []em3dNodePlan {
 	return plans
 }
 
+// setToSlice returns m's pages in ascending order (deterministic).
 func setToSlice(m map[vm.PageIdx]bool) []vm.PageIdx {
 	out := make([]vm.PageIdx, 0, len(m))
 	for pg := range m {
 		out = append(out, pg)
 	}
-	// Deterministic order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

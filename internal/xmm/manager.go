@@ -1,11 +1,12 @@
 package xmm
 
 import (
-	"asvm/internal/sim"
 	"fmt"
+	"slices"
 
 	"asvm/internal/mesh"
 	"asvm/internal/pager"
+	"asvm/internal/sim"
 	"asvm/internal/vm"
 )
 
@@ -127,7 +128,7 @@ func (m *Manager) stepFlushReaders(req accessReq, ps *mpage) {
 			targets = append(targets, r)
 		}
 	}
-	sortNodes(targets)
+	slices.Sort(targets)
 	if len(targets) == 0 {
 		m.stepSupply(req, ps)
 		return
@@ -242,12 +243,4 @@ func (m *Manager) pagerIn(idx vm.PageIdx, cb func(data []byte, found bool)) {
 		return
 	}
 	m.pagerCli.PageIn(m.obj, idx, cb)
-}
-
-func sortNodes(ns []mesh.NodeID) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
 }

@@ -47,10 +47,10 @@ const (
 // registry. payloadBytes is the sender's accounted protocol payload,
 // carried for byte statistics (netx models no costs).
 
-// defaultMaxFrame bounds a frame body. A page is 8 KB; headers are tens of
-// bytes; 1 MiB is generous headroom and a hard stop against a corrupt
+// maxFrame bounds an inbound frame body. A page is 8 KB; headers are tens
+// of bytes; 1 MiB is generous headroom and a hard stop against a corrupt
 // length prefix allocating gigabytes.
-const defaultMaxFrame = 1 << 20
+const maxFrame = 1 << 20
 
 // wireMsg is a parsed msg/bounce frame body. protoName and encoded alias
 // the buffer the frame was read into.
@@ -133,9 +133,9 @@ type frameReader struct {
 	maxFrame  int
 }
 
-func newFrameReader(r io.Reader, maxFrame int) *frameReader {
+func newFrameReader(r io.Reader, limit int) *frameReader {
 	// 4 KB: a read's worth of header frames, until a page frame grows it.
-	return &frameReader{r: r, buf: make([]byte, min(4096, maxFrame+4)), maxFrame: maxFrame}
+	return &frameReader{r: r, buf: make([]byte, min(4096, limit+4)), maxFrame: limit}
 }
 
 func (fr *frameReader) next() ([]byte, error) {

@@ -39,40 +39,18 @@ type Config struct {
 	Listen string
 
 	// Dial overrides outbound connection establishment (tests substitute
-	// net.Pipe). Nil means TCP with DialTimeout.
+	// net.Pipe). Nil means TCP with a dialTimeout bound.
 	Dial func(addr string) (net.Conn, error)
+}
 
-	// DialTimeout bounds a TCP dial attempt. Zero means 2s.
-	DialTimeout time.Duration
-
-	// RedialCooldown is how long a peer stays marked down after a failed
+const (
+	// dialTimeout bounds a TCP dial attempt.
+	dialTimeout = 2 * time.Second
+	// redialCooldown is how long a peer stays marked down after a failed
 	// dial or broken write; sends during the cooldown bounce immediately
-	// instead of blocking on dials that will fail. Zero means 1s.
-	RedialCooldown time.Duration
-
-	// MaxFrame bounds inbound frame bodies. Zero means 1 MiB.
-	MaxFrame int
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.DialTimeout == 0 {
-		out.DialTimeout = 2 * time.Second
-	}
-	if out.RedialCooldown == 0 {
-		out.RedialCooldown = time.Second
-	}
-	if out.MaxFrame == 0 {
-		out.MaxFrame = defaultMaxFrame
-	}
-	if out.Dial == nil {
-		timeout := out.DialTimeout
-		out.Dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	return out
-}
+	// instead of blocking on dials that will fail.
+	redialCooldown = time.Second
+)
 
 // Stats counts transport-level traffic and failures. All fields are
 // totals since Start; read a coherent snapshot with Transport.Stats.
@@ -169,8 +147,13 @@ type peerLink struct {
 // New builds a Transport. Call Start to begin accepting inbound
 // connections; outbound writers start lazily on first send.
 func New(exec Exec, cfg Config) *Transport {
+	if cfg.Dial == nil {
+		cfg.Dial = func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, dialTimeout)
+		}
+	}
 	t := &Transport{
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		exec:       exec,
 		handlers:   make(map[xport.ProtoID]xport.Handler),
 		sendRoutes: make(map[xport.ProtoID]route),
@@ -395,7 +378,7 @@ func (t *Transport) writer(p *peerLink) {
 
 func (t *Transport) markDown(p *peerLink) {
 	p.mu.Lock()
-	p.downUntil = time.Now().Add(t.cfg.RedialCooldown)
+	p.downUntil = time.Now().Add(redialCooldown)
 	p.mu.Unlock()
 }
 
@@ -488,7 +471,7 @@ func resolve(routes map[string]*route, name []byte) *route {
 // legitimate traffic is bounces of messages this process sent. Every frame
 // aliases the reader's buffer: nothing may keep it past the next read.
 func (t *Transport) readFrames(c net.Conn, peer mesh.NodeID, inbound bool) {
-	fr := newFrameReader(c, t.cfg.MaxFrame)
+	fr := newFrameReader(c, maxFrame)
 	if inbound {
 		var err error
 		if peer, err = readHello(fr); err != nil {

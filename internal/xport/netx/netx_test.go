@@ -176,7 +176,6 @@ func TestDeadPeerBecomesNack(t *testing.T) {
 		Dial: func(string) (net.Conn, error) {
 			return nil, errors.New("connection refused")
 		},
-		RedialCooldown: time.Millisecond,
 	})
 	t.Cleanup(ta.Close)
 	chA := make(chan recvd, 16)

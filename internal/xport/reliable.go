@@ -1,7 +1,9 @@
 package xport
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"asvm/internal/mesh"
@@ -14,7 +16,9 @@ import (
 // lossy transport (FaultyTransport) it restores exactly-once delivery, which
 // is the property every ASVM request engine assumes: seq-matched protocol
 // acks (invalidation, ownership transfer, page offer, pager) panic on
-// duplicates, so suppression here must be airtight.
+// duplicates, so suppression here must be airtight. The same holds for
+// bounces: each frame goes up once, delivered or as one Nack, because the
+// layer above recycles a message on whichever of the two it gets.
 //
 // Wire model: the sequence number rides in the fixed message header (STS
 // messages are a 32-byte untyped block with room to spare), so frames add no
@@ -102,6 +106,12 @@ type relAck struct {
 	Proto ProtoID
 	Seq   uint64
 }
+
+// relBounce is a Nack the layer raises itself — a pending frame flushed
+// toward a dead peer, or a send fast-failed — rather than one the inner
+// transport returns. It travels as loopback traffic so it costs what a
+// bounce costs, and it always goes up: its frame is no longer pending.
+type relBounce struct{ Nack }
 
 // relAckProto is the reliability layer's own ack channel, registered for a
 // node the first time it sends.
@@ -230,18 +240,28 @@ func (r *Reliable) Register(n mesh.NodeID, proto ProtoID, h Handler) {
 			h(src, f.Msg)
 		case Nack:
 			// The inner transport bounced one of our frames: the
-			// destination has no handler. Cancel the retransmit and pass
-			// the unwrapped Nack up so the protocol can re-route.
+			// destination has no handler. Every copy of a frame bounces —
+			// a duplicate, a retransmit sent before the first bounce came
+			// back — but the protocol hears the verdict once: only while
+			// the frame is still pending, and passing it up ends that. A
+			// bounce of an earlier incarnation's frame is stale too: the
+			// sequence space restarted with the node.
 			fr, ok := f.Msg.(relFrame)
-			if !ok {
-				// A bounced ack has no pending state and nobody to inform.
+			if !ok || fr.SrcInc != r.epoch[n] {
 				return
 			}
-			if ss := r.send[relLink{n, f.Dst, proto}]; ss != nil {
-				delete(ss.pending, fr.Seq)
+			ss := r.send[relLink{n, f.Dst, proto}]
+			if ss == nil || ss.pending[fr.Seq] == nil {
+				return
 			}
+			delete(ss.pending, fr.Seq)
 			r.Nacks++
 			h(src, Nack{Dst: f.Dst, Proto: f.Proto, Msg: fr.Msg})
+		case relBounce:
+			// One of this layer's own verdicts (a flush or a fast-fail): the
+			// frame's pending entry is already gone.
+			r.Nacks++
+			h(src, f.Nack)
 		default:
 			// Not one of ours (a transport delivering unwrapped traffic);
 			// pass through.
@@ -259,7 +279,7 @@ func (r *Reliable) Send(src, dst mesh.NodeID, proto ProtoID, payloadBytes int, m
 	}
 	if r.down[relObs{src, dst}] {
 		r.FastFails++
-		r.inner.Send(src, src, proto, 0, Nack{Dst: dst, Proto: proto, Msg: relFrame{Msg: m}})
+		r.inner.Send(src, src, proto, 0, relBounce{Nack{Dst: dst, Proto: proto, Msg: m}})
 		return
 	}
 	if !r.ackReg[src] {
@@ -343,7 +363,7 @@ func (r *Reliable) peerDown(src, dst mesh.NodeID) {
 			h(ErrPeerDown{Node: dst})
 		}
 	}
-	r.bounceAll(src, dst, func(*relPending) bool { return true })
+	r.MarkPeerDown(src, dst)
 }
 
 // MarkPeerDown lets the machine layer declare, at observer src, that dst is
@@ -354,11 +374,39 @@ func (r *Reliable) peerDown(src, dst mesh.NodeID) {
 // PeersDowned stat (exhaustion verdicts) does not count it.
 func (r *Reliable) MarkPeerDown(src, dst mesh.NodeID) {
 	r.down[relObs{src, dst}] = true
-	r.bounceAll(src, dst, func(*relPending) bool { return true })
+	r.bounceAll(func(link relLink, _ *relPending) bool { return link.src == src && link.dst == dst })
 }
 
-// bounceAll flushes pending src→dst frames matching the filter as loopback
-// Nacks, in sorted (proto, seq) order so recovery is schedule-independent.
+// pendingFrame is one unacknowledged frame as the flush paths see it.
+type pendingFrame struct {
+	link relLink
+	seq  uint64
+	pm   *relPending
+	// delivered: the destination has the frame, only its ack is missing.
+	delivered bool
+}
+
+// pendingFrames returns the pending frames keep selects, in (src, dst,
+// proto, seq) order: what the flush paths do with them must never depend
+// on map order.
+func (r *Reliable) pendingFrames(keep func(relLink, *relPending) bool) []pendingFrame {
+	var out []pendingFrame
+	for link, ss := range r.send {
+		for seq, pm := range ss.pending {
+			if keep(link, pm) {
+				out = append(out, pendingFrame{link, seq, pm, r.delivered(link, seq)})
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b pendingFrame) int {
+		return cmp.Or(cmp.Compare(a.link.src, b.link.src), cmp.Compare(a.link.dst, b.link.dst),
+			cmp.Compare(a.link.proto, b.link.proto), cmp.Compare(a.seq, b.seq))
+	})
+	return out
+}
+
+// bounceAll flushes the pending frames keep selects as loopback Nacks to
+// their senders.
 //
 // A Nack asserts "this message never arrived", so a frame the destination
 // demonstrably delivered (it is in the link's receive record; only its ack
@@ -367,34 +415,15 @@ func (r *Reliable) MarkPeerDown(src, dst mesh.NodeID) {
 // ownership grant would be both counted lost with the crashed owner and
 // "reclaimed" from the bounce). Such frames complete silently: acked by
 // the delivery record.
-func (r *Reliable) bounceAll(src, dst mesh.NodeID, match func(*relPending) bool) {
-	var links []relLink
-	for link := range r.send {
-		if link.src == src && link.dst == dst {
-			links = append(links, link)
+func (r *Reliable) bounceAll(keep func(relLink, *relPending) bool) {
+	for _, f := range r.pendingFrames(keep) {
+		delete(r.send[f.link].pending, f.seq)
+		if f.delivered {
+			r.DeliveredFlushed++
+			continue
 		}
-	}
-	sortLinks(links)
-	for _, link := range links {
-		ss := r.send[link]
-		var seqs []uint64
-		for seq, pm := range ss.pending {
-			if match(pm) {
-				seqs = append(seqs, seq)
-			}
-		}
-		sortSeqs(seqs)
-		rs := r.recv[link]
-		for _, seq := range seqs {
-			pm := ss.pending[seq]
-			delete(ss.pending, seq)
-			if rs != nil && (seq <= rs.contig || rs.ahead[seq]) {
-				r.DeliveredFlushed++
-				continue
-			}
-			r.inner.Send(src, src, link.proto, 0,
-				Nack{Dst: dst, Proto: link.proto, Msg: relFrame{Seq: seq, Inc: pm.inc, Msg: pm.m}})
-		}
+		r.inner.Send(f.link.src, f.link.src, f.link.proto, 0,
+			relBounce{Nack{Dst: f.link.dst, Proto: f.link.proto, Msg: f.pm.m}})
 	}
 }
 
@@ -416,27 +445,10 @@ type AbandonedSend struct {
 // abandoned — the receiver acted on it — and is excluded. Must be called
 // before NodeCrashed(n).
 func (r *Reliable) AbandonedSends(n mesh.NodeID) []AbandonedSend {
-	var links []relLink
-	for link, ss := range r.send {
-		if link.src == n && len(ss.pending) > 0 {
-			links = append(links, link)
-		}
-	}
-	sortLinks(links)
 	var out []AbandonedSend
-	for _, link := range links {
-		ss := r.send[link]
-		var seqs []uint64
-		for seq := range ss.pending {
-			seqs = append(seqs, seq)
-		}
-		sortSeqs(seqs)
-		rs := r.recv[link]
-		for _, seq := range seqs {
-			if rs != nil && (seq <= rs.contig || rs.ahead[seq]) {
-				continue // delivered; only the ack is missing
-			}
-			out = append(out, AbandonedSend{Dst: link.dst, Msg: ss.pending[seq].m})
+	for _, f := range r.pendingFrames(func(link relLink, _ *relPending) bool { return link.src == n }) {
+		if !f.delivered {
+			out = append(out, AbandonedSend{Dst: f.link.dst, Msg: f.pm.m})
 		}
 	}
 	return out
@@ -482,18 +494,7 @@ func (r *Reliable) PeerRestarted(n mesh.NodeID) {
 		}
 	}
 	cur := r.epoch[n]
-	var srcs []mesh.NodeID
-	seen := make(map[mesh.NodeID]bool)
-	for link := range r.send {
-		if link.dst == n && !seen[link.src] {
-			seen[link.src] = true
-			srcs = append(srcs, link.src)
-		}
-	}
-	sortNodes(srcs)
-	for _, src := range srcs {
-		r.bounceAll(src, n, func(pm *relPending) bool { return pm.inc != cur })
-	}
+	r.bounceAll(func(link relLink, pm *relPending) bool { return link.dst == n && pm.inc != cur })
 	// The reborn node's receive memory starts cold; the crash-time delivery
 	// record (kept by NodeCrashed for bounceAll) has served its purpose.
 	for link := range r.recv {
@@ -503,51 +504,23 @@ func (r *Reliable) PeerRestarted(n mesh.NodeID) {
 	}
 }
 
-func sortLinks(links []relLink) {
-	for i := 1; i < len(links); i++ {
-		for j := i; j > 0 && lessLink(links[j], links[j-1]); j-- {
-			links[j], links[j-1] = links[j-1], links[j]
-		}
-	}
-}
-
-func lessLink(a, b relLink) bool {
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	if a.dst != b.dst {
-		return a.dst < b.dst
-	}
-	return a.proto < b.proto
-}
-
-func sortSeqs(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func sortNodes(s []mesh.NodeID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+// delivered reports whether link's receiver has delivered seq.
+func (r *Reliable) delivered(link relLink, seq uint64) bool {
+	rs := r.recv[link]
+	return rs != nil && (seq <= rs.contig || rs.ahead[seq])
 }
 
 // markSeen records a received sequence number and reports whether it was
 // already delivered. Memory is bounded: contiguously-delivered history
 // collapses into the low-water mark.
 func (r *Reliable) markSeen(link relLink, seq uint64) (dup bool) {
+	if r.delivered(link, seq) {
+		return true
+	}
 	rs := r.recv[link]
 	if rs == nil {
 		rs = &relRecvState{ahead: make(map[uint64]bool)}
 		r.recv[link] = rs
-	}
-	if seq <= rs.contig || rs.ahead[seq] {
-		return true
 	}
 	if seq == rs.contig+1 {
 		rs.contig++

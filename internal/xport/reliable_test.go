@@ -294,3 +294,58 @@ func TestReliableCrashBounceSkipsDeliveredFrames(t *testing.T) {
 		t.Fatalf("delivered=%d after crash, want still 1", delivered)
 	}
 }
+
+// nackCounter registers a sender-side handler on r that counts the Nacks
+// node 0 hears on protoP.
+func nackCounter(r *Reliable) *int {
+	nacks := new(int)
+	r.Register(0, protoP, func(_ mesh.NodeID, m interface{}) {
+		if _, ok := m.(Nack); ok {
+			*nacks++
+		}
+	})
+	return nacks
+}
+
+// TestReliableDuplicatedBounceGoesUpOnce: a frame to a node with no handler,
+// duplicated on the wire, bounces once per copy; the protocol above must
+// hear one Nack — it recycles the message on that Nack, so a second one
+// would free it twice.
+func TestReliableDuplicatedBounceGoesUpOnce(t *testing.T) {
+	e := sim.NewEngine()
+	fk := newFake(e)
+	ft := NewFaulty(e, fk, FaultPlan{Default: Rates{Dup: 1}}, sim.NewRNG(1))
+	r := NewReliable(e, ft, relTestCfg())
+	nacks := nackCounter(r)
+	r.Send(0, 9, protoP, 0, "stray") // node 9 never registered
+	e.Run()
+	if ft.Duplicated != 1 {
+		t.Fatalf("duplicated=%d, want 1", ft.Duplicated)
+	}
+	if *nacks != 1 || r.Nacks != 1 {
+		t.Fatalf("handler heard %d Nacks, Nacks=%d; want 1/1", *nacks, r.Nacks)
+	}
+}
+
+// TestReliableRetransmittedBounceGoesUpOnce: a bounce that comes back after
+// the retransmit timer fired bounces the retransmit too; still one Nack.
+func TestReliableRetransmittedBounceGoesUpOnce(t *testing.T) {
+	e := sim.NewEngine()
+	fk := newFake(e)
+	lag := 3 * relTestCfg().RTO
+	ft := NewFaulty(e, fk, FaultPlan{Default: Rates{Delay: 1, DelayMin: lag, DelayMax: lag}}, sim.NewRNG(1))
+	r := NewReliable(e, ft, relTestCfg())
+	nacks := nackCounter(r)
+	r.Send(0, 9, protoP, 0, "stray")
+	e.Run()
+	if r.Retransmits == 0 {
+		t.Fatal("no retransmit fired before the delayed bounce returned")
+	}
+	if bounces := ft.Delayed; bounces != 1+r.Retransmits {
+		t.Fatalf("%d copies went out for %d retransmits", bounces, r.Retransmits)
+	}
+	if *nacks != 1 || r.Nacks != 1 {
+		t.Fatalf("handler heard %d Nacks, Nacks=%d after %d retransmits; want 1/1",
+			*nacks, r.Nacks, r.Retransmits)
+	}
+}
