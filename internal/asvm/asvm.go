@@ -133,7 +133,7 @@ func NewNode(eng *sim.Engine, k *vm.Kernel, tr xport.Transport, cfg Config) *Nod
 		Self: k.Node, Eng: eng, K: k, TR: tr, Cfg: cfg,
 		instances: make(map[vm.ObjID]*Instance),
 		Ctr:       sim.NewCounters(),
-		Trace:     newTraceBuf(k.Node),
+		Trace:     &TraceBuf{},
 	}
 	tr.Register(n.Self, Proto, n.handle)
 	return n
@@ -164,9 +164,10 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	// chain of per-type comparisons. The concrete assertion in each arm is
 	// then unconditional (a mismatched Kind is a construction bug). Each
 	// arm feeds the page's state machine, passing the already-boxed m
-	// through so the hot path re-boxes nothing. The hot kinds travel as
-	// pooled pointers; their boxes are dead once dispatch returns (actions
-	// copy the value out, never the interface) and go back to the free list.
+	// through so the hot path re-boxes nothing. Every kind travels as a
+	// pointer, and actions copy the value out, never the interface: a box
+	// is dead once dispatch returns, and the hot kinds' boxes go back to
+	// their free lists.
 	switch env.Kind() {
 	case msgAccessReq:
 		msg := m.(*accessReq)
@@ -190,26 +191,26 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 		n.inst(msg.Obj).dispatch(EvOwnerUpdate, msg.Idx, m)
 		n.oupdPool.put(msg)
 	case msgOwnerXfer:
-		msg := m.(ownerXfer)
+		msg := m.(*ownerXfer)
 		n.inst(msg.Obj).dispatch(EvOwnerXfer, msg.Idx, m)
 	case msgOwnerXferAck:
-		msg := m.(ownerXferAck)
+		msg := m.(*ownerXferAck)
 		n.inst(msg.Obj).dispatch(EvOwnerXferAck, msg.Idx, m)
 	case msgPageOffer:
-		msg := m.(pageOffer)
+		msg := m.(*pageOffer)
 		n.inst(msg.Obj).dispatch(EvPageOffer, msg.Idx, m)
 		vm.PutPageBuf(msg.Data) // like a box's, the offer's page is dead after dispatch
 	case msgPageOfferAck:
-		msg := m.(pageOfferAck)
+		msg := m.(*pageOfferAck)
 		n.inst(msg.Obj).dispatch(EvPageOfferAck, msg.Idx, m)
 	case msgToPager:
-		msg := m.(toPager)
+		msg := m.(*toPager)
 		n.inst(msg.Obj).dispatch(EvToPager, msg.Idx, m)
 	case msgToPagerAck:
-		msg := m.(toPagerAck)
+		msg := m.(*toPagerAck)
 		n.inst(msg.Obj).dispatch(EvToPagerAck, msg.Idx, m)
 	case msgPushScanAck:
-		msg := m.(pushScanAck)
+		msg := m.(*pushScanAck)
 		n.inst(msg.SrcObj).dispatch(EvPushScanAck, msg.Idx, m)
 	default:
 		panic(fmt.Sprintf("asvm: unknown message kind %d (%T)", env.Kind(), m))
@@ -251,18 +252,18 @@ func (n *Node) handleNack(nk xport.Nack) {
 	case *invalAck:
 		// Our ack to a dead invalidator: nothing left to confirm.
 		n.iackPool.put(msg)
-	case ownerXfer:
+	case *ownerXfer:
 		// The reader we offered ownership to is dead: treat as declined.
 		if in := n.instances[msg.Obj]; in != nil {
 			in.completeXfer(msg.Seq, false)
 		}
-	case pageOffer:
+	case *pageOffer:
 		// The node we offered the page to is dead: treat as declined.
 		if in := n.instances[msg.Obj]; in != nil {
 			in.completeXfer(msg.Seq, false)
 		}
 		vm.PutPageBuf(msg.Data)
-	case toPager:
+	case *toPager:
 		// The home is down: the evicted contents have nowhere to go. The
 		// data is gone (crash-stop) — count the loss and finish the
 		// eviction. A bounced Lost report loses nothing new.
@@ -272,7 +273,7 @@ func (n *Node) handleNack(nk xport.Nack) {
 			}
 			in.completePgr(msg.Seq)
 		}
-	case ownerXferAck, pageOfferAck, toPagerAck, pushScanAck:
+	case *ownerXferAck, *pageOfferAck, *toPagerAck, *pushScanAck:
 		// An ack addressed to a dead requester: drop.
 	default:
 		panic(fmt.Sprintf("asvm: %T bounced off node %d", nk.Msg, nk.Dst))

@@ -83,13 +83,13 @@ func (in *Instance) homePushScan(req accessReq, hs *homeState) {
 		// answering found=true is safe: the contents exist in the domain.
 		in.nd.Ctr.V[sim.CtrPushScanInflight]++
 	}
-	in.send(req.Origin, pushScanAck{SrcObj: req.Target, Idx: req.Idx, Found: found})
+	in.send(req.Origin, &pushScanAck{SrcObj: req.Target, Idx: req.Idx, Found: found})
 }
 
 // actPushScanAck resumes the pushing owner: the page returns to Serving
 // and the write grant proceeds (push installed or cancelled). (pushAck)
 func actPushScanAck(in *Instance, idx vm.PageIdx, m interface{}) {
-	msg := m.(pushScanAck)
+	msg := *m.(*pushScanAck)
 	cb := in.pendPush[idx]
 	if cb == nil {
 		panic(fmt.Sprintf("asvm: stray push scan ack for %v page %d", msg.SrcObj, idx))

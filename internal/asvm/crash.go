@@ -202,7 +202,7 @@ func (in *Instance) declareLost(idx vm.PageIdx) {
 	in.seq++
 	seq := in.seq
 	in.pendPgr[seq] = pgrWait{to: in.info.Home, cb: func() {}}
-	in.send(in.info.Home, toPager{Obj: in.info.ID, Idx: idx, Lost: true, Seq: seq, From: in.self()})
+	in.send(in.info.Home, &toPager{Obj: in.info.ID, Idx: idx, Lost: true, Seq: seq, From: in.self()})
 }
 
 // PeerDown is the reliability layer's down-handler: the transport has

@@ -342,7 +342,7 @@ func (in *Instance) handleReqNack(dead mesh.NodeID, req accessReq) {
 // Unavailable grant carrying the dead home's ID.
 func (in *Instance) homeUnreachable(dead mesh.NodeID, req accessReq) {
 	if req.ReqKind == kindPushScan {
-		in.send(req.Origin, pushScanAck{SrcObj: req.Target, Idx: req.Idx, Found: false})
+		in.send(req.Origin, &pushScanAck{SrcObj: req.Target, Idx: req.Idx, Found: false})
 		return
 	}
 	if req.Origin == in.self() {

@@ -202,8 +202,9 @@ const (
 // toPager ships it only when dirty (a clean return is just bookkeeping —
 // the pager already has the contents).
 
-// msgPool is a free list of boxed messages for one wire kind. The hot
-// message kinds are sent as *T so the interface box itself is reusable.
+// msgPool is a free list of boxed messages for one hot wire kind. Every
+// kind is sent as *T; the hot kinds draw their boxes from a pool, so the
+// interface box itself is reused.
 //
 // The rule, for boxes and for the page snapshot a grant or page offer
 // carries: each is recycled exactly once, by its last consumer. That is the

@@ -40,7 +40,7 @@ func (in *Instance) process(req accessReq) {
 	switch req.ReqKind {
 	case kindPushScan:
 		// We own this page of the copy domain: the push is unnecessary.
-		in.send(req.Origin, pushScanAck{SrcObj: req.Target, Idx: idx, Found: true})
+		in.send(req.Origin, &pushScanAck{SrcObj: req.Target, Idx: idx, Found: true})
 		in.opDone(idx)
 	case kindPull:
 		in.servePull(req)

@@ -96,7 +96,7 @@ func (in *Instance) evictTryReaders(idx vm.PageIdx, data []byte, dirty bool) {
 		sl.readers.Remove(reader)
 		in.evictTryReaders(idx, data, dirty)
 	}}
-	in.send(reader, ownerXfer{
+	in.send(reader, &ownerXfer{
 		Obj: in.info.ID, Idx: idx, Readers: others,
 		Version: sl.version, Seq: seq, From: in.self(),
 	})
@@ -157,7 +157,7 @@ func (in *Instance) offerPage(idx vm.PageIdx, data []byte, dirty bool, to mesh.N
 	in.seq++
 	seq := in.seq
 	in.pendXfer[seq] = xferWait{to: to, cb: cb}
-	in.send(to, pageOffer{
+	in.send(to, &pageOffer{
 		Obj: in.info.ID, Idx: idx, Data: copyData(data),
 		Version: in.slots[idx].version, Seq: seq, From: in.self(),
 	})
@@ -187,7 +187,7 @@ func (in *Instance) evictToPager(idx vm.PageIdx, data []byte, dirty bool) {
 	in.pendPgr[seq] = pgrWait{to: in.info.Home, dirty: dirty, cb: func() {
 		in.evictFinish(idx, -1)
 	}}
-	in.send(in.info.Home, toPager{
+	in.send(in.info.Home, &toPager{
 		Obj: in.info.ID, Idx: idx, Data: copyData(data),
 		Dirty: dirty, Seq: seq, From: in.self(),
 	})
@@ -227,7 +227,7 @@ func (in *Instance) evictFinish(idx vm.PageIdx, newOwner mesh.NodeID) {
 // actOwnerXfer is eviction step 2 at a reader: take ownership over if the
 // copy is still held (no contents needed). (xferTake)
 func actOwnerXfer(in *Instance, idx vm.PageIdx, m interface{}) {
-	x := m.(ownerXfer)
+	x := *m.(*ownerXfer)
 	pg := in.o.Pages[idx]
 	accept := pg != nil && !pg.Evicting
 	if accept {
@@ -240,15 +240,15 @@ func actOwnerXfer(in *Instance, idx vm.PageIdx, m interface{}) {
 		in.announceOwner(idx)
 		in.nd.Ctr.V[sim.CtrOwnerXferAccepted]++
 	}
-	in.send(x.From, ownerXferAck{Obj: in.info.ID, Idx: idx, Seq: x.Seq, Accepted: accept})
+	in.send(x.From, &ownerXferAck{Obj: in.info.ID, Idx: idx, Seq: x.Seq, Accepted: accept})
 }
 
 // actOwnerXferDecline declines an ownership offer: a faulting node must
 // not adopt the page mid-fault, and an owner (or busy owner) already has
 // it. (xferDecline)
 func actOwnerXferDecline(in *Instance, idx vm.PageIdx, m interface{}) {
-	x := m.(ownerXfer)
-	in.send(x.From, ownerXferAck{Obj: in.info.ID, Idx: idx, Seq: x.Seq, Accepted: false})
+	x := *m.(*ownerXfer)
+	in.send(x.From, &ownerXferAck{Obj: in.info.ID, Idx: idx, Seq: x.Seq, Accepted: false})
 }
 
 // actOwnerXferAck resumes the evicting owner's transfer chain. A stray ack
@@ -256,7 +256,7 @@ func actOwnerXferDecline(in *Instance, idx vm.PageIdx, m interface{}) {
 // may have declined the transfer for a dead peer whose ack was still in
 // flight. (xferAck)
 func actOwnerXferAck(in *Instance, idx vm.PageIdx, m interface{}) {
-	a := m.(ownerXferAck)
+	a := *m.(*ownerXferAck)
 	if in.completeXfer(a.Seq, a.Accepted) {
 		return
 	}
@@ -269,7 +269,7 @@ func actOwnerXferAck(in *Instance, idx vm.PageIdx, m interface{}) {
 // actPageOffer is eviction step 3 at a candidate: adopt the page if free
 // memory allows. (offerTake)
 func actPageOffer(in *Instance, idx vm.PageIdx, m interface{}) {
-	po := m.(pageOffer)
+	po := *m.(*pageOffer)
 	accept := in.nd.K.Mem.FreePages() > pageOfferReserve &&
 		in.o.Pages[idx] == nil
 	if accept {
@@ -281,21 +281,21 @@ func actPageOffer(in *Instance, idx vm.PageIdx, m interface{}) {
 	} else {
 		in.nd.Ctr.V[sim.CtrPageOfferDeclined]++
 	}
-	in.send(po.From, pageOfferAck{Obj: in.info.ID, Idx: idx, Seq: po.Seq, Accepted: accept})
+	in.send(po.From, &pageOfferAck{Obj: in.info.ID, Idx: idx, Seq: po.Seq, Accepted: accept})
 }
 
 // actPageOfferDecline declines a page transfer at any node already
 // involved with the page. (offerDecline)
 func actPageOfferDecline(in *Instance, idx vm.PageIdx, m interface{}) {
-	po := m.(pageOffer)
+	po := *m.(*pageOffer)
 	in.nd.Ctr.V[sim.CtrPageOfferDeclined]++
-	in.send(po.From, pageOfferAck{Obj: in.info.ID, Idx: idx, Seq: po.Seq, Accepted: false})
+	in.send(po.From, &pageOfferAck{Obj: in.info.ID, Idx: idx, Seq: po.Seq, Accepted: false})
 }
 
 // actPageOfferAck resumes the evicting owner's offer chain; stray acks are
 // tolerated only in the crash era, as with actOwnerXferAck. (offerAck)
 func actPageOfferAck(in *Instance, idx vm.PageIdx, m interface{}) {
-	a := m.(pageOfferAck)
+	a := *m.(*pageOfferAck)
 	if in.completeXfer(a.Seq, a.Accepted) {
 		return
 	}
@@ -311,7 +311,7 @@ func actPageOfferAck(in *Instance, idx vm.PageIdx, m interface{}) {
 // a crashed node, so the home forgets the grant and lets the next fault
 // re-resolve from the backing store. (pagerPark)
 func actToPager(in *Instance, idx vm.PageIdx, m interface{}) {
-	tp := m.(toPager)
+	tp := *m.(*toPager)
 	if tp.Lost {
 		hs := in.home[idx]
 		if hs == nil {
@@ -319,7 +319,7 @@ func actToPager(in *Instance, idx vm.PageIdx, m interface{}) {
 			in.home[idx] = hs
 		}
 		hs.granted = false
-		in.send(tp.From, toPagerAck{Obj: in.info.ID, Idx: idx, Seq: tp.Seq})
+		in.send(tp.From, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: tp.Seq})
 		return
 	}
 	in.homePagerOut(idx, tp.Data, tp.Dirty, func() {
@@ -331,14 +331,14 @@ func actToPager(in *Instance, idx vm.PageIdx, m interface{}) {
 		hs.granted = false
 		hs.atPager = true
 		in.announcePaged(idx)
-		in.send(tp.From, toPagerAck{Obj: in.info.ID, Idx: idx, Seq: tp.Seq})
+		in.send(tp.From, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: tp.Seq})
 	})
 }
 
 // actToPagerAck completes the evicting owner's pageout; stray acks are
 // tolerated only in the crash era. (pagerAck)
 func actToPagerAck(in *Instance, idx vm.PageIdx, m interface{}) {
-	a := m.(toPagerAck)
+	a := *m.(*toPagerAck)
 	if in.completePgr(a.Seq) {
 		return
 	}
@@ -356,7 +356,7 @@ func actToPagerAck(in *Instance, idx vm.PageIdx, m interface{}) {
 // and the ack is matched by sequence number, not by page state.
 // (pagerAckLoose)
 func actToPagerAckLoose(in *Instance, idx vm.PageIdx, m interface{}) {
-	a := m.(toPagerAck)
+	a := *m.(*toPagerAck)
 	if !in.nd.crashEra {
 		panic(fmt.Sprintf("asvm: pager ack seq %d for %v p%d in %v at node %d",
 			a.Seq, in.info.ID, idx, in.slots[idx].state, in.self()))

@@ -1,28 +1,18 @@
 package asvm
 
-import (
-	"fmt"
-	"os"
-
-	"asvm/internal/mesh"
-)
+import "fmt"
 
 // TraceBuf is a bounded per-node ring buffer of protocol trace lines:
 // ownership grants, transfers and fresh grants record one line each. It
 // replaces the old process-wide stdout tracing, so parallel experiment
 // cells cannot interleave output, and a schedule explorer can attach each
 // node's recent history to a failing run. Recording is off by default (one
-// bool check per trace site); it turns on when the ASVM_TRACE environment
-// variable is set at node creation — which also echoes lines to stdout,
-// preserving the old interactive behaviour — or when a checker calls
-// Enable.
+// bool check per trace site) and turns on when a checker calls Enable.
 type TraceBuf struct {
-	node  mesh.NodeID
 	lines []string
 	next  int // overwrite cursor, valid once the buffer is full
 	total uint64
 	on    bool
-	echo  bool
 }
 
 // traceBufCap bounds each node's retained history. Failing schedules are
@@ -30,15 +20,7 @@ type TraceBuf struct {
 // matters.
 const traceBufCap = 64
 
-func newTraceBuf(node mesh.NodeID) *TraceBuf {
-	t := &TraceBuf{node: node}
-	if os.Getenv("ASVM_TRACE") != "" {
-		t.on, t.echo = true, true
-	}
-	return t
-}
-
-// Enable turns on recording without the stdout echo.
+// Enable turns on recording.
 func (t *TraceBuf) Enable() { t.on = true }
 
 // Enabled reports whether trace lines are being recorded.
@@ -50,9 +32,6 @@ func (t *TraceBuf) Addf(format string, args ...interface{}) {
 		return
 	}
 	line := fmt.Sprintf(format, args...)
-	if t.echo {
-		fmt.Printf("[n%d] %s\n", t.node, line)
-	}
 	t.total++
 	if len(t.lines) < traceBufCap {
 		t.lines = append(t.lines, line)

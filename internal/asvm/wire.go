@@ -141,7 +141,9 @@ func (r *wireReader) nodes() []mesh.NodeID {
 	if n == wireNil {
 		return nil
 	}
-	if n > maxWireSlice/4 {
+	if n > maxWireSlice/4 || 4*int(n) > len(r.b) {
+		// Check the claimed count against the bytes left before sizing
+		// the slice: a short frame must not buy a large allocation.
 		r.bad = true
 		return nil
 	}
@@ -168,33 +170,60 @@ func init() {
 	xport.RegisterWireCodec(Proto.Name(), wireCodec{})
 }
 
-// AppendMsg implements xport.WireCodec. Pointer and value forms both
-// encode (the hot kinds travel as pooled pointers in-process; a caller
-// holding a value is equally valid).
+// AppendMsg implements xport.WireCodec. Every kind travels as a pointer,
+// the form Node.handle dispatches on.
 func (wireCodec) AppendMsg(dst []byte, m interface{}) ([]byte, error) {
 	w := wireWriter{b: dst}
 	switch v := m.(type) {
 	case *accessReq:
-		encodeAccessReq(&w, *v)
-	case accessReq:
-		encodeAccessReq(&w, v)
+		w.u8(uint8(msgAccessReq))
+		w.obj(v.Obj)
+		w.obj(v.Target)
+		w.idx(v.Idx)
+		w.u8(uint8(v.Want))
+		w.u8(uint8(v.ReqKind))
+		w.node(v.Origin)
+		w.u32(uint32(int32(v.Hops)))
+		w.boolean(v.Scanning)
+		w.boolean(v.ScannedAll)
+		w.boolean(v.ForHome)
+		w.node(v.ScanStart)
+		w.node(v.LastFrom)
 	case *grantMsg:
-		encodeGrant(&w, *v)
-	case grantMsg:
-		encodeGrant(&w, v)
+		w.u8(uint8(msgGrant))
+		w.obj(v.Obj)
+		w.idx(v.Idx)
+		w.u8(uint8(v.Lock))
+		w.data(v.Data)
+		w.boolean(v.HasData)
+		w.boolean(v.Fresh)
+		w.boolean(v.Ownership)
+		w.nodes(v.Readers)
+		w.u64(v.Version)
+		w.boolean(v.Retry)
+		w.boolean(v.AtPagerCopy)
+		w.boolean(v.Unavailable)
+		w.node(v.From)
 	case *invalMsg:
-		encodeInval(&w, *v)
-	case invalMsg:
-		encodeInval(&w, v)
+		w.u8(uint8(msgInval))
+		w.obj(v.Obj)
+		w.idx(v.Idx)
+		w.node(v.NewOwner)
+		w.u64(v.Seq)
+		w.node(v.From)
 	case *invalAck:
-		encodeInvalAck(&w, *v)
-	case invalAck:
-		encodeInvalAck(&w, v)
+		w.u8(uint8(msgInvalAck))
+		w.obj(v.Obj)
+		w.idx(v.Idx)
+		w.u64(v.Seq)
+		w.node(v.From)
 	case *ownerUpdate:
-		encodeOwnerUpdate(&w, *v)
-	case ownerUpdate:
-		encodeOwnerUpdate(&w, v)
-	case ownerXfer:
+		w.u8(uint8(msgOwnerUpdate))
+		w.obj(v.Obj)
+		w.idx(v.Idx)
+		w.node(v.Owner)
+		w.boolean(v.Paged)
+	case *ownerXfer:
 		w.u8(uint8(msgOwnerXfer))
 		w.obj(v.Obj)
 		w.idx(v.Idx)
@@ -202,14 +231,14 @@ func (wireCodec) AppendMsg(dst []byte, m interface{}) ([]byte, error) {
 		w.u64(v.Version)
 		w.u64(v.Seq)
 		w.node(v.From)
-	case ownerXferAck:
+	case *ownerXferAck:
 		w.u8(uint8(msgOwnerXferAck))
 		w.obj(v.Obj)
 		w.idx(v.Idx)
 		w.u64(v.Seq)
 		w.boolean(v.Accepted)
 		w.node(v.From)
-	case pageOffer:
+	case *pageOffer:
 		w.u8(uint8(msgPageOffer))
 		w.obj(v.Obj)
 		w.idx(v.Idx)
@@ -217,14 +246,14 @@ func (wireCodec) AppendMsg(dst []byte, m interface{}) ([]byte, error) {
 		w.u64(v.Version)
 		w.u64(v.Seq)
 		w.node(v.From)
-	case pageOfferAck:
+	case *pageOfferAck:
 		w.u8(uint8(msgPageOfferAck))
 		w.obj(v.Obj)
 		w.idx(v.Idx)
 		w.u64(v.Seq)
 		w.boolean(v.Accepted)
 		w.node(v.From)
-	case toPager:
+	case *toPager:
 		w.u8(uint8(msgToPager))
 		w.obj(v.Obj)
 		w.idx(v.Idx)
@@ -233,12 +262,12 @@ func (wireCodec) AppendMsg(dst []byte, m interface{}) ([]byte, error) {
 		w.boolean(v.Lost)
 		w.u64(v.Seq)
 		w.node(v.From)
-	case toPagerAck:
+	case *toPagerAck:
 		w.u8(uint8(msgToPagerAck))
 		w.obj(v.Obj)
 		w.idx(v.Idx)
 		w.u64(v.Seq)
-	case pushScanAck:
+	case *pushScanAck:
 		w.u8(uint8(msgPushScanAck))
 		w.obj(v.SrcObj)
 		w.idx(v.Idx)
@@ -249,68 +278,9 @@ func (wireCodec) AppendMsg(dst []byte, m interface{}) ([]byte, error) {
 	return w.b, nil
 }
 
-func encodeAccessReq(w *wireWriter, v accessReq) {
-	w.u8(uint8(msgAccessReq))
-	w.obj(v.Obj)
-	w.obj(v.Target)
-	w.idx(v.Idx)
-	w.u8(uint8(v.Want))
-	w.u8(uint8(v.ReqKind))
-	w.node(v.Origin)
-	w.u32(uint32(int32(v.Hops)))
-	w.boolean(v.Scanning)
-	w.boolean(v.ScannedAll)
-	w.boolean(v.ForHome)
-	w.node(v.ScanStart)
-	w.node(v.LastFrom)
-}
-
-func encodeGrant(w *wireWriter, v grantMsg) {
-	w.u8(uint8(msgGrant))
-	w.obj(v.Obj)
-	w.idx(v.Idx)
-	w.u8(uint8(v.Lock))
-	w.data(v.Data)
-	w.boolean(v.HasData)
-	w.boolean(v.Fresh)
-	w.boolean(v.Ownership)
-	w.nodes(v.Readers)
-	w.u64(v.Version)
-	w.boolean(v.Retry)
-	w.boolean(v.AtPagerCopy)
-	w.boolean(v.Unavailable)
-	w.node(v.From)
-}
-
-func encodeInval(w *wireWriter, v invalMsg) {
-	w.u8(uint8(msgInval))
-	w.obj(v.Obj)
-	w.idx(v.Idx)
-	w.node(v.NewOwner)
-	w.u64(v.Seq)
-	w.node(v.From)
-}
-
-func encodeInvalAck(w *wireWriter, v invalAck) {
-	w.u8(uint8(msgInvalAck))
-	w.obj(v.Obj)
-	w.idx(v.Idx)
-	w.u64(v.Seq)
-	w.node(v.From)
-}
-
-func encodeOwnerUpdate(w *wireWriter, v ownerUpdate) {
-	w.u8(uint8(msgOwnerUpdate))
-	w.obj(v.Obj)
-	w.idx(v.Idx)
-	w.node(v.Owner)
-	w.boolean(v.Paged)
-}
-
-// DecodeMsg implements xport.WireCodec. The returned form is exactly what
-// Node.handle expects: the pooled hot kinds come back as fresh pointers
-// (each decode allocates its own box, so pooling at the dispatcher stays
-// exactly-once safe), the rest as values.
+// DecodeMsg implements xport.WireCodec. Every kind comes back as a fresh
+// pointer, the form Node.handle expects (each decode allocates its own box,
+// so pooling at the dispatcher stays exactly-once safe).
 func (wireCodec) DecodeMsg(b []byte) (interface{}, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("asvm wire: empty message")
@@ -372,7 +342,7 @@ func (wireCodec) DecodeMsg(b []byte) (interface{}, error) {
 		v.Paged = r.boolean()
 		m = v
 	case msgOwnerXfer:
-		var v ownerXfer
+		v := &ownerXfer{}
 		v.Obj = r.obj()
 		v.Idx = r.idx()
 		v.Readers = r.nodes()
@@ -381,7 +351,7 @@ func (wireCodec) DecodeMsg(b []byte) (interface{}, error) {
 		v.From = r.node()
 		m = v
 	case msgOwnerXferAck:
-		var v ownerXferAck
+		v := &ownerXferAck{}
 		v.Obj = r.obj()
 		v.Idx = r.idx()
 		v.Seq = r.u64()
@@ -389,7 +359,7 @@ func (wireCodec) DecodeMsg(b []byte) (interface{}, error) {
 		v.From = r.node()
 		m = v
 	case msgPageOffer:
-		var v pageOffer
+		v := &pageOffer{}
 		v.Obj = r.obj()
 		v.Idx = r.idx()
 		v.Data = r.data()
@@ -398,7 +368,7 @@ func (wireCodec) DecodeMsg(b []byte) (interface{}, error) {
 		v.From = r.node()
 		m = v
 	case msgPageOfferAck:
-		var v pageOfferAck
+		v := &pageOfferAck{}
 		v.Obj = r.obj()
 		v.Idx = r.idx()
 		v.Seq = r.u64()
@@ -406,7 +376,7 @@ func (wireCodec) DecodeMsg(b []byte) (interface{}, error) {
 		v.From = r.node()
 		m = v
 	case msgToPager:
-		var v toPager
+		v := &toPager{}
 		v.Obj = r.obj()
 		v.Idx = r.idx()
 		v.Data = r.data()
@@ -416,13 +386,13 @@ func (wireCodec) DecodeMsg(b []byte) (interface{}, error) {
 		v.From = r.node()
 		m = v
 	case msgToPagerAck:
-		var v toPagerAck
+		v := &toPagerAck{}
 		v.Obj = r.obj()
 		v.Idx = r.idx()
 		v.Seq = r.u64()
 		m = v
 	case msgPushScanAck:
-		var v pushScanAck
+		v := &pushScanAck{}
 		v.SrcObj = r.obj()
 		v.Idx = r.idx()
 		v.Found = r.boolean()

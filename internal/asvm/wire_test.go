@@ -2,8 +2,11 @@ package asvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"asvm/internal/mesh"
@@ -12,15 +15,16 @@ import (
 	"asvm/internal/xport"
 )
 
-// wireSpecimens is one representative value per wire kind, exercising
-// every field: non-zero IDs, set and unset flags, nil and non-nil slices.
-// The hot kinds appear in the pointer form Node.handle dispatches on.
+// wireSpecimens is one representative message per wire kind, in the pointer
+// form Node.handle dispatches on, exercising every field: non-zero IDs, set
+// and unset flags, nil and non-nil slices. TestWireRoundTrip holds the list
+// to "every field of every kind is non-zero in some specimen".
 func wireSpecimens() []interface{} {
 	return []interface{}{
 		&accessReq{
 			Obj: vm.ObjID{Node: 1, Seq: 7}, Target: vm.ObjID{Node: 2, Seq: 9},
 			Idx: 3, Want: vm.ProtWrite, ReqKind: kindPull, Origin: 4, Hops: 5,
-			Scanning: true, ScannedAll: false, ForHome: true, ScanStart: 6, LastFrom: 2,
+			Scanning: true, ScannedAll: true, ForHome: true, ScanStart: 6, LastFrom: 2,
 		},
 		&grantMsg{
 			Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Lock: vm.ProtRead,
@@ -30,37 +34,59 @@ func wireSpecimens() []interface{} {
 		},
 		&grantMsg{ // metadata-only grant: nil Data, nil Readers must survive
 			Obj: vm.ObjID{Node: 0, Seq: 1}, Idx: 0, Lock: vm.ProtWrite,
-			Ownership: true, Version: 2, Retry: true, From: 0,
+			Fresh: true, Ownership: true, Version: 2, Retry: true, From: 0,
 		},
+		&grantMsg{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 5, Unavailable: true, From: 3},
 		&invalMsg{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, NewOwner: 2, Seq: 41, From: 1},
 		&invalAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 41, From: 3},
 		&ownerUpdate{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Owner: 2, Paged: true},
-		ownerXfer{
+		&ownerXfer{
 			Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3,
-			Readers: []mesh.NodeID{2}, Version: 5, Seq: 13, From: 0,
+			Readers: []mesh.NodeID{2}, Version: 5, Seq: 13, From: 1,
 		},
-		ownerXferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 13, Accepted: true, From: 2},
-		pageOffer{
+		&ownerXferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 13, Accepted: true, From: 2},
+		&pageOffer{
 			Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3,
-			Data: []byte{1, 2, 3}, Version: 5, Seq: 17, From: 0,
+			Data: []byte{1, 2, 3}, Version: 5, Seq: 17, From: 2,
 		},
-		pageOfferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 17, Accepted: false, From: 3},
-		toPager{
+		&pageOfferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 17, Accepted: true, From: 3},
+		&toPager{
 			Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3,
 			Data: []byte{9, 8}, Dirty: true, Lost: false, Seq: 19, From: 2,
 		},
-		toPager{ // lost-page notice: no contents at all
+		&toPager{ // lost-page notice: no contents at all
 			Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 4, Lost: true, Seq: 23, From: 3,
 		},
-		toPagerAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 19},
-		pushScanAck{SrcObj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Found: true},
+		&toPagerAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 19},
+		&pushScanAck{SrcObj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Found: true},
 	}
 }
 
-// Every kind must survive encode→decode unchanged, in the exact Go form
-// (pointer vs value) the dispatcher expects.
+// Every kind must survive encode→decode unchanged, in the exact Go form the
+// dispatcher expects. Every field of every kind is set in some specimen, so
+// a field the encoder or the decoder misses fails the round trip.
 func TestWireRoundTrip(t *testing.T) {
 	c := WireCodec()
+	set := make(map[reflect.Type][]bool)
+	for _, m := range wireSpecimens() {
+		v := reflect.ValueOf(m).Elem()
+		if set[v.Type()] == nil {
+			set[v.Type()] = make([]bool, v.NumField())
+		}
+		for i := 0; i < v.NumField(); i++ {
+			set[v.Type()][i] = set[v.Type()][i] || !v.Field(i).IsZero()
+		}
+	}
+	if len(set) != 12 {
+		t.Errorf("specimens cover %d message kinds, want all 12", len(set))
+	}
+	for typ, fields := range set {
+		for i, ok := range fields {
+			if !ok {
+				t.Errorf("no specimen sets %s.%s", typ.Name(), typ.Field(i).Name)
+			}
+		}
+	}
 	for _, m := range wireSpecimens() {
 		enc, err := c.AppendMsg(nil, m)
 		if err != nil {
@@ -76,29 +102,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// Value forms of the hot kinds must encode identically to their pointer
-// forms (a caller holding either is valid).
-func TestWireValueFormEncodes(t *testing.T) {
-	c := WireCodec()
-	ptr := &invalMsg{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, NewOwner: 2, Seq: 41, From: 1}
-	a, err := c.AppendMsg(nil, ptr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.AppendMsg(nil, *ptr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("pointer and value forms encode differently:\n  %x\n  %x", a, b)
-	}
-}
-
 // AppendMsg must extend dst in place, not replace it.
 func TestWireAppendsToDst(t *testing.T) {
 	c := WireCodec()
 	prefix := []byte{0xAA, 0xBB}
-	out, err := c.AppendMsg(append([]byte(nil), prefix...), pushScanAck{Found: true})
+	out, err := c.AppendMsg(append([]byte(nil), prefix...), &pushScanAck{Found: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,46 +249,46 @@ func goldenFrames() []goldenFrame {
 		},
 		{
 			"ownerXfer",
-			ownerXfer{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Readers: []mesh.NodeID{2}, Version: 5, Seq: 13},
+			&ownerXfer{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Readers: []mesh.NodeID{2}, Version: 5, Seq: 13},
 			"05" + "01000000" + "0700000000000000" + "0300000000000000" +
 				"01000000" + "02000000" + // Readers
 				"0500000000000000" + "0d00000000000000" + "00000000",
 		},
 		{
 			"ownerXferAck",
-			ownerXferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 13, Accepted: true, From: 2},
+			&ownerXferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 13, Accepted: true, From: 2},
 			"06" + "01000000" + "0700000000000000" + "0300000000000000" +
 				"0d00000000000000" + "01" + "02000000",
 		},
 		{
 			"pageOffer",
-			pageOffer{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Data: []byte{1, 2, 3}, Version: 5, Seq: 17},
+			&pageOffer{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Data: []byte{1, 2, 3}, Version: 5, Seq: 17},
 			"07" + "01000000" + "0700000000000000" + "0300000000000000" +
 				"03000000" + "010203" +
 				"0500000000000000" + "1100000000000000" + "00000000",
 		},
 		{
 			"pageOfferAck",
-			pageOfferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 17, From: 3},
+			&pageOfferAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 17, From: 3},
 			"08" + "01000000" + "0700000000000000" + "0300000000000000" +
 				"1100000000000000" + "00" + "03000000",
 		},
 		{
 			"toPager",
-			toPager{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Data: []byte{9, 8}, Dirty: true, Seq: 19, From: 2},
+			&toPager{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Data: []byte{9, 8}, Dirty: true, Seq: 19, From: 2},
 			"09" + "01000000" + "0700000000000000" + "0300000000000000" +
 				"02000000" + "0908" +
 				"01" + "00" + "1300000000000000" + "02000000",
 		},
 		{
 			"toPagerAck",
-			toPagerAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 19},
+			&toPagerAck{Obj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Seq: 19},
 			"0a" + "01000000" + "0700000000000000" + "0300000000000000" +
 				"1300000000000000",
 		},
 		{
 			"pushScanAck",
-			pushScanAck{SrcObj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Found: true},
+			&pushScanAck{SrcObj: vm.ObjID{Node: 1, Seq: 7}, Idx: 3, Found: true},
 			"0b" + "01000000" + "0700000000000000" + "0300000000000000" + "01",
 		},
 	}
@@ -297,15 +305,15 @@ func TestWireDecodeRejectsCorrupt(t *testing.T) {
 		{"empty", nil},
 		{"unknownKind", []byte{0x7f}},
 		{"truncatedHeader", []byte{0x02, 0x01}},
-		{"trailingBytes", append(mustEncode(t, pushScanAck{}), 0x00)},
+		{"trailingBytes", append(mustEncode(t, &pushScanAck{}), 0x00)},
 		{"badBool", func() []byte {
-			b := mustEncode(t, pushScanAck{Found: true})
+			b := mustEncode(t, &pushScanAck{Found: true})
 			b[len(b)-1] = 2 // Found byte: neither 0 nor 1
 			return b
 		}()},
 		{"hugeLength", func() []byte {
 			// pageOffer whose Data length claims ~4 GB.
-			b := mustEncode(t, pageOffer{Obj: vm.ObjID{Node: 1, Seq: 1}})
+			b := mustEncode(t, &pageOffer{Obj: vm.ObjID{Node: 1, Seq: 1}})
 			// Data length field sits right after kind+Obj+Idx = 1+12+8.
 			copy(b[21:25], []byte{0xfe, 0xff, 0xff, 0xfe})
 			return b
@@ -316,6 +324,43 @@ func TestWireDecodeRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: decode accepted corrupt input as %T %+v", tc.name, m, m)
 		}
 	}
+}
+
+// A reader list's claimed count must be paid for by the bytes that follow
+// before the decoder sizes a slice for it: a 33-byte grant frame claiming
+// 8192 readers used to allocate 64 KB and then fail anyway.
+func TestWireShortReaderListAllocatesLittle(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	// kind, Obj, Idx, Lock, nil Data, three flags: 29 bytes, then the
+	// Readers count, and the frame ends there.
+	b := mustEncode(t, &grantMsg{Obj: vm.ObjID{Node: 1, Seq: 7}, Readers: []mesh.NodeID{}})[:33]
+	binary.LittleEndian.PutUint32(b[29:], 8192)
+	c := WireCodec()
+	var before, after runtime.MemStats
+	const n = 100
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if m, err := c.DecodeMsg(b); err == nil {
+			t.Fatalf("decode accepted a truncated reader list as %+v", m)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Fatalf("a failed decode allocates %d B, want < 1 KB", per)
+	}
+}
+
+// raceBuild reports a -race test binary, whose instrumentation allocates.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 func mustEncode(t *testing.T, m interface{}) []byte {

@@ -73,14 +73,14 @@ func (d *Disk) xferTime(bytes int) time.Duration {
 func (d *Disk) Read(bytes int, fn func()) {
 	d.Reads++
 	d.BytesRead += uint64(bytes)
-	d.srv.Do(d.SeekTime+d.xferTime(bytes), fn)
+	d.srv.DoRun(d.SeekTime+d.xferTime(bytes), sim.Func(fn))
 }
 
 // Write performs a write of the given size; fn runs at completion.
 func (d *Disk) Write(bytes int, fn func()) {
 	d.Writes++
 	d.BytesWritten += uint64(bytes)
-	d.srv.Do(d.WriteSeek+d.xferTime(bytes), fn)
+	d.srv.DoRun(d.WriteSeek+d.xferTime(bytes), sim.Func(fn))
 }
 
 // Busy reports whether the disk has queued work.

@@ -120,11 +120,11 @@ func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 	recvCost := t.costs.RecvCPU + perSide
 	// Sender message processor, then the wire, then the receiver message
 	// processor, then the handler.
-	t.nodes[src].MsgProc.Do(sendCost, func() {
-		t.net.SendRun(src, dst, wire, wireFn(func() {
+	t.nodes[src].MsgProc.DoRun(sendCost, sim.Func(func() {
+		t.net.SendRun(src, dst, wire, sim.Func(func() {
 			t.deliver(src, dst, recvCost, h, m)
 		}))
-	})
+	}))
 }
 
 // deliver hands the message to the receiver's message processor, modelling
@@ -142,9 +142,9 @@ func (t *Transport) deliver(src, dst mesh.NodeID, recvCost time.Duration, h xpor
 			return
 		}
 	}
-	mp.Do(recvCost, func() {
+	mp.DoRun(recvCost, sim.Func(func() {
 		h(src, m)
-	})
+	}))
 }
 
 // nack bounces a message addressed to an unregistered destination back to
@@ -162,23 +162,18 @@ func (t *Transport) nack(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 	wire := payloadBytes + t.costs.HeaderBytes
 	t.Bytes += uint64(wire + t.costs.HeaderBytes)
 	perSide := t.costs.PortTranslateCPU + t.perKB(payloadBytes)
-	t.nodes[src].MsgProc.Do(t.costs.SendCPU+perSide, func() {
-		t.net.SendRun(src, dst, wire, wireFn(func() {
-			t.nodes[dst].MsgProc.Do(t.costs.RecvCPU+perSide, func() {
-				t.net.SendRun(dst, src, t.costs.HeaderBytes, wireFn(func() {
-					t.nodes[src].MsgProc.Do(t.costs.RecvCPU, func() {
+	t.nodes[src].MsgProc.DoRun(t.costs.SendCPU+perSide, sim.Func(func() {
+		t.net.SendRun(src, dst, wire, sim.Func(func() {
+			t.nodes[dst].MsgProc.DoRun(t.costs.RecvCPU+perSide, sim.Func(func() {
+				t.net.SendRun(dst, src, t.costs.HeaderBytes, sim.Func(func() {
+					t.nodes[src].MsgProc.DoRun(t.costs.RecvCPU, sim.Func(func() {
 						back(dst, xport.Nack{Dst: dst, Proto: proto, Msg: m})
-					})
+					}))
 				}))
-			})
+			}))
 		}))
-	})
+	}))
 }
-
-// wireFn runs a delivery closure as the mesh's Runnable.
-type wireFn func()
-
-func (f wireFn) Run() { f() }
 
 func (t *Transport) perKB(payloadBytes int) time.Duration {
 	return time.Duration(float64(payloadBytes) / 1024 * float64(t.costs.PerKBCPU))

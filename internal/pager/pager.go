@@ -173,16 +173,16 @@ func (s *Server) pageIn(src mesh.NodeID, req PageInReq) {
 	key := backingKey{req.Obj, req.Idx}
 	if !s.exists[key] {
 		// Nothing backing the page: zero fill at the requester.
-		s.srv.Do(s.costs.ZeroSupplyCPU, func() {
+		s.srv.DoRun(s.costs.ZeroSupplyCPU, sim.Func(func() {
 			s.tr.Send(s.node, src, req.ReplyTo, 0, PageInReply{ID: req.ID, Found: false})
-		})
+		}))
 		return
 	}
 	reply := func() {
 		data := s.backing[key]
 		s.tr.Send(s.node, src, req.ReplyTo, vm.PageSize, PageInReply{ID: req.ID, Data: data, Found: true})
 	}
-	s.srv.Do(s.costs.ServeCPU, func() {
+	s.srv.DoRun(s.costs.ServeCPU, sim.Func(func() {
 		if s.CacheInMemory && s.cached[key] || s.disk == nil {
 			s.DiskSkip++
 			reply()
@@ -195,7 +195,7 @@ func (s *Server) pageIn(src mesh.NodeID, req PageInReq) {
 			}
 			reply()
 		})
-	})
+	}))
 }
 
 func (s *Server) pageOut(src mesh.NodeID, msg PageOutMsg) {
@@ -213,13 +213,13 @@ func (s *Server) pageOut(src mesh.NodeID, msg PageOutMsg) {
 	ack := func() {
 		s.tr.Send(s.node, src, msg.ReplyTo, 0, PageOutAck{ID: msg.ID})
 	}
-	s.srv.Do(s.costs.ServeCPU, func() {
+	s.srv.DoRun(s.costs.ServeCPU, sim.Func(func() {
 		if s.disk == nil {
 			ack()
 			return
 		}
 		s.disk.Write(vm.PageSize, ack)
-	})
+	}))
 }
 
 // ---------------------------------------------------------------------------

@@ -62,18 +62,10 @@ type Chooser interface {
 const maxEventChoices = 8
 
 // SetChooser installs (or, with nil, removes) the schedule-exploration
-// hook. Must not be called while the engine is running events.
-//
-// Installing a chooser returns any live dispatch batch to the heap:
-// ChoiceEvent points are defined against the heap's same-timestamp
-// candidate sets, which batching deliberately avoids materializing.
-// Exploration always runs on the per-event path.
-func (e *Engine) SetChooser(c Chooser) {
-	if c != nil {
-		e.flushBatch()
-	}
-	e.chooser = c
-}
+// hook. Must not be called while the engine is running events. The chooser
+// runs on the engine's one run loop: every event is on the heap, so each
+// same-timestamp cohort is there for it to order.
+func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 
 // Exploring reports whether a Chooser is installed. Cost-model code uses it
 // to gate choice points off the hot path with a single nil check.
@@ -115,38 +107,7 @@ func (e *Engine) popChoose() event {
 			// a stable candidate list.
 			e.q.push(e.scratch[i])
 		}
-		e.scratch[i] = event{} // release fn/proc/run
+		e.scratch[i] = event{} // release the target
 	}
 	return chosen
-}
-
-// RunMax executes events until the queue drains, Halt is called, or max
-// events have run — the explorer's non-termination bound. It reports
-// whether the queue drained (false means the bound was hit or the engine
-// was halted with events still pending).
-func (e *Engine) RunMax(max uint64) bool {
-	e.halted = false
-	e.flushBatch() // per-event pops need everything on the heap
-	for e.q.len() > 0 && !e.halted {
-		if max == 0 {
-			return false
-		}
-		max--
-		var ev event
-		if e.chooser != nil {
-			ev = e.popChoose()
-		} else {
-			ev = e.q.pop()
-		}
-		e.now = ev.at
-		e.Executed++
-		if ev.proc != nil {
-			ev.proc.step()
-		} else if ev.run != nil {
-			ev.run.Run()
-		} else if ev.fn != nil {
-			ev.fn()
-		}
-	}
-	return e.q.len() == 0
 }

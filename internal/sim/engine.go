@@ -11,20 +11,15 @@
 // artifact re-runs millions of events, so the queue is a hand-specialized
 // 4-ary min-heap storing events by value in one backing slice. Pops only
 // shrink the slice length, so the array doubles as a free list and
-// steady-state Schedule/dispatch allocates nothing. Proc wakeups carry the
-// *Proc in the event itself (no method-value closure), keeping the
-// park/resume path allocation-free too.
-//
-// Dispatch batches same-instant work: once the heap is clean at the
-// current instant, anything scheduled for that instant (proc wakeups,
-// future completions, zero-delay chains) is appended to a flat dispatch
-// batch instead of round-tripping through the heap — global sequence
-// numbers keep the FIFO contract, and each batched event saves a full
-// push+siftDown+pop.
+// steady-state Schedule/dispatch allocates nothing. An event has one target,
+// a Runnable: closures travel as Func, proc wakeups as the proc itself, and
+// pooled multi-stage operations as themselves — none of which allocates —
+// and one run loop pops every event off the heap.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -41,16 +36,19 @@ type Runnable interface {
 	Run()
 }
 
-// event is a scheduled callback, stored by value in the queue. Exactly one
-// of fn, proc and run is set: fn for plain callbacks, proc for the
-// allocation-free proc-wakeup fast path, run for pooled Runnable stages
-// (all nil is a no-op event, used to anchor time).
+// Func adapts a plain callback to a Runnable. A func value is
+// pointer-shaped, so the conversion to Runnable does not allocate.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
+// event is a scheduled target, stored by value in the queue (32 bytes). A
+// nil run is a no-op event, used to anchor time.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among events with equal time
-	fn   func()
-	proc *Proc
-	run  Runnable
+	at  Time
+	seq uint64 // tie-breaker: FIFO among events with equal time
+	run Runnable
 }
 
 // before reports heap order by (at, seq). seq is unique and monotonic, so
@@ -92,7 +90,7 @@ func (q *eventQueue) pop() event {
 	root := q.ev[0]
 	n := len(q.ev) - 1
 	last := q.ev[n]
-	q.ev[n] = event{} // release fn/proc so the free slot pins nothing
+	q.ev[n] = event{} // release the target so the free slot pins nothing
 	q.ev = q.ev[:n]
 	if n > 0 {
 		q.siftDown(last)
@@ -152,19 +150,6 @@ type Engine struct {
 	procs  []*Proc // live procs, for leak detection and KillProcs
 	halted bool
 
-	// batch holds the same-timestamp cohort currently being dispatched:
-	// batch[batchPos:] are executed in order, and events scheduled for the
-	// current instant are appended (their sequence numbers are globally
-	// monotonic, so append preserves FIFO) instead of round-tripping
-	// through the heap. The cohort head itself dispatches straight off the
-	// heap; only the rest of a multi-event cohort transits the batch.
-	batch    []event
-	batchPos int
-	// dispatching is true while the run loop is executing events —
-	// the window in which a same-instant schedule may join the batch even
-	// when the batch is momentarily empty (singleton cohorts skip it).
-	dispatching bool
-
 	// chooser is the schedule-exploration hook (see choose.go); nil in
 	// every production run, and the hot loop pays one nil check for it.
 	chooser Chooser
@@ -183,25 +168,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// enqueue routes one fully-formed event to its resting place: the live
-// dispatch batch for same-instant work, or the heap.
-func (e *Engine) enqueue(ev event) {
-	if ev.at == e.now && e.chooser == nil &&
-		(e.dispatching || e.batchPos < len(e.batch)) &&
-		(e.q.len() == 0 || e.q.ev[0].at != ev.at) {
-		// Same-instant schedule during dispatch with the heap clean at the
-		// current instant: ev's sequence number exceeds every queued
-		// event's, and once the heap is clean at an instant it stays clean
-		// (every later same-instant schedule takes this path too), so
-		// appending to the batch preserves global FIFO while skipping a
-		// heap push+pop round trip. The batch-live disjunct covers
-		// scheduling against a batch parked by a mid-cohort Halt.
-		e.batch = append(e.batch, ev)
-		return
-	}
-	e.q.push(ev)
-}
-
 // Schedule arranges for fn to run after delay. A negative delay is treated
 // as zero. Events scheduled for the same instant run in scheduling order.
 func (e *Engine) Schedule(delay time.Duration, fn func()) {
@@ -215,11 +181,11 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) {
 // the past are clamped to the present. A nil fn schedules a no-op event,
 // which still anchors the clock (RunUntil sees activity up to at).
 func (e *Engine) ScheduleAt(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
+	var r Runnable
+	if fn != nil {
+		r = Func(fn)
 	}
-	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, fn: fn})
+	e.ScheduleRunAt(at, r)
 }
 
 // ScheduleRun arranges for r.Run to execute after delay, allocation-free.
@@ -232,31 +198,18 @@ func (e *Engine) ScheduleRun(delay time.Duration, r Runnable) {
 }
 
 // ScheduleRunAt arranges for r.Run to execute at absolute virtual time at.
-// Times in the past are clamped to the present. Like ScheduleAt but the
-// event carries the Runnable itself, so no closure is materialized.
+// Times in the past are clamped to the present; a nil r is a no-op event.
 func (e *Engine) ScheduleRunAt(at Time, r Runnable) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, run: r})
-}
-
-// scheduleProcAt enqueues a wakeup for p at absolute time at. This is the
-// allocation-free fast path behind Sleep, Future and the sync primitives:
-// the event carries the proc pointer directly instead of a p.step method
-// value (which Go materializes as a fresh closure on every use).
-func (e *Engine) scheduleProcAt(at Time, p *Proc) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, proc: p})
+	e.q.push(event{at: at, seq: e.seq, run: r})
 }
 
 // wake enqueues a wakeup for p at the current instant, after events already
 // queued for this instant (FIFO by sequence).
-func (e *Engine) wake(p *Proc) { e.scheduleProcAt(e.now, p) }
+func (e *Engine) wake(p *Proc) { e.ScheduleRunAt(e.now, (*procWake)(p)) }
 
 // Halt stops the run loop after the current event finishes.
 func (e *Engine) Halt() { e.halted = true }
@@ -280,95 +233,49 @@ func (e *Engine) Run() Time {
 // the deadline remain queued. It returns the virtual time when it stopped
 // (the deadline if it was reached, otherwise the time of the last event).
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.halted = false
-	if e.chooser != nil {
-		return e.runChoose(deadline)
-	}
-	e.dispatching = true
-	for !e.halted {
-		var ev event
-		if i := e.batchPos; i < len(e.batch) {
-			ev = e.batch[i]
-			e.batch[i] = event{} // release fn/proc so the slot pins nothing
-			e.batchPos = i + 1
-		} else {
-			// Batch drained: execute the heap head directly. Cohort mates
-			// still in the heap pop one at a time (cheaper than staging
-			// them through the batch); only same-instant events born during
-			// dispatch transit the batch, and each of those saves a full
-			// heap push+pop.
-			e.batch = e.batch[:0]
-			e.batchPos = 0
-			if e.q.len() == 0 {
-				break
-			}
-			t := e.q.ev[0].at
-			if t > deadline {
-				e.now = deadline
-				e.dispatching = false
-				return e.now
-			}
-			e.now = t
-			ev = e.q.pop()
-		}
-		e.Executed++
-		if ev.proc != nil {
-			ev.proc.step()
-		} else if ev.run != nil {
-			ev.run.Run()
-		} else if ev.fn != nil {
-			ev.fn()
-		}
-	}
-	e.dispatching = false
+	e.run(deadline, math.MaxUint64)
 	return e.now
 }
 
-// runChoose is the schedule-exploration run loop: per-event pops under
-// chooser control. Batched dispatch is disabled here — the chooser's
-// ChoiceEvent points are defined against the heap's same-timestamp
-// candidate set, so cohorts must stay in the heap for it to see them.
-func (e *Engine) runChoose(deadline Time) Time {
-	e.flushBatch()
-	for e.q.len() > 0 && !e.halted {
+// RunMax executes events until the queue drains, Halt is called, or max
+// events have run — the explorer's non-termination bound. It reports
+// whether the queue drained (false means the bound was hit or the engine
+// was halted with events still pending).
+func (e *Engine) RunMax(max uint64) bool {
+	e.run(maxTime, max)
+	return e.q.len() == 0
+}
+
+// run is the engine's one dispatch loop, behind Run, RunUntil and RunMax.
+// It pops events in (time, seq) order — or, with a chooser installed, lets
+// the chooser order each same-timestamp cohort — until the queue drains,
+// Halt is called, max events have run, or the next event lies beyond
+// deadline (the clock then reads deadline).
+func (e *Engine) run(deadline Time, max uint64) {
+	e.halted = false
+	for ; max > 0 && e.q.len() > 0 && !e.halted; max-- {
 		if e.q.ev[0].at > deadline {
 			e.now = deadline
-			return e.now
+			return
 		}
-		ev := e.popChoose()
+		var ev event
+		if e.chooser != nil {
+			ev = e.popChoose()
+		} else {
+			ev = e.q.pop()
+		}
 		e.now = ev.at
 		e.Executed++
-		if ev.proc != nil {
-			ev.proc.step()
-		} else if ev.run != nil {
+		if ev.run != nil {
 			ev.run.Run()
-		} else if ev.fn != nil {
-			ev.fn()
 		}
 	}
-	return e.now
-}
-
-// flushBatch returns any not-yet-dispatched cohort events to the heap (they
-// keep their (time, seq) keys, so order is unchanged). Called when leaving
-// batched dispatch: installing a chooser, or draining into RunMax.
-func (e *Engine) flushBatch() {
-	for ; e.batchPos < len(e.batch); e.batchPos++ {
-		e.q.push(e.batch[e.batchPos])
-		e.batch[e.batchPos] = event{}
-	}
-	e.batch = e.batch[:0]
-	e.batchPos = 0
 }
 
 // NextEventAt reports the virtual time of the earliest queued event, or
-// false when no events are queued. Only meaningful between runs (it does
-// not look inside a dispatch batch mid-run) — the wall-clock runtime loop
-// uses it to decide how long to sleep before the next timer is due.
+// false when no events are queued — the wall-clock runtime loop uses it to
+// decide how long to sleep before the next timer is due.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if e.batchPos < len(e.batch) {
-		return e.now, true
-	}
 	if e.q.len() == 0 {
 		return 0, false
 	}
@@ -376,9 +283,7 @@ func (e *Engine) NextEventAt() (Time, bool) {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int {
-	return e.q.len() + len(e.batch) - e.batchPos
-}
+func (e *Engine) Pending() int { return e.q.len() }
 
 // LiveProcs reports the number of procs that have been spawned and have not
 // yet finished. Useful for detecting stuck protocol operations in tests.

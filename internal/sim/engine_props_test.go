@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Property and edge-case tests for the hand-specialized event queue and the
@@ -305,11 +306,10 @@ func TestFutureManyWaitersOrder(t *testing.T) {
 	}
 }
 
-// TestBatchedSameInstantFIFO is the property test for batched dispatch:
-// events that fan out same-instant work mid-dispatch, across several
-// cohorts, must still execute in global (time, seq) FIFO order — the batch
-// bypasses the heap, never the ordering contract.
-func TestBatchedSameInstantFIFO(t *testing.T) {
+// TestSameInstantFanoutFIFO: events that fan out zero-delay work
+// mid-dispatch, across several cohorts, execute in global (time, seq) FIFO
+// order — a child runs after everything already queued for its instant.
+func TestSameInstantFanoutFIFO(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	id := 0
@@ -343,8 +343,7 @@ func TestBatchedSameInstantFIFO(t *testing.T) {
 	// Roots get ids 0..5 at schedule time (two per cohort); children
 	// get ids at execution time (6,7 then 8,9 then 10,11). Per cohort
 	// the two roots run in schedule order, then the first root's
-	// same-instant children run after both — FIFO across the
-	// batch/heap boundary.
+	// same-instant children run after both.
 	want := []int{0, 1, 6, 7, 2, 3, 8, 9, 4, 5, 10, 11}
 	for i := range order {
 		if order[i] != want[i] {
@@ -389,13 +388,11 @@ func genWorkload(seed uint64, onExec, drive func(e *Engine)) []int {
 	return order
 }
 
-// TestBatchedRunMatchesReferenceLoops is the randomized differential test
-// for the batched fast path: Run's dispatch (same-instant work bypassing the
-// heap) must execute the exact order of the per-event reference loops —
-// RunMax and a run under an all-zeros Chooser, which pop every event off
-// the heap — and must keep it when the run is cut into RunUntil slices and
-// resumed after Halts that land in the middle of a same-instant cohort.
-func TestBatchedRunMatchesReferenceLoops(t *testing.T) {
+// TestRunEntryPointsAgree is the randomized differential test for the run
+// loop's entry points: Run, RunMax, a run under an all-zeros Chooser, and a
+// run cut into RunUntil slices and resumed after Halts that land in the
+// middle of a same-instant cohort must all execute the exact same order.
+func TestRunEntryPointsAgree(t *testing.T) {
 	midCohortHalts := 0
 	for seed := uint64(1); seed <= 60; seed++ {
 		want := genWorkload(seed, nil, func(e *Engine) {
@@ -470,19 +467,37 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 }
 
 // TestScheduleRunZeroAllocs guards the hot path at 0 allocs/op with no
-// chooser installed.
+// chooser installed, for a prebuilt closure (through Schedule and through
+// ScheduleAt, which wrap it as a Func) and for a Runnable.
 func TestScheduleRunZeroAllocs(t *testing.T) {
-	e := NewEngine()
 	fn := func() {}
-	i := 0
-	allocs := testing.AllocsPerRun(20000, func() {
-		e.Schedule(Time(i%64)*time.Microsecond, fn)
-		i++
-		if e.Pending() >= 1024 {
-			e.RunUntil(e.Now() + time.Millisecond)
+	for _, tc := range []struct {
+		name     string
+		schedule func(e *Engine, d Time)
+	}{
+		{"Schedule", func(e *Engine, d Time) { e.Schedule(d, fn) }},
+		{"ScheduleAt", func(e *Engine, d Time) { e.ScheduleAt(e.Now()+d, fn) }},
+		{"ScheduleRun", func(e *Engine, d Time) { e.ScheduleRun(d, Func(fn)) }},
+	} {
+		e := NewEngine()
+		i := 0
+		allocs := testing.AllocsPerRun(20000, func() {
+			tc.schedule(e, Time(i%64)*time.Microsecond)
+			i++
+			if e.Pending() >= 1024 {
+				e.RunUntil(e.Now() + time.Millisecond)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: schedule/run path allocates %.1f allocs/op, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule/run path allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestEventIs32Bytes pins the event's size: one time, one sequence number
+// and one interface target.
+func TestEventIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("sizeof(event) = %d bytes, want 32", got)
 	}
 }

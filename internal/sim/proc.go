@@ -68,15 +68,19 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// step runs the proc from the engine context until it parks or finishes.
-func (p *Proc) step() {
-	if p.dead {
-		return
+// procWake is a proc as an event target: its Run steps the proc. The
+// conversion is free, so a wakeup allocates nothing (a method value would
+// be a fresh closure on every use).
+type procWake Proc
+
+// Run runs the proc from the engine context until it parks or finishes.
+func (w *procWake) Run() {
+	if p := (*Proc)(w); !p.dead {
+		p.next()
 	}
-	p.next()
 }
 
-// park returns control to the engine and waits until some event calls step.
+// park returns control to the engine and waits until a wakeup runs the proc.
 func (p *Proc) park() {
 	if !p.yield(struct{}{}) {
 		panic(procKilled{})
@@ -129,7 +133,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.scheduleProcAt(p.eng.now+d, p)
+	p.eng.ScheduleRunAt(p.eng.now+d, (*procWake)(p))
 	p.park()
 }
 

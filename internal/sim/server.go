@@ -23,35 +23,9 @@ func NewServer(e *Engine, name string) *Server {
 	return &Server{eng: e, name: name}
 }
 
-// Do enqueues a job with the given service time; fn (may be nil) runs when
-// the job completes. Returns the completion time.
-func (s *Server) Do(cost time.Duration, fn func()) Time {
-	if cost < 0 {
-		cost = 0
-	}
-	now := s.eng.Now()
-	start := s.busyUntil
-	if start < now {
-		start = now
-	}
-	if backlog := start - now; backlog > s.maxQueue {
-		s.maxQueue = backlog
-	}
-	s.busyUntil = start + cost
-	s.Jobs++
-	s.BusyTime += cost
-	done := s.busyUntil
-	if fn != nil {
-		s.eng.ScheduleAt(done, fn)
-	} else {
-		// Still anchor the busy period so RunUntil sees activity.
-		s.eng.ScheduleAt(done, func() {})
-	}
-	return done
-}
-
-// DoRun enqueues a job like Do but completion resumes a Runnable instead
-// of a closure, keeping the caller's path allocation-free.
+// DoRun enqueues a job with the given service time; r.Run runs when the job
+// completes (a closure goes in as a Func). A nil r still anchors the busy
+// period, so RunUntil sees activity up to it. Returns the completion time.
 func (s *Server) DoRun(cost time.Duration, r Runnable) Time {
 	if cost < 0 {
 		cost = 0
@@ -67,9 +41,8 @@ func (s *Server) DoRun(cost time.Duration, r Runnable) Time {
 	s.busyUntil = start + cost
 	s.Jobs++
 	s.BusyTime += cost
-	done := s.busyUntil
-	s.eng.ScheduleRunAt(done, r)
-	return done
+	s.eng.ScheduleRunAt(s.busyUntil, r)
+	return s.busyUntil
 }
 
 // BusyUntil returns the time at which all currently queued work finishes.

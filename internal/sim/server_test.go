@@ -10,7 +10,7 @@ func TestServerSerializesJobs(t *testing.T) {
 	s := NewServer(e, "dev")
 	var done []Time
 	for i := 0; i < 3; i++ {
-		s.Do(10*time.Millisecond, func() { done = append(done, e.Now()) })
+		s.DoRun(10*time.Millisecond, Func(func() { done = append(done, e.Now()) }))
 	}
 	e.Run()
 	want := []Time{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
@@ -31,9 +31,9 @@ func TestServerIdleGapsDontAccumulate(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "dev")
 	var second Time
-	s.Do(time.Millisecond, nil)
+	s.DoRun(time.Millisecond, nil)
 	e.Schedule(100*time.Millisecond, func() {
-		s.Do(time.Millisecond, func() { second = e.Now() })
+		s.DoRun(time.Millisecond, Func(func() { second = e.Now() }))
 	})
 	e.Run()
 	if second != 101*time.Millisecond {
@@ -44,10 +44,10 @@ func TestServerIdleGapsDontAccumulate(t *testing.T) {
 func TestServerReturnsCompletionTime(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "dev")
-	if got := s.Do(5*time.Millisecond, nil); got != 5*time.Millisecond {
+	if got := s.DoRun(5*time.Millisecond, nil); got != 5*time.Millisecond {
 		t.Fatalf("completion = %v", got)
 	}
-	if got := s.Do(5*time.Millisecond, nil); got != 10*time.Millisecond {
+	if got := s.DoRun(5*time.Millisecond, nil); got != 10*time.Millisecond {
 		t.Fatalf("completion = %v", got)
 	}
 	if s.Idle() {
@@ -63,7 +63,7 @@ func TestServerNegativeCostClamped(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "dev")
 	ran := false
-	s.Do(-time.Second, func() { ran = true })
+	s.DoRun(-time.Second, Func(func() { ran = true }))
 	e.Run()
 	if !ran || e.Now() != 0 {
 		t.Fatalf("negative cost mishandled: ran=%v now=%v", ran, e.Now())
@@ -73,8 +73,8 @@ func TestServerNegativeCostClamped(t *testing.T) {
 func TestServerBacklogTracking(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "dev")
-	s.Do(10*time.Millisecond, nil)
-	s.Do(10*time.Millisecond, nil) // arrives with 10ms backlog
+	s.DoRun(10*time.Millisecond, nil)
+	s.DoRun(10*time.Millisecond, nil) // arrives with 10ms backlog
 	if s.MaxBacklog() != 10*time.Millisecond {
 		t.Fatalf("MaxBacklog = %v, want 10ms", s.MaxBacklog())
 	}
@@ -84,7 +84,7 @@ func TestServerBacklogTracking(t *testing.T) {
 func TestServerUtilization(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "dev")
-	s.Do(time.Second, nil)
+	s.DoRun(time.Second, nil)
 	e.Schedule(2*time.Second, func() {})
 	e.Run()
 	u := s.Utilization()

@@ -27,7 +27,7 @@ import (
 // wireVersion is the frame-format generation. The hello exchange rejects
 // mismatched peers instead of misparsing them; bump it on any change to
 // the frame layout below or to a registered message codec's golden frames.
-const wireVersion = 1
+const wireVersion = 2
 
 // Frame kinds. Every frame on a connection is a u32 little-endian length
 // prefix followed by a body starting with one of these bytes.
@@ -40,12 +40,13 @@ const (
 // A msg/bounce body after the kind byte:
 //
 //	u32 src | u32 dst | u16 proto-name length | proto name bytes |
-//	u32 payloadBytes | u32 encoded-message length | encoded message
+//	encoded message
 //
-// Proto *names* travel on the wire, never ProtoIDs: IDs are process-local
-// interning order, so each process maps the name back through its own
-// registry. payloadBytes is the sender's accounted protocol payload,
-// carried for byte statistics (netx models no costs).
+// The encoded message runs to the end of the frame: the length prefix
+// already bounds it, and the codec rejects a truncated message or trailing
+// bytes. Proto *names* travel on the wire, never ProtoIDs: IDs are
+// process-local interning order, so each process maps the name back
+// through its own registry.
 
 // maxFrame bounds an inbound frame body. A page is 8 KB; headers are tens
 // of bytes; 1 MiB is generous headroom and a hard stop against a corrupt
@@ -62,9 +63,8 @@ type wireMsg struct {
 }
 
 // msgFixed is what a msg frame carries besides the proto name and the
-// encoded message: length prefix, kind, src, dst, name length,
-// payloadBytes, encoded length.
-const msgFixed = 4 + 1 + 4 + 4 + 2 + 4 + 4
+// encoded message: length prefix, kind, src, dst, name length.
+const msgFixed = 4 + 1 + 4 + 4 + 2
 
 // appendHello appends a complete hello frame.
 func appendHello(dst []byte, self mesh.NodeID) []byte {
@@ -75,23 +75,19 @@ func appendHello(dst []byte, self mesh.NodeID) []byte {
 }
 
 // appendMsgFrame appends a complete msg frame — length prefix, header and
-// codec's encoding of m — to dst. The codec appends in place and the two
-// lengths are patched afterwards, so a frame is built once, in one buffer.
-func appendMsgFrame(dst []byte, src, dstNode mesh.NodeID, protoName string, payloadBytes int, codec xport.WireCodec, m interface{}) ([]byte, error) {
+// codec's encoding of m — to dst. The codec appends in place and the length
+// prefix is patched afterwards, so a frame is built once, in one buffer.
+func appendMsgFrame(dst []byte, src, dstNode mesh.NodeID, protoName string, codec xport.WireCodec, m interface{}) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, frameMsg)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(src)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(dstNode)))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(protoName)))
 	dst = append(dst, protoName...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadBytes))
-	dst = append(dst, 0, 0, 0, 0)
-	enc := len(dst)
 	dst, err := codec.AppendMsg(dst, m)
 	if err != nil {
 		return dst, err
 	}
-	binary.LittleEndian.PutUint32(dst[enc-4:], uint32(len(dst)-enc))
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst, nil
 }
@@ -107,17 +103,11 @@ func parseMsgBody(body []byte) (wireMsg, error) {
 	m.dst = mesh.NodeID(int32(binary.LittleEndian.Uint32(body[5:9])))
 	nameLen := int(binary.LittleEndian.Uint16(body[9:11]))
 	rest := body[11:]
-	if len(rest) < nameLen+8 {
+	if len(rest) < nameLen {
 		return m, fmt.Errorf("netx: truncated message frame")
 	}
 	m.protoName = rest[:nameLen]
-	rest = rest[nameLen:]
-	encLen := int(binary.LittleEndian.Uint32(rest[4:8]))
-	rest = rest[8:]
-	if len(rest) != encLen {
-		return m, fmt.Errorf("netx: message frame length mismatch (have %d, header says %d)", len(rest), encLen)
-	}
-	m.encoded = rest
+	m.encoded = rest[nameLen:]
 	return m, nil
 }
 

@@ -61,7 +61,7 @@ func rawConn(t *testing.T, tb *Transport) (write func([]byte), closed chan struc
 
 func msgFrame(t *testing.T, kind byte, src, dst mesh.NodeID, m testMsg) []byte {
 	t.Helper()
-	f, err := appendMsgFrame(nil, src, dst, "netxtest", 0, testCodec{}, m)
+	f, err := appendMsgFrame(nil, src, dst, "netxtest", testCodec{}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +401,8 @@ func (s splitReader) Read(p []byte) (int, error) {
 // failed, never panics, and never holds more than MaxFrame + 4 bytes.
 func FuzzFrameReader(f *testing.F) {
 	hello := appendHello(nil, 3)
-	msg, _ := appendMsgFrame(nil, 0, 1, "netxtest", 0, testCodec{}, testMsg{N: 9, S: "fuzz"})
-	page, _ := appendMsgFrame(nil, 0, 1, "netxtest", 0, testCodec{}, testMsg{S: strings.Repeat("p", pageBytes)})
+	msg, _ := appendMsgFrame(nil, 0, 1, "netxtest", testCodec{}, testMsg{N: 9, S: "fuzz"})
+	page, _ := appendMsgFrame(nil, 0, 1, "netxtest", testCodec{}, testMsg{S: strings.Repeat("p", pageBytes)})
 	f.Add(slices.Concat(hello, msg, msg), uint16(1000), uint64(1))
 	f.Add(slices.Concat(hello, page, msg, page[:100]), uint16(9000), uint64(2))
 	f.Add(slices.Concat(msg, []byte{0, 0, 0, 0}, msg), uint16(60), uint64(3)) // an empty frame between two

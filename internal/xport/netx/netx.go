@@ -264,7 +264,7 @@ func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 	// 64: room for the message's own header fields around the payload.
 	buf := getFrameBuf(msgFixed + len(r.name) + payloadBytes + 64)
 	var err error
-	if *buf, err = appendMsgFrame((*buf)[:0], src, dst, r.name, payloadBytes, r.codec, m); err != nil {
+	if *buf, err = appendMsgFrame((*buf)[:0], src, dst, r.name, r.codec, m); err != nil {
 		panic(fmt.Sprintf("netx: encoding %T for channel %q: %v", m, r.name, err))
 	}
 
