@@ -70,12 +70,8 @@ func (e *Env) Counters() (map[string]int64, error) {
 	out := make(map[string]int64)
 	c := e.W.C
 	for i := 0; i < c.P.Nodes; i++ {
-		for _, name := range c.Kerns[i].Ctr.Names() {
-			out[name] += c.Kerns[i].Ctr.Get(name)
-		}
-		for _, name := range c.ASVMs[i].Ctr.Names() {
-			out[name] += c.ASVMs[i].Ctr.Get(name)
-		}
+		c.Kerns[i].Ctr.AddTo(out)
+		c.ASVMs[i].Ctr.AddTo(out)
 	}
 	return out, nil
 }

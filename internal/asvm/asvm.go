@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"asvm/internal/mesh"
-	"asvm/internal/pager"
 	"asvm/internal/sim"
 	"asvm/internal/vm"
 	"asvm/internal/xport"
@@ -314,12 +313,31 @@ type DomainInfo struct {
 	Down map[mesh.NodeID]bool
 
 	// mapIdx is the authoritative membership index: each node's position
-	// in Mapping, maintained eagerly by every path that changes Mapping
-	// (Setup, AddNode, Promote, CopyDomain). Membership tests, ring
-	// successors and crash scrubs are all one map probe — never a list
-	// scan, never a rebuild on the forwarding path. Code that edits
-	// Mapping directly (tests poisoning the ring) must call Reindex.
+	// in Mapping, built by NewDomain and extended by AddNode — the only two
+	// paths that change Mapping. Membership tests, ring successors and
+	// crash scrubs are all one map probe — never a list scan, never a
+	// rebuild on the forwarding path.
 	mapIdx map[mesh.NodeID]int
+}
+
+// DomainSeqBase is where cluster-level domain IDs start: a cluster numbers
+// its shared domains DomainSeqBase+1, +2, … above any kernel-local ID, so a
+// mesh's one region and a simulated cluster's first region share an ID.
+const DomainSeqBase = 1_000_000
+
+// NewDomain is the one constructor of a domain's cluster-wide description,
+// for simulated regions, the real mesh's region, promotions and copy
+// domains alike. mapping is copied and fixes the ring order static hashing
+// and ring scans use. No node holds an instance yet: each joins through
+// AddNode, and the caller hands the home's instance its backing store with
+// SetPager — a home without one zero-fills and parks page-outs in memory.
+func NewDomain(id vm.ObjID, sizePages vm.PageIdx, home mesh.NodeID, mapping []mesh.NodeID, cfg Config) *DomainInfo {
+	d := &DomainInfo{
+		ID: id, SizePages: sizePages, Home: home, Cfg: cfg,
+		Mapping: append([]mesh.NodeID(nil), mapping...),
+	}
+	d.rebuildMapIdx()
+	return d
 }
 
 // staticNode returns the static ownership manager for a page.
@@ -335,12 +353,6 @@ func (d *DomainInfo) mappingIndex(n mesh.NodeID) int {
 	return -1
 }
 
-// Reindex rebuilds the membership index after a direct edit of Mapping.
-// Only code that mutates Mapping outside the API (tests poisoning the
-// ring with dead members) needs it; every API path keeps mapIdx
-// authoritative on its own.
-func (d *DomainInfo) Reindex() { d.rebuildMapIdx() }
-
 // rebuildMapIdx reindexes Mapping into mapIdx.
 func (d *DomainInfo) rebuildMapIdx() {
 	d.mapIdx = make(map[mesh.NodeID]int, len(d.Mapping))
@@ -355,36 +367,11 @@ func (d *DomainInfo) nextInRing(n mesh.NodeID) mesh.NodeID {
 	return d.Mapping[(i+1)%len(d.Mapping)]
 }
 
-// Setup creates an ASVM domain across the given runtimes. home indexes
-// into nodes; pagerSrv may be nil (anonymous: zero-fill at home, page-out
-// parks at home in memory). Returns the per-node vm objects, aligned with
-// nodes.
-func Setup(id vm.ObjID, sizePages vm.PageIdx, nodes []*Node, home int, pagerSrv *pager.Server, cfg Config) (*DomainInfo, []*vm.Object) {
-	info := &DomainInfo{
-		ID: id, SizePages: sizePages,
-		Home: nodes[home].Self,
-		Cfg:  cfg,
-	}
-	for _, n := range nodes {
-		info.Mapping = append(info.Mapping, n.Self)
-	}
-	info.rebuildMapIdx()
-	objs := make([]*vm.Object, len(nodes))
-	for i, n := range nodes {
-		in := newInstance(n, info)
-		if i == home && pagerSrv != nil {
-			in.pagerCli = pager.NewClient(n.Eng, n.TR, n.Self, pagerSrv)
-		}
-		objs[i] = in.o
-	}
-	return info, objs
-}
-
-// AddNode extends an existing domain to one more node (used when remote
-// forks establish sharing of a source object). Returns the new instance.
-// A node already in the mapping ring — say one whose instance was dropped
-// by Teardown and is being re-added — keeps its position instead of
-// appearing twice (a duplicate would skew static hashing and ring scans).
+// AddNode joins a node to a domain and returns its instance: every mapping
+// node at setup, a remote fork's destination, a crashed node rejoining
+// cold. A node already in the mapping ring keeps its position instead of
+// appearing twice (a duplicate would skew static hashing and ring scans);
+// one that already holds an instance gets that instance back.
 func AddNode(info *DomainInfo, n *Node) *Instance {
 	if in := n.instances[info.ID]; in != nil {
 		return in

@@ -42,9 +42,29 @@ func newCluster(t *testing.T, n int, memPages int, cfg Config) *cluster {
 
 var sharedID = vm.ObjID{Node: 0, Seq: 5000}
 
+// setupDomain builds a domain over every node of the test cluster, homed at
+// node 0 with io (may be nil) as its backing store, and returns the
+// per-node vm objects.
+func (c *cluster) setupDomain(id vm.ObjID, sizePages vm.PageIdx, io pager.PagerIO, cfg Config) (*DomainInfo, []*vm.Object) {
+	mapping := make([]mesh.NodeID, len(c.asvms))
+	for i, a := range c.asvms {
+		mapping[i] = a.Self
+	}
+	info := NewDomain(id, sizePages, mapping[0], mapping, cfg)
+	objs := make([]*vm.Object, len(c.asvms))
+	for i, a := range c.asvms {
+		in := AddNode(info, a)
+		if i == 0 && io != nil {
+			in.SetPager(io)
+		}
+		objs[i] = in.Obj()
+	}
+	return info, objs
+}
+
 func (c *cluster) shared(t *testing.T, sizePages vm.PageIdx, cfg Config) []*vm.Task {
 	t.Helper()
-	_, objs := Setup(sharedID, sizePages, c.asvms, 0, nil, cfg)
+	_, objs := c.setupDomain(sharedID, sizePages, nil, cfg)
 	tasks := make([]*vm.Task, len(c.asvms))
 	for i, a := range c.asvms {
 		task := a.K.NewTask("t")
@@ -383,7 +403,7 @@ func TestASVMFileBackedReads(t *testing.T) {
 	data := make([]byte, vm.PageSize)
 	data[0] = 0x11
 	srv.Preload(id, 0, data)
-	_, objs := Setup(id, 8, c.asvms, 0, srv, DefaultConfig())
+	_, objs := c.setupDomain(id, 8, pager.NewClient(c.eng, c.tr, 0, srv), DefaultConfig())
 	t1 := c.asvms[1].K.NewTask("t1")
 	t1.Map.MapObject(0, objs[1], 0, 8, vm.ProtWrite, vm.InheritShare)
 	t2 := c.asvms[2].K.NewTask("t2")
@@ -982,7 +1002,7 @@ func TestASVMLargeClusterSmoke(t *testing.T) {
 // duplicate would skew static hashing and the global ring scan).
 func TestAddNodeAfterTeardownNoDuplicate(t *testing.T) {
 	c := newCluster(t, 3, 0, DefaultConfig())
-	info, _ := Setup(sharedID, 4, c.asvms, 0, nil, DefaultConfig())
+	info, _ := c.setupDomain(sharedID, 4, nil, DefaultConfig())
 	if len(info.Mapping) != 3 {
 		t.Fatalf("mapping has %d entries after setup, want 3", len(info.Mapping))
 	}

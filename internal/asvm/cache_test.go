@@ -3,8 +3,16 @@ package asvm
 import (
 	"testing"
 
+	"asvm/internal/mesh"
 	"asvm/internal/vm"
 )
+
+// scrubStatic runs the real peer-down scrub, Instance.forgetOwner, over a
+// bare static cache.
+func scrubStatic(s *fifoCache[staticEntry], dead mesh.NodeID) {
+	in := &Instance{static: s, dyn: newFIFOCache[mesh.NodeID](1)}
+	in.forgetOwner(dead)
+}
 
 // TestStaticLRUGoldenEvictionOrder pins the static manager cache's exact
 // replacement behaviour: insertion-order FIFO where a Put that refreshes an
@@ -12,7 +20,7 @@ import (
 // knob sizes this cache, so the scale sweep's cache-sizing rows depend on
 // this precise policy — a change here re-renders those rows.
 func TestStaticLRUGoldenEvictionOrder(t *testing.T) {
-	s := newStaticLRU(3)
+	s := newFIFOCache[staticEntry](3)
 	for _, idx := range []vm.PageIdx{10, 20, 30} {
 		s.Put(idx, staticEntry{owner: 1})
 	}
@@ -49,10 +57,10 @@ func TestStaticLRUGoldenEvictionOrder(t *testing.T) {
 }
 
 // TestStaticLRUMinCapacityAndDeleteOwner: the size knob clamps to 1, and
-// DeleteOwner scrubs owner hints for the dead node while keeping "paged"
+// the peer-down scrub drops owner hints for the dead node while keeping "paged"
 // markers (the pager's copy does not die with an owner).
 func TestStaticLRUMinCapacityAndDeleteOwner(t *testing.T) {
-	s := newStaticLRU(0) // clamps to 1
+	s := newFIFOCache[staticEntry](0) // clamps to 1
 	s.Put(1, staticEntry{owner: 3})
 	s.Put(2, staticEntry{owner: 4})
 	if _, ok := s.Get(1); ok {
@@ -62,18 +70,48 @@ func TestStaticLRUMinCapacityAndDeleteOwner(t *testing.T) {
 		t.Fatal("capacity-1 cache lost the newest entry")
 	}
 
-	s = newStaticLRU(4)
+	s = newFIFOCache[staticEntry](4)
 	s.Put(1, staticEntry{owner: 3})
 	s.Put(2, staticEntry{owner: 5})
 	s.Put(3, staticEntry{owner: 3, paged: true})
-	s.DeleteOwner(3)
+	scrubStatic(s, 3)
 	if _, ok := s.Get(1); ok {
-		t.Fatal("owner hint for dead node 3 survived DeleteOwner")
+		t.Fatal("owner hint for dead node 3 survived the scrub")
 	}
 	if _, ok := s.Get(2); !ok {
 		t.Fatal("owner hint for live node 5 was scrubbed")
 	}
 	if e, ok := s.Get(3); !ok || !e.paged {
 		t.Fatal("paged marker was scrubbed with the dead owner")
+	}
+}
+
+// TestStaticCacheScrubKeepsReadmittedPage: a peer-down scrub must not leave
+// a stale FIFO slot that later evicts a readmitted page early. Capacity 3:
+// Put 1, Put 2, scrub 1's owner, Put 1, Put 3 holds three live keys, so
+// nothing may be evicted — with a plain FIFO of keys, 1's first slot was
+// still at the head and Put 3 evicted the readmitted 1.
+func TestStaticCacheScrubKeepsReadmittedPage(t *testing.T) {
+	s := newFIFOCache[staticEntry](3)
+	s.Put(1, staticEntry{owner: 5})
+	s.Put(2, staticEntry{owner: 6})
+	scrubStatic(s, 5)
+	if len(s.m) != 1 {
+		t.Fatalf("scrub left %d entries, want 1", len(s.m))
+	}
+	s.Put(1, staticEntry{owner: 7})
+	s.Put(3, staticEntry{owner: 7})
+	for _, idx := range []vm.PageIdx{1, 2, 3} {
+		if _, ok := s.Get(idx); !ok {
+			t.Fatalf("page %d evicted with only three live keys stored", idx)
+		}
+	}
+	// The next newcomer evicts the oldest live key, 2 — not the readmitted 1.
+	s.Put(4, staticEntry{owner: 7})
+	if _, ok := s.Get(2); ok {
+		t.Fatal("Put 4 did not evict the oldest live key 2")
+	}
+	if _, ok := s.Get(1); !ok {
+		t.Fatal("Put 4 evicted the readmitted page 1")
 	}
 }

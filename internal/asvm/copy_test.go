@@ -194,7 +194,7 @@ func TestPromoteRejectsPagedOut(t *testing.T) {
 	c := newCluster(t, 2, 0, DefaultConfig())
 	o := c.kerns[0].NewAnonymous(4)
 	o.PagedOut[1] = true
-	if _, err := Promote(c.asvms[0], o, nil, DefaultConfig()); err == nil {
+	if _, err := Promote(c.asvms[0], o, DefaultConfig()); err == nil {
 		t.Fatal("promotion with paged-out pages accepted")
 	}
 }
@@ -202,11 +202,11 @@ func TestPromoteRejectsPagedOut(t *testing.T) {
 func TestPromoteIdempotent(t *testing.T) {
 	c := newCluster(t, 2, 0, DefaultConfig())
 	o := c.kerns[0].NewAnonymous(4)
-	info1, err := Promote(c.asvms[0], o, nil, DefaultConfig())
+	info1, err := Promote(c.asvms[0], o, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	info2, err := Promote(c.asvms[0], o, nil, DefaultConfig())
+	info2, err := Promote(c.asvms[0], o, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,8 +216,7 @@ func (n *Node) PeerDown(dead mesh.NodeID) {
 	n.crashEra = true
 	n.Ctr.V[sim.CtrPeerDowns]++
 	for _, in := range n.instancesSorted() {
-		n.Ctr.V[sim.CtrHintEvictions] += int64(in.dyn.DeleteOwner(dead))
-		in.static.DeleteOwner(dead)
+		n.Ctr.V[sim.CtrHintEvictions] += int64(in.forgetOwner(dead))
 		in.completePendingFor(dead)
 		for i := range in.slots {
 			sl := &in.slots[i]
@@ -226,6 +225,14 @@ func (n *Node) PeerDown(dead mesh.NodeID) {
 			}
 		}
 	}
+}
+
+// forgetOwner scrubs a dead node from both forwarding caches — "paged"
+// markers stay, the pager's copy does not die with an owner — and returns
+// how many dynamic hints it evicted.
+func (in *Instance) forgetOwner(dead mesh.NodeID) int {
+	in.static.DeleteFunc(func(e staticEntry) bool { return !e.paged && e.owner == dead })
+	return in.dyn.DeleteFunc(func(n mesh.NodeID) bool { return n == dead })
 }
 
 // instancesSorted returns this node's instances in ObjID order — map
@@ -363,9 +370,7 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 		nd := cluster.node(nid)
 		if in := nd.instances[info.ID]; in != nil {
 			nd.crashEra = true
-			n := in.dyn.DeleteOwner(dead)
-			nd.Ctr.V[sim.CtrHintEvictions] += int64(n)
-			in.static.DeleteOwner(dead)
+			nd.Ctr.V[sim.CtrHintEvictions] += int64(in.forgetOwner(dead))
 			in.completePendingFor(dead)
 			in.dropQueuedFrom(dead)
 			for i := range in.slots {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"asvm/internal/mesh"
-	"asvm/internal/pager"
 	"asvm/internal/vm"
 )
 
@@ -20,8 +19,8 @@ import (
 
 // Promote turns a node-private object into a single-node ASVM domain so it
 // can participate in sharing and remote copies. Resident pages become
-// owned by the node. pagerSrv may be nil (home-parked backing store).
-func Promote(nd *Node, o *vm.Object, pagerSrv *pager.Server, cfg Config) (*DomainInfo, error) {
+// owned by the node, which is the home; page-outs park there in memory.
+func Promote(nd *Node, o *vm.Object, cfg Config) (*DomainInfo, error) {
 	if o.Mgr != nil {
 		if in, ok := o.Mgr.(*Instance); ok {
 			return in.info, nil // already a domain
@@ -31,17 +30,8 @@ func Promote(nd *Node, o *vm.Object, pagerSrv *pager.Server, cfg Config) (*Domai
 	if len(o.PagedOut) > 0 {
 		return nil, fmt.Errorf("asvm: cannot promote %v with pages at the default pager", o.ID)
 	}
-	info := &DomainInfo{
-		ID: o.ID, SizePages: o.SizePages,
-		Home:    nd.Self,
-		Mapping: []mesh.NodeID{nd.Self},
-		Cfg:     cfg,
-	}
-	info.rebuildMapIdx()
-	in := newInstance(nd, info)
-	if pagerSrv != nil {
-		in.pagerCli = pager.NewClient(nd.Eng, nd.TR, nd.Self, pagerSrv)
-	}
+	info := NewDomain(o.ID, o.SizePages, nd.Self, []mesh.NodeID{nd.Self}, cfg)
+	AddNode(info, nd)
 	return info, nil
 }
 
@@ -74,18 +64,11 @@ func ensureSharing(cluster Cluster, info *DomainInfo, nd *Node) *Instance {
 // copy) and splices local copy objects into every sharing node's chain.
 // Returns the new domain.
 func CopyDomain(cluster Cluster, src *DomainInfo, peer *Node) *DomainInfo {
-	c := &DomainInfo{
-		ID:        peer.K.NextID(),
-		SizePages: src.SizePages,
-		Home:      peer.Self,
-		Mapping:   append([]mesh.NodeID(nil), src.Mapping...),
-		Source:    src,
-		Cfg:       src.Cfg,
-	}
-	c.rebuildMapIdx()
+	c := NewDomain(peer.K.NextID(), src.SizePages, peer.Self, src.Mapping, src.Cfg)
+	c.Source = src
 	for _, nid := range src.Mapping {
 		nd := cluster.node(nid)
-		cIn := newInstance(nd, c)
+		cIn := AddNode(c, nd)
 		sObj := nd.K.Object(src.ID)
 		nd.K.LinkCopy(sObj, cIn.o)
 	}
@@ -118,7 +101,7 @@ func RemoteFork(cluster Cluster, parent *vm.Task, dst *Node, childName string, c
 			if info == nil {
 				src := cluster.node(parent.Kernel.Node)
 				var err error
-				info, err = Promote(src, e.Object, nil, cfg)
+				info, err = Promote(src, e.Object, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -132,7 +115,7 @@ func RemoteFork(cluster Cluster, parent *vm.Task, dst *Node, childName string, c
 			if info == nil {
 				src := cluster.node(parent.Kernel.Node)
 				var err error
-				info, err = Promote(src, e.Object, nil, cfg)
+				info, err = Promote(src, e.Object, cfg)
 				if err != nil {
 					return nil, err
 				}

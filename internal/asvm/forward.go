@@ -10,157 +10,114 @@ import (
 	"asvm/internal/xport"
 )
 
-// hintCache is a bounded FIFO cache of page -> probable-owner hints (the
-// dynamic forwarding cache, Figure 6). Deleting a hint tombstones its FIFO
-// slot by generation: a deleted-then-readmitted page gets a fresh slot and a
-// fresh generation, so stale slots never evict a live hint early. Tombstones
+// fifoCache is a bounded insertion-order FIFO map from page to V: both
+// forwarding caches are one — the dynamic owner hints (Figure 6) and the
+// static managers' owner hints and "paged" markers. A Put that refreshes a
+// key keeps its FIFO slot. Deleting a key tombstones its slot by
+// generation: a deleted-then-readmitted page gets a fresh slot and a fresh
+// generation, so stale slots never evict a live entry early. Tombstones
 // are compacted away once they outnumber the capacity.
-type hintCache struct {
+type fifoCache[V any] struct {
 	max   int
-	m     map[vm.PageIdx]hintEntry
-	order []hintSlot
+	m     map[vm.PageIdx]fifoEntry[V]
+	order []fifoSlot
 	dead  int
 	gen   uint64
 }
 
-// hintEntry is a live hint plus the generation of its FIFO slot.
-type hintEntry struct {
-	n   mesh.NodeID
+// fifoEntry is a live value plus the generation of its FIFO slot.
+type fifoEntry[V any] struct {
+	v   V
 	gen uint64
 }
 
-// hintSlot records the insertion order; it is stale once the page was
+// fifoSlot records the insertion order; it is stale once the page was
 // deleted or readmitted under a newer generation.
-type hintSlot struct {
+type fifoSlot struct {
 	idx vm.PageIdx
 	gen uint64
 }
 
-func newHintCache(max int) *hintCache {
+func newFIFOCache[V any](max int) *fifoCache[V] {
 	if max < 1 {
 		max = 1
 	}
-	return &hintCache{max: max, m: make(map[vm.PageIdx]hintEntry)}
+	return &fifoCache[V]{max: max, m: make(map[vm.PageIdx]fifoEntry[V])}
 }
 
-// Get returns the hinted owner for a page.
-func (h *hintCache) Get(idx vm.PageIdx) (mesh.NodeID, bool) {
-	e, ok := h.m[idx]
-	return e.n, ok
+// Get looks up a page's entry.
+func (c *fifoCache[V]) Get(idx vm.PageIdx) (V, bool) {
+	e, ok := c.m[idx]
+	return e.v, ok
 }
 
-// Put records a hint, evicting the oldest live hint when full.
-func (h *hintCache) Put(idx vm.PageIdx, n mesh.NodeID) {
-	if e, exists := h.m[idx]; exists {
-		h.m[idx] = hintEntry{n: n, gen: e.gen}
+// Put inserts or refreshes an entry, evicting the oldest live one when full.
+func (c *fifoCache[V]) Put(idx vm.PageIdx, v V) {
+	if e, exists := c.m[idx]; exists {
+		c.m[idx] = fifoEntry[V]{v: v, gen: e.gen}
 		return
 	}
-	if len(h.m) >= h.max {
+	if len(c.m) >= c.max {
 		for {
-			s := h.order[0]
-			h.order = h.order[1:]
-			if e, ok := h.m[s.idx]; ok && e.gen == s.gen {
-				delete(h.m, s.idx)
+			s := c.order[0]
+			c.order = c.order[1:]
+			if e, ok := c.m[s.idx]; ok && e.gen == s.gen {
+				delete(c.m, s.idx)
 				break
 			}
-			h.dead-- // skipped a tombstone
+			c.dead-- // skipped a tombstone
 		}
 	}
-	h.gen++
-	h.m[idx] = hintEntry{n: n, gen: h.gen}
-	h.order = append(h.order, hintSlot{idx: idx, gen: h.gen})
+	c.gen++
+	c.m[idx] = fifoEntry[V]{v: v, gen: c.gen}
+	c.order = append(c.order, fifoSlot{idx: idx, gen: c.gen})
 }
 
-// Delete removes a hint; its FIFO slot becomes a tombstone.
-func (h *hintCache) Delete(idx vm.PageIdx) {
-	if _, ok := h.m[idx]; !ok {
-		return
+// Delete removes an entry; its FIFO slot becomes a tombstone.
+func (c *fifoCache[V]) Delete(idx vm.PageIdx) {
+	if _, ok := c.m[idx]; ok {
+		delete(c.m, idx)
+		c.tombstone(1)
 	}
-	delete(h.m, idx)
-	h.dead++
-	if h.dead > h.max {
-		h.compact()
+}
+
+// DeleteFunc removes every entry drop selects — a peer-down scrub drops
+// the hints at the dead node — and returns how many it removed. Their FIFO
+// slots become tombstones exactly as in Delete.
+func (c *fifoCache[V]) DeleteFunc(drop func(V) bool) int {
+	n := 0
+	for idx, e := range c.m {
+		if drop(e.v) {
+			delete(c.m, idx)
+			n++
+		}
+	}
+	c.tombstone(n)
+	return n
+}
+
+// tombstone counts n stale slots, compacting once they outnumber max.
+func (c *fifoCache[V]) tombstone(n int) {
+	c.dead += n
+	if c.dead > c.max {
+		c.compact()
 	}
 }
 
 // compact drops stale slots so order stays O(live + max).
-func (h *hintCache) compact() {
-	live := h.order[:0]
-	for _, s := range h.order {
-		if e, ok := h.m[s.idx]; ok && e.gen == s.gen {
+func (c *fifoCache[V]) compact() {
+	live := c.order[:0]
+	for _, s := range c.order {
+		if e, ok := c.m[s.idx]; ok && e.gen == s.gen {
 			live = append(live, s)
 		}
 	}
-	h.order = live
-	h.dead = 0
-}
-
-// DeleteOwner removes every hint pointing at the given node — fired the
-// moment the reliability layer declares it down, so no later request
-// chases a ghost owner. Returns how many hints were evicted; their FIFO
-// slots become tombstones exactly as in Delete.
-func (h *hintCache) DeleteOwner(n mesh.NodeID) int {
-	evicted := 0
-	for idx, e := range h.m {
-		if e.n == n {
-			delete(h.m, idx)
-			h.dead++
-			evicted++
-		}
-	}
-	if h.dead > h.max {
-		h.compact()
-	}
-	return evicted
+	c.order = live
+	c.dead = 0
 }
 
 // Len reports the live entry count.
-func (h *hintCache) Len() int { return len(h.m) }
-
-// staticLRU is the bounded static ownership-manager cache: owner hints
-// plus the paper's "paged" markers.
-type staticLRU struct {
-	max   int
-	m     map[vm.PageIdx]staticEntry
-	order []vm.PageIdx
-}
-
-func newStaticLRU(max int) *staticLRU {
-	if max < 1 {
-		max = 1
-	}
-	return &staticLRU{max: max, m: make(map[vm.PageIdx]staticEntry)}
-}
-
-// Get looks up an entry.
-func (s *staticLRU) Get(idx vm.PageIdx) (staticEntry, bool) {
-	e, ok := s.m[idx]
-	return e, ok
-}
-
-// DeleteOwner drops cached owner entries pointing at a dead node; "paged"
-// markers are kept (the pager's copy does not die with an owner). Stale
-// order entries are harmless — Put treats an absent key as new.
-func (s *staticLRU) DeleteOwner(n mesh.NodeID) {
-	for idx, e := range s.m {
-		if !e.paged && e.owner == n {
-			delete(s.m, idx)
-		}
-	}
-}
-
-// Put inserts or refreshes an entry.
-func (s *staticLRU) Put(idx vm.PageIdx, e staticEntry) {
-	if _, exists := s.m[idx]; !exists {
-		if len(s.order) >= s.max {
-			old := s.order[0]
-			s.order = s.order[1:]
-			delete(s.m, old)
-		}
-		s.order = append(s.order, idx)
-	}
-	s.m[idx] = e
-}
+func (c *fifoCache[V]) Len() int { return len(c.m) }
 
 // ---------------------------------------------------------------------------
 // The request redirector

@@ -10,7 +10,7 @@ import (
 )
 
 func TestHintCacheBasics(t *testing.T) {
-	h := newHintCache(4)
+	h := newFIFOCache[mesh.NodeID](4)
 	if _, ok := h.Get(1); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -33,7 +33,7 @@ func TestHintCacheBasics(t *testing.T) {
 }
 
 func TestHintCacheEvictsOldest(t *testing.T) {
-	h := newHintCache(3)
+	h := newFIFOCache[mesh.NodeID](3)
 	for i := 0; i < 5; i++ {
 		h.Put(vm.PageIdx(i), mesh.NodeID(i))
 	}
@@ -54,7 +54,7 @@ func TestHintCacheDeleteDoesNotStarveLiveHints(t *testing.T) {
 	// Regression: Delete used to leave a dead slot in the FIFO order, so a
 	// later eviction could land on the dead slot's neighbor — evicting a
 	// live hint while the cache was not even full.
-	h := newHintCache(3)
+	h := newFIFOCache[mesh.NodeID](3)
 	h.Put(1, 10)
 	h.Put(2, 20)
 	h.Delete(2)
@@ -77,7 +77,7 @@ func TestHintCacheDeleteDoesNotStarveLiveHints(t *testing.T) {
 func TestHintCacheReadmittedPageGetsFreshSlot(t *testing.T) {
 	// Delete then re-Put must renew the page's FIFO position: the old slot
 	// is a tombstone and must not evict the readmitted entry early.
-	h := newHintCache(2)
+	h := newFIFOCache[mesh.NodeID](2)
 	h.Put(1, 10)
 	h.Put(2, 20)
 	h.Delete(1)
@@ -95,7 +95,7 @@ func TestHintCacheTombstoneCompaction(t *testing.T) {
 	// Hammer Delete/Put cycles: the order slice must stay bounded by
 	// live + max rather than growing with every churn.
 	const cap = 4
-	h := newHintCache(cap)
+	h := newFIFOCache[mesh.NodeID](cap)
 	for i := 0; i < 1000; i++ {
 		idx := vm.PageIdx(i % 8)
 		h.Put(idx, mesh.NodeID(i%5))
@@ -114,7 +114,7 @@ func TestHintCacheTombstoneCompaction(t *testing.T) {
 func TestHintCacheNeverExceedsCapacity(t *testing.T) {
 	check := func(seed uint64) bool {
 		const cap = 8
-		h := newHintCache(cap)
+		h := newFIFOCache[mesh.NodeID](cap)
 		r := sim.NewRNG(seed)
 		for i := 0; i < 200; i++ {
 			h.Put(vm.PageIdx(r.Intn(64)), mesh.NodeID(r.Intn(16)))
@@ -130,7 +130,7 @@ func TestHintCacheNeverExceedsCapacity(t *testing.T) {
 }
 
 func TestStaticLRUBasics(t *testing.T) {
-	s := newStaticLRU(2)
+	s := newFIFOCache[staticEntry](2)
 	s.Put(1, staticEntry{owner: 5})
 	s.Put(2, staticEntry{paged: true})
 	if e, ok := s.Get(1); !ok || e.owner != 5 {
@@ -146,8 +146,7 @@ func TestStaticLRUBasics(t *testing.T) {
 }
 
 func TestMappingRingHelpers(t *testing.T) {
-	d := &DomainInfo{Mapping: []mesh.NodeID{3, 7, 11}}
-	d.Reindex()
+	d := NewDomain(vm.ObjID{}, 1, 3, []mesh.NodeID{3, 7, 11}, DefaultConfig())
 	if d.staticNode(0) != 3 || d.staticNode(1) != 7 || d.staticNode(5) != 11 {
 		t.Fatal("staticNode hashing wrong")
 	}
@@ -174,7 +173,7 @@ func TestHintCacheDeleteOwnerChurn(t *testing.T) {
 		nodes    = 5
 		rounds   = 4000
 	)
-	h := newHintCache(capacity)
+	h := newFIFOCache[mesh.NodeID](capacity)
 	model := make(map[vm.PageIdx]mesh.NodeID)
 	var fifo []vm.PageIdx // insertion order of live model entries
 	modelDelete := func(idx vm.PageIdx) {
@@ -215,8 +214,8 @@ func TestHintCacheDeleteOwnerChurn(t *testing.T) {
 					modelDelete(idx)
 				}
 			}
-			if got := h.DeleteOwner(n); got != want {
-				t.Fatalf("round %d: DeleteOwner(%d) evicted %d, want %d", round, n, got, want)
+			if got := h.DeleteFunc(func(o mesh.NodeID) bool { return o == n }); got != want {
+				t.Fatalf("round %d: DeleteFunc(owner %d) evicted %d, want %d", round, n, got, want)
 			}
 			for idx := vm.PageIdx(0); idx < pages; idx++ {
 				if owner, ok := h.Get(idx); ok && owner == n {

@@ -79,8 +79,8 @@ type Instance struct {
 	pagerCli pager.PagerIO
 
 	slots  []pageSlot
-	dyn    *hintCache
-	static *staticLRU
+	dyn    *fifoCache[mesh.NodeID]
+	static *fifoCache[staticEntry]
 	home   map[vm.PageIdx]*homeState
 	store  map[vm.PageIdx][]byte // home-side parking when no pager is configured
 
@@ -112,8 +112,8 @@ func newInstance(nd *Node, info *DomainInfo) *Instance {
 	in := &Instance{
 		nd: nd, info: info,
 		slots:     make([]pageSlot, info.SizePages),
-		dyn:       newHintCache(info.Cfg.DynamicCacheSize),
-		static:    newStaticLRU(info.Cfg.StaticCacheSize),
+		dyn:       newFIFOCache[mesh.NodeID](info.Cfg.DynamicCacheSize),
+		static:    newFIFOCache[staticEntry](info.Cfg.StaticCacheSize),
 		home:      make(map[vm.PageIdx]*homeState),
 		store:     make(map[vm.PageIdx][]byte),
 		pendInval: make(map[uint64]invalBatch),
@@ -142,8 +142,9 @@ func newInstance(nd *Node, info *DomainInfo) *Instance {
 	return in
 }
 
-// SetPager overrides the home instance's backing-store interface — used
-// to wire in a striped multi-pager file (paper §6).
+// SetPager hands the home instance its backing store: one pager's client,
+// or a striped file's round-robin set (paper §6). Without one the home
+// zero-fills and parks page-outs in memory.
 func (in *Instance) SetPager(io pager.PagerIO) { in.pagerCli = io }
 
 // Obj returns the instance's local vm object.

@@ -38,7 +38,7 @@ func newPartialCluster(t *testing.T, nHW int, asvmOn []int, cfg Config) *cluster
 // dynamic → static → global → home chain.
 func TestNackFallbackChain(t *testing.T) {
 	c := newPartialCluster(t, 3, []int{0, 1}, DefaultConfig())
-	_, objs := Setup(sharedID, 3, c.asvms, 0, nil, DefaultConfig())
+	_, objs := c.setupDomain(sharedID, 3, nil, DefaultConfig())
 	tasks := make([]*vm.Task, len(c.asvms))
 	for i, a := range c.asvms {
 		task := a.K.NewTask("t")
@@ -52,7 +52,7 @@ func TestNackFallbackChain(t *testing.T) {
 	// becomes page 2's static manager and a ring-scan hop) without ever
 	// getting a runtime.
 	info.Mapping = append(info.Mapping, 2)
-	info.Reindex()
+	info.rebuildMapIdx()
 
 	in1 := c.asvms[1].Instance(sharedID)
 	c.run(t, func(p *sim.Proc) error {
@@ -108,7 +108,7 @@ func TestNackFallbackChain(t *testing.T) {
 	// With the dead node out of the mapping again, the surviving state must
 	// satisfy every global invariant.
 	info.Mapping = info.Mapping[:2]
-	info.Reindex()
+	info.rebuildMapIdx()
 	if c.eng.Pending() != 0 {
 		t.Fatalf("%d events still pending", c.eng.Pending())
 	}
@@ -127,7 +127,7 @@ func TestNackFallbackChain(t *testing.T) {
 // contract; reordering it is a deliberate act reviewed as a diff here.
 func TestNackFallbackOrderGolden(t *testing.T) {
 	c := newPartialCluster(t, 5, []int{0, 1, 2}, DefaultConfig())
-	_, objs := Setup(sharedID, 4, c.asvms, 0, nil, DefaultConfig())
+	_, objs := c.setupDomain(sharedID, 4, nil, DefaultConfig())
 	tasks := make([]*vm.Task, len(c.asvms))
 	for i, a := range c.asvms {
 		task := a.K.NewTask("t")
@@ -150,7 +150,7 @@ func TestNackFallbackOrderGolden(t *testing.T) {
 		// Two consecutive ring members with no runtime join the mapping;
 		// page 3's static manager now hashes to dead node 3.
 		info.Mapping = append(info.Mapping, 3, 4)
-		info.Reindex()
+		info.rebuildMapIdx()
 		c.asvms[2].Trace.Enable()
 
 		// Phase A — static manager dead, scan crosses both dead nodes.
@@ -209,7 +209,7 @@ func TestNackFallbackOrderGolden(t *testing.T) {
 	}
 
 	info.Mapping = info.Mapping[:3]
-	info.Reindex()
+	info.rebuildMapIdx()
 	if c.eng.Pending() != 0 {
 		t.Fatalf("%d events still pending", c.eng.Pending())
 	}

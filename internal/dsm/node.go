@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,12 +16,6 @@ import (
 	"asvm/internal/vm"
 	"asvm/internal/xport/netx"
 )
-
-// regionSeq is the object sequence number for the mesh's shared region.
-// It mirrors the simulator's cluster-level ID namespace (machine.nextID
-// allocates above 1_000_000) so traces from real and simulated runs of
-// the same scenario name the same object.
-const regionSeq = 1_000_001
 
 // testDial, when non-nil, replaces outbound connection establishment for
 // every Node subsequently Opened — PipeMesh wires a whole mesh out of
@@ -46,8 +40,6 @@ type Node struct {
 	asn  *asvm.Node
 	inst *asvm.Instance
 	task *vm.Task
-
-	pagerSrv *pager.Server // home only
 
 	// idle holds the parked op procs, most recently used last; each is
 	// represented by the future it waits on, and completing that future
@@ -100,37 +92,31 @@ func Open(cfg *MeshConfig, self int) (*Node, error) {
 	}
 
 	// The protocol stack is built exactly as the simulator builds it —
-	// same kernel, same runtime, same domain attachment — just one node's
-	// worth, with the peers across sockets instead of in-process. Costs
-	// are zero: on the wall clock, modelled 1996 CPU charges would just
-	// add fixed timer waits to every fault, hiding the thing a real mesh
-	// measures (actual compute + wire time). Cost constants never change
-	// protocol decisions, so counter parity with the simulated twin
-	// holds regardless. Data is tracked (the region holds real bytes) and
-	// memory is unlimited (the demo measures fault latency, not
-	// eviction).
+	// same kernel, same runtime, same domain constructor and join — just
+	// one node's worth, with the peers across sockets instead of
+	// in-process. What is the mesh's own: netx, zero costs, the mapping
+	// rule and a pager in the home's process. Costs are zero because on
+	// the wall clock modelled 1996 CPU charges would just add fixed timer
+	// waits to every fault, hiding the thing a real mesh measures (actual
+	// compute + wire time); cost constants never change protocol decisions,
+	// so counter parity with the simulated twin holds regardless. Data is
+	// tracked (the region holds real bytes) and memory is unlimited (the
+	// demo measures fault latency, not eviction).
 	n.kern = vm.NewKernel(n.eng, n.Self, vm.Costs{}, vm.NewPhysMem(0), true)
 	n.asn = asvm.NewNode(n.eng, n.kern, n.tr, asvm.DefaultConfig())
 
-	home := mesh.NodeID(cfg.Home)
-	info := &asvm.DomainInfo{
-		ID:        vm.ObjID{Node: home, Seq: regionSeq},
-		SizePages: vm.PageIdx(cfg.Pages),
-		Home:      home,
-		Cfg:       asvm.DefaultConfig(),
-	}
 	// Mapping order is protocol-significant (static hashing, ring scans):
 	// every process must build the identical ring, so it is the sorted
-	// node-ID list, independent of config file order.
-	ids := make([]int, 0, len(cfg.Nodes))
+	// node-ID list, independent of config file order. The region's ID is
+	// the one a simulated cluster gives its first region.
+	mapping := make([]mesh.NodeID, 0, len(cfg.Nodes))
 	for _, ns := range cfg.Nodes {
-		ids = append(ids, ns.ID)
+		mapping = append(mapping, mesh.NodeID(ns.ID))
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		info.Mapping = append(info.Mapping, mesh.NodeID(id))
-	}
-	info.Reindex()
+	slices.Sort(mapping)
+	home := mesh.NodeID(cfg.Home)
+	info := asvm.NewDomain(vm.ObjID{Node: home, Seq: asvm.DomainSeqBase + 1},
+		vm.PageIdx(cfg.Pages), home, mapping, asvm.DefaultConfig())
 	n.inst = asvm.AddNode(info, n.asn)
 
 	if n.Self == home {
@@ -138,9 +124,9 @@ func Open(cfg *MeshConfig, self int) (*Node, error) {
 		// traffic is all self-sends, so it needs no wire codec. A nil disk
 		// is an infinitely fast backing store — the measured latencies are
 		// protocol and wire, not 1996 disk seeks.
-		n.pagerSrv = pager.NewServer(n.eng, n.tr, home, nil,
+		srv := pager.NewServer(n.eng, n.tr, home, nil,
 			pager.Costs{}, fmt.Sprintf("dsm-%s", cfg.Region), true)
-		n.inst.SetPager(pager.NewClient(n.eng, n.tr, n.Self, n.pagerSrv))
+		n.inst.SetPager(pager.NewClient(n.eng, n.tr, n.Self, srv))
 	}
 
 	n.task = n.kern.NewTask(fmt.Sprintf("dsm%d", self))
@@ -286,12 +272,8 @@ func (n *Node) QuietFrames() (bool, uint64, error) {
 func (n *Node) Counters() map[string]int64 {
 	out := make(map[string]int64)
 	n.loop.Call(func() {
-		for _, name := range n.kern.Ctr.Names() {
-			out[name] += n.kern.Ctr.Get(name)
-		}
-		for _, name := range n.asn.Ctr.Names() {
-			out[name] += n.asn.Ctr.Get(name)
-		}
+		n.kern.Ctr.AddTo(out)
+		n.asn.Ctr.AddTo(out)
 	})
 	return out
 }

@@ -6,7 +6,6 @@ import (
 
 	"asvm/internal/asvm"
 	"asvm/internal/mesh"
-	"asvm/internal/pager"
 	"asvm/internal/sim"
 	"asvm/internal/xport"
 )
@@ -138,10 +137,11 @@ func (c *Cluster) CrashNode(idx int) {
 
 // RestartNode rejoins a crashed node cold: a fresh kernel incarnation, a
 // reopened transport, and a cold protocol instance per region in its old
-// ring position (static hashing is undisturbed). A restarted home rebuilds
-// its grant ledger from the surviving owners; its backing-store knowledge
-// lives at the pager and needs no rebuild, while an anonymous region's
-// parked pages died with it (they re-resolve as fresh).
+// ring position (static hashing is undisturbed), joined through the same
+// attach as at setup. A restarted home gets its backing store back — one
+// pager or a striped file's stripes — and rebuilds its grant ledger from
+// the surviving owners; its backing-store knowledge lives at the pagers and
+// needs no rebuild.
 func (c *Cluster) RestartNode(idx int) {
 	if !c.crashed[idx] {
 		return
@@ -159,12 +159,8 @@ func (c *Cluster) RestartNode(idx int) {
 			continue
 		}
 		delete(r.info.Down, n)
-		in := asvm.AddNode(r.info, c.ASVMs[idx])
-		r.objs[idx] = in.Obj()
+		c.attach(r, idx)
 		if r.Home == idx {
-			if r.pagerSrv != nil {
-				in.SetPager(pager.NewClient(c.Eng, c.TR, n, r.pagerSrv))
-			}
 			asvm.RebuildHome(c.proto, r.info)
 		}
 	}

@@ -297,11 +297,11 @@ func (c *Cluster) CheckInvariants(r *Region) error {
 // it to call the asvm invariant checkers directly.
 func (c *Cluster) ASVMCluster() asvm.Cluster { return c.proto }
 
-// nextID allocates a cluster-level object ID (home node 0 namespace,
-// sequence above any kernel-local IDs).
+// nextID allocates a cluster-level object ID under the given node's
+// namespace, numbered above any kernel-local ID.
 func (c *Cluster) nextID(home mesh.NodeID) vm.ObjID {
 	c.nextObj++
-	return vm.ObjID{Node: home, Seq: 1_000_000 + c.nextObj}
+	return vm.ObjID{Node: home, Seq: asvm.DomainSeqBase + c.nextObj}
 }
 
 // Region is a shared memory object mapped across a set of nodes.
@@ -312,10 +312,10 @@ type Region struct {
 	Home      int
 	Nodes     []int // cluster node indices sharing the region
 
-	objs     map[int]*vm.Object // node index -> local vm object
-	info     *asvm.DomainInfo   // ASVM only
-	pagerSrv *pager.Server      // backing store, for restart re-wiring
-	nodeSet  map[int]bool       // Nodes as a set, for O(1) membership
+	objs    map[int]*vm.Object // node index -> local vm object
+	info    *asvm.DomainInfo   // ASVM only
+	io      pager.PagerIO      // the home's backing store, kept for restart
+	nodeSet map[int]bool       // Nodes as a set, for O(1) membership
 }
 
 // newNodeSet builds the O(1) membership view of a region's node list.
@@ -345,56 +345,100 @@ func (c *Cluster) NewSharedRegion(name string, sizePages vm.PageIdx, nodeIdxs []
 	}
 	home := mesh.NodeID(nodeIdxs[0])
 	backing := c.PagingSpace[pager.IONodeFor(home, c.P.Nodes, IORatio)]
-	return c.newRegion(name, sizePages, c.nextID(home), nodeIdxs, backing)
+	return c.newRegion(name, sizePages, c.nextID(home), nodeIdxs, pager.NewClient(c.Eng, c.TR, home, backing))
 }
 
 // NewMappedFile creates a file-pager-backed shared object (a memory-mapped
 // file) on the I/O node serving the home node's group, optionally
 // preloading sizePages of content.
 func (c *Cluster) NewMappedFile(name string, sizePages vm.PageIdx, nodeIdxs []int, preload bool) (*Region, *pager.Server) {
-	io := pager.IONodeFor(mesh.NodeID(nodeIdxs[0]), c.P.Nodes, IORatio)
+	home := mesh.NodeID(nodeIdxs[0])
+	io := pager.IONodeFor(home, c.P.Nodes, IORatio)
 	id := c.nextID(io)
-	srv := pager.NewServer(c.Eng, c.TR, io, c.HW[io].Disk, c.P.Pager, "file-"+name, c.P.TrackData)
-	srv.CacheInMemory = true // UFS buffers file pages on the I/O node
-	if preload {
-		for i := vm.PageIdx(0); i < sizePages; i++ {
-			srv.Preload(id, i, nil)
-		}
+	srv := c.filePager(io, "file-"+name)
+	for i := vm.PageIdx(0); preload && i < sizePages; i++ {
+		srv.Preload(id, i, nil)
 	}
-	return c.newRegion(name, sizePages, id, nodeIdxs, srv), srv
+	return c.newRegion(name, sizePages, id, nodeIdxs, pager.NewClient(c.Eng, c.TR, home, srv)), srv
+}
+
+// NewStripedFile creates a mapped file striped round-robin across several
+// I/O nodes — the paper's §6 future-work file system that combines PFS
+// striping with UFS-style mapped-file caching. Each stripe node gets a
+// disk (if it lacks one) and a pager server; page i is backed by stripe
+// i % len(stripeNodes). The region's home talks to all stripes through one
+// round-robin PagerIO and otherwise is a region like any other: crash
+// scrub and restart re-wiring included.
+func (c *Cluster) NewStripedFile(name string, sizePages vm.PageIdx, nodeIdxs, stripeNodes []int, preload bool) (*Region, []*pager.Server, error) {
+	if len(stripeNodes) == 0 {
+		return nil, nil, fmt.Errorf("machine: striped file needs stripe nodes")
+	}
+	home := mesh.NodeID(nodeIdxs[0])
+	id := c.nextID(home)
+	servers := make([]*pager.Server, len(stripeNodes))
+	for i, sn := range stripeNodes {
+		servers[i] = c.filePager(mesh.NodeID(sn), fmt.Sprintf("stripe%d-%s", i, name))
+	}
+	for pg := vm.PageIdx(0); preload && pg < sizePages; pg++ {
+		servers[int(pg)%len(servers)].Preload(id, pg, nil)
+	}
+	return c.newRegion(name, sizePages, id, nodeIdxs, pager.NewStriped(c.Eng, c.TR, home, servers)), servers, nil
+}
+
+// filePager starts a file pager on node io, attaching a disk if the node
+// lacks one. Like UFS on an I/O node, it buffers file pages in memory.
+func (c *Cluster) filePager(io mesh.NodeID, name string) *pager.Server {
+	hw := c.HW[io]
+	if hw.Disk == nil {
+		hw.AttachDisk(c.Eng, DiskSeek, DiskBytesPerSecond).SetWriteSeek(DiskWriteSeek)
+	}
+	srv := pager.NewServer(c.Eng, c.TR, io, hw.Disk, c.P.Pager, name, c.P.TrackData)
+	srv.CacheInMemory = true
+	return srv
 }
 
 // newRegion attaches object id to every listed node under the active
-// system, with srv as its backing store, and registers the region for
-// crash recovery. The first listed node is the home.
-func (c *Cluster) newRegion(name string, sizePages vm.PageIdx, id vm.ObjID, nodeIdxs []int, srv *pager.Server) *Region {
+// system, with io as the home's backing store, and registers the region
+// for crash recovery. The first listed node is the home.
+func (c *Cluster) newRegion(name string, sizePages vm.PageIdx, id vm.ObjID, nodeIdxs []int, io pager.PagerIO) *Region {
 	r := &Region{
 		Name: name, SizePages: sizePages, ID: id, Home: nodeIdxs[0],
-		Nodes:    append([]int(nil), nodeIdxs...),
-		objs:     make(map[int]*vm.Object),
-		pagerSrv: srv,
-		nodeSet:  newNodeSet(nodeIdxs),
+		Nodes:   append([]int(nil), nodeIdxs...),
+		objs:    make(map[int]*vm.Object),
+		io:      io,
+		nodeSet: newNodeSet(nodeIdxs),
 	}
-	var objs []*vm.Object
 	switch c.P.System {
 	case SysASVM:
-		nodes := make([]*asvm.Node, len(nodeIdxs))
+		mapping := make([]mesh.NodeID, len(nodeIdxs))
 		for i, n := range nodeIdxs {
-			nodes[i] = c.ASVMs[n]
+			mapping[i] = mesh.NodeID(n)
 		}
-		r.info, objs = asvm.Setup(id, sizePages, nodes, 0, srv, c.P.ASVM)
+		r.info = asvm.NewDomain(id, sizePages, mapping[0], mapping, c.P.ASVM)
+		for _, n := range nodeIdxs {
+			c.attach(r, n)
+		}
 	case SysXMM:
 		nodes := make([]*xmm.Node, len(nodeIdxs))
 		for i, n := range nodeIdxs {
 			nodes[i] = c.XMMs[n]
 		}
-		objs = xmm.SetupShared(id, sizePages, nodes, 0, srv)
-	}
-	for i, o := range objs {
-		r.objs[nodeIdxs[i]] = o
+		for i, o := range xmm.SetupShared(id, sizePages, nodes, 0, io) {
+			r.objs[nodeIdxs[i]] = o
+		}
 	}
 	c.regions = append(c.regions, r)
 	return r
+}
+
+// attach joins node idx to the region's ASVM domain — at setup, and again
+// when a crashed node restarts cold — handing the home its backing store.
+func (c *Cluster) attach(r *Region, idx int) {
+	in := asvm.AddNode(r.info, c.ASVMs[idx])
+	if idx == r.Home {
+		in.SetPager(r.io)
+	}
+	r.objs[idx] = in.Obj()
 }
 
 // TaskOn creates a task on a node and maps the region at base.

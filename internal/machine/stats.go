@@ -19,9 +19,7 @@ func (c *Cluster) StatsReport(w io.Writer) {
 	// Aggregate kernel counters.
 	kern := map[string]int64{}
 	for _, k := range c.Kerns {
-		for _, name := range k.Ctr.Names() {
-			kern[name] += k.Ctr.Get(name)
-		}
+		k.Ctr.AddTo(kern)
 	}
 	fmt.Fprintln(w, "kernel:")
 	writeCounterMap(w, kern)
@@ -31,15 +29,11 @@ func (c *Cluster) StatsReport(w io.Writer) {
 	switch c.P.System {
 	case SysASVM:
 		for _, a := range c.ASVMs {
-			for _, name := range a.Ctr.Names() {
-				proto[name] += a.Ctr.Get(name)
-			}
+			a.Ctr.AddTo(proto)
 		}
 	case SysXMM:
 		for _, x := range c.XMMs {
-			for _, name := range x.Ctr.Names() {
-				proto[name] += x.Ctr.Get(name)
-			}
+			x.Ctr.AddTo(proto)
 		}
 	}
 	fmt.Fprintf(w, "%v protocol:\n", c.P.System)

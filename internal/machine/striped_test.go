@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -115,5 +116,79 @@ func TestStripedFileParallelReadThroughput(t *testing.T) {
 	two := measure([]int{0, 4})
 	if two >= one {
 		t.Fatalf("two stripes (%v) not faster than one (%v)", two, one)
+	}
+}
+
+// TestStripedFileCrashRecovery: a striped file is a region like any other
+// under crash-stop. When the owner of one of its pages crashes, a
+// survivor's read of that page still ends — granted from the stripes or
+// failed with a typed ErrObjectUnavailable — the cluster drains and the
+// invariants hold. A crashed and restarted home is handed its stripes
+// again and serves page-ins through every one of them.
+func TestStripedFileCrashRecovery(t *testing.T) {
+	p := testParams(5, SysASVM)
+	p.Reliable = true
+	c := New(p)
+	r, servers, err := c.NewStripedFile("sf", 8, []int{1, 2, 3}, []int{0, 4}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := func(n int) *vm.Task {
+		tk, err := c.TaskOn(n, "t", r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	// step runs fn on a proc and bounds the run at 5 s of virtual time: a
+	// fault that never ends leaves fn unfinished or events still queued.
+	step := func(name string, fn func(p *sim.Proc) error) {
+		t.Helper()
+		done := false
+		c.Spawn(name, func(p *sim.Proc) {
+			if err := fn(p); err != nil {
+				var ou *vm.ErrObjectUnavailable
+				if !errors.As(err, &ou) {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+			done = true
+		})
+		c.Eng.RunUntil(c.Eng.Now() + sim.Time(5*time.Second))
+		if !done || c.Eng.Pending() != 0 {
+			t.Fatalf("%s: done=%v with %d events still queued after 5 s", name, done, c.Eng.Pending())
+		}
+		if err := c.CheckInvariants(r); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	t3, t1 := task(3), task(1)
+	step("own", func(p *sim.Proc) error { return t3.WriteU64(p, 0, 33) })
+	if !c.ASVMs[3].Instance(r.ID).Owns(0) {
+		t.Fatal("node 3 does not own page 0 after writing it")
+	}
+	c.CrashNode(3)
+	step("read-after-owner-crash", func(p *sim.Proc) error {
+		_, err := t1.ReadU64(p, 0)
+		return err
+	})
+
+	c.CrashNode(1)
+	c.RestartNode(1)
+	before := []uint64{servers[0].PageIns, servers[1].PageIns}
+	t2 := task(2)
+	step("read-after-home-restart", func(p *sim.Proc) error {
+		for pg := vm.PageIdx(4); pg < 8; pg++ {
+			if _, err := t2.ReadU64(p, vm.Addr(pg)*vm.PageSize); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for i, s := range servers {
+		if s.PageIns <= before[i] {
+			t.Errorf("stripe %d served no page-in after the home restarted (%d before, %d after)", i, before[i], s.PageIns)
+		}
 	}
 }

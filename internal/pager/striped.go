@@ -57,40 +57,3 @@ func (s *Striped) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool,
 }
 
 var _ PagerIO = (*Striped)(nil)
-
-// StripedBinding plugs a striped file directly into a kernel as its
-// memory manager (the single-node mapped-file configuration).
-type StripedBinding struct {
-	K  *vm.Kernel
-	IO PagerIO
-}
-
-// DataRequest implements vm.MemoryManager.
-func (b *StripedBinding) DataRequest(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
-	b.IO.PageIn(o.ID, idx, func(data []byte, found bool) {
-		if found {
-			b.K.DataSupply(o, idx, data, vm.ProtWrite, false)
-		} else {
-			b.K.DataUnavailable(o, idx, vm.ProtWrite)
-		}
-	})
-}
-
-// DataUnlock implements vm.MemoryManager.
-func (b *StripedBinding) DataUnlock(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
-	b.K.LockGrant(o, idx, desired)
-}
-
-// DataReturn implements vm.MemoryManager.
-func (b *StripedBinding) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, kept bool) {
-	b.IO.PageOut(o.ID, idx, data, dirty, func() {
-		if !kept {
-			b.K.RemovePage(o, idx)
-		}
-	})
-}
-
-// Terminate implements vm.MemoryManager.
-func (b *StripedBinding) Terminate(o *vm.Object) {}
-
-var _ vm.MemoryManager = (*StripedBinding)(nil)

@@ -320,6 +320,16 @@ func (c *Counters) Get(name string) int64 {
 	return 0
 }
 
+// AddTo adds every touched (nonzero) counter into m by name — the merge
+// behind each per-node and cluster-wide counter report.
+func (c *Counters) AddTo(m map[string]int64) {
+	for k, v := range c.V {
+		if v != 0 {
+			m[ctrNames[k]] += v
+		}
+	}
+}
+
 // Names returns the names of all touched (nonzero) counters in sorted
 // order.
 func (c *Counters) Names() []string {

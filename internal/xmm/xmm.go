@@ -119,21 +119,18 @@ func (n *Node) proxy(id vm.ObjID) *Proxy {
 // Cluster-level setup ---------------------------------------------------------
 
 // SetupShared creates an XMM-managed shared memory object across the given
-// nodes. The manager lives on mgrIdx's node (by convention the first).
-// pagerSrv may be nil for pure anonymous memory with no backing store
-// (zero-fill only, no pageout). Returns the per-node vm objects, index
-// aligned with nodes.
-func SetupShared(id vm.ObjID, sizePages vm.PageIdx, nodes []*Node, mgrIdx int, pagerSrv *pager.Server) []*vm.Object {
+// nodes. The manager lives on mgrIdx's node (by convention the first) and
+// reaches the backing store through io: one pager's client or a striped
+// file's round-robin set, made on the manager's node. io may be nil for
+// pure anonymous memory (zero-fill only, no pageout). Returns the per-node
+// vm objects, index aligned with nodes.
+func SetupShared(id vm.ObjID, sizePages vm.PageIdx, nodes []*Node, mgrIdx int, io pager.PagerIO) []*vm.Object {
 	mgrNode := nodes[mgrIdx]
 	mapping := make([]mesh.NodeID, len(nodes))
 	for i, n := range nodes {
 		mapping[i] = n.Self
 	}
-	var cli pager.PagerIO // nil interface, not a typed nil *Client
-	if pagerSrv != nil {
-		cli = pager.NewClient(mgrNode.Eng, mgrNode.TR, mgrNode.Self, pagerSrv)
-	}
-	mgr := newManager(mgrNode, id, sizePages, mapping, cli)
+	mgr := newManager(mgrNode, id, sizePages, mapping, io)
 	mgrNode.managers[id] = mgr
 
 	objs := make([]*vm.Object, len(nodes))
@@ -145,16 +142,6 @@ func SetupShared(id vm.ObjID, sizePages vm.PageIdx, nodes []*Node, mgrIdx int, p
 		objs[i] = o
 	}
 	return objs
-}
-
-// SetManagerPager overrides a managed object's backing-store interface on
-// its manager node — used to wire in a striped multi-pager file (§6).
-func (n *Node) SetManagerPager(id vm.ObjID, io pager.PagerIO) {
-	mgr := n.managers[id]
-	if mgr == nil {
-		panic(fmt.Sprintf("xmm: node %d does not manage %v", n.Self, id))
-	}
-	mgr.pagerCli = io
 }
 
 // Footprint returns the manager's non-pageable page-state memory in bytes

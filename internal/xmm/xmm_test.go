@@ -200,7 +200,7 @@ func TestXMMWithRealPagerBackingStore(t *testing.T) {
 	c.hw[0].AttachDisk(c.eng, 5*time.Millisecond, 5e6)
 	srv := pager.NewServer(c.eng, c.tr, 0, c.hw[0].Disk, pager.DefaultCosts(), "dp", true)
 	id := vm.ObjID{Node: 0, Seq: 7}
-	objs := SetupShared(id, 8, c.xmms, 0, srv)
+	objs := SetupShared(id, 8, c.xmms, 0, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
 	t1 := c.xmms[1].K.NewTask("t1")
 	t1.Map.MapObject(0, objs[1], 0, 8, vm.ProtWrite, vm.InheritShare)
 	t2 := c.xmms[2].K.NewTask("t2")
