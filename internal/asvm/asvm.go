@@ -314,9 +314,10 @@ type DomainInfo struct {
 
 	// mapIdx is the authoritative membership index: each node's position
 	// in Mapping, built by NewDomain and extended by AddNode — the only two
-	// paths that change Mapping. Membership tests, ring successors and
-	// crash scrubs are all one map probe — never a list scan, never a
-	// rebuild on the forwarding path.
+	// paths that change Mapping, which only ever grows. Membership tests,
+	// a NACKed scan's skip and crash scrubs are one map probe; a normal
+	// ring hop reads the instance's own position (Instance.ringPos) and
+	// probes nothing.
 	mapIdx map[mesh.NodeID]int
 }
 
@@ -361,10 +362,12 @@ func (d *DomainInfo) rebuildMapIdx() {
 	}
 }
 
-// nextInRing returns the mapping node after n.
-func (d *DomainInfo) nextInRing(n mesh.NodeID) mesh.NodeID {
-	i := d.mappingIndex(n)
-	return d.Mapping[(i+1)%len(d.Mapping)]
+// ringAfter returns the mapping node after ring position pos.
+func (d *DomainInfo) ringAfter(pos int) mesh.NodeID {
+	if pos++; pos == len(d.Mapping) {
+		pos = 0
+	}
+	return d.Mapping[pos]
 }
 
 // AddNode joins a node to a domain and returns its instance: every mapping
@@ -376,11 +379,13 @@ func AddNode(info *DomainInfo, n *Node) *Instance {
 	if in := n.instances[info.ID]; in != nil {
 		return in
 	}
-	if info.mappingIndex(n.Self) < 0 {
+	pos := info.mappingIndex(n.Self)
+	if pos < 0 {
+		pos = len(info.Mapping)
 		info.Mapping = append(info.Mapping, n.Self)
-		info.mapIdx[n.Self] = len(info.Mapping) - 1
+		info.mapIdx[n.Self] = pos
 	}
-	return newInstance(n, info)
+	return newInstance(n, info, pos)
 }
 
 // actTeardown drops one page's protocol state as its domain goes away.

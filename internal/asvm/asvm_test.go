@@ -22,7 +22,7 @@ type cluster struct {
 	asvms []*Node
 }
 
-func newCluster(t *testing.T, n int, memPages int, cfg Config) *cluster {
+func newCluster(t testing.TB, n int, memPages int, cfg Config) *cluster {
 	t.Helper()
 	e := sim.NewEngine()
 	net := mesh.New(e, n, mesh.DefaultConfig(n))

@@ -64,8 +64,10 @@ func actPeerDown(in *Instance, idx vm.PageIdx, m interface{}) {
 			return
 		}
 		in.nd.Ctr.V[sim.CtrFaultRedrives]++
-		in.trace("t redrive: node %d re-drives %v fault on %v p%d past dead %d",
-			in.self(), sl.want, in.info.ID, idx, dead)
+		if in.nd.Trace.on {
+			in.trace("t redrive: node %d re-drives %v fault on %v p%d past dead %d",
+				in.self(), sl.want, in.info.ID, idx, dead)
+		}
 		in.dyn.Delete(idx)
 		in.forward(accessReq{
 			Obj: in.info.ID, Target: in.info.ID, Idx: idx,
@@ -107,7 +109,9 @@ func (in *Instance) failFault(idx vm.PageIdx, err error) {
 		return
 	}
 	in.nd.Ctr.V[sim.CtrFaultsAborted]++
-	in.trace("t abort: node %d fails fault on %v p%d: %v", in.self(), in.info.ID, idx, err)
+	if in.nd.Trace.on {
+		in.trace("t abort: node %d fails fault on %v p%d: %v", in.self(), in.info.ID, idx, err)
+	}
 	sl.want, sl.retries, sl.staleFrom = 0, 0, nil
 	in.setState(idx, StInvalid)
 	in.nd.K.FailPending(in.o, idx, err)
@@ -188,7 +192,9 @@ func (n *Node) nackGrant(dead mesh.NodeID, g grantMsg) {
 // over.
 func (in *Instance) declareLost(idx vm.PageIdx) {
 	in.nd.Ctr.V[sim.CtrOwnershipLost]++
-	in.trace("t lost: node %d declares %v p%d ownership lost", in.self(), in.info.ID, idx)
+	if in.nd.Trace.on {
+		in.trace("t lost: node %d declares %v p%d ownership lost", in.self(), in.info.ID, idx)
+	}
 	in.dyn.Delete(idx)
 	if in.info.Home == in.self() {
 		hs := in.home[idx]
@@ -428,8 +434,10 @@ func DeadLetters(cluster Cluster, info *DomainInfo, dead mesh.NodeID, msgs []xpo
 			continue
 		}
 		hin.nd.crashEra = true
-		hin.trace("t dead-letter: node %d voids %v p%d ownership grant %d->%d",
-			hin.self(), info.ID, g.Idx, dead, as.Dst)
+		if hin.nd.Trace.on {
+			hin.trace("t dead-letter: node %d voids %v p%d ownership grant %d->%d",
+				hin.self(), info.ID, g.Idx, dead, as.Dst)
+		}
 		hs := hin.home[g.Idx]
 		if hs == nil {
 			hs = &homeState{}

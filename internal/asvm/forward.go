@@ -238,14 +238,14 @@ func (in *Instance) startScan(req accessReq) {
 // continueScan passes the request around the mapping ring; a full circle
 // with no owner ends at the home/pager.
 func (in *Instance) continueScan(req accessReq) {
-	in.continueScanFrom(in.self(), req)
+	in.continueScanFrom(in.ringPos, req)
 }
 
 // continueScanFrom advances the ring walk from an arbitrary ring position —
 // the node's own for a normal hop, an unreachable member's when a NACK
 // skips over it.
-func (in *Instance) continueScanFrom(at mesh.NodeID, req accessReq) {
-	next := in.info.nextInRing(at)
+func (in *Instance) continueScanFrom(pos int, req accessReq) {
+	next := in.info.ringAfter(pos)
 	if next == req.ScanStart {
 		// Full circle: no owner anywhere.
 		req.Scanning = false
@@ -282,8 +282,8 @@ func (in *Instance) handleReqNack(dead mesh.NodeID, req accessReq) {
 	if req.Scanning {
 		// The ring walk hit the unreachable member: continue past it as if
 		// it had forwarded the request onward.
-		if in.info.mappingIndex(dead) >= 0 {
-			in.continueScanFrom(dead, req)
+		if pos := in.info.mappingIndex(dead); pos >= 0 {
+			in.continueScanFrom(pos, req)
 			return
 		}
 		req.Scanning = false
@@ -314,8 +314,10 @@ func (in *Instance) homeUnreachable(dead mesh.NodeID, req accessReq) {
 func (in *Instance) sendReq(to mesh.NodeID, req accessReq) {
 	req.Hops++
 	req.LastFrom = in.self()
-	in.trace("t fwd: node %d sends %v p%d req (origin=%d want=%v forHome=%v scan=%v hops=%d) to %d",
-		in.self(), req.Target, req.Idx, req.Origin, req.Want, req.ForHome, req.Scanning, req.Hops, to)
+	if in.nd.Trace.on {
+		in.trace("t fwd: node %d sends %v p%d req (origin=%d want=%v forHome=%v scan=%v hops=%d) to %d",
+			in.self(), req.Target, req.Idx, req.Origin, req.Want, req.ForHome, req.Scanning, req.Hops, to)
+	}
 	if req.Hops > 10000 {
 		panic(fmt.Sprintf("asvm: forwarding livelock for %v page %d", req.Obj, req.Idx))
 	}
@@ -378,7 +380,9 @@ func (in *Instance) handleAtHome(req accessReq) {
 			})
 		} else {
 			in.nd.Ctr.V[sim.CtrHomeFreshGrants]++
-			in.trace("t fresh: home %d fresh-grants %v p%d to %d", in.self(), in.info.ID, req.Idx, req.Origin)
+			if in.nd.Trace.on {
+				in.trace("t fresh: home %d fresh-grants %v p%d to %d", in.self(), in.info.ID, req.Idx, req.Origin)
+			}
 			in.sendGrant(req.Origin, grantMsg{
 				Obj: req.Target, Idx: req.Idx, Lock: req.Want,
 				Fresh: true, Ownership: true, From: in.self(),

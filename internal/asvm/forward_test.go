@@ -153,8 +153,8 @@ func TestMappingRingHelpers(t *testing.T) {
 	if d.mappingIndex(7) != 1 || d.mappingIndex(99) != -1 {
 		t.Fatal("mappingIndex wrong")
 	}
-	if d.nextInRing(11) != 3 || d.nextInRing(3) != 7 {
-		t.Fatal("nextInRing wrong")
+	if d.ringAfter(d.mappingIndex(11)) != 3 || d.ringAfter(d.mappingIndex(3)) != 7 {
+		t.Fatal("ringAfter wrong")
 	}
 }
 

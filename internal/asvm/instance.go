@@ -76,6 +76,10 @@ type Instance struct {
 	info *DomainInfo
 	o    *vm.Object
 
+	// ringPos is this node's position in info.Mapping, where ring scans
+	// hop on from. Mapping only grows, so it never changes.
+	ringPos int
+
 	pagerCli pager.PagerIO
 
 	slots  []pageSlot
@@ -108,9 +112,9 @@ type Instance struct {
 
 // newInstance creates (or adopts) the node's vm object for the domain and
 // wires the instance in as its memory manager.
-func newInstance(nd *Node, info *DomainInfo) *Instance {
+func newInstance(nd *Node, info *DomainInfo, ringPos int) *Instance {
 	in := &Instance{
-		nd: nd, info: info,
+		nd: nd, info: info, ringPos: ringPos,
 		slots:     make([]pageSlot, info.SizePages),
 		dyn:       newFIFOCache[mesh.NodeID](info.Cfg.DynamicCacheSize),
 		static:    newFIFOCache[staticEntry](info.Cfg.StaticCacheSize),
@@ -359,7 +363,9 @@ func actGrant(in *Instance, idx vm.PageIdx, m interface{}) {
 		in.nd.K.LockGrant(in.o, idx, g.Lock)
 	}
 	if g.Ownership {
-		in.trace("t grant: node %d becomes owner of %v p%d (fresh=%v hasData=%v lock=%v from=%d pendnil=%v)", in.self(), in.info.ID, idx, g.Fresh, g.HasData, g.Lock, g.From, !faulting)
+		if in.nd.Trace.on {
+			in.trace("t grant: node %d becomes owner of %v p%d (fresh=%v hasData=%v lock=%v from=%d pendnil=%v)", in.self(), in.info.ID, idx, g.Fresh, g.HasData, g.Lock, g.From, !faulting)
+		}
 		in.installOwner(idx, g.Readers, g.Version)
 		if pg := in.o.Pages[idx]; pg != nil && !g.AtPagerCopy {
 			// Unless the pager also holds these contents, the owner is

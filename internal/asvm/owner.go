@@ -156,7 +156,9 @@ func (in *Instance) serveWrite(req accessReq) {
 				}
 			}
 			in.nd.Ctr.V[sim.CtrWriteGrants]++
-			in.trace("t xfer: node %d grants ownership of %v p%d to %d (upgrade=%v)", in.self(), in.info.ID, idx, req.Origin, upgrade)
+			if in.nd.Trace.on {
+				in.trace("t xfer: node %d grants ownership of %v p%d to %d (upgrade=%v)", in.self(), in.info.ID, idx, req.Origin, upgrade)
+			}
 			in.sendGrant(req.Origin, g)
 			if g.Retry {
 				in.opDone(idx)

@@ -57,10 +57,9 @@ func (t *TraceBuf) Lines() []string {
 }
 
 // trace records one line, stamped with virtual time, into the owning
-// node's buffer.
+// node's buffer. Every call site tests in.nd.Trace.on first: the variadic
+// arguments are boxed at the call, so an unguarded site would allocate on
+// every protocol step even with tracing off.
 func (in *Instance) trace(format string, args ...interface{}) {
-	if !in.nd.Trace.on {
-		return
-	}
 	in.nd.Trace.Addf("@%d "+format, append([]interface{}{int64(in.nd.Eng.Now())}, args...)...)
 }

@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -99,32 +100,54 @@ func (q *eventQueue) pop() event {
 }
 
 // siftDown re-inserts e starting from the root, moving the smallest child up
-// into the hole until e fits.
+// into the hole until e fits. A full group of four children is reduced
+// without a data-dependent branch (a two-round tournament on less); the
+// group's minimum is unique, because seq is, so the hole walks exactly the
+// path the compare-and-branch loop used for partial groups would take.
 func (q *eventQueue) siftDown(e event) {
-	n := len(q.ev)
+	ev := q.ev
+	n := len(ev)
 	i := 0
 	for {
 		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		min := c
-		for j := c + 1; j < end; j++ {
-			if q.ev[j].before(&q.ev[min]) {
-				min = j
+		var min int
+		if c+4 <= n {
+			// a and b win the pairs (0,1) and (2,3); mask is all ones when
+			// b beats a. The &3 only drops the bounds checks.
+			g := ev[c : c+4 : c+4]
+			a := int(less(&g[1], &g[0]))
+			b := 2 + int(less(&g[3], &g[2]))
+			mask := -int(less(&g[b&3], &g[a&3]))
+			min = c + (a ^ (a^b)&mask)
+		} else if c < n {
+			min = c
+			for j := c + 1; j < n; j++ {
+				if ev[j].before(&ev[min]) {
+					min = j
+				}
 			}
-		}
-		if !q.ev[min].before(&e) {
+		} else {
 			break
 		}
-		q.ev[i] = q.ev[min]
+		if !ev[min].before(&e) {
+			break
+		}
+		ev[i] = ev[min]
 		i = min
 	}
-	q.ev[i] = e
+	ev[i] = e
+}
+
+// less is before as a 0/1 value computed without a branch: the borrow out
+// of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq). Event times are
+// never negative (ScheduleRunAt clamps them to the present), so comparing
+// them unsigned is exact. Where the answer feeds a branch anyway (sift-up,
+// partial groups, the stop test) before stays: defining it through less
+// measured no faster.
+func less(a, b *event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
 }
 
 // shrinkCap is the backing-array capacity above which a drained queue
@@ -232,6 +255,8 @@ func (e *Engine) Run() Time {
 // RunUntil executes events with time <= deadline, then stops. Events beyond
 // the deadline remain queued. It returns the virtual time when it stopped
 // (the deadline if it was reached, otherwise the time of the last event).
+// The clock never moves backwards: a deadline before Now runs nothing and
+// leaves Now where it is.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.run(deadline, math.MaxUint64)
 	return e.now
@@ -250,12 +275,14 @@ func (e *Engine) RunMax(max uint64) bool {
 // It pops events in (time, seq) order — or, with a chooser installed, lets
 // the chooser order each same-timestamp cohort — until the queue drains,
 // Halt is called, max events have run, or the next event lies beyond
-// deadline (the clock then reads deadline).
+// deadline (the clock then reads deadline, unless deadline is already past).
 func (e *Engine) run(deadline Time, max uint64) {
 	e.halted = false
 	for ; max > 0 && e.q.len() > 0 && !e.halted; max-- {
 		if e.q.ev[0].at > deadline {
-			e.now = deadline
+			if deadline > e.now {
+				e.now = deadline
+			}
 			return
 		}
 		var ev event

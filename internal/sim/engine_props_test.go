@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -43,6 +45,80 @@ func TestHeapPropertyRandomized(t *testing.T) {
 			got := q.pop()
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("trial %d pop %d: got (%v,%d), want (%v,%d)",
+					trial, i, got.at, got.seq, want.at, want.seq)
+			}
+		}
+		if q.len() != 0 {
+			t.Fatalf("trial %d: %d events left after full drain", trial, q.len())
+		}
+	}
+}
+
+// TestHeapInterleavedAgainstSort interleaves pushes and pops at random
+// while the queue grows past 5, 21 and 85 events (one, two and three full
+// levels of four-child groups) and shrinks again, so sift-down runs both
+// its full-group and its partial-group path at every depth. Times mix
+// heavy ties, 0, maxTime-1 and values that differ only in their high bits;
+// every pop must be the (at, seq) minimum of what is queued.
+func TestHeapInterleavedAgainstSort(t *testing.T) {
+	rng := NewRNG(4321)
+	high := []Time{0, maxTime - 1, 1 << 61, 1<<61 | 1, 1 << 40, 1<<40 + 1<<61, 3 << 60, maxTime - 1<<32}
+	randTime := func() Time {
+		switch rng.Intn(4) {
+		case 0:
+			return Time(rng.Intn(4)) // ties, 0 included
+		case 1:
+			return high[rng.Intn(len(high))]
+		case 2:
+			return Time(rng.Uint64() & uint64(maxTime))
+		}
+		return Time(rng.Intn(8)) << 56 // high bits only
+	}
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	keyLess := func(a, b key) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
+	for trial := 0; trial < 40; trial++ {
+		var q eventQueue
+		var ref []key
+		seq := uint64(0)
+		peak := 0
+		target := []int{6, 22, 90, 200}[trial%4]
+		for step := 0; step < 4000; step++ {
+			// Grow toward the target, then drain toward empty.
+			pushBias := 3
+			if step >= 2000 || len(ref) >= target {
+				pushBias = 1
+			}
+			if len(ref) == 0 || rng.Intn(4) < pushBias {
+				seq++
+				k := key{at: randTime(), seq: seq}
+				ref = append(ref, k)
+				q.push(event{at: k.at, seq: k.seq})
+				peak = max(peak, len(ref))
+				continue
+			}
+			want := slices.MinFunc(ref, keyLess)
+			ref = slices.DeleteFunc(ref, func(k key) bool { return k == want })
+			got := q.pop()
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("trial %d step %d: popped (%d,%d), want (%d,%d)",
+					trial, step, got.at, got.seq, want.at, want.seq)
+			}
+		}
+		if peak < target {
+			t.Fatalf("trial %d: queue peaked at %d, never crossed %d", trial, peak, target)
+		}
+		slices.SortFunc(ref, keyLess)
+		for i, want := range ref {
+			if got := q.pop(); got.at != want.at || got.seq != want.seq {
+				t.Fatalf("trial %d drain %d: popped (%d,%d), want (%d,%d)",
 					trial, i, got.at, got.seq, want.at, want.seq)
 			}
 		}
@@ -115,6 +191,32 @@ func TestRunUntilDeadlineBeforeAnyEvent(t *testing.T) {
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", e.Pending())
+	}
+}
+
+// TestRunUntilPastDeadlineKeepsClock checks the clock never runs backwards:
+// after RunUntil has parked it at 50ns, a RunUntil(20ns) runs nothing and
+// leaves it there, so a zero-delay event scheduled next runs at 50ns — not
+// at 20ns, before an instant already observed.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	e := NewEngine()
+	var ran []Time
+	note := func() { ran = append(ran, e.Now()) }
+	e.Schedule(10, note)
+	e.Schedule(100, note)
+	if end := e.RunUntil(50); end != 50 || e.Now() != 50 {
+		t.Fatalf("RunUntil(50) stopped at %v (Now %v), want 50ns", end, e.Now())
+	}
+	if end := e.RunUntil(20); end != 50 || e.Now() != 50 {
+		t.Fatalf("RunUntil(20) after 50ns stopped at %v (Now %v), want 50ns", end, e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after a past deadline, want 1", e.Pending())
+	}
+	e.Schedule(0, note)
+	e.Run()
+	if want := []Time{10, 50, 100}; !slices.Equal(ran, want) {
+		t.Fatalf("events ran at %v, want %v", ran, want)
 	}
 }
 
