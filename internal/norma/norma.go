@@ -3,7 +3,9 @@
 // its transport. Its defining property for this system is cost: every
 // message pays heavy software overhead for typed-message marshalling and
 // port-right translation — the paper measures NORMA-IPC at roughly 90 % of
-// the latency of an XMM remote page fault.
+// the latency of an XMM remote page fault. That cost is simulated, not
+// paid on the host: as in sts, a message in flight is a pooled delivery
+// stepped through its stages, so the steady-state path allocates nothing.
 package norma
 
 import (
@@ -66,6 +68,9 @@ type Transport struct {
 	// (dense ProtoID-indexed dispatch; see xport.RegisterProto).
 	handlers [][]xport.Handler
 
+	// pool recycles in-flight delivery objects (engine is single-threaded).
+	pool []*delivery
+
 	// Stats.
 	Msgs        uint64
 	Bytes       uint64
@@ -105,74 +110,118 @@ func (t *Transport) lookup(n mesh.NodeID, proto xport.ProtoID) xport.Handler {
 	return nil
 }
 
-// Send implements xport.Transport.
+// delivery is one message in flight, stepped through its stages by the
+// engine as a pooled sim.Runnable, like sts.delivery: sender message
+// processor → wire → receiver message processor → handler. A message that
+// arrives to full receive buffers is re-armed in its arrival stage after
+// RetransmitDelay. The nack stages model the dead-port bounce round trip.
+type delivery struct {
+	t        *Transport
+	src, dst mesh.NodeID
+	proto    xport.ProtoID
+	h        xport.Handler
+	m        interface{}
+	wire     int
+	recvCost time.Duration
+	stage    uint8
+}
+
+const (
+	stSent        uint8 = iota // sender MsgProc done; enter the wire
+	stArrived                  // at dst: bounce if its buffers are full, else receiver MsgProc
+	stHandle                   // dispatch to the handler, recycle
+	stNackSent                 // nack: sender MsgProc done; enter the wire
+	stNackArrived              // nack: at dst; its MsgProc finds the port dead
+	stNackBounce               // nack: header-only notification crosses back
+	stNackReturn               // nack: back at src; src MsgProc
+	stNackHandle               // nack: deliver xport.Nack, recycle
+)
+
+// Run implements sim.Runnable.
+func (d *delivery) Run() {
+	t := d.t
+	switch d.stage {
+	case stSent:
+		d.stage = stArrived
+		t.net.SendRun(d.src, d.dst, d.wire, d)
+	case stArrived:
+		// Many-to-one buffer exhaustion: when too many messages already
+		// queue at the receiver's message processor, this one bounces and
+		// is retransmitted after a delay, arriving here again.
+		mp := t.nodes[d.dst].MsgProc
+		if t.costs.RecvBufferMsgs > 0 && d.recvCost > 0 {
+			backlog := mp.BusyUntil() - t.eng.Now()
+			if backlog > 0 && int(backlog/d.recvCost) >= t.costs.RecvBufferMsgs {
+				t.Retransmits++
+				t.eng.ScheduleRun(t.costs.RetransmitDelay, d)
+				return
+			}
+		}
+		d.stage = stHandle
+		mp.DoRun(d.recvCost, d)
+	case stHandle:
+		h, src, m := d.h, d.src, d.m
+		t.put(d)
+		h(src, m)
+	case stNackSent:
+		d.stage = stNackArrived
+		t.net.SendRun(d.src, d.dst, d.wire, d)
+	case stNackArrived:
+		d.stage = stNackBounce
+		t.nodes[d.dst].MsgProc.DoRun(d.recvCost, d)
+	case stNackBounce:
+		d.stage = stNackReturn
+		t.net.SendRun(d.dst, d.src, t.costs.HeaderBytes, d)
+	case stNackReturn:
+		d.stage = stNackHandle
+		t.nodes[d.src].MsgProc.DoRun(t.costs.RecvCPU, d)
+	case stNackHandle:
+		h, dst, proto, m := d.h, d.dst, d.proto, d.m
+		t.put(d)
+		h(dst, xport.Nack{Dst: dst, Proto: proto, Msg: m})
+	}
+}
+
+// put recycles d. Callers copy out what they need first: the handler a
+// delivery invokes may Send again and reuse d before the call returns.
+func (t *Transport) put(d *delivery) {
+	d.h = nil
+	d.m = nil
+	t.pool = append(t.pool, d)
+}
+
+// Send implements xport.Transport. A message addressed to an unregistered
+// destination bounces back to the sender as an xport.Nack (NORMA's
+// dead-port notification): the attempt pays the full outbound cost, the
+// rejection comes back as a header-only message. Panics if the sender has
+// no handler for the bounce either.
 func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes int, m interface{}) {
-	h := t.lookup(dst, proto)
+	h, stage := t.lookup(dst, proto), stSent
 	if h == nil {
-		t.nack(src, dst, proto, payloadBytes, m)
-		return
+		if h, stage = t.lookup(src, proto), stNackSent; h == nil {
+			panic(fmt.Sprintf("norma: no handler for %v/%s (and no %v/%s sender handler for the bounce)",
+				dst, proto, src, proto))
+		}
+		t.Nacks++
+		t.Msgs++
+		t.Bytes += uint64(t.costs.HeaderBytes)
 	}
 	t.Msgs++
 	wire := payloadBytes + t.costs.HeaderBytes
 	t.Bytes += uint64(wire)
 	perSide := t.costs.PortTranslateCPU + t.perKB(payloadBytes)
-	sendCost := t.costs.SendCPU + perSide
-	recvCost := t.costs.RecvCPU + perSide
-	// Sender message processor, then the wire, then the receiver message
-	// processor, then the handler.
-	t.nodes[src].MsgProc.DoRun(sendCost, sim.Func(func() {
-		t.net.SendRun(src, dst, wire, sim.Func(func() {
-			t.deliver(src, dst, recvCost, h, m)
-		}))
-	}))
-}
-
-// deliver hands the message to the receiver's message processor, modelling
-// the many-to-one buffer exhaustion: when too many messages already queue
-// there, this one bounces and is retransmitted after a delay.
-func (t *Transport) deliver(src, dst mesh.NodeID, recvCost time.Duration, h xport.Handler, m interface{}) {
-	mp := t.nodes[dst].MsgProc
-	if t.costs.RecvBufferMsgs > 0 && recvCost > 0 {
-		backlog := mp.BusyUntil() - t.eng.Now()
-		if backlog > 0 && int(backlog/recvCost) >= t.costs.RecvBufferMsgs {
-			t.Retransmits++
-			t.eng.Schedule(t.costs.RetransmitDelay, func() {
-				t.deliver(src, dst, recvCost, h, m)
-			})
-			return
-		}
+	var d *delivery
+	if n := len(t.pool); n > 0 {
+		d = t.pool[n-1]
+		t.pool = t.pool[:n-1]
+	} else {
+		d = &delivery{t: t}
 	}
-	mp.DoRun(recvCost, sim.Func(func() {
-		h(src, m)
-	}))
-}
-
-// nack bounces a message addressed to an unregistered destination back to
-// the sender as an xport.Nack (NORMA's dead-port notification): the attempt
-// pays the full outbound cost, the rejection comes back as a header-only
-// message. Panics if the sender has no handler for the bounce either.
-func (t *Transport) nack(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes int, m interface{}) {
-	back := t.lookup(src, proto)
-	if back == nil {
-		panic(fmt.Sprintf("norma: no handler for %v/%s (and no %v/%s sender handler for the bounce)",
-			dst, proto, src, proto))
-	}
-	t.Nacks++
-	t.Msgs += 2
-	wire := payloadBytes + t.costs.HeaderBytes
-	t.Bytes += uint64(wire + t.costs.HeaderBytes)
-	perSide := t.costs.PortTranslateCPU + t.perKB(payloadBytes)
-	t.nodes[src].MsgProc.DoRun(t.costs.SendCPU+perSide, sim.Func(func() {
-		t.net.SendRun(src, dst, wire, sim.Func(func() {
-			t.nodes[dst].MsgProc.DoRun(t.costs.RecvCPU+perSide, sim.Func(func() {
-				t.net.SendRun(dst, src, t.costs.HeaderBytes, sim.Func(func() {
-					t.nodes[src].MsgProc.DoRun(t.costs.RecvCPU, sim.Func(func() {
-						back(dst, xport.Nack{Dst: dst, Proto: proto, Msg: m})
-					}))
-				}))
-			}))
-		}))
-	}))
+	d.src, d.dst, d.proto = src, dst, proto
+	d.h, d.m = h, m
+	d.wire, d.recvCost = wire, t.costs.RecvCPU+perSide
+	d.stage = stage
+	t.nodes[src].MsgProc.DoRun(t.costs.SendCPU+perSide, d)
 }
 
 func (t *Transport) perKB(payloadBytes int) time.Duration {

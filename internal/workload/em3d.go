@@ -106,6 +106,9 @@ func planEM3D(cfg EM3DConfig) []em3dNodePlan {
 		}
 		return out
 	}
+	// seen marks the ghost pages one sample has drawn so far; each sample
+	// clears the entries it set, so one table serves every node.
+	seen := make([]bool, cellPage(cfg.Cells-1)+1)
 	plans := make([]em3dNodePlan, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		base := n * cpn
@@ -127,11 +130,13 @@ func planEM3D(cfg EM3DConfig) []em3dNodePlan {
 		remoteE := eCount * cfg.EdgesPerCell * cfg.RemotePct / 100
 		remoteH := hCount * cfg.EdgesPerCell * cfg.RemotePct / 100
 
-		sample := func(count int, pickHHalf bool) map[vm.PageIdx]bool {
-			set := make(map[vm.PageIdx]bool)
+		// sample appends to dst the distinct ghost pages of count remote
+		// edges, ascending; seen dedupes them and is left all false again.
+		sample := func(dst []vm.PageIdx, count int, pickHHalf bool) []vm.PageIdx {
 			if cfg.Nodes == 1 || ghost == 0 {
-				return set
+				return dst
 			}
+			first := len(dst)
 			for k := 0; k < count; k++ {
 				var nb int
 				if rng.Intn(2) == 0 {
@@ -147,30 +152,26 @@ func planEM3D(cfg EM3DConfig) []em3dNodePlan {
 				} else {
 					cell = nbBase + rng.Intn(ghost)
 				}
-				set[cellPage(cell)] = true
+				if pg := cellPage(cell); !seen[pg] {
+					seen[pg] = true
+					dst = append(dst, pg)
+				}
 			}
-			return set
+			ghostPages := dst[first:]
+			for _, pg := range ghostPages {
+				seen[pg] = false
+			}
+			slices.Sort(ghostPages)
+			return dst
 		}
 
 		// E update reads H cells: own H pages (fast-path in steady state)
 		// plus the remote ghost pages.
-		remE := sample(remoteE, true)
-		p.readE = append(append([]vm.PageIdx(nil), p.writeH...), setToSlice(remE)...)
-		remH := sample(remoteH, false)
-		p.readH = append(append([]vm.PageIdx(nil), p.writeE...), setToSlice(remH)...)
+		p.readE = sample(slices.Clone(p.writeH), remoteE, true)
+		p.readH = sample(slices.Clone(p.writeE), remoteH, false)
 		plans[n] = p
 	}
 	return plans
-}
-
-// setToSlice returns m's pages in ascending order (deterministic).
-func setToSlice(m map[vm.PageIdx]bool) []vm.PageIdx {
-	out := make([]vm.PageIdx, 0, len(m))
-	for pg := range m {
-		out = append(out, pg)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // RunEM3D executes the benchmark on c, which must have cfg.Nodes nodes

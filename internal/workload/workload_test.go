@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"time"
 
 	"asvm/internal/machine"
+	"asvm/internal/vm"
 )
 
 // newCluster assembles the nodes-node cluster a test runs one workload on.
@@ -368,5 +371,35 @@ func TestEntryPointsRejectWrongSizeCluster(t *testing.T) {
 	}
 	if _, _, err := MeasureFileWrite(newCluster(machine.SysASVM, 1, 1, false), 0); err == nil {
 		t.Error("MeasureFileWrite accepted 0 clients")
+	}
+}
+
+// TestEM3DPlansPinned pins planEM3D's output for every Table 3 cell
+// (three problem sizes on 1–64 nodes, seed 1) as one hash over each
+// node's page lists and update counts: the dedupe of the sampled ghost
+// pages may change how it is computed, never what it yields.
+func TestEM3DPlansPinned(t *testing.T) {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, cells := range []int{64000, 256000, 1024000} {
+		for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
+			for _, p := range planEM3D(DefaultEM3D(cells, n, 1)) {
+				for _, pages := range [][]vm.PageIdx{p.readE, p.writeE, p.readH, p.writeH} {
+					put(int64(len(pages)))
+					for _, pg := range pages {
+						put(int64(pg))
+					}
+				}
+				put(int64(p.updatesE))
+				put(int64(p.updatesH))
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x73f26551024bd021); got != want {
+		t.Fatalf("plan hash = %#x, want %#x", got, want)
 	}
 }

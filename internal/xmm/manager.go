@@ -151,7 +151,7 @@ func (m *Manager) stepSupply(req accessReq, ps *mpage) {
 	finish := func() {
 		if req.Want == vm.ProtWrite {
 			ps.writer = req.Origin
-			ps.readers = make(map[mesh.NodeID]bool)
+			clear(ps.readers)
 		} else {
 			ps.readers[req.Origin] = true
 		}
