@@ -388,9 +388,10 @@ func AddNode(info *DomainInfo, n *Node) *Instance {
 	return newInstance(n, info, pos)
 }
 
-// actTeardown drops one page's protocol state as its domain goes away.
-// (teardown)
+// actTeardown drops one page's protocol state, side entry included, as
+// its domain goes away. (teardown)
 func actTeardown(in *Instance, idx vm.PageIdx, m interface{}) {
+	delete(in.side, idx)
 	in.slots[idx] = pageSlot{}
 }
 

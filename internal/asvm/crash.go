@@ -48,6 +48,7 @@ func (l *CrashLedger) Add(o CrashLedger) {
 // actCrash drops one page's protocol state as its node dies: identical to
 // teardown — under crash-stop, volatile state simply ceases. (crash)
 func actCrash(in *Instance, idx vm.PageIdx, m interface{}) {
+	delete(in.side, idx)
 	in.slots[idx] = pageSlot{}
 }
 
@@ -76,8 +77,8 @@ func actPeerDown(in *Instance, idx vm.PageIdx, m interface{}) {
 		})
 		return
 	}
-	if sl.state.Owner() && sl.readers.Contains(dead) {
-		sl.readers.Remove(dead)
+	if sl.state.Owner() && sl.readers.Contains(&in.arena, dead) {
+		sl.readers.Remove(&in.arena, dead)
 		in.nd.Ctr.V[sim.CtrCopiesDropped]++
 		if sl.state.AtRest() {
 			in.setState(idx, restOwnerState(sl.readers.Len()))
@@ -112,7 +113,7 @@ func (in *Instance) failFault(idx vm.PageIdx, err error) {
 	if in.nd.Trace.on {
 		in.trace("t abort: node %d fails fault on %v p%d: %v", in.self(), in.info.ID, idx, err)
 	}
-	sl.want, sl.retries, sl.staleFrom = 0, 0, nil
+	in.endFault(idx)
 	in.setState(idx, StInvalid)
 	in.nd.K.FailPending(in.o, idx, err)
 }
@@ -138,8 +139,8 @@ func (n *Node) nackGrant(dead mesh.NodeID, g grantMsg) {
 	}
 	sl := &in.slots[g.Idx]
 	if !g.Ownership {
-		if sl.state.Owner() && sl.readers.Contains(dead) {
-			sl.readers.Remove(dead)
+		if sl.state.Owner() && sl.readers.Contains(&in.arena, dead) {
+			sl.readers.Remove(&in.arena, dead)
 			if sl.state.AtRest() {
 				in.setState(g.Idx, restOwnerState(sl.readers.Len()))
 			}
@@ -226,7 +227,7 @@ func (n *Node) PeerDown(dead mesh.NodeID) {
 		in.completePendingFor(dead)
 		for i := range in.slots {
 			sl := &in.slots[i]
-			if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(dead)) {
+			if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(&in.arena, dead)) {
 				in.dispatch(EvPeerDown, vm.PageIdx(i), dead)
 			}
 		}
@@ -347,7 +348,7 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 				}
 				hs.granted = false
 			}
-			readers := sl.readers.AppendTo(make([]mesh.NodeID, 0, sl.readers.Len()))
+			readers := sl.readers.AppendTo(&deadIn.arena, make([]mesh.NodeID, 0, sl.readers.Len()))
 			for _, r := range readers {
 				if r == dead || info.Down[r] {
 					continue
@@ -381,7 +382,7 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 			in.dropQueuedFrom(dead)
 			for i := range in.slots {
 				sl := &in.slots[i]
-				if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(dead)) {
+				if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(&in.arena, dead)) {
 					in.dispatch(EvPeerDown, vm.PageIdx(i), dead)
 				}
 			}
@@ -450,20 +451,17 @@ func DeadLetters(cluster Cluster, info *DomainInfo, dead mesh.NodeID, msgs []xpo
 
 // dropQueuedFrom discards queued requests originated by a dead node: the
 // faulting task died with it, and serving them would only manufacture
-// grants that bounce.
+// grants that bounce. Each queue is filtered in place, so the side table's
+// map order reaches nothing.
 func (in *Instance) dropQueuedFrom(dead mesh.NodeID) {
-	for i := range in.slots {
-		sl := &in.slots[i]
-		if len(sl.queue) == 0 {
-			continue
-		}
-		kept := sl.queue[:0]
-		for _, r := range sl.queue {
+	for _, ss := range in.side {
+		kept := ss.queue[:0]
+		for _, r := range ss.queue {
 			if r.Origin != dead {
 				kept = append(kept, r)
 			}
 		}
-		sl.queue = kept
+		ss.queue = kept
 	}
 }
 

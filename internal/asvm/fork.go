@@ -79,8 +79,10 @@ func CopyDomain(cluster Cluster, src *DomainInfo, peer *Node) *DomainInfo {
 	for _, nid := range src.Mapping {
 		nd := cluster.node(nid)
 		sObj := nd.K.Object(src.ID)
-		for idx := range sObj.Pages {
-			nd.K.LockRequest(sObj, idx, vm.ProtRead, false, nil)
+		for idx, pg := range sObj.Pages {
+			if pg != nil {
+				nd.K.LockRequest(sObj, vm.PageIdx(idx), vm.ProtRead, false, nil)
+			}
 		}
 	}
 	return c

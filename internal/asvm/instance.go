@@ -3,6 +3,7 @@ package asvm
 import (
 	"asvm/internal/sim"
 	"fmt"
+	"slices"
 
 	"asvm/internal/mesh"
 	"asvm/internal/pager"
@@ -10,51 +11,71 @@ import (
 	"asvm/internal/xport"
 )
 
-// pageSlot is one page's protocol state at this node — one dense table
-// entry per page of the domain, replacing the old owner-side pageState map
-// and the separate pending-fault map. The slot's PageProtoState encodes
-// what the two maps and the busy bool used to say implicitly:
+// pageSlot is one page's protocol state at this node: one dense table
+// entry per page of the domain, indexed by page number. The slot array is
+// allocated once per instance and never grows, so &in.slots[idx] is a
+// stable pointer the protocol's completion closures can capture.
 //
-//	state.Owner()    ⇔ the old pages[idx] != nil
-//	state.Busy()     ⇔ the old pages[idx].busy
-//	state.FaultOut() ⇔ the old pend[idx] != nil
-//
-// The slot array is allocated once per instance and never grows, so
-// &in.slots[idx] is a stable pointer the protocol's completion closures
-// can capture, and the fault-path lookup is an index, not a map probe.
+// A slot holds no pointer (TestPageSlotIsPointerFree), so the garbage
+// collector never scans the table: a promoted reader set's bitset lives in
+// the instance's readerArena, the rarely used request queue and
+// stale-grant markers in its side table (slotSide).
 type pageSlot struct {
-	state PageProtoState
+	version uint64  // push version (paper §3.7.2); owner side
+	want    vm.Prot // strongest access the outstanding local fault needs
+	retries int32   // grant retries for that fault
+	state   PageProtoState
 
 	// held marks a range-locked page (§6 extension): foreign requests
 	// queue until release. Only meaningful in owner states.
 	held bool
+	side bool // the page has an entry in Instance.side
 
-	// want is the strongest access the outstanding local fault needs
-	// (FaultOut states); retries counts grant retries for it.
-	want    vm.Prot
-	retries int
+	// Owner-side readers, ascending NodeID by construction (readerSet).
+	readers readerSet
+}
+
+// slotSide is a page's side-table entry, made the first time the page
+// queues a request or records a stale grant and kept until the slot
+// resets, so steady-state queueing allocates nothing.
+type slotSide struct {
+	queue []accessReq // requests waiting for a busy or range-locked owner
 
 	// staleFrom lists nodes that invalidated us while the fault was
 	// outstanding: a non-ownership grant one of them sent before the
 	// invalidation may still be in flight and must not install.
 	staleFrom []mesh.NodeID
+}
 
-	// Owner-side state (owner and busy states). readers iterates in
-	// ascending NodeID order by construction (see readerSet).
-	readers readerSet
-	version uint64 // push version (paper §3.7.2)
-	queue   []accessReq
+// sideOf returns the page's side-table entry, making it if absent.
+func (in *Instance) sideOf(idx vm.PageIdx) *slotSide {
+	if sl := &in.slots[idx]; !sl.side {
+		sl.side = true
+		in.side[idx] = &slotSide{}
+	}
+	return in.side[idx]
 }
 
 // dropStale consumes one stale-grant marker for from, if present.
-func (sl *pageSlot) dropStale(from mesh.NodeID) bool {
-	for i, n := range sl.staleFrom {
-		if n == from {
-			sl.staleFrom = append(sl.staleFrom[:i], sl.staleFrom[i+1:]...)
-			return true
-		}
+func (in *Instance) dropStale(idx vm.PageIdx, from mesh.NodeID) bool {
+	if !in.slots[idx].side {
+		return false
 	}
-	return false
+	ss := in.side[idx]
+	i := slices.Index(ss.staleFrom, from)
+	if i >= 0 {
+		ss.staleFrom = slices.Delete(ss.staleFrom, i, i+1)
+	}
+	return i >= 0
+}
+
+// endFault clears the outstanding fault's want, retries and stale markers.
+func (in *Instance) endFault(idx vm.PageIdx) {
+	sl := &in.slots[idx]
+	sl.want, sl.retries = 0, 0
+	if sl.side {
+		in.side[idx].staleFrom = in.side[idx].staleFrom[:0]
+	}
 }
 
 // homeState is the home node's authoritative view of a page's relationship
@@ -83,6 +104,7 @@ type Instance struct {
 	pagerCli pager.PagerIO
 
 	slots  []pageSlot
+	side   map[vm.PageIdx]*slotSide // see slotSide
 	dyn    *fifoCache[mesh.NodeID]
 	static *fifoCache[staticEntry]
 	home   map[vm.PageIdx]*homeState
@@ -93,6 +115,8 @@ type Instance struct {
 	pendXfer  map[uint64]xferWait
 	pendPush  map[vm.PageIdx]func(found bool)
 	pendPgr   map[uint64]pgrWait
+
+	arena readerArena // the slots' promoted reader sets
 
 	// awaitFree recycles invalidation await lists so steady-state rounds
 	// allocate nothing.
@@ -116,6 +140,8 @@ func newInstance(nd *Node, info *DomainInfo, ringPos int) *Instance {
 	in := &Instance{
 		nd: nd, info: info, ringPos: ringPos,
 		slots:     make([]pageSlot, info.SizePages),
+		side:      make(map[vm.PageIdx]*slotSide),
+		arena:     readerArena{info: info},
 		dyn:       newFIFOCache[mesh.NodeID](info.Cfg.DynamicCacheSize),
 		static:    newFIFOCache[staticEntry](info.Cfg.StaticCacheSize),
 		home:      make(map[vm.PageIdx]*homeState),
@@ -133,10 +159,12 @@ func newInstance(nd *Node, info *DomainInfo, ringPos int) *Instance {
 		in.o = o
 		o.Mgr = in
 		o.Strategy = vm.CopyAsymmetric
-		for idx := range o.Pages {
-			in.installOwner(idx, nil, info.Version)
-			if nd.Self == info.Home {
-				in.home[idx] = &homeState{granted: true}
+		for i, pg := range o.Pages {
+			if idx := vm.PageIdx(i); pg != nil {
+				in.installOwner(idx, nil, info.Version)
+				if nd.Self == info.Home {
+					in.home[idx] = &homeState{granted: true}
+				}
 			}
 		}
 	} else {
@@ -167,17 +195,17 @@ func (in *Instance) self() mesh.NodeID { return in.nd.Self }
 
 // installOwner makes this node the page's owner at rest — Owner or
 // OwnerSole per the reader list (self is filtered out) — taking over
-// whatever state the slot was in. Fault bookkeeping (want/retries/
-// staleFrom) is deliberately left in place: ownership can land while a
+// whatever state the slot was in. Fault bookkeeping (want, retries, stale
+// markers) is deliberately left in place: ownership can land while a
 // local fault is still formally outstanding (push installs), and the
 // eventual grant settles it. The slot's reader set keeps its storage
 // across ownership episodes, so steady-state transfers allocate nothing.
 func (in *Instance) installOwner(idx vm.PageIdx, readerList []mesh.NodeID, version uint64) {
 	sl := &in.slots[idx]
-	sl.readers.Clear()
+	sl.readers.Clear(&in.arena)
 	for _, r := range readerList {
 		if r != in.self() {
-			sl.readers.Add(r)
+			sl.readers.Add(&in.arena, r)
 		}
 	}
 	sl.version = version
@@ -190,7 +218,7 @@ func (in *Instance) installOwner(idx vm.PageIdx, readerList []mesh.NodeID, versi
 // ownership episode.
 func (in *Instance) leaveOwner(idx vm.PageIdx) {
 	sl := &in.slots[idx]
-	sl.readers.Clear()
+	sl.readers.Clear(&in.arena)
 	sl.version = 0
 	sl.held = false
 	in.setState(idx, StInvalid)
@@ -340,7 +368,7 @@ func actGrant(in *Instance, idx vm.PageIdx, m interface{}) {
 		})
 		return
 	}
-	if faulting && !g.Ownership && sl.dropStale(g.From) {
+	if faulting && !g.Ownership && in.dropStale(idx, g.From) {
 		// The granting owner invalidated us after issuing this grant (the
 		// invalidation overtook it in flight): the copy it carries is dead
 		// on arrival. Discard it and chase the current owner. Ownership
@@ -376,7 +404,7 @@ func actGrant(in *Instance, idx vm.PageIdx, m interface{}) {
 	} else if !sl.state.Owner() {
 		in.setState(idx, StReadShared)
 	}
-	sl.want, sl.retries, sl.staleFrom = 0, 0, nil
+	in.endFault(idx)
 }
 
 // announceOwner refreshes the static ownership manager's cache.
@@ -449,7 +477,7 @@ func (in *Instance) takeAwait(targets []mesh.NodeID) []mesh.NodeID {
 
 // clearReaders empties the reader list, keeping its storage.
 func (in *Instance) clearReaders(idx vm.PageIdx) {
-	in.slots[idx].readers.Clear()
+	in.slots[idx].readers.Clear(&in.arena)
 }
 
 // invalidateReaders sends invalidations to every reader except keep, waits
@@ -459,7 +487,7 @@ func (in *Instance) clearReaders(idx vm.PageIdx) {
 // deterministic with no sort.
 func (in *Instance) invalidateReaders(idx vm.PageIdx, newOwner mesh.NodeID, cont func()) {
 	sl := &in.slots[idx]
-	all := sl.readers.AppendTo(in.invalScratch[:0])
+	all := sl.readers.AppendTo(&in.arena, in.invalScratch[:0])
 	targets := all[:0]
 	for _, r := range all {
 		if r != newOwner && r != in.self() {
@@ -495,7 +523,8 @@ func actInval(in *Instance, idx vm.PageIdx, m interface{}) {
 	if sl.state.FaultOut() {
 		// The sender may have served our outstanding fault just before
 		// invalidating us — that grant is still in flight and now stale.
-		sl.staleFrom = append(sl.staleFrom, iv.From)
+		ss := in.sideOf(idx)
+		ss.staleFrom = append(ss.staleFrom, iv.From)
 	}
 	if in.info.Cfg.DynamicForwarding {
 		in.dyn.Put(idx, iv.NewOwner)

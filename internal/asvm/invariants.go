@@ -1,6 +1,7 @@
 package asvm
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -64,8 +65,8 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 			if sl.state.Busy() {
 				return fmt.Errorf("asvm: node %d page %d still busy (%v)", nid, idx, sl.state)
 			}
-			if len(sl.queue) != 0 {
-				return fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, idx, len(sl.queue))
+			if sl.side && len(in.side[idx].queue) != 0 {
+				return fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, idx, len(in.side[idx].queue))
 			}
 			switch sl.state {
 			case StOwner, StOwnerSole:
@@ -87,7 +88,9 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 			}
 		}
 		for idx, pg := range in.o.Pages {
-			holders[idx] = append(holders[idx], holder{nid, pg, in})
+			if pg != nil {
+				holders[vm.PageIdx(idx)] = append(holders[vm.PageIdx(idx)], holder{nid, pg, in})
+			}
 		}
 	}
 
@@ -109,7 +112,7 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 			return fmt.Errorf("asvm: page %d read-shared on %v with no owner", idx, ns)
 		}
 		for _, n := range ns {
-			if !os[0].slots[idx].readers.Contains(n) {
+			if !os[0].slots[idx].readers.Contains(&os[0].arena, n) {
 				return fmt.Errorf("asvm: page %d read-shared at node %d but absent from owner %d's reader list",
 					idx, n, os[0].self())
 			}
@@ -130,7 +133,7 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 					return fmt.Errorf("asvm: page %d write-held by non-owner node %d", idx, h.node)
 				}
 			}
-			if h.in != owner && !owner.slots[idx].readers.Contains(h.node) {
+			if h.in != owner && !owner.slots[idx].readers.Contains(&owner.arena, h.node) {
 				return fmt.Errorf("asvm: page %d held by node %d unknown to owner %d",
 					idx, h.node, owner.self())
 			}
@@ -251,7 +254,7 @@ func CheckPageInvariants(cluster Cluster, info *DomainInfo, idx vm.PageIdx) erro
 				return fmt.Errorf("asvm: page %d write-held by non-owner node %d", idx, h.node)
 			}
 		}
-		if owner != nil && h.in != owner && !owner.slots[idx].readers.Contains(h.node) {
+		if owner != nil && h.in != owner && !owner.slots[idx].readers.Contains(&owner.arena, h.node) {
 			return fmt.Errorf("asvm: page %d held by node %d unknown to owner %d",
 				idx, h.node, owner.self())
 		}
@@ -261,7 +264,7 @@ func CheckPageInvariants(cluster Cluster, info *DomainInfo, idx vm.PageIdx) erro
 	}
 	if owner != nil {
 		for _, n := range readShared {
-			if !owner.slots[idx].readers.Contains(n) {
+			if !owner.slots[idx].readers.Contains(&owner.arena, n) {
 				return fmt.Errorf("asvm: page %d read-shared at node %d but absent from owner %d's reader list",
 					idx, n, owner.self())
 			}
@@ -305,8 +308,8 @@ func CheckInvariantsSampled(cluster Cluster, info *DomainInfo, samplePages int, 
 			if sl.state.Busy() {
 				return fmt.Errorf("asvm: node %d page %d still busy (%v)", nid, i, sl.state)
 			}
-			if len(sl.queue) != 0 {
-				return fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, i, len(sl.queue))
+			if sl.side && len(in.side[vm.PageIdx(i)].queue) != 0 {
+				return fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, i, len(in.side[vm.PageIdx(i)].queue))
 			}
 		}
 	}
@@ -364,21 +367,21 @@ func DumpPage(cluster Cluster, info *DomainInfo, idx vm.PageIdx) string {
 		if in == nil {
 			continue
 		}
-		sl := &in.slots[idx]
+		sl, ss := &in.slots[idx], cmp.Or(in.side[idx], &slotSide{})
 		var parts []string
 		if sl.state != StInvalid {
 			parts = append(parts, fmt.Sprintf("state=%v", sl.state))
 		}
 		if sl.state.Owner() {
-			readers := sl.readers.AppendTo(make([]mesh.NodeID, 0, sl.readers.Len()))
+			readers := sl.readers.AppendTo(&in.arena, make([]mesh.NodeID, 0, sl.readers.Len()))
 			parts = append(parts, fmt.Sprintf("readers=%v held=%v queued=%d ver=%d",
-				readers, sl.held, len(sl.queue), sl.version))
+				readers, sl.held, len(ss.queue), sl.version))
 		}
 		if pg := in.o.Pages[idx]; pg != nil {
 			parts = append(parts, fmt.Sprintf("holds lock=%v evicting=%v", pg.Lock, pg.Evicting))
 		}
 		if sl.state.FaultOut() {
-			parts = append(parts, fmt.Sprintf("fault-pending want=%v staleFrom=%v", sl.want, sl.staleFrom))
+			parts = append(parts, fmt.Sprintf("fault-pending want=%v staleFrom=%v", sl.want, ss.staleFrom))
 		}
 		if hs := in.home[idx]; hs != nil {
 			parts = append(parts, fmt.Sprintf("home granted=%v atPager=%v", hs.granted, hs.atPager))

@@ -78,7 +78,7 @@ func TestInvariantsDetectOwnerWithoutPage(t *testing.T) {
 func TestInvariantsDetectUnknownReader(t *testing.T) {
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
-		in0.slots[0].readers.Remove(1)
+		in0.slots[0].readers.Remove(&in0.arena, 1)
 	})
 	if err == nil {
 		t.Fatal("reader unknown to the owner not detected")
@@ -117,7 +117,7 @@ func TestInvariantsDetectOwnerStateWithoutReaders(t *testing.T) {
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
 		in0.slots[0].state = StOwner
-		in0.slots[0].readers.Clear()
+		in0.slots[0].readers.Clear(&in0.arena)
 		// Silence the holder-based check so the state-coherence check is
 		// what must catch this: drop node 1's copy and its ReadShared state.
 		in1 := c.asvms[1].Instance(sharedID)
@@ -156,7 +156,7 @@ func TestInvariantsDetectReadSharedOffOwnerList(t *testing.T) {
 	// holder-based checks) must flag it.
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
-		in0.slots[0].readers.Remove(1)
+		in0.slots[0].readers.Remove(&in0.arena, 1)
 		in0.slots[0].state = StOwnerSole
 	})
 	if err == nil {

@@ -25,7 +25,8 @@ func (in *Instance) handleAsOwner(req accessReq) {
 		return
 	}
 	if sl.state.Busy() || (sl.held && req.Origin != in.self()) {
-		sl.queue = append(sl.queue, req)
+		ss := in.sideOf(req.Idx)
+		ss.queue = append(ss.queue, req)
 		return
 	}
 	in.process(req)
@@ -67,22 +68,23 @@ func (in *Instance) opDone(idx vm.PageIdx) {
 // ownership moved away, everything queued chases the new owner.
 func (in *Instance) drainQueue(idx vm.PageIdx) {
 	sl := &in.slots[idx]
-	if len(sl.queue) == 0 {
-		return
+	if !sl.side || len(in.side[idx].queue) == 0 {
+		return // the common path: no side entry, no map probe
 	}
+	ss := in.side[idx]
 	if !sl.state.Owner() {
-		q := sl.queue
-		sl.queue = nil
+		q := ss.queue
+		ss.queue = nil
 		for _, r := range q {
 			in.forward(r)
 		}
 		return
 	}
-	next := sl.queue[0]
+	next := ss.queue[0]
 	if sl.held && next.Origin != in.self() {
 		return // range-locked: foreign requests wait for ReleaseRange
 	}
-	sl.queue = sl.queue[1:]
+	ss.queue = ss.queue[1:]
 	in.process(next)
 }
 
@@ -106,7 +108,7 @@ func (in *Instance) serveRead(req accessReq) {
 		return
 	}
 	in.nd.Ctr.V[sim.CtrReadGrants]++
-	in.slots[req.Idx].readers.Add(req.Origin)
+	in.slots[req.Idx].readers.Add(&in.arena, req.Origin)
 	in.sendGrant(req.Origin, grantMsg{
 		Obj: req.Target, Idx: req.Idx, Lock: vm.ProtRead,
 		Data: copyData(pg.Data), HasData: true, From: in.self(),
@@ -127,7 +129,7 @@ func (in *Instance) serveWrite(req accessReq) {
 	idx := req.Idx
 	in.pushIfNeeded(idx, func() {
 		sl := &in.slots[idx]
-		upgrade := sl.readers.Contains(req.Origin)
+		upgrade := sl.readers.Contains(&in.arena, req.Origin)
 		in.invalidateReaders(idx, req.Origin, func() {
 			if req.Origin == in.self() {
 				// Transition 7: our own upgrade; we stay owner.

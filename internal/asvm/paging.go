@@ -79,12 +79,12 @@ func actEvictOwner(in *Instance, idx vm.PageIdx, m interface{}) {
 // had to re-derive it to stay deterministic.
 func (in *Instance) evictTryReaders(idx vm.PageIdx, data []byte, dirty bool) {
 	sl := &in.slots[idx]
-	reader, ok := sl.readers.Min()
+	reader, ok := sl.readers.Min(&in.arena)
 	if !ok {
 		in.evictTryTransfer(idx, data, dirty)
 		return
 	}
-	others := sl.readers.AppendTo(make([]mesh.NodeID, 0, sl.readers.Len()))[1:]
+	others := sl.readers.AppendTo(&in.arena, make([]mesh.NodeID, 0, sl.readers.Len()))[1:]
 	in.seq++
 	seq := in.seq
 	in.pendXfer[seq] = xferWait{to: reader, cb: func(accepted bool) {
@@ -93,7 +93,7 @@ func (in *Instance) evictTryReaders(idx vm.PageIdx, data []byte, dirty bool) {
 			in.evictFinish(idx, reader)
 			return
 		}
-		sl.readers.Remove(reader)
+		sl.readers.Remove(&in.arena, reader)
 		in.evictTryReaders(idx, data, dirty)
 	}}
 	in.send(reader, &ownerXfer{

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"asvm/internal/mesh"
 	"asvm/internal/sim"
@@ -110,8 +112,10 @@ func (k *Kernel) Objects() int { return len(k.objects) }
 
 // DestroyObject forgets an object (after Terminate handling).
 func (k *Kernel) DestroyObject(o *Object) {
-	for idx := range o.Pages {
-		k.removeFrame(o, idx)
+	for idx, pg := range o.Pages {
+		if pg != nil {
+			k.removeFrame(o, PageIdx(idx))
+		}
 	}
 	o.Terminated = true
 	delete(k.objects, o.ID)
@@ -130,7 +134,7 @@ func (k *Kernel) touch(pg *Page) {
 // must check. data may be nil (zero / untracked) and is copied, never
 // adopted: the caller's buffer stays the caller's.
 func (k *Kernel) InstallPage(o *Object, idx PageIdx, data []byte, lock Prot) *Page {
-	if _, dup := o.Pages[idx]; dup {
+	if o.Pages[idx] != nil {
 		panic(fmt.Sprintf("vm: double install of %v page %d on node %d", o.ID, idx, k.Node))
 	}
 	pg := &Page{Idx: idx, Lock: lock}
@@ -148,14 +152,14 @@ func (k *Kernel) InstallPage(o *Object, idx PageIdx, data []byte, lock Prot) *Pa
 // removeFrame drops a resident page and frees its frame (back to the pool:
 // nothing may still hold the page's Data).
 func (k *Kernel) removeFrame(o *Object, idx PageIdx) {
-	pg, ok := o.Pages[idx]
-	if !ok {
+	pg := o.Pages[idx]
+	if pg == nil {
 		return
 	}
 	if pg.Evicting {
 		k.Mem.EvictingPages--
 	}
-	delete(o.Pages, idx)
+	o.Pages[idx] = nil
 	k.Mem.ResidentPages--
 	PutPageBuf(pg.Data)
 	pg.Data = nil
@@ -174,14 +178,14 @@ func (k *Kernel) RemovePage(o *Object, idx PageIdx) {
 
 // Pin protects a page from eviction (in-flight protocol transfer).
 func (k *Kernel) Pin(o *Object, idx PageIdx) {
-	if pg := o.Pages[idx]; pg != nil {
+	if pg := o.Lookup(idx); pg != nil {
 		pg.Pinned = true
 	}
 }
 
 // Unpin releases a Pin.
 func (k *Kernel) Unpin(o *Object, idx PageIdx) {
-	if pg := o.Pages[idx]; pg != nil {
+	if pg := o.Lookup(idx); pg != nil {
 		pg.Pinned = false
 	}
 }
@@ -224,7 +228,7 @@ func (k *Kernel) lruVictim(tried map[*Page]bool) (*Object, *Page) {
 	var bestP *Page
 	for _, o := range k.objects {
 		for _, pg := range o.Pages {
-			if pg.Pinned || pg.Evicting || tried[pg] {
+			if pg == nil || pg.Pinned || pg.Evicting || tried[pg] {
 				continue
 			}
 			if bestP == nil || pg.lruTick < bestP.lruTick ||
@@ -280,7 +284,7 @@ func (k *Kernel) startEviction(o *Object, pg *Page) {
 // and this pageout round should skip it. Waiting faulters are woken to
 // retry against the still-resident page.
 func (k *Kernel) CancelEviction(o *Object, idx PageIdx) {
-	pg := o.Pages[idx]
+	pg := o.Lookup(idx)
 	if pg == nil || !pg.Evicting {
 		return
 	}
@@ -368,21 +372,38 @@ func (k *Kernel) FailPending(o *Object, idx PageIdx, err error) {
 // wait resolves with ErrNodeCrashed, and new faults fail immediately. The
 // node's objects stay in place so a restart (or post-mortem inspection) can
 // walk them; the cluster layer tears down distributed state separately.
+// Each wake-up is a same-instant event, so waiters are woken in (object
+// ID, page) order: map iteration order must never reach the schedule.
 func (k *Kernel) Crash() int {
 	k.crashed = true
 	err := &ErrNodeCrashed{Node: k.Node}
 	failed := 0
-	for _, o := range k.objects {
-		for idx := range o.pending {
+	byID := func(a, b ObjID) int { return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Seq, b.Seq)) }
+	for _, id := range sortedKeys(k.objects, byID) {
+		o := k.objects[id]
+		for _, idx := range sortedKeys(o.pending, cmp.Compare[PageIdx]) {
 			k.FailPending(o, idx, err)
 			failed++
 		}
 	}
-	for key, f := range k.evictWaiters {
+	for _, key := range sortedKeys(k.evictWaiters, func(a, b pageKey) int {
+		return cmp.Or(byID(a.id, b.id), cmp.Compare(a.idx, b.idx))
+	}) {
+		f := k.evictWaiters[key]
 		delete(k.evictWaiters, key)
 		f.Set(nil)
 	}
 	return failed
+}
+
+// sortedKeys returns m's keys in cmp order.
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, cmp)
+	return keys
 }
 
 // Restart clears the crash flag; the cluster layer rebuilds the node's
@@ -443,6 +464,9 @@ func (k *Kernel) Fault(p *sim.Proc, m *Map, addr Addr, want Prot) (*Page, error)
 // FaultObject resolves a fault directly against an object (no address map);
 // used by pagers and tests.
 func (k *Kernel) FaultObject(p *sim.Proc, obj *Object, idx PageIdx, want Prot) (*Page, error) {
+	if idx < 0 || idx >= obj.SizePages {
+		return nil, fmt.Errorf("vm: page %d outside %v", idx, obj.ID)
+	}
 	k.Ctr.V[sim.CtrFaults]++
 	p.Sleep(k.Costs.FaultBase)
 	for retry := 0; retry < maxFaultRetries; retry++ {
@@ -465,7 +489,7 @@ func (k *Kernel) FaultObject(p *sim.Proc, obj *Object, idx PageIdx, want Prot) (
 // change and asks the caller to retry (done=false).
 func (k *Kernel) faultStep(p *sim.Proc, obj *Object, idx PageIdx, want Prot) (*Page, bool, error) {
 	for cur := obj; cur != nil; cur = cur.Shadow {
-		pg := cur.Pages[idx]
+		pg := cur.Lookup(idx)
 		if pg != nil {
 			if pg.Evicting {
 				k.waitEviction(p, cur, idx)
@@ -660,7 +684,7 @@ func (k *Kernel) DataSupply(o *Object, idx PageIdx, data []byte, lock Prot, push
 	// Note: a PagedOut marker is deliberately kept — the pager's copy stays
 	// valid until the page is dirtied again, so a clean re-eviction can
 	// simply drop the frame.
-	if pg := o.Pages[idx]; pg != nil {
+	if pg := o.Lookup(idx); pg != nil {
 		// Already resident (e.g. raced with a local zero fill): treat as a
 		// lock delivery.
 		if lock > pg.Lock {
@@ -695,7 +719,7 @@ func (k *Kernel) pushSupply(o *Object, idx PageIdx, data []byte) {
 // it may be zero-filled with the given lock.
 func (k *Kernel) DataUnavailable(o *Object, idx PageIdx, lock Prot) {
 	k.Ctr.V[sim.CtrDataUnavailable]++
-	if o.Pages[idx] == nil {
+	if o.Lookup(idx) == nil {
 		k.Ctr.V[sim.CtrZeroFills]++
 		k.InstallPage(o, idx, nil, lock)
 	}
@@ -705,7 +729,7 @@ func (k *Kernel) DataUnavailable(o *Object, idx PageIdx, lock Prot) {
 // LockGrant raises the page lock (positive lock_request); it completes
 // pending unlock waits.
 func (k *Kernel) LockGrant(o *Object, idx PageIdx, lock Prot) {
-	if pg := o.Pages[idx]; pg != nil && lock > pg.Lock {
+	if pg := o.Lookup(idx); pg != nil && lock > pg.Lock {
 		pg.Lock = lock
 	}
 	k.completePending(o, idx)
@@ -719,7 +743,7 @@ func (k *Kernel) LockGrant(o *Object, idx PageIdx, lock Prot) {
 // present=false so the caller can fetch the page and push via DataSupply).
 // Flushed dirty pages are handed to the object's manager via DataReturn.
 func (k *Kernel) LockRequest(o *Object, idx PageIdx, newLock Prot, pushFirst bool, done func(present bool)) {
-	pg := o.Pages[idx]
+	pg := o.Lookup(idx)
 	if pg == nil || pg.Evicting {
 		if done != nil {
 			done(false)
@@ -762,7 +786,7 @@ func (k *Kernel) LockRequest(o *Object, idx PageIdx, newLock Prot, pushFirst boo
 func (k *Kernel) PullRequest(o *Object, idx PageIdx, done func(res PullResult, data []byte, shadow *Object)) {
 	k.Ctr.V[sim.CtrPullRequests]++
 	for cur := o.Shadow; cur != nil; cur = cur.Shadow {
-		if pg := cur.Pages[idx]; pg != nil && !pg.Evicting {
+		if pg := cur.Lookup(idx); pg != nil && !pg.Evicting {
 			k.touch(pg)
 			done(PullData, pg.Data, nil)
 			return

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -489,5 +491,60 @@ func TestFaultRetryExhaustedError(t *testing.T) {
 	errors.As(objErr, &ex)
 	if ex.Page != 5 {
 		t.Errorf("object fault page = %d, want 5", ex.Page)
+	}
+}
+
+// TestTouchBeyondObjectIsAnError maps 8 pages of a 4-page object: a touch
+// past the object's end must fail with the fault path's bounds error, not
+// index past the resident-page table.
+func TestTouchBeyondObjectIsAnError(t *testing.T) {
+	e := sim.NewEngine()
+	k := testKernel(e)
+	task := k.NewTask("t")
+	obj := k.NewAnonymous(4)
+	if _, err := task.Map.MapObject(0, obj, 0, 8, ProtWrite, InheritCopy); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []Prot{ProtRead, ProtWrite} {
+		var ferr error
+		e.Spawn("t", func(p *sim.Proc) { _, ferr = task.Touch(p, 6*PageSize, want) })
+		e.Run()
+		if ferr == nil || !strings.Contains(ferr.Error(), "vm: page 6 outside "+obj.ID.String()) {
+			t.Fatalf("%v touch of page 6: got %v, want the page-outside-object error", want, ferr)
+		}
+	}
+}
+
+// TestCrashWakesWaitersInOrder blocks one proc on each of four objects
+// behind a manager that never answers, then crashes the node. The procs
+// resume as same-instant events, so their wake order is the order Crash
+// fails the requests in — which must be ObjID order, not map order, on
+// every fresh engine.
+func TestCrashWakesWaitersInOrder(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		e := sim.NewEngine()
+		k := testKernel(e)
+		mgr := &fakeMgr{k: k, supply: "none"}
+		var woke []uint64
+		for _, seq := range []uint64{3, 1, 4, 2} {
+			obj := k.NewObject(ObjID{Node: 0, Seq: seq}, 4, mgr, CopyNone)
+			e.Spawn("t", func(p *sim.Proc) {
+				_, err := k.FaultObject(p, obj, PageIdx(seq%4), ProtRead)
+				var crashed *ErrNodeCrashed
+				if !errors.As(err, &crashed) {
+					t.Errorf("fault on %v: got %v, want ErrNodeCrashed", obj.ID, err)
+				}
+				woke = append(woke, seq)
+			})
+		}
+		e.Schedule(time.Second, func() {
+			if n := k.Crash(); n != 4 {
+				t.Errorf("Crash failed %d requests, want 4", n)
+			}
+		})
+		e.Run()
+		if !slices.Equal(woke, []uint64{1, 2, 3, 4}) {
+			t.Fatalf("run %d: waiters woke in object order %v, want [1 2 3 4]", run, woke)
+		}
 	}
 }

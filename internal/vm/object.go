@@ -43,8 +43,9 @@ type Object struct {
 	// SizePages is the object's length; faults beyond it are errors.
 	SizePages PageIdx
 
-	// Pages holds the resident pages on this node.
-	Pages map[PageIdx]*Page
+	// Pages is the node's resident-page table, indexed by page number:
+	// SizePages entries, nil where no page is resident.
+	Pages []*Page
 
 	// Shadow points toward the source object this object was copied from
 	// (data is pulled through this link). Nil for original objects.
@@ -109,7 +110,7 @@ func (k *Kernel) NewObject(id ObjID, sizePages PageIdx, mgr MemoryManager, strat
 		ID:          id,
 		Kernel:      k,
 		SizePages:   sizePages,
-		Pages:       make(map[PageIdx]*Page),
+		Pages:       make([]*Page, sizePages),
 		Mgr:         mgr,
 		Strategy:    strategy,
 		PageVersion: make(map[PageIdx]uint64),
@@ -128,13 +129,17 @@ func (k *Kernel) NewAnonymous(sizePages PageIdx) *Object {
 
 // Resident reports whether the page is resident (and not mid-eviction).
 func (o *Object) Resident(idx PageIdx) bool {
-	p, ok := o.Pages[idx]
-	return ok && !p.Evicting
+	p := o.Lookup(idx)
+	return p != nil && !p.Evicting
 }
 
-// Lookup returns the resident page or nil.
+// Lookup returns the resident page or nil; an index outside the object
+// has no page.
 func (o *Object) Lookup(idx PageIdx) *Page {
-	return o.Pages[idx]
+	if uint64(idx) < uint64(len(o.Pages)) {
+		return o.Pages[idx]
+	}
+	return nil
 }
 
 // ChainDepth returns the length of the shadow chain below this object
@@ -160,7 +165,13 @@ func (o *Object) MarkPushed(idx PageIdx) {
 
 // String implements fmt.Stringer.
 func (o *Object) String() string {
-	return fmt.Sprintf("%v@n%d[%d pages resident]", o.ID, o.Kernel.Node, len(o.Pages))
+	n := 0
+	for _, pg := range o.Pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return fmt.Sprintf("%v@n%d[%d pages resident]", o.ID, o.Kernel.Node, n)
 }
 
 // MemoryManager is the EMMI as seen from the kernel: the operations Mach

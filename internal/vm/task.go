@@ -35,7 +35,7 @@ func (t *Task) resolveFast(addr Addr, want Prot) *Page {
 	}
 	idx := e.pageIndex(addr)
 	for cur := e.Object; cur != nil; cur = cur.Shadow {
-		pg := cur.Pages[idx]
+		pg := cur.Lookup(idx)
 		if pg == nil {
 			continue
 		}
