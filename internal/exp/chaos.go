@@ -93,13 +93,7 @@ func runChaos(p machine.Params, plan xport.FaultPlan, run chaosWorkload) (ChaosR
 	if err := c.CheckInvariants(r); err != nil {
 		return ChaosResult{}, err
 	}
-	res := ChaosResult{Metric: metric}
-	if c.STSTR != nil {
-		res.Msgs += c.STSTR.Msgs
-	}
-	if c.NormaTR != nil {
-		res.Msgs += c.NormaTR.Msgs
-	}
+	res := ChaosResult{Metric: metric, Msgs: c.Wire.Msgs}
 	if f := c.FaultTR; f != nil {
 		res.Dropped, res.Duplicated, res.Delayed = f.Dropped, f.Duplicated, f.Delayed
 	}

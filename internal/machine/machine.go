@@ -65,8 +65,6 @@ type Params struct {
 	System System
 
 	Mesh  mesh.Config
-	Norma norma.Costs
-	STS   sts.Costs
 	VM    vm.Costs
 	Pager pager.Costs
 	ASVM  asvm.Config
@@ -123,8 +121,6 @@ func DefaultParams(n int) Params {
 		TrackData:      false,
 		System:         SysASVM,
 		Mesh:           mesh.DefaultConfig(n),
-		Norma:          norma.DefaultCosts(),
-		STS:            sts.DefaultCosts(),
 		VM:             vm.DefaultCosts(),
 		Pager:          pager.DefaultCosts(),
 		ASVM:           asvm.DefaultConfig(),
@@ -160,9 +156,9 @@ type Cluster struct {
 
 	// Transport actually used by the system under test (outermost wrapper).
 	TR xport.Transport
-	// Both transports exist (the ablation A2 swaps them).
-	NormaTR *norma.Transport
-	STSTR   *sts.Transport
+	// Wire is the simulated transport under TR: the NORMA-IPC cost row
+	// under XMM or ASVMOverNorma (ablation A2), the STS row otherwise.
+	Wire *sts.Transport
 	// FaultTR/RelTR are the chaos wrappers, nil unless Params enabled them.
 	FaultTR *xport.FaultyTransport
 	RelTR   *xport.Reliable
@@ -212,13 +208,12 @@ func New(p Params) *Cluster {
 	for i := 0; i < p.Nodes; i++ {
 		c.HW = append(c.HW, node.New(e, mesh.NodeID(i)))
 	}
-	c.NormaTR = norma.New(e, c.Net, c.HW, p.Norma)
-	c.STSTR = sts.New(e, c.Net, c.HW, p.STS)
+	costs := sts.DefaultCosts()
 	if p.System == SysXMM || p.ASVMOverNorma {
-		c.TR = c.NormaTR
-	} else {
-		c.TR = c.STSTR
+		costs = norma.DefaultCosts()
 	}
+	c.Wire = sts.New(e, c.Net, c.HW, costs)
+	c.TR = c.Wire
 	// Chaos wrappers: reliability over fault injection over the wire, so
 	// retransmissions themselves are subject to loss. The fault RNG is a
 	// dedicated stream — c.RNG draws stay identical with or without faults.

@@ -359,6 +359,8 @@ func TestDestroyRegionFreesEverything(t *testing.T) {
 }
 
 func TestStatsReportRuns(t *testing.T) {
+	// Each system reports the one wire it runs on, with its traffic.
+	wire := map[System]string{SysASVM: "sts:", SysXMM: "norma:"}
 	for _, sys := range []System{SysASVM, SysXMM} {
 		c := New(testParams(4, sys))
 		r := c.NewSharedRegion("s", 4, []int{0, 1, 2, 3})
@@ -375,6 +377,19 @@ func TestStatsReportRuns(t *testing.T) {
 		for _, want := range []string{"cluster statistics", "kernel:", "transport:", "resident pages"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("%v: report missing %q:\n%s", sys, want, out)
+			}
+		}
+		traffic := false
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			traffic = traffic || len(f) > 2 && f[0] == wire[sys] && f[1] != "0" && f[2] == "msgs"
+		}
+		if !traffic {
+			t.Fatalf("%v: report has no %q line with traffic:\n%s", sys, wire[sys], out)
+		}
+		for other, name := range wire {
+			if other != sys && strings.Contains(out, name) {
+				t.Fatalf("%v: report names the unused wire %q:\n%s", sys, name, out)
 			}
 		}
 	}

@@ -40,9 +40,8 @@ func (c *Cluster) StatsReport(w io.Writer) {
 	writeCounterMap(w, proto)
 
 	fmt.Fprintln(w, "transport:")
-	fmt.Fprintf(w, "  sts:   %d msgs (%d with pages), %d bytes\n",
-		c.STSTR.Msgs, c.STSTR.PageMsgs, c.STSTR.Bytes)
-	fmt.Fprintf(w, "  norma: %d msgs, %d bytes\n", c.NormaTR.Msgs, c.NormaTR.Bytes)
+	fmt.Fprintf(w, "  %-6s %d msgs (%d with pages), %d bytes\n",
+		c.Wire.Name()+":", c.Wire.Msgs, c.Wire.PageMsgs, c.Wire.Bytes)
 	fmt.Fprintf(w, "  mesh:  %d packets, %d bytes\n", c.Net.Stats.Messages, c.Net.Stats.Bytes)
 
 	// Busiest message processors (the contention points).

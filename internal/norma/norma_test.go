@@ -9,17 +9,21 @@ import (
 	"asvm/internal/mesh"
 	"asvm/internal/node"
 	"asvm/internal/sim"
+	"asvm/internal/sts"
 	"asvm/internal/vm"
 	"asvm/internal/xport"
 )
 
-var protoP = xport.RegisterProto("p")
+var (
+	protoP    = xport.RegisterProto("p")
+	protoDead = xport.RegisterProto("p-dead")
+)
 
 func TestMessageCostBreakdown(t *testing.T) {
 	e := sim.NewEngine()
 	net := mesh.New(e, 2, mesh.DefaultConfig(2))
 	hw := []*node.Node{node.New(e, 0), node.New(e, 1)}
-	costs := Costs{
+	costs := sts.Costs{
 		SendCPU: 100 * time.Microsecond, RecvCPU: 200 * time.Microsecond,
 		PortTranslateCPU: 50 * time.Microsecond, PerKBCPU: 10 * time.Microsecond,
 		HeaderBytes: 256,
@@ -97,37 +101,112 @@ func TestBurstRetransmitGolden(t *testing.T) {
 	}
 }
 
-// TestNackGolden pins the dead-port bounce: a send to a node with no
-// handler on the channel comes back to the sender's own handler as an
-// xport.Nack carrying the original message, at the virtual time and with
-// the accounting the closure-chain implementation produced. Two bounces in
-// a row check that a recycled delivery starts clean.
+// TestNackGolden pins the bounce under both cost rows: a send to a node
+// with no handler on the channel comes back to the sender's own handler as
+// an xport.Nack carrying the original message, at the virtual time and with
+// the accounting each transport produced before the two shared one stepper
+// (NORMA's: the closure-chain implementation's). Two bounces in a row
+// check that a recycled delivery starts clean.
 func TestNackGolden(t *testing.T) {
-	e := sim.NewEngine()
-	net := mesh.New(e, 2, mesh.DefaultConfig(2))
-	hw := []*node.Node{node.New(e, 0), node.New(e, 1)}
-	tr := New(e, net, hw, DefaultCosts())
-	var got []string
-	tr.Register(0, protoP, func(src mesh.NodeID, m interface{}) {
-		nk, ok := m.(xport.Nack)
-		if !ok {
-			t.Fatalf("handler got %T, want xport.Nack", m)
-		}
-		if nk.Dst != 1 || nk.Proto != protoP || src != 1 {
-			t.Errorf("nack %+v from %v", nk, src)
-		}
-		got = append(got, fmt.Sprintf("%v@%d", nk.Msg, int64(e.Now())))
-		if nk.Msg == "first" {
-			tr.Send(0, 1, protoP, 0, "second")
-		}
-	})
-	tr.Send(0, 1, protoP, vm.PageSize, "first")
-	e.Run()
-	want := []string{"first@2059816", "second@3672820"}
-	if !slices.Equal(got, want) {
-		t.Errorf("bounces:\n got %q\nwant %q", got, want)
+	for _, c := range []struct {
+		costs sts.Costs
+		want  []string
+		bytes uint64
+	}{
+		{sts.DefaultCosts(), []string{"first@287256", "second@467700"}, 8320},
+		{DefaultCosts(), []string{"first@2059816", "second@3672820"}, 9216},
+	} {
+		t.Run(c.costs.Name, func(t *testing.T) {
+			e := sim.NewEngine()
+			net := mesh.New(e, 2, mesh.DefaultConfig(2))
+			hw := []*node.Node{node.New(e, 0), node.New(e, 1)}
+			tr := sts.New(e, net, hw, c.costs)
+			var got []string
+			tr.Register(0, protoP, func(src mesh.NodeID, m interface{}) {
+				nk, ok := m.(xport.Nack)
+				if !ok {
+					t.Fatalf("handler got %T, want xport.Nack", m)
+				}
+				if nk.Dst != 1 || nk.Proto != protoP || src != 1 {
+					t.Errorf("nack %+v from %v", nk, src)
+				}
+				got = append(got, fmt.Sprintf("%v@%d", nk.Msg, int64(e.Now())))
+				if nk.Msg == "first" {
+					tr.Send(0, 1, protoP, 0, "second")
+				}
+			})
+			tr.Send(0, 1, protoP, vm.PageSize, "first")
+			e.Run()
+			if !slices.Equal(got, c.want) {
+				t.Errorf("bounces:\n got %q\nwant %q", got, c.want)
+			}
+			if tr.Msgs != 4 || tr.Nacks != 2 || tr.Bytes != c.bytes || tr.Retransmits != 0 || tr.PageMsgs != 1 {
+				t.Errorf("Msgs/Nacks/Bytes/Retransmits/PageMsgs = %d/%d/%d/%d/%d",
+					tr.Msgs, tr.Nacks, tr.Bytes, tr.Retransmits, tr.PageMsgs)
+			}
+		})
 	}
-	if tr.Msgs != 4 || tr.Nacks != 2 || tr.Bytes != 9216 || tr.Retransmits != 0 {
-		t.Errorf("Msgs/Nacks/Bytes/Retransmits = %d/%d/%d/%d", tr.Msgs, tr.Nacks, tr.Bytes, tr.Retransmits)
+}
+
+// latencyChooser takes alternative 1 at every ChoiceLatency point and logs
+// every choice point it is offered.
+type latencyChooser struct{ points []string }
+
+func (c *latencyChooser) Choose(k sim.ChoiceKind, n int) int {
+	c.points = append(c.points, fmt.Sprintf("%v/%d", k, n))
+	if k == sim.ChoiceLatency {
+		return 1
+	}
+	return 0
+}
+
+// TestLateDispatchGolden pins the STS row's late-dispatch choice point: with
+// a chooser that takes every latency alternative, each delivered STS
+// message offers one two-way point (the receiver picks it up one RecvCPU
+// late) besides the mesh's three-way one, and a bounce offers only the
+// mesh's. The NORMA row never reaches the transport's point. Times are
+// the values each transport produced before the two shared one stepper.
+func TestLateDispatchGolden(t *testing.T) {
+	for _, c := range []struct {
+		costs  sts.Costs
+		want   []string
+		points []string
+	}{
+		{sts.DefaultCosts(),
+			[]string{"req@205222", "grant@517256", "nack bounce@757700"},
+			[]string{"latency/2", "latency/3", "latency/2", "latency/3", "latency/3", "latency/3"}},
+		{DefaultCosts(),
+			[]string{"req@1186502", "grant@2819816", "nack bounce@4492820"},
+			[]string{"latency/3", "latency/3", "latency/3", "latency/3"}},
+	} {
+		t.Run(c.costs.Name, func(t *testing.T) {
+			e := sim.NewEngine()
+			net := mesh.New(e, 2, mesh.DefaultConfig(2))
+			hw := []*node.Node{node.New(e, 0), node.New(e, 1)}
+			tr := sts.New(e, net, hw, c.costs)
+			ch := &latencyChooser{}
+			e.SetChooser(ch)
+			var got []string
+			tr.Register(1, protoP, func(src mesh.NodeID, m interface{}) {
+				got = append(got, fmt.Sprintf("%v@%d", m, int64(e.Now())))
+				tr.Send(1, 0, protoP, vm.PageSize, "grant")
+			})
+			tr.Register(0, protoP, func(src mesh.NodeID, m interface{}) {
+				got = append(got, fmt.Sprintf("%v@%d", m, int64(e.Now())))
+			})
+			tr.Register(0, protoDead, func(src mesh.NodeID, m interface{}) {
+				got = append(got, fmt.Sprintf("nack %v@%d", m.(xport.Nack).Msg, int64(e.Now())))
+			})
+			tr.Send(0, 1, protoP, 0, "req")
+			e.Run()
+			tr.Send(0, 1, protoDead, 0, "bounce")
+			e.Run()
+			if !slices.Equal(got, c.want) {
+				t.Errorf("deliveries:\n got %q\nwant %q", got, c.want)
+			}
+			if !slices.Equal(ch.points, c.points) {
+				t.Errorf("choice points:\n got %q\nwant %q", ch.points, c.points)
+			}
+		})
 	}
 }

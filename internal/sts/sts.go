@@ -1,13 +1,20 @@
-// Package sts models ASVM's dedicated SVM Transport Service: messages are
-// a fixed 32-byte block of untyped data, optionally followed by one 8 KB
-// page of contents. Receive buffers are preallocated (page contents are
-// only ever sent on behalf of a request from their receiver), so the
-// software path is a small fraction of NORMA-IPC's.
+// Package sts is the simulated message path over the Paragon's message
+// processors and mesh. Its cost model is a table of two rows, one per
+// transport the paper compares (§3.1):
 //
-// The implementation mirrors that lightness: handlers live in dense
-// per-node slices indexed by ProtoID (no string hashing), and a message in
-// flight is a pooled delivery object stepped through its stages as a
-// sim.Runnable, so the steady-state send/dispatch path allocates nothing.
+//   - DefaultCosts is ASVM's dedicated SVM Transport Service: a fixed
+//     32-byte block of untyped data, optionally followed by one 8 KB page.
+//     Receive buffers are preallocated (page contents are only ever sent on
+//     behalf of a request from their receiver), so the software path is a
+//     small fraction of NORMA-IPC's.
+//   - norma.DefaultCosts is Mach NORMA-IPC: typed messages with port-right
+//     translation and a per-KB marshalling cost, plus the many-to-one
+//     receive-buffer exhaustion that makes it retransmit.
+//
+// Both rows run the same stepper: handlers live in dense per-node slices
+// indexed by ProtoID (no string hashing), and a message in flight is a
+// pooled delivery object stepped through its stages as a sim.Runnable, so
+// the steady-state send/dispatch path allocates nothing.
 package sts
 
 import (
@@ -21,32 +28,55 @@ import (
 	"asvm/internal/xport"
 )
 
-// HeaderBytes is the fixed untyped message block (paper §3.1).
-const HeaderBytes = 32
-
-// Costs are the per-message software costs of the STS.
+// Costs is one row of the simulated transport's cost table: the
+// per-message software costs, on each side of the wire, of one IPC design.
 type Costs struct {
-	// SendCPU is the sender-side cost (fill header, DMA start).
+	// Name is the transport's name (xport.Transport.Name, panics, reports).
+	Name string
+	// SendCPU is the sender-side cost (STS: fill header, DMA start; NORMA:
+	// typed-message marshalling, port name lookup, kernel entry).
 	SendCPU time.Duration
-	// RecvCPU is the receiver-side cost (dispatch from a preallocated
-	// buffer).
+	// RecvCPU is the receiver-side cost (STS: dispatch from a preallocated
+	// buffer; NORMA: demarshalling, port translation, thread dispatch).
 	RecvCPU time.Duration
+	// PortTranslateCPU is paid on each side for translating port rights
+	// carried in the message.
+	PortTranslateCPU time.Duration
 	// PagePrep is the extra cost on each side when a page accompanies the
 	// message (pinning/buffer handoff; contents are not copied).
 	PagePrep time.Duration
+	// PerKBCPU is the copy/marshal cost per KB of payload on each side.
+	PerKBCPU time.Duration
+	// HeaderBytes is the wire overhead per message.
+	HeaderBytes int
+
+	// RecvBufferMsgs models NORMA's broken flow control in many-to-one
+	// scenarios (paper §1): a receiver has this many message buffers; a
+	// message arriving with that many already queued is dropped and pays
+	// RetransmitDelay before redelivery. Zero disables the model.
+	RecvBufferMsgs  int
+	RetransmitDelay time.Duration
+
+	// LateDispatch offers the schedule explorer a choice point per message:
+	// the receiver's message processor may pick it up one RecvCPU late,
+	// letting a concurrently arriving message overtake it in handler order.
+	LateDispatch bool
 }
 
-// DefaultCosts returns values calibrated against the paper's ASVM
+// DefaultCosts returns the STS row, calibrated against the paper's ASVM
 // latencies (DESIGN.md §6).
 func DefaultCosts() Costs {
 	return Costs{
-		SendCPU:  50 * time.Microsecond,
-		RecvCPU:  60 * time.Microsecond,
-		PagePrep: 30 * time.Microsecond,
+		Name:         "sts",
+		SendCPU:      50 * time.Microsecond,
+		RecvCPU:      60 * time.Microsecond,
+		PagePrep:     30 * time.Microsecond,
+		HeaderBytes:  32,
+		LateDispatch: true,
 	}
 }
 
-// Transport implements xport.Transport with STS cost modelling.
+// Transport implements xport.Transport over the mesh with one row of costs.
 type Transport struct {
 	eng   *sim.Engine
 	net   *mesh.Network
@@ -62,13 +92,15 @@ type Transport struct {
 	pool []*delivery
 
 	// Stats.
-	Msgs     uint64
-	PageMsgs uint64
-	Bytes    uint64
-	Nacks    uint64
+	Msgs        uint64
+	PageMsgs    uint64
+	Bytes       uint64
+	Nacks       uint64
+	Retransmits uint64
 }
 
-// New builds an STS transport over the mesh for the given nodes.
+// New builds a transport with the given cost row over the mesh for the
+// given nodes.
 func New(e *sim.Engine, net *mesh.Network, nodes []*node.Node, costs Costs) *Transport {
 	return &Transport{
 		eng: e, net: net, nodes: nodes, costs: costs,
@@ -77,7 +109,7 @@ func New(e *sim.Engine, net *mesh.Network, nodes []*node.Node, costs Costs) *Tra
 }
 
 // Name implements xport.Transport.
-func (t *Transport) Name() string { return "sts" }
+func (t *Transport) Name() string { return t.costs.Name }
 
 // Register implements xport.Transport.
 func (t *Transport) Register(n mesh.NodeID, proto xport.ProtoID, h xport.Handler) {
@@ -86,7 +118,7 @@ func (t *Transport) Register(n mesh.NodeID, proto xport.ProtoID, h xport.Handler
 		row = append(row, nil)
 	}
 	if row[proto] != nil {
-		panic(fmt.Sprintf("sts: duplicate registration %v/%s", n, proto))
+		panic(fmt.Sprintf("%s: duplicate registration %v/%s", t.costs.Name, n, proto))
 	}
 	row[proto] = h
 	t.handlers[n] = row
@@ -102,8 +134,10 @@ func (t *Transport) lookup(n mesh.NodeID, proto xport.ProtoID) xport.Handler {
 
 // delivery is one message in flight, stepped through its stages by the
 // engine as a pooled sim.Runnable: sender message processor → wire →
-// receiver message processor → handler. The nack stages model the bounce
-// round trip for a destination with no handler.
+// receiver message processor → handler. A message that arrives to full
+// receive buffers is re-armed in its arrival stage after RetransmitDelay.
+// The nack stages model the bounce round trip for a destination with no
+// handler.
 type delivery struct {
 	t        *Transport
 	src, dst mesh.NodeID
@@ -117,10 +151,10 @@ type delivery struct {
 
 const (
 	stSent        uint8 = iota // sender MsgProc done; enter the wire
-	stArrived                  // last byte at dst; receiver MsgProc
+	stArrived                  // at dst: bounce if its buffers are full, else receiver MsgProc
 	stHandle                   // dispatch to the handler, recycle
 	stNackSent                 // nack: sender MsgProc done; enter the wire
-	stNackArrived              // nack: at dst; its STS rejects the channel
+	stNackArrived              // nack: at dst; its MsgProc finds no handler
 	stNackBounce               // nack: header-only reject crosses back
 	stNackReturn               // nack: back at src; src MsgProc
 	stNackHandle               // nack: deliver xport.Nack, recycle
@@ -134,8 +168,20 @@ func (d *delivery) Run() {
 		d.stage = stArrived
 		t.net.SendRun(d.src, d.dst, d.wire, d)
 	case stArrived:
+		// Many-to-one buffer exhaustion: when too many messages already
+		// queue at the receiver's message processor, this one bounces and
+		// is retransmitted after a delay, arriving here again.
+		mp := t.nodes[d.dst].MsgProc
+		if t.costs.RecvBufferMsgs > 0 && d.recvCost > 0 {
+			backlog := mp.BusyUntil() - t.eng.Now()
+			if backlog > 0 && int(backlog/d.recvCost) >= t.costs.RecvBufferMsgs {
+				t.Retransmits++
+				t.eng.ScheduleRun(t.costs.RetransmitDelay, d)
+				return
+			}
+		}
 		d.stage = stHandle
-		t.nodes[d.dst].MsgProc.DoRun(d.recvCost, d)
+		mp.DoRun(d.recvCost, d)
 	case stHandle:
 		h, src, m := d.h, d.src, d.m
 		t.put(d)
@@ -148,7 +194,7 @@ func (d *delivery) Run() {
 		t.nodes[d.dst].MsgProc.DoRun(d.recvCost, d)
 	case stNackBounce:
 		d.stage = stNackReturn
-		t.net.SendRun(d.dst, d.src, HeaderBytes, d)
+		t.net.SendRun(d.dst, d.src, t.costs.HeaderBytes, d)
 	case stNackReturn:
 		d.stage = stNackHandle
 		t.nodes[d.src].MsgProc.DoRun(t.costs.RecvCPU, d)
@@ -157,15 +203,6 @@ func (d *delivery) Run() {
 		t.put(d)
 		h(dst, xport.Nack{Dst: dst, Proto: proto, Msg: m})
 	}
-}
-
-func (t *Transport) get() *delivery {
-	if n := len(t.pool); n > 0 {
-		d := t.pool[n-1]
-		t.pool = t.pool[:n-1]
-		return d
-	}
-	return &delivery{t: t}
 }
 
 // put recycles d. Callers copy out what they need first: the handler a
@@ -178,65 +215,54 @@ func (t *Transport) put(d *delivery) {
 
 // Send implements xport.Transport. payloadBytes over 0 means a page rides
 // along (accounting treats any nonzero payload as page-bearing).
+//
+// A message addressed to an unregistered destination bounces back to the
+// sender's own handler as an xport.Nack: the attempt pays the full outbound
+// cost and crosses the wire, and the destination's rejection (STS: no
+// mailbox for the channel; NORMA: dead port) comes back as a header-only
+// message. Panics only if the sender has no handler either — then the
+// bounce has nowhere to go and it is a real protocol bug.
 func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes int, m interface{}) {
-	h := t.lookup(dst, proto)
+	h, stage := t.lookup(dst, proto), stSent
 	if h == nil {
-		t.nack(src, dst, proto, payloadBytes, m)
-		return
+		if h, stage = t.lookup(src, proto), stNackSent; h == nil {
+			panic(fmt.Sprintf("%s: no handler for %v/%s (and no %v/%s sender handler for the bounce)",
+				t.costs.Name, dst, proto, src, proto))
+		}
+		t.Nacks++
+		t.Msgs++
+		t.Bytes += uint64(t.costs.HeaderBytes)
 	}
 	t.Msgs++
-	wire := HeaderBytes + payloadBytes
+	wire := payloadBytes + t.costs.HeaderBytes
 	t.Bytes += uint64(wire)
-	sendCost := t.costs.SendCPU
-	recvCost := t.costs.RecvCPU
+	perSide := t.costs.PortTranslateCPU + t.perKB(payloadBytes)
 	if payloadBytes > 0 {
 		t.PageMsgs++
-		sendCost += t.costs.PagePrep
-		recvCost += t.costs.PagePrep
+		perSide += t.costs.PagePrep
 	}
-	// Choice point: the receiver's message processor may pick this message
-	// up one dispatch quantum late, letting a concurrently arriving message
-	// overtake it in handler order. Free (Choose short-circuits on the nil
-	// chooser) in production runs.
-	if k := t.eng.Choose(sim.ChoiceLatency, 2); k == 1 {
+	recvCost := t.costs.RecvCPU + perSide
+	// Choice point (LateDispatch rows, delivered messages only). Free
+	// (Choose short-circuits on the nil chooser) in production runs.
+	if t.costs.LateDispatch && stage == stSent && t.eng.Choose(sim.ChoiceLatency, 2) == 1 {
 		recvCost += t.costs.RecvCPU
 	}
-	d := t.get()
+	var d *delivery
+	if n := len(t.pool); n > 0 {
+		d = t.pool[n-1]
+		t.pool = t.pool[:n-1]
+	} else {
+		d = &delivery{t: t}
+	}
 	d.src, d.dst, d.proto = src, dst, proto
 	d.h, d.m = h, m
 	d.wire, d.recvCost = wire, recvCost
-	d.stage = stSent
-	t.nodes[src].MsgProc.DoRun(sendCost, d)
+	d.stage = stage
+	t.nodes[src].MsgProc.DoRun(t.costs.SendCPU+perSide, d)
 }
 
-// nack bounces a message addressed to an unregistered destination back to
-// the sender's own handler as an xport.Nack: the attempt still crosses the
-// wire (the destination's STS finds no mailbox for the channel and rejects
-// with a header-only message). Panics only if the sender has no handler
-// either — then the bounce has nowhere to go and it is a real protocol bug.
-func (t *Transport) nack(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes int, m interface{}) {
-	back := t.lookup(src, proto)
-	if back == nil {
-		panic(fmt.Sprintf("sts: no handler for %v/%s (and no %v/%s sender handler for the bounce)",
-			dst, proto, src, proto))
-	}
-	t.Nacks++
-	t.Msgs += 2
-	wire := HeaderBytes + payloadBytes
-	t.Bytes += uint64(wire + HeaderBytes)
-	sendCost := t.costs.SendCPU
-	recvCost := t.costs.RecvCPU
-	if payloadBytes > 0 {
-		t.PageMsgs++
-		sendCost += t.costs.PagePrep
-		recvCost += t.costs.PagePrep
-	}
-	d := t.get()
-	d.src, d.dst, d.proto = src, dst, proto
-	d.h, d.m = back, m
-	d.wire, d.recvCost = wire, recvCost
-	d.stage = stNackSent
-	t.nodes[src].MsgProc.DoRun(sendCost, d)
+func (t *Transport) perKB(payloadBytes int) time.Duration {
+	return time.Duration(float64(payloadBytes) / 1024 * float64(t.costs.PerKBCPU))
 }
 
 // PageBytes is the payload size callers pass when a message carries one

@@ -16,7 +16,8 @@ func TestPagePrepChargedOnlyWithPayload(t *testing.T) {
 	e := sim.NewEngine()
 	net := mesh.New(e, 2, mesh.DefaultConfig(2))
 	hw := []*node.Node{node.New(e, 0), node.New(e, 1)}
-	costs := Costs{SendCPU: 10 * time.Microsecond, RecvCPU: 20 * time.Microsecond, PagePrep: 100 * time.Microsecond}
+	costs := DefaultCosts()
+	costs.SendCPU, costs.RecvCPU, costs.PagePrep = 10*time.Microsecond, 20*time.Microsecond, 100*time.Microsecond
 	tr := New(e, net, hw, costs)
 	var small, big sim.Time
 	tr.Register(1, protoS, func(mesh.NodeID, interface{}) { small = e.Now() })
@@ -39,7 +40,7 @@ func TestPagePrepChargedOnlyWithPayload(t *testing.T) {
 }
 
 func TestHeaderIsFixed32Bytes(t *testing.T) {
-	if HeaderBytes != 32 {
-		t.Fatalf("STS header = %d, the paper specifies 32", HeaderBytes)
+	if h := DefaultCosts().HeaderBytes; h != 32 {
+		t.Fatalf("STS header = %d, the paper specifies 32", h)
 	}
 }

@@ -169,7 +169,7 @@ func TestStatsCount(t *testing.T) {
 	if st.Msgs != 2 || st.PageMsgs != 1 {
 		t.Fatalf("msgs=%d pageMsgs=%d", st.Msgs, st.PageMsgs)
 	}
-	if st.Bytes != uint64(2*sts.HeaderBytes+sts.PageBytes) {
+	if st.Bytes != uint64(2*sts.DefaultCosts().HeaderBytes+sts.PageBytes) {
 		t.Fatalf("bytes=%d", st.Bytes)
 	}
 }
