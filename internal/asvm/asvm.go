@@ -117,12 +117,11 @@ type Node struct {
 	// crash-free run, so the strict panics keep their full force there.
 	crashEra bool
 
-	// Free lists for the hot wire kinds, one per concrete type.
-	reqPool   msgPool[accessReq]
-	grantPool msgPool[grantMsg]
-	invalPool msgPool[invalMsg]
-	iackPool  msgPool[invalAck]
-	oupdPool  msgPool[ownerUpdate]
+	// pools are the free lists for the hot wire kinds, shared by every
+	// node of the engine (msgPools).
+	pools *msgPools
+	// homeOps recycles the home's backing-store operations.
+	homeOps []*homeOp
 }
 
 // NewNode creates the ASVM runtime for one node and registers its
@@ -133,6 +132,7 @@ func NewNode(eng *sim.Engine, k *vm.Kernel, tr xport.Transport, cfg Config) *Nod
 		instances: make(map[vm.ObjID]*Instance),
 		Ctr:       sim.NewCounters(),
 		Trace:     &TraceBuf{},
+		pools:     eng.Local(msgPoolsKey{}, func() any { return new(msgPools) }).(*msgPools),
 	}
 	tr.Register(n.Self, Proto, n.handle)
 	return n
@@ -171,24 +171,24 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	case msgAccessReq:
 		msg := m.(*accessReq)
 		n.inst(msg.Obj).dispatch(EvAccessReq, msg.Idx, m)
-		n.reqPool.put(msg)
+		n.pools.req.Put(msg)
 	case msgGrant:
 		msg := m.(*grantMsg)
 		n.inst(msg.Obj).dispatch(EvGrant, msg.Idx, m)
 		vm.PutPageBuf(msg.Data)
-		n.grantPool.put(msg)
+		n.pools.grant.Put(msg)
 	case msgInval:
 		msg := m.(*invalMsg)
 		n.inst(msg.Obj).dispatch(EvInval, msg.Idx, m)
-		n.invalPool.put(msg)
+		n.pools.inval.Put(msg)
 	case msgInvalAck:
 		msg := m.(*invalAck)
 		n.inst(msg.Obj).dispatch(EvInvalAck, msg.Idx, m)
-		n.iackPool.put(msg)
+		n.pools.iack.Put(msg)
 	case msgOwnerUpdate:
 		msg := m.(*ownerUpdate)
 		n.inst(msg.Obj).dispatch(EvOwnerUpdate, msg.Idx, m)
-		n.oupdPool.put(msg)
+		n.pools.oupd.Put(msg)
 	case msgOwnerXfer:
 		msg := m.(*ownerXfer)
 		n.inst(msg.Obj).dispatch(EvOwnerXfer, msg.Idx, m)
@@ -231,26 +231,26 @@ func (n *Node) handleNack(nk xport.Nack) {
 		if !n.Hooks.DropNackResume {
 			n.inst(msg.Obj).dispatch(EvReqNack, msg.Idx, nk)
 		}
-		n.reqPool.put(msg)
+		n.pools.req.Put(msg)
 	case *ownerUpdate:
 		// A hint refresh for an unreachable static manager: lose the hint,
 		// requests will fall through to the home instead.
 		n.Ctr.V[sim.CtrHintNacks]++
-		n.oupdPool.put(msg)
+		n.pools.oupd.Put(msg)
 	case *grantMsg:
 		n.nackGrant(nk.Dst, *msg)
 		vm.PutPageBuf(msg.Data)
-		n.grantPool.put(msg)
+		n.pools.grant.Put(msg)
 	case *invalMsg:
 		// The reader we were invalidating is dead: it holds no copy any
 		// more, which is exactly what the invalidation wanted.
 		if in := n.instances[msg.Obj]; in != nil {
 			in.completeInvalTarget(msg.Seq, nk.Dst)
 		}
-		n.invalPool.put(msg)
+		n.pools.inval.Put(msg)
 	case *invalAck:
 		// Our ack to a dead invalidator: nothing left to confirm.
-		n.iackPool.put(msg)
+		n.pools.iack.Put(msg)
 	case *ownerXfer:
 		// The reader we offered ownership to is dead: treat as declined.
 		if in := n.instances[msg.Obj]; in != nil {
@@ -392,7 +392,7 @@ func AddNode(info *DomainInfo, n *Node) *Instance {
 // its domain goes away. (teardown)
 func actTeardown(in *Instance, idx vm.PageIdx, m interface{}) {
 	delete(in.side, idx)
-	in.slots[idx] = pageSlot{}
+	*in.slot(idx) = pageSlot{}
 }
 
 // Teardown removes a domain from every node: every page's protocol state
@@ -407,11 +407,12 @@ func Teardown(cluster Cluster, info *DomainInfo) {
 		if in == nil {
 			continue
 		}
-		for idx := range in.slots {
-			if in.slots[idx].state != StInvalid {
-				in.dispatch(EvTeardown, vm.PageIdx(idx), nil)
+		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
+			if sl.state != StInvalid {
+				in.dispatch(EvTeardown, idx, nil)
 			}
-		}
+			return true
+		})
 		nd.K.DestroyObject(in.o)
 		delete(nd.instances, info.ID)
 	}

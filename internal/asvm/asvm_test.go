@@ -111,7 +111,7 @@ func TestASVMWriteThenRemoteRead(t *testing.T) {
 	if !in1.Owns(0) {
 		t.Error("writer lost ownership after read grant")
 	}
-	if !in1.slots[0].readers.Contains(&in1.arena, 2) {
+	if !in1.slot(0).readers.Contains(&in1.arena, 2) {
 		t.Error("reader not recorded")
 	}
 }

@@ -3,6 +3,7 @@ package asvm
 import (
 	"fmt"
 
+	"asvm/internal/pager"
 	"asvm/internal/sim"
 	"asvm/internal/vm"
 )
@@ -17,7 +18,7 @@ import (
 // transition (Serving → PushWait); an up-to-date page continues
 // synchronously without leaving Serving.
 func (in *Instance) pushIfNeeded(idx vm.PageIdx, cont func()) {
-	if in.info.Copy == nil || in.slots[idx].version == in.info.Version {
+	if in.info.Copy == nil || in.slots.get(idx).version == in.info.Version {
 		cont()
 		return
 	}
@@ -58,7 +59,7 @@ func actPushStart(in *Instance, idx vm.PageIdx, m interface{}) {
 		} else {
 			in.nd.Ctr.V[sim.CtrPushesCancelled]++
 		}
-		in.slots[idx].version = in.info.Version
+		in.slot(idx).version = in.info.Version
 		cont()
 	}
 	in.setState(idx, StPushWait)
@@ -72,13 +73,13 @@ func actPushStart(in *Instance, idx vm.PageIdx, m interface{}) {
 // homePushScan resolves a push scan that found no owner: if the copy
 // domain's backing (home store/pager) already has the contents the push is
 // unnecessary; otherwise the page slot is reserved for the pusher.
-func (in *Instance) homePushScan(req accessReq, hs *homeState) {
-	found := hs.granted || hs.atPager
+func (in *Instance) homePushScan(req accessReq, hs *pageSlot) {
+	found := hs.home.granted() || hs.home.atPager()
 	if !found {
 		// Reserve: the pusher is about to own this page.
-		hs.granted = true
+		hs.home |= homeGranted
 		in.dyn.Put(req.Idx, req.Origin)
-	} else if hs.granted && !hs.atPager {
+	} else if hs.home.granted() && !hs.home.atPager() {
 		// An owner exists but the scan missed it (in-flight transfer);
 		// answering found=true is safe: the contents exist in the domain.
 		in.nd.Ctr.V[sim.CtrPushScanInflight]++
@@ -103,13 +104,13 @@ func actPushScanAck(in *Instance, idx vm.PageIdx, m interface{}) {
 // VM system traverses the local shadow chain (memory_object_pull_request);
 // a managed shadow object re-enters the forwarding machinery in the source
 // domain with the target unchanged (paper §3.7.3, Figure 9).
-func (in *Instance) pullLocal(req accessReq, hs *homeState) {
-	if hs.atPager {
+func (in *Instance) pullLocal(req accessReq, hs *pageSlot) {
+	if hs.home.atPager() {
 		// The copy page went out to this domain's backing store.
-		hs.granted = true
-		hs.atPager = false
+		hs.home |= homeGranted
+		hs.home &^= homeAtPager
 		in.dyn.Put(req.Idx, req.Origin)
-		in.homePagerIn(req.Idx, func(data []byte, found bool) {
+		in.homePagerIn(req.Idx, pager.InFunc(func(data []byte, found bool) {
 			if !found {
 				panic(fmt.Sprintf("asvm: atPager page %d missing from store", req.Idx))
 			}
@@ -118,7 +119,7 @@ func (in *Instance) pullLocal(req accessReq, hs *homeState) {
 				Data: copyData(data), HasData: true, Ownership: true,
 				From: in.self(),
 			})
-		})
+		}))
 		return
 	}
 	in.nd.Ctr.V[sim.CtrPulls]++
@@ -129,11 +130,11 @@ func (in *Instance) pullLocal(req accessReq, hs *homeState) {
 	})
 }
 
-func (in *Instance) pullNow(req accessReq, hs *homeState) {
+func (in *Instance) pullNow(req accessReq, hs *pageSlot) {
 	in.nd.K.PullRequest(in.o, req.Idx, func(res vm.PullResult, data []byte, shadow *vm.Object) {
 		switch res {
 		case vm.PullData:
-			hs.granted = true
+			hs.home |= homeGranted
 			in.dyn.Put(req.Idx, req.Origin)
 			in.sendGrant(req.Origin, grantMsg{
 				Obj: req.Target, Idx: req.Idx, Lock: req.Want,
@@ -141,7 +142,7 @@ func (in *Instance) pullNow(req accessReq, hs *homeState) {
 				Ownership: true, Version: 0, From: in.self(),
 			})
 		case vm.PullZeroFill:
-			hs.granted = true
+			hs.home |= homeGranted
 			in.dyn.Put(req.Idx, req.Origin)
 			in.sendGrant(req.Origin, grantMsg{
 				Obj: req.Target, Idx: req.Idx, Lock: req.Want,
@@ -157,7 +158,7 @@ func (in *Instance) pullNow(req accessReq, hs *homeState) {
 			}
 			// Reserve at this home: the origin will own the page once the
 			// source domain answers.
-			hs.granted = true
+			hs.home |= homeGranted
 			in.dyn.Put(req.Idx, req.Origin)
 			fwd := req
 			fwd.Obj = srcInst.info.ID
@@ -172,7 +173,7 @@ func (in *Instance) pullNow(req accessReq, hs *homeState) {
 
 // pullThroughLocalFault pages an unmanaged shadow page back in (it sits at
 // the default pager) and then serves the pull from it.
-func (in *Instance) pullThroughLocalFault(req accessReq, hs *homeState, shadow *vm.Object) {
+func (in *Instance) pullThroughLocalFault(req accessReq, hs *pageSlot, shadow *vm.Object) {
 	in.nd.Eng.Spawn("asvm-pullin", func(p *sim.Proc) {
 		if _, err := in.nd.K.FaultObject(p, shadow, req.Idx, vm.ProtRead); err != nil {
 			panic(fmt.Sprintf("asvm: pull page-in failed: %v", err))

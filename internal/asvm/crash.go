@@ -49,7 +49,7 @@ func (l *CrashLedger) Add(o CrashLedger) {
 // teardown — under crash-stop, volatile state simply ceases. (crash)
 func actCrash(in *Instance, idx vm.PageIdx, m interface{}) {
 	delete(in.side, idx)
-	in.slots[idx] = pageSlot{}
+	*in.slot(idx) = pageSlot{}
 }
 
 // actPeerDown reacts, at a survivor, to a peer being declared dead. A
@@ -59,7 +59,7 @@ func actCrash(in *Instance, idx vm.PageIdx, m interface{}) {
 // the dead node from its reader list: the copy died with it. (peerDead)
 func actPeerDown(in *Instance, idx vm.PageIdx, m interface{}) {
 	dead := m.(mesh.NodeID)
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	if sl.state.FaultOut() {
 		if in.nd.Hooks.DropFaultRedrive {
 			return
@@ -97,7 +97,7 @@ func actGrantBusy(in *Instance, idx vm.PageIdx, m interface{}) {
 	if !in.nd.crashEra {
 		g := m.(*grantMsg)
 		panic(fmt.Sprintf("asvm: grant for %v p%d landed on busy owner %d in %v",
-			g.Obj, idx, in.self(), in.slots[idx].state))
+			g.Obj, idx, in.self(), in.State(idx)))
 	}
 	in.nd.Ctr.V[sim.CtrLateGrants]++
 }
@@ -105,7 +105,7 @@ func actGrantBusy(in *Instance, idx vm.PageIdx, m interface{}) {
 // failFault aborts this node's outstanding fault with a typed error: the
 // kernel's waiters resume with err, the slot returns to Invalid.
 func (in *Instance) failFault(idx vm.PageIdx, err error) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	if !sl.state.FaultOut() {
 		return
 	}
@@ -137,7 +137,7 @@ func (n *Node) nackGrant(dead mesh.NodeID, g grantMsg) {
 		}
 		return
 	}
-	sl := &in.slots[g.Idx]
+	sl := in.slot(g.Idx)
 	if !g.Ownership {
 		if sl.state.Owner() && sl.readers.Contains(&in.arena, dead) {
 			sl.readers.Remove(&in.arena, dead)
@@ -151,11 +151,9 @@ func (n *Node) nackGrant(dead mesh.NodeID, g grantMsg) {
 		// A home-issued grant from the backing store (or zero fill): the
 		// authority returns to the home's own bookkeeping; the contents,
 		// if any, are still at the pager.
-		if hs := in.home[g.Idx]; hs != nil {
-			hs.granted = false
-			if g.AtPagerCopy {
-				hs.atPager = true
-			}
+		sl.home &^= homeGranted
+		if g.AtPagerCopy {
+			sl.home |= homeAtPager
 		}
 		if h, ok := in.dyn.Get(g.Idx); ok && h == dead {
 			in.dyn.Delete(g.Idx)
@@ -198,12 +196,7 @@ func (in *Instance) declareLost(idx vm.PageIdx) {
 	}
 	in.dyn.Delete(idx)
 	if in.info.Home == in.self() {
-		hs := in.home[idx]
-		if hs == nil {
-			hs = &homeState{}
-			in.home[idx] = hs
-		}
-		hs.granted = false
+		in.slot(idx).home &^= homeGranted
 		return
 	}
 	in.seq++
@@ -225,12 +218,12 @@ func (n *Node) PeerDown(dead mesh.NodeID) {
 	for _, in := range n.instancesSorted() {
 		n.Ctr.V[sim.CtrHintEvictions] += int64(in.forgetOwner(dead))
 		in.completePendingFor(dead)
-		for i := range in.slots {
-			sl := &in.slots[i]
+		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
 			if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(&in.arena, dead)) {
-				in.dispatch(EvPeerDown, vm.PageIdx(i), dead)
+				in.dispatch(EvPeerDown, idx, dead)
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -328,11 +321,9 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 	// owner gone, the pager's contents become the page's only authority,
 	// and a live copy newer than the pager's must not linger.
 	if deadIn != nil {
-		for i := range deadIn.slots {
-			idx := vm.PageIdx(i)
-			sl := &deadIn.slots[i]
+		deadIn.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
 			if !sl.state.Owner() {
-				continue
+				return true
 			}
 			led.OwnershipLost++
 			deadNd.Ctr.V[sim.CtrOwnershipLost]++
@@ -341,12 +332,7 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 				deadNd.Ctr.V[sim.CtrPagesLost]++
 			}
 			if homeIn != nil {
-				hs := homeIn.home[idx]
-				if hs == nil {
-					hs = &homeState{}
-					homeIn.home[idx] = hs
-				}
-				hs.granted = false
+				homeIn.slot(idx).home &^= homeGranted
 			}
 			readers := sl.readers.AppendTo(&deadIn.arena, make([]mesh.NodeID, 0, sl.readers.Len()))
 			for _, r := range readers {
@@ -358,14 +344,15 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 					continue
 				}
 				rin.nd.K.LockRequest(rin.o, idx, vm.ProtNone, false, nil)
-				if rin.slots[idx].state == StReadShared {
+				if rin.State(idx) == StReadShared {
 					rin.setState(idx, StInvalid)
 				}
 				rin.dyn.Delete(idx)
 				led.CopiesDropped++
 				rin.nd.Ctr.V[sim.CtrCopiesDropped]++
 			}
-		}
+			return true
+		})
 	}
 
 	// 2. Survivors scrub the dead node and re-drive what it may have
@@ -380,12 +367,12 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 			nd.Ctr.V[sim.CtrHintEvictions] += int64(in.forgetOwner(dead))
 			in.completePendingFor(dead)
 			in.dropQueuedFrom(dead)
-			for i := range in.slots {
-				sl := &in.slots[i]
+			in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
 				if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(&in.arena, dead)) {
-					in.dispatch(EvPeerDown, vm.PageIdx(i), dead)
+					in.dispatch(EvPeerDown, idx, dead)
 				}
-			}
+				return true
+			})
 		}
 	}
 
@@ -393,11 +380,12 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 	// the node, the local vm object is destroyed (frames freed), and the
 	// instance is dropped so a restart rejoins cold via AddNode.
 	if deadIn != nil {
-		for i := range deadIn.slots {
-			if deadIn.slots[i].state != StInvalid {
-				deadIn.dispatch(EvCrash, vm.PageIdx(i), nil)
+		deadIn.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
+			if sl.state != StInvalid {
+				deadIn.dispatch(EvCrash, idx, nil)
 			}
-		}
+			return true
+		})
 		deadNd.K.DestroyObject(deadIn.o)
 		delete(deadNd.instances, info.ID)
 	}
@@ -439,12 +427,7 @@ func DeadLetters(cluster Cluster, info *DomainInfo, dead mesh.NodeID, msgs []xpo
 			hin.trace("t dead-letter: node %d voids %v p%d ownership grant %d->%d",
 				hin.self(), info.ID, g.Idx, dead, as.Dst)
 		}
-		hs := hin.home[g.Idx]
-		if hs == nil {
-			hs = &homeState{}
-			hin.home[g.Idx] = hs
-		}
-		hs.granted = false
+		hin.slot(g.Idx).home &^= homeGranted
 		hin.dyn.Delete(g.Idx)
 	}
 }
@@ -484,10 +467,11 @@ func RebuildHome(cluster Cluster, info *DomainInfo) {
 		if in == nil {
 			continue
 		}
-		for i := range in.slots {
-			if in.slots[i].state.Owner() {
-				hin.home[vm.PageIdx(i)] = &homeState{granted: true}
+		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
+			if sl.state.Owner() {
+				hin.slot(idx).home = homeGranted
 			}
-		}
+			return true
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"asvm/internal/mesh"
+	"asvm/internal/pager"
 	"asvm/internal/vm"
 	"asvm/internal/xport"
 )
@@ -134,7 +135,7 @@ const homeRetryDelay = 300 * time.Microsecond
 func (in *Instance) forward(req accessReq) {
 	self := in.self()
 	// Owner short-circuit: the request has arrived.
-	if in.slots[req.Idx].state.Owner() {
+	if in.State(req.Idx).Owner() {
 		in.handleAsOwner(req)
 		return
 	}
@@ -321,7 +322,7 @@ func (in *Instance) sendReq(to mesh.NodeID, req accessReq) {
 	if req.Hops > 10000 {
 		panic(fmt.Sprintf("asvm: forwarding livelock for %v page %d", req.Obj, req.Idx))
 	}
-	in.send(to, in.nd.reqPool.get(req))
+	in.send(to, in.nd.pools.req.Get(req))
 }
 
 // handleAtHome resolves requests for pages with no owner: from the pager,
@@ -331,16 +332,12 @@ func (in *Instance) handleAtHome(req accessReq) {
 	if in.info.Home != in.self() {
 		panic(fmt.Sprintf("asvm: handleAtHome on node %d, home is %d", in.self(), in.info.Home))
 	}
-	hs := in.home[req.Idx]
-	if hs == nil {
-		hs = &homeState{}
-		in.home[req.Idx] = hs
-	}
+	hs := in.slot(req.Idx)
 	if req.ReqKind == kindPushScan {
 		in.homePushScan(req, hs)
 		return
 	}
-	if hs.granted {
+	if hs.home.granted() {
 		// An owner exists (or a grant is in flight) but forwarding missed
 		// it. Chase the freshest hint; without one, walk the whole ring;
 		// if even that failed, the ownership transfer is in flight — pace
@@ -367,50 +364,124 @@ func (in *Instance) handleAtHome(req accessReq) {
 		return
 	}
 	// Pager-backed or anonymous domain.
-	hs.granted = true
+	hs.home = homeGranted
 	in.dyn.Put(req.Idx, req.Origin)
-	hs.atPager = false
-	in.homePagerIn(req.Idx, func(data []byte, found bool) {
-		if found {
-			in.nd.Ctr.V[sim.CtrHomePagerSupplies]++
-			in.sendGrant(req.Origin, grantMsg{
-				Obj: req.Target, Idx: req.Idx, Lock: req.Want,
-				Data: copyData(data), HasData: true, Ownership: true,
-				AtPagerCopy: true, From: in.self(),
-			})
-		} else {
-			in.nd.Ctr.V[sim.CtrHomeFreshGrants]++
-			if in.nd.Trace.on {
-				in.trace("t fresh: home %d fresh-grants %v p%d to %d", in.self(), in.info.ID, req.Idx, req.Origin)
-			}
-			in.sendGrant(req.Origin, grantMsg{
-				Obj: req.Target, Idx: req.Idx, Lock: req.Want,
-				Fresh: true, Ownership: true, From: in.self(),
-			})
-		}
+	in.homePagerIn(req.Idx, in.homeOp(homeOpGrant, req))
+}
+
+// homeGrant answers a request resolved at the home with what the backing
+// store holds: its contents, or zero-fill permission.
+func (in *Instance) homeGrant(req accessReq, data []byte, found bool) {
+	if found {
+		in.nd.Ctr.V[sim.CtrHomePagerSupplies]++
+		in.sendGrant(req.Origin, grantMsg{
+			Obj: req.Target, Idx: req.Idx, Lock: req.Want,
+			Data: copyData(data), HasData: true, Ownership: true,
+			AtPagerCopy: true, From: in.self(),
+		})
+		return
+	}
+	in.nd.Ctr.V[sim.CtrHomeFreshGrants]++
+	if in.nd.Trace.on {
+		in.trace("t fresh: home %d fresh-grants %v p%d to %d", in.self(), in.info.ID, req.Idx, req.Origin)
+	}
+	in.sendGrant(req.Origin, grantMsg{
+		Obj: req.Target, Idx: req.Idx, Lock: req.Want,
+		Fresh: true, Ownership: true, From: in.self(),
 	})
 }
 
+// homeParked records a page-out at the home: the contents are at the
+// backing store and no owner remains.
+func (in *Instance) homeParked(idx vm.PageIdx) {
+	in.slot(idx).home = homeAtPager
+	in.announcePaged(idx)
+}
+
+// homeOp is one home backing-store operation in flight, and its typed
+// completion: the pager client (or, without a pager, the engine) calls it
+// back with the request it serves. Each node keeps a free list of them, so
+// a page-in or page-out at the home allocates nothing.
+type homeOp struct {
+	in   *Instance
+	kind uint8
+	req  accessReq // homeOpGrant: the request being answered
+	idx  vm.PageIdx
+	to   mesh.NodeID // homeOpPark: the evicting node to ack
+	seq  uint64      // homeOpPark: its pageout's sequence number
+}
+
+// What a homeOp completes.
+const (
+	homeOpGrant uint8 = iota // a page-in answering req
+	homeOpEvict              // the home's own eviction to the pager
+	homeOpPark               // another node's eviction (toPager)
+)
+
+// homeOp takes an operation from the node's free list.
+func (in *Instance) homeOp(kind uint8, req accessReq) *homeOp {
+	var h *homeOp
+	if n := len(in.nd.homeOps); n > 0 {
+		h = in.nd.homeOps[n-1]
+		in.nd.homeOps = in.nd.homeOps[:n-1]
+	} else {
+		h = new(homeOp)
+	}
+	*h = homeOp{in: in, kind: kind, req: req, idx: req.Idx}
+	return h
+}
+
+// release returns h to its node's free list.
+func (h *homeOp) release() {
+	nd := h.in.nd
+	*h = homeOp{}
+	nd.homeOps = append(nd.homeOps, h)
+}
+
+// PageInDone implements pager.PageInDone.
+func (h *homeOp) PageInDone(_ vm.ObjID, _ vm.PageIdx, data []byte, found bool) {
+	in, req := h.in, h.req
+	h.release()
+	in.homeGrant(req, data, found)
+}
+
+// PageOutDone implements pager.PageOutDone.
+func (h *homeOp) PageOutDone(vm.ObjID, vm.PageIdx) {
+	in, kind, idx, to, seq := h.in, h.kind, h.idx, h.to, h.seq
+	h.release()
+	in.homeParked(idx)
+	if kind == homeOpEvict {
+		in.evictFinish(idx, -1)
+		return
+	}
+	in.send(to, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: seq})
+}
+
+// Run implements sim.Runnable: a page-out the home completes without the
+// pager (clean contents, or the in-memory parking store).
+func (h *homeOp) Run() { h.PageOutDone(h.in.info.ID, h.idx) }
+
 // homePagerIn fetches backing contents at the home: from the pager if one
 // is configured, else from the in-memory parking store.
-func (in *Instance) homePagerIn(idx vm.PageIdx, cb func(data []byte, found bool)) {
+func (in *Instance) homePagerIn(idx vm.PageIdx, done pager.PageInDone) {
 	if in.pagerCli != nil {
-		in.pagerCli.PageIn(in.info.ID, idx, cb)
+		in.pagerCli.PageIn(in.info.ID, idx, done)
 		return
 	}
 	data, ok := in.store[idx]
-	in.nd.Eng.Schedule(0, func() { cb(data, ok) })
+	in.nd.Eng.Schedule(0, func() { done.PageInDone(in.info.ID, idx, data, ok) })
 }
 
-// homePagerOut stores contents at the home's backing store.
-func (in *Instance) homePagerOut(idx vm.PageIdx, data []byte, dirty bool, cb func()) {
+// homePagerOut stores contents at the home's backing store and completes
+// h when they are stable.
+func (in *Instance) homePagerOut(data []byte, dirty bool, h *homeOp) {
 	if in.pagerCli != nil {
 		if !dirty {
 			// The pager already holds identical contents.
-			in.nd.Eng.Schedule(0, cb)
+			in.nd.Eng.ScheduleRun(0, h)
 			return
 		}
-		in.pagerCli.PageOut(in.info.ID, idx, data, dirty, cb)
+		in.pagerCli.PageOut(in.info.ID, h.idx, data, dirty, h)
 		return
 	}
 	if dirty {
@@ -418,7 +489,7 @@ func (in *Instance) homePagerOut(idx vm.PageIdx, data []byte, dirty bool, cb fun
 		if buf == nil {
 			buf = []byte{} // metadata-only run: remember existence
 		}
-		in.store[idx] = buf
+		in.store[h.idx] = buf
 	}
-	in.nd.Eng.Schedule(0, cb)
+	in.nd.Eng.ScheduleRun(0, h)
 }

@@ -4,6 +4,7 @@ import (
 	"asvm/internal/sim"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"asvm/internal/mesh"
 	"asvm/internal/pager"
@@ -11,10 +12,8 @@ import (
 	"asvm/internal/xport"
 )
 
-// pageSlot is one page's protocol state at this node: one dense table
-// entry per page of the domain, indexed by page number. The slot array is
-// allocated once per instance and never grows, so &in.slots[idx] is a
-// stable pointer the protocol's completion closures can capture.
+// pageSlot is one page's protocol state at this node, an entry of the
+// instance's slot table (slotTable).
 //
 // A slot holds no pointer (TestPageSlotIsPointerFree), so the garbage
 // collector never scans the table: a promoted reader set's bitset lives in
@@ -31,8 +30,100 @@ type pageSlot struct {
 	held bool
 	side bool // the page has an entry in Instance.side
 
+	// home is the home node's view of the page's relationship to the
+	// pager; only the home's slots set it.
+	home homeFlags
+
 	// Owner-side readers, ascending NodeID by construction (readerSet).
 	readers readerSet
+}
+
+// homeFlags is the home node's authoritative view of a page's
+// relationship to the pager (conceptually the pager's own metadata).
+type homeFlags uint8
+
+const (
+	homeGranted homeFlags = 1 << iota // an owner exists (or a grant is in flight)
+	homeAtPager                       // latest contents are at the pager
+)
+
+func (f homeFlags) granted() bool { return f&homeGranted != 0 }
+func (f homeFlags) atPager() bool { return f&homeAtPager != 0 }
+
+// slotChunkBits sizes the slot table's chunks: 8 slots, 448 bytes.
+const slotChunkBits = 3
+
+// slotChunk is one run of the slot table.
+type slotChunk [1 << slotChunkBits]pageSlot
+
+// slotTable is an instance's per-page protocol state: a directory holding
+// one pointer per 8 pages, and behind it an 8-slot chunk from the first
+// write to one of its slots. A node pays for the pages it touched; a page
+// nobody wrote here reads as the zero slot (Invalid, no readers, no home
+// flags). Chunks never move, so a *pageSlot stays valid for the
+// instance's life and the protocol's completion closures may capture one.
+type slotTable struct {
+	dir   []*slotChunk
+	pages vm.PageIdx
+}
+
+func newSlotTable(pages vm.PageIdx) slotTable {
+	return slotTable{dir: make([]*slotChunk, (pages+1<<slotChunkBits-1)>>slotChunkBits), pages: pages}
+}
+
+// at returns the page's slot for writing, allocating its chunk on first
+// use.
+func (t *slotTable) at(idx vm.PageIdx) *pageSlot {
+	c := t.dir[idx>>slotChunkBits]
+	if c == nil {
+		c = new(slotChunk)
+		t.dir[idx>>slotChunkBits] = c
+	}
+	return &c[idx&(1<<slotChunkBits-1)]
+}
+
+// get returns a copy of the page's slot, allocating nothing.
+func (t *slotTable) get(idx vm.PageIdx) pageSlot {
+	if c := t.dir[idx>>slotChunkBits]; c != nil {
+		return c[idx&(1<<slotChunkBits-1)]
+	}
+	return pageSlot{}
+}
+
+// state returns the page's protocol state, allocating nothing.
+func (t *slotTable) state(idx vm.PageIdx) PageProtoState {
+	if c := t.dir[idx>>slotChunkBits]; c != nil {
+		return c[idx&(1<<slotChunkBits-1)].state
+	}
+	return StInvalid
+}
+
+// each calls fn on every slot that has a chunk, in page order, until fn
+// returns false. A page without a chunk is in the zero slot, which every
+// caller's predicate skips; a chunk fn allocates further on is visited.
+func (t *slotTable) each(fn func(idx vm.PageIdx, sl *pageSlot) bool) {
+	for ci, c := range t.dir {
+		if c == nil {
+			continue
+		}
+		for j := range c {
+			idx := vm.PageIdx(ci<<slotChunkBits + j)
+			if idx >= t.pages || !fn(idx, &c[j]) {
+				return
+			}
+		}
+	}
+}
+
+// bytes is the table's host memory: the directory and its chunks.
+func (t *slotTable) bytes() int64 {
+	n := int64(len(t.dir)) * int64(unsafe.Sizeof((*slotChunk)(nil)))
+	for _, c := range t.dir {
+		if c != nil {
+			n += int64(unsafe.Sizeof(*c))
+		}
+	}
+	return n
 }
 
 // slotSide is a page's side-table entry, made the first time the page
@@ -49,7 +140,7 @@ type slotSide struct {
 
 // sideOf returns the page's side-table entry, making it if absent.
 func (in *Instance) sideOf(idx vm.PageIdx) *slotSide {
-	if sl := &in.slots[idx]; !sl.side {
+	if sl := in.slot(idx); !sl.side {
 		sl.side = true
 		in.side[idx] = &slotSide{}
 	}
@@ -58,7 +149,7 @@ func (in *Instance) sideOf(idx vm.PageIdx) *slotSide {
 
 // dropStale consumes one stale-grant marker for from, if present.
 func (in *Instance) dropStale(idx vm.PageIdx, from mesh.NodeID) bool {
-	if !in.slots[idx].side {
+	if !in.slots.get(idx).side {
 		return false
 	}
 	ss := in.side[idx]
@@ -71,18 +162,11 @@ func (in *Instance) dropStale(idx vm.PageIdx, from mesh.NodeID) bool {
 
 // endFault clears the outstanding fault's want, retries and stale markers.
 func (in *Instance) endFault(idx vm.PageIdx) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	sl.want, sl.retries = 0, 0
 	if sl.side {
 		in.side[idx].staleFrom = in.side[idx].staleFrom[:0]
 	}
-}
-
-// homeState is the home node's authoritative view of a page's relationship
-// to the pager (conceptually the pager's own metadata).
-type homeState struct {
-	granted bool // an owner exists (or a grant is in flight)
-	atPager bool // latest contents are at the pager
 }
 
 // staticEntry is a static ownership manager cache entry.
@@ -103,11 +187,10 @@ type Instance struct {
 
 	pagerCli pager.PagerIO
 
-	slots  []pageSlot
+	slots  slotTable
 	side   map[vm.PageIdx]*slotSide // see slotSide
 	dyn    *fifoCache[mesh.NodeID]
 	static *fifoCache[staticEntry]
-	home   map[vm.PageIdx]*homeState
 	store  map[vm.PageIdx][]byte // home-side parking when no pager is configured
 
 	seq       uint64
@@ -139,12 +222,11 @@ type Instance struct {
 func newInstance(nd *Node, info *DomainInfo, ringPos int) *Instance {
 	in := &Instance{
 		nd: nd, info: info, ringPos: ringPos,
-		slots:     make([]pageSlot, info.SizePages),
+		slots:     newSlotTable(info.SizePages),
 		side:      make(map[vm.PageIdx]*slotSide),
 		arena:     readerArena{info: info},
 		dyn:       newFIFOCache[mesh.NodeID](info.Cfg.DynamicCacheSize),
 		static:    newFIFOCache[staticEntry](info.Cfg.StaticCacheSize),
-		home:      make(map[vm.PageIdx]*homeState),
 		store:     make(map[vm.PageIdx][]byte),
 		pendInval: make(map[uint64]invalBatch),
 		pendXfer:  make(map[uint64]xferWait),
@@ -163,7 +245,7 @@ func newInstance(nd *Node, info *DomainInfo, ringPos int) *Instance {
 			if idx := vm.PageIdx(i); pg != nil {
 				in.installOwner(idx, nil, info.Version)
 				if nd.Self == info.Home {
-					in.home[idx] = &homeState{granted: true}
+					in.slot(idx).home = homeGranted
 				}
 			}
 		}
@@ -186,10 +268,13 @@ func (in *Instance) Obj() *vm.Object { return in.o }
 func (in *Instance) Info() *DomainInfo { return in.info }
 
 // Owns reports whether this node currently owns the page.
-func (in *Instance) Owns(idx vm.PageIdx) bool { return in.slots[idx].state.Owner() }
+func (in *Instance) Owns(idx vm.PageIdx) bool { return in.slots.state(idx).Owner() }
 
 // State returns the page's current protocol state at this node.
-func (in *Instance) State(idx vm.PageIdx) PageProtoState { return in.slots[idx].state }
+func (in *Instance) State(idx vm.PageIdx) PageProtoState { return in.slots.state(idx) }
+
+// slot returns the page's slot for writing (slotTable.at).
+func (in *Instance) slot(idx vm.PageIdx) *pageSlot { return in.slots.at(idx) }
 
 func (in *Instance) self() mesh.NodeID { return in.nd.Self }
 
@@ -201,7 +286,7 @@ func (in *Instance) self() mesh.NodeID { return in.nd.Self }
 // eventual grant settles it. The slot's reader set keeps its storage
 // across ownership episodes, so steady-state transfers allocate nothing.
 func (in *Instance) installOwner(idx vm.PageIdx, readerList []mesh.NodeID, version uint64) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	sl.readers.Clear(&in.arena)
 	for _, r := range readerList {
 		if r != in.self() {
@@ -217,7 +302,7 @@ func (in *Instance) installOwner(idx vm.PageIdx, readerList []mesh.NodeID, versi
 // reader set is emptied but keeps its storage for the slot's next
 // ownership episode.
 func (in *Instance) leaveOwner(idx vm.PageIdx) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	sl.readers.Clear(&in.arena)
 	sl.version = 0
 	sl.held = false
@@ -231,7 +316,7 @@ func (in *Instance) leaveOwner(idx vm.PageIdx) {
 // the page's cross-node state must be consistent again. Production runs
 // pay one nil check.
 func (in *Instance) quiesce(idx vm.PageIdx) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	if sl.state.Busy() {
 		in.setState(idx, restOwnerState(sl.readers.Len()))
 	}
@@ -247,29 +332,29 @@ func (in *Instance) send(to mesh.NodeID, m xport.Msg) {
 	in.nd.TR.Send(in.self(), to, Proto, m.WireBytes(), m)
 }
 
-// sendGrant ships a grant in a pooled box (see msgPool). The other typed
+// sendGrant ships a grant in a pooled box (see msgPools). The other typed
 // senders below do the same for their kinds; together with sendReq they
 // cover every hot-path protocol message, so the steady-state send side
 // allocates nothing.
 func (in *Instance) sendGrant(to mesh.NodeID, g grantMsg) {
-	in.send(to, in.nd.grantPool.get(g))
+	in.send(to, in.nd.pools.grant.Get(g))
 }
 
 func (in *Instance) sendInval(to mesh.NodeID, iv invalMsg) {
-	in.send(to, in.nd.invalPool.get(iv))
+	in.send(to, in.nd.pools.inval.Get(iv))
 }
 
 func (in *Instance) sendInvalAck(to mesh.NodeID, a invalAck) {
-	in.send(to, in.nd.iackPool.get(a))
+	in.send(to, in.nd.pools.iack.Get(a))
 }
 
 func (in *Instance) sendOwnerUpdate(to mesh.NodeID, u ownerUpdate) {
-	in.send(to, in.nd.oupdPool.get(u))
+	in.send(to, in.nd.pools.oupd.Get(u))
 }
 
 // copyData snapshots page contents for a message (nil stays nil in
 // metadata-only runs) into a pooled page buffer, which goes back with the
-// message (see msgPool); anything longer reallocates.
+// message (see msgPools); anything longer reallocates.
 func copyData(d []byte) []byte {
 	if d == nil {
 		return nil
@@ -306,7 +391,7 @@ func (in *Instance) Terminate(o *vm.Object) {}
 // request redirector. (faultStart/faultMerge/upgradeStart)
 func actFault(in *Instance, idx vm.PageIdx, m interface{}) {
 	desired := m.(vm.Prot)
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	if desired > sl.want {
 		sl.want = desired
 	}
@@ -341,7 +426,7 @@ func actFaultOwner(in *Instance, idx vm.PageIdx, m interface{}) {
 // races and push installs make that reachable). (grant/grantLate)
 func actGrant(in *Instance, idx vm.PageIdx, m interface{}) {
 	g := *m.(*grantMsg)
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	faulting := sl.state.FaultOut()
 	if g.Unavailable {
 		// The home is down: nothing can ever satisfy this fault. Degrade
@@ -477,7 +562,7 @@ func (in *Instance) takeAwait(targets []mesh.NodeID) []mesh.NodeID {
 
 // clearReaders empties the reader list, keeping its storage.
 func (in *Instance) clearReaders(idx vm.PageIdx) {
-	in.slots[idx].readers.Clear(&in.arena)
+	in.slot(idx).readers.Clear(&in.arena)
 }
 
 // invalidateReaders sends invalidations to every reader except keep, waits
@@ -486,7 +571,7 @@ func (in *Instance) clearReaders(idx vm.PageIdx) {
 // ascending NodeID order, so the invalidation fan-out order is
 // deterministic with no sort.
 func (in *Instance) invalidateReaders(idx vm.PageIdx, newOwner mesh.NodeID, cont func()) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	all := sl.readers.AppendTo(&in.arena, in.invalScratch[:0])
 	targets := all[:0]
 	for _, r := range all {
@@ -519,7 +604,7 @@ func actInval(in *Instance, idx vm.PageIdx, m interface{}) {
 	// Dropping a dirty copy re-enters the machine as EvEvict (the kernel
 	// returns the contents); a clean copy is just removed.
 	in.nd.K.LockRequest(in.o, idx, vm.ProtNone, false, nil)
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	if sl.state.FaultOut() {
 		// The sender may have served our outstanding fault just before
 		// invalidating us — that grant is still in flight and now stale.

@@ -48,44 +48,48 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 			return fmt.Errorf("asvm: node %d lost its instance of %v", nid, info.ID)
 		}
 		pend := 0
-		for i := range in.slots {
-			if in.slots[i].state.FaultOut() {
+		in.slots.each(func(_ vm.PageIdx, sl *pageSlot) bool {
+			if sl.state.FaultOut() {
 				pend++
 			}
-		}
+			return true
+		})
 		if pend != 0 {
 			return fmt.Errorf("asvm: node %d has %d pending faults", nid, pend)
 		}
 		if len(in.pendInval) != 0 || len(in.pendXfer) != 0 || len(in.pendPush) != 0 || len(in.pendPgr) != 0 {
 			return fmt.Errorf("asvm: node %d has dangling protocol completions", nid)
 		}
-		for i := range in.slots {
-			idx := vm.PageIdx(i)
-			sl := &in.slots[i]
+		var err error
+		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
 			if sl.state.Busy() {
-				return fmt.Errorf("asvm: node %d page %d still busy (%v)", nid, idx, sl.state)
+				err = fmt.Errorf("asvm: node %d page %d still busy (%v)", nid, idx, sl.state)
+				return false
 			}
 			if sl.side && len(in.side[idx].queue) != 0 {
-				return fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, idx, len(in.side[idx].queue))
+				err = fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, idx, len(in.side[idx].queue))
+				return false
 			}
 			switch sl.state {
 			case StOwner, StOwnerSole:
 				owners[idx] = append(owners[idx], in)
 				if !in.o.Resident(idx) {
-					return fmt.Errorf("asvm: node %d owns page %d without holding it (owner invariant)", nid, idx)
-				}
-				if sl.state == StOwner && sl.readers.Len() == 0 {
-					return fmt.Errorf("asvm: node %d page %d in state Owner with no readers", nid, idx)
-				}
-				if sl.state == StOwnerSole && sl.readers.Len() != 0 {
-					return fmt.Errorf("asvm: node %d page %d in state OwnerSole with %d readers", nid, idx, sl.readers.Len())
+					err = fmt.Errorf("asvm: node %d owns page %d without holding it (owner invariant)", nid, idx)
+				} else if sl.state == StOwner && sl.readers.Len() == 0 {
+					err = fmt.Errorf("asvm: node %d page %d in state Owner with no readers", nid, idx)
+				} else if sl.state == StOwnerSole && sl.readers.Len() != 0 {
+					err = fmt.Errorf("asvm: node %d page %d in state OwnerSole with %d readers", nid, idx, sl.readers.Len())
 				}
 			case StReadShared:
 				if !in.o.Resident(idx) {
-					return fmt.Errorf("asvm: node %d page %d in state ReadShared without a copy", nid, idx)
+					err = fmt.Errorf("asvm: node %d page %d in state ReadShared without a copy", nid, idx)
 				}
 				readShared[idx] = append(readShared[idx], nid)
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 		for idx, pg := range in.o.Pages {
 			if pg != nil {
@@ -112,7 +116,7 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 			return fmt.Errorf("asvm: page %d read-shared on %v with no owner", idx, ns)
 		}
 		for _, n := range ns {
-			if !os[0].slots[idx].readers.Contains(&os[0].arena, n) {
+			if !os[0].slot(idx).readers.Contains(&os[0].arena, n) {
 				return fmt.Errorf("asvm: page %d read-shared at node %d but absent from owner %d's reader list",
 					idx, n, os[0].self())
 			}
@@ -133,7 +137,7 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 					return fmt.Errorf("asvm: page %d write-held by non-owner node %d", idx, h.node)
 				}
 			}
-			if h.in != owner && !owner.slots[idx].readers.Contains(&owner.arena, h.node) {
+			if h.in != owner && !owner.slot(idx).readers.Contains(&owner.arena, h.node) {
 				return fmt.Errorf("asvm: page %d held by node %d unknown to owner %d",
 					idx, h.node, owner.self())
 			}
@@ -150,17 +154,21 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 		return nil
 	}
 	home := cluster.node(info.Home).instances[info.ID]
-	for idx, hs := range home.home {
+	var err error
+	home.slots.each(func(idx vm.PageIdx, hs *pageSlot) bool {
 		hasOwner := len(owners[idx]) > 0
-		if hs.granted && hs.atPager {
-			return fmt.Errorf("asvm: page %d both granted and at pager", idx)
+		if hs.home.granted() && hs.home.atPager() {
+			err = fmt.Errorf("asvm: page %d both granted and at pager", idx)
+		} else if hs.home.granted() != hasOwner {
+			err = fmt.Errorf("asvm: page %d home granted=%v but owner-exists=%v", idx, hs.home.granted(), hasOwner)
 		}
-		if hs.granted != hasOwner {
-			return fmt.Errorf("asvm: page %d home granted=%v but owner-exists=%v", idx, hs.granted, hasOwner)
-		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	for idx := range owners {
-		if hs := home.home[idx]; hs == nil || !hs.granted {
+		if !home.slots.get(idx).home.granted() {
 			return fmt.Errorf("asvm: page %d owned but home unaware", idx)
 		}
 	}
@@ -207,7 +215,7 @@ func CheckPageInvariants(cluster Cluster, info *DomainInfo, idx vm.PageIdx) erro
 		if in == nil {
 			return fmt.Errorf("asvm: node %d lost its instance of %v", nid, info.ID)
 		}
-		sl := &in.slots[idx]
+		sl := in.slots.get(idx)
 		if sl.state.Busy() {
 			return nil // mid-operation: state legitimately transient
 		}
@@ -254,7 +262,7 @@ func CheckPageInvariants(cluster Cluster, info *DomainInfo, idx vm.PageIdx) erro
 				return fmt.Errorf("asvm: page %d write-held by non-owner node %d", idx, h.node)
 			}
 		}
-		if owner != nil && h.in != owner && !owner.slots[idx].readers.Contains(&owner.arena, h.node) {
+		if owner != nil && h.in != owner && !owner.slot(idx).readers.Contains(&owner.arena, h.node) {
 			return fmt.Errorf("asvm: page %d held by node %d unknown to owner %d",
 				idx, h.node, owner.self())
 		}
@@ -264,7 +272,7 @@ func CheckPageInvariants(cluster Cluster, info *DomainInfo, idx vm.PageIdx) erro
 	}
 	if owner != nil {
 		for _, n := range readShared {
-			if !owner.slots[idx].readers.Contains(&owner.arena, n) {
+			if !owner.slot(idx).readers.Contains(&owner.arena, n) {
 				return fmt.Errorf("asvm: page %d read-shared at node %d but absent from owner %d's reader list",
 					idx, n, owner.self())
 			}
@@ -300,17 +308,19 @@ func CheckInvariantsSampled(cluster Cluster, info *DomainInfo, samplePages int, 
 		if len(in.pendInval) != 0 || len(in.pendXfer) != 0 || len(in.pendPush) != 0 || len(in.pendPgr) != 0 {
 			return fmt.Errorf("asvm: node %d has dangling protocol completions", nid)
 		}
-		for i := range in.slots {
-			sl := &in.slots[i]
+		var err error
+		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
 			if sl.state.FaultOut() {
-				return fmt.Errorf("asvm: node %d page %d fault still outstanding", nid, i)
+				err = fmt.Errorf("asvm: node %d page %d fault still outstanding", nid, idx)
+			} else if sl.state.Busy() {
+				err = fmt.Errorf("asvm: node %d page %d still busy (%v)", nid, idx, sl.state)
+			} else if sl.side && len(in.side[idx].queue) != 0 {
+				err = fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, idx, len(in.side[idx].queue))
 			}
-			if sl.state.Busy() {
-				return fmt.Errorf("asvm: node %d page %d still busy (%v)", nid, i, sl.state)
-			}
-			if sl.side && len(in.side[vm.PageIdx(i)].queue) != 0 {
-				return fmt.Errorf("asvm: node %d page %d has %d queued requests", nid, i, len(in.side[vm.PageIdx(i)].queue))
-			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	rng := sim.NewRNG(seed)
@@ -343,11 +353,12 @@ func OutstandingFaults(cluster Cluster, info *DomainInfo) (stuck []vm.PageIdx) {
 		if in == nil {
 			continue
 		}
-		for i := range in.slots {
-			if in.slots[i].state.FaultOut() {
-				stuck = append(stuck, vm.PageIdx(i))
+		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
+			if sl.state.FaultOut() {
+				stuck = append(stuck, idx)
 			}
-		}
+			return true
+		})
 	}
 	return stuck
 }
@@ -367,7 +378,7 @@ func DumpPage(cluster Cluster, info *DomainInfo, idx vm.PageIdx) string {
 		if in == nil {
 			continue
 		}
-		sl, ss := &in.slots[idx], cmp.Or(in.side[idx], &slotSide{})
+		sl, ss := in.slots.get(idx), cmp.Or(in.side[idx], &slotSide{})
 		var parts []string
 		if sl.state != StInvalid {
 			parts = append(parts, fmt.Sprintf("state=%v", sl.state))
@@ -383,8 +394,8 @@ func DumpPage(cluster Cluster, info *DomainInfo, idx vm.PageIdx) string {
 		if sl.state.FaultOut() {
 			parts = append(parts, fmt.Sprintf("fault-pending want=%v staleFrom=%v", sl.want, ss.staleFrom))
 		}
-		if hs := in.home[idx]; hs != nil {
-			parts = append(parts, fmt.Sprintf("home granted=%v atPager=%v", hs.granted, hs.atPager))
+		if sl.home != 0 {
+			parts = append(parts, fmt.Sprintf("home granted=%v atPager=%v", sl.home.granted(), sl.home.atPager()))
 		}
 		if len(parts) > 0 {
 			fmt.Fprintf(&b, "\n  n%d: %s", nid, strings.Join(parts, "; "))

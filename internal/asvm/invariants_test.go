@@ -78,7 +78,7 @@ func TestInvariantsDetectOwnerWithoutPage(t *testing.T) {
 func TestInvariantsDetectUnknownReader(t *testing.T) {
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
-		in0.slots[0].readers.Remove(&in0.arena, 1)
+		in0.slot(0).readers.Remove(&in0.arena, 1)
 	})
 	if err == nil {
 		t.Fatal("reader unknown to the owner not detected")
@@ -88,7 +88,7 @@ func TestInvariantsDetectUnknownReader(t *testing.T) {
 func TestInvariantsDetectHomeGrantMismatch(t *testing.T) {
 	err := corruptibleCluster(t, func(c *cluster) {
 		home := c.asvms[0].Instance(sharedID)
-		home.home[0].granted = false
+		home.slot(0).home &^= homeGranted
 	})
 	if err == nil {
 		t.Fatal("home/granted mismatch not detected")
@@ -98,7 +98,7 @@ func TestInvariantsDetectHomeGrantMismatch(t *testing.T) {
 func TestInvariantsDetectDanglingBusy(t *testing.T) {
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
-		in0.slots[0].state = StServing
+		in0.slot(0).state = StServing
 	})
 	if err == nil {
 		t.Fatal("dangling busy state not detected")
@@ -116,13 +116,13 @@ func TestInvariantsDetectOwnerStateWithoutReaders(t *testing.T) {
 	// check also fires for node 1's copy, so corrupt the state first.)
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
-		in0.slots[0].state = StOwner
-		in0.slots[0].readers.Clear(&in0.arena)
+		in0.slot(0).state = StOwner
+		in0.slot(0).readers.Clear(&in0.arena)
 		// Silence the holder-based check so the state-coherence check is
 		// what must catch this: drop node 1's copy and its ReadShared state.
 		in1 := c.asvms[1].Instance(sharedID)
 		c.kerns[1].RemovePage(in1.o, 0)
-		in1.slots[0] = pageSlot{}
+		*in1.slot(0) = pageSlot{}
 	})
 	if err == nil {
 		t.Fatal("Owner state with empty reader list not detected")
@@ -132,7 +132,7 @@ func TestInvariantsDetectOwnerStateWithoutReaders(t *testing.T) {
 func TestInvariantsDetectOwnerSoleStateWithReaders(t *testing.T) {
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
-		in0.slots[0].state = StOwnerSole
+		in0.slot(0).state = StOwnerSole
 	})
 	if err == nil {
 		t.Fatal("OwnerSole state with readers not detected")
@@ -156,8 +156,8 @@ func TestInvariantsDetectReadSharedOffOwnerList(t *testing.T) {
 	// holder-based checks) must flag it.
 	err := corruptibleCluster(t, func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
-		in0.slots[0].readers.Remove(&in0.arena, 1)
-		in0.slots[0].state = StOwnerSole
+		in0.slot(0).readers.Remove(&in0.arena, 1)
+		in0.slot(0).state = StOwnerSole
 	})
 	if err == nil {
 		t.Fatal("ReadShared node missing from owner's reader list not detected")

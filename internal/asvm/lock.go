@@ -34,7 +34,7 @@ func (in *Instance) AcquireRange(p *sim.Proc, task *vm.Task, base vm.Addr, lo, h
 			if _, err := task.Touch(p, addr, vm.ProtWrite); err != nil {
 				return err
 			}
-			sl := &in.slots[idx]
+			sl := in.slot(idx)
 			if !sl.state.AtRest() {
 				// Ownership was stolen (or is mid-operation) between the
 				// fault resolving and now; go again.
@@ -58,7 +58,7 @@ func (in *Instance) ReleaseRange(lo, hi vm.PageIdx) error {
 		return fmt.Errorf("asvm: bad unlock range [%d,%d)", lo, hi)
 	}
 	for idx := lo; idx < hi; idx++ {
-		sl := &in.slots[idx]
+		sl := in.slot(idx)
 		if !sl.held {
 			continue
 		}
@@ -74,5 +74,5 @@ func (in *Instance) ReleaseRange(lo, hi vm.PageIdx) error {
 
 // Held reports whether the page is currently range-locked by this node.
 func (in *Instance) Held(idx vm.PageIdx) bool {
-	return in.slots[idx].held
+	return in.slots.get(idx).held
 }

@@ -202,9 +202,9 @@ const (
 // toPager ships it only when dirty (a clean return is just bookkeeping —
 // the pager already has the contents).
 
-// msgPool is a free list of boxed messages for one hot wire kind. Every
-// kind is sent as *T; the hot kinds draw their boxes from a pool, so the
-// interface box itself is reused.
+// msgPools are the free lists of the hot wire kinds (xport.Pool), one set
+// per engine: every node an engine runs shares them, so the box a home
+// takes for a grant is the one its grantee returns.
 //
 // The rule, for boxes and for the page snapshot a grant or page offer
 // carries: each is recycled exactly once, by its last consumer. That is the
@@ -216,31 +216,23 @@ const (
 // transport delivers or bounces each send once, and xport.Reliable hands
 // each frame up once however many copies duplication and retransmission
 // put on the wire (a copy after the first is suppressed or, bounced, dropped
-// before it reaches the handler).
-type msgPool[T any] struct {
-	free []*T
+// before it reaches the handler). A mesh node runs its own engine, so its
+// pools are its own: they hold the boxes its codec decodes.
+type msgPools struct {
+	req   xport.Pool[accessReq]
+	grant xport.Pool[grantMsg]
+	inval xport.Pool[invalMsg]
+	iack  xport.Pool[invalAck]
+	oupd  xport.Pool[ownerUpdate]
 }
 
-// get boxes v, reusing a recycled box when one is available.
-func (p *msgPool[T]) get(v T) *T {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		*b = v
-		return b
-	}
-	b := new(T)
-	*b = v
-	return b
+// misses counts the boxes the pools had to allocate.
+func (p *msgPools) misses() uint64 {
+	return p.req.Misses + p.grant.Misses + p.inval.Misses + p.iack.Misses + p.oupd.Misses
 }
 
-// put recycles a dead box. The zeroing drops payload references (a grant's
-// Data slice lives on with the receiver; the box must not pin it).
-func (p *msgPool[T]) put(b *T) {
-	var zero T
-	*b = zero
-	p.free = append(p.free, b)
-}
+// msgPoolsKey attaches the pools to an engine.
+type msgPoolsKey struct{}
 
 func (accessReq) Kind() xport.MsgKind { return msgAccessReq }
 func (accessReq) WireBytes() int      { return 0 }

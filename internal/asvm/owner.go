@@ -17,13 +17,13 @@ func actAccessReq(in *Instance, idx vm.PageIdx, m interface{}) {
 // handleAsOwner runs the page state machine (Figure 7) at the page owner.
 // Operations on one page are serialized: a busy page queues requests.
 func (in *Instance) handleAsOwner(req accessReq) {
-	sl := &in.slots[req.Idx]
-	if !sl.state.Owner() {
+	if !in.State(req.Idx).Owner() {
 		// Ownership left between queueing and processing (or never arrived
 		// here): chase it.
 		in.forward(req)
 		return
 	}
+	sl := in.slot(req.Idx)
 	if sl.state.Busy() || (sl.held && req.Origin != in.self()) {
 		ss := in.sideOf(req.Idx)
 		ss.queue = append(ss.queue, req)
@@ -67,7 +67,7 @@ func (in *Instance) opDone(idx vm.PageIdx) {
 // drainQueue continues with queued work after an operation completes. If
 // ownership moved away, everything queued chases the new owner.
 func (in *Instance) drainQueue(idx vm.PageIdx) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	if !sl.side || len(in.side[idx].queue) == 0 {
 		return // the common path: no side entry, no map probe
 	}
@@ -108,7 +108,7 @@ func (in *Instance) serveRead(req accessReq) {
 		return
 	}
 	in.nd.Ctr.V[sim.CtrReadGrants]++
-	in.slots[req.Idx].readers.Add(&in.arena, req.Origin)
+	in.slot(req.Idx).readers.Add(&in.arena, req.Origin)
 	in.sendGrant(req.Origin, grantMsg{
 		Obj: req.Target, Idx: req.Idx, Lock: vm.ProtRead,
 		Data: copyData(pg.Data), HasData: true, From: in.self(),
@@ -128,7 +128,7 @@ func (in *Instance) serveRead(req accessReq) {
 func (in *Instance) serveWrite(req accessReq) {
 	idx := req.Idx
 	in.pushIfNeeded(idx, func() {
-		sl := &in.slots[idx]
+		sl := in.slot(idx)
 		upgrade := sl.readers.Contains(&in.arena, req.Origin)
 		in.invalidateReaders(idx, req.Origin, func() {
 			if req.Origin == in.self() {
@@ -183,7 +183,7 @@ func (in *Instance) serveWrite(req accessReq) {
 // requester must retry in the copy domain, where the pushed page now has
 // an owner (the paper's push/pull synchronization).
 func (in *Instance) servePull(req accessReq) {
-	sl := &in.slots[req.Idx]
+	sl := in.slot(req.Idx)
 	if in.info.Copy != nil && sl.version == in.info.Version {
 		in.nd.Ctr.V[sim.CtrPullRetries]++
 		in.sendGrant(req.Origin, grantMsg{Obj: req.Target, Idx: req.Idx, Retry: true, From: in.self()})

@@ -43,7 +43,7 @@ func (in *Instance) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty,
 func actEvictDiscard(in *Instance, idx vm.PageIdx, m interface{}) {
 	in.nd.Ctr.V[sim.CtrEvictDiscard]++
 	in.nd.K.RemovePage(in.o, idx)
-	if in.slots[idx].state == StReadShared {
+	if in.State(idx) == StReadShared {
 		in.setState(idx, StInvalid)
 	}
 }
@@ -58,7 +58,7 @@ func actEvictCancel(in *Instance, idx vm.PageIdx, m interface{}) {
 // range-held, in which case the pageout daemon skips it. (evictOwner)
 func actEvictOwner(in *Instance, idx vm.PageIdx, m interface{}) {
 	ev := m.(*evictEvent)
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	if sl.held || in.pendPush[idx] != nil {
 		in.nd.K.CancelEviction(in.o, idx)
 		return
@@ -78,7 +78,7 @@ func actEvictOwner(in *Instance, idx vm.PageIdx, m interface{}) {
 // property the reader set now gives structurally, where the old map scan
 // had to re-derive it to stay deterministic.
 func (in *Instance) evictTryReaders(idx vm.PageIdx, data []byte, dirty bool) {
-	sl := &in.slots[idx]
+	sl := in.slot(idx)
 	reader, ok := sl.readers.Min(&in.arena)
 	if !ok {
 		in.evictTryTransfer(idx, data, dirty)
@@ -159,7 +159,7 @@ func (in *Instance) offerPage(idx vm.PageIdx, data []byte, dirty bool, to mesh.N
 	in.pendXfer[seq] = xferWait{to: to, cb: cb}
 	in.send(to, &pageOffer{
 		Obj: in.info.ID, Idx: idx, Data: copyData(data),
-		Version: in.slots[idx].version, Seq: seq, From: in.self(),
+		Version: in.slots.get(idx).version, Seq: seq, From: in.self(),
 	})
 	_ = dirty
 }
@@ -169,17 +169,7 @@ func (in *Instance) offerPage(idx vm.PageIdx, data []byte, dirty bool, to mesh.N
 func (in *Instance) evictToPager(idx vm.PageIdx, data []byte, dirty bool) {
 	in.nd.Ctr.V[sim.CtrEvictToPager]++
 	if in.info.Home == in.self() {
-		in.homePagerOut(idx, data, dirty, func() {
-			hs := in.home[idx]
-			if hs == nil {
-				hs = &homeState{}
-				in.home[idx] = hs
-			}
-			hs.granted = false
-			hs.atPager = true
-			in.announcePaged(idx)
-			in.evictFinish(idx, -1)
-		})
+		in.homePagerOut(data, dirty, in.homeOp(homeOpEvict, accessReq{Idx: idx}))
 		return
 	}
 	in.seq++
@@ -313,26 +303,13 @@ func actPageOfferAck(in *Instance, idx vm.PageIdx, m interface{}) {
 func actToPager(in *Instance, idx vm.PageIdx, m interface{}) {
 	tp := *m.(*toPager)
 	if tp.Lost {
-		hs := in.home[idx]
-		if hs == nil {
-			hs = &homeState{}
-			in.home[idx] = hs
-		}
-		hs.granted = false
+		in.slot(idx).home &^= homeGranted
 		in.send(tp.From, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: tp.Seq})
 		return
 	}
-	in.homePagerOut(idx, tp.Data, tp.Dirty, func() {
-		hs := in.home[idx]
-		if hs == nil {
-			hs = &homeState{}
-			in.home[idx] = hs
-		}
-		hs.granted = false
-		hs.atPager = true
-		in.announcePaged(idx)
-		in.send(tp.From, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: tp.Seq})
-	})
+	h := in.homeOp(homeOpPark, accessReq{Idx: idx})
+	h.to, h.seq = tp.From, tp.Seq
+	in.homePagerOut(tp.Data, tp.Dirty, h)
 }
 
 // actToPagerAck completes the evicting owner's pageout; stray acks are
@@ -359,7 +336,7 @@ func actToPagerAckLoose(in *Instance, idx vm.PageIdx, m interface{}) {
 	a := *m.(*toPagerAck)
 	if !in.nd.crashEra {
 		panic(fmt.Sprintf("asvm: pager ack seq %d for %v p%d in %v at node %d",
-			a.Seq, in.info.ID, idx, in.slots[idx].state, in.self()))
+			a.Seq, in.info.ID, idx, in.State(idx), in.self()))
 	}
 	if !in.completePgr(a.Seq) {
 		in.nd.Ctr.V[sim.CtrLateAcks]++

@@ -324,16 +324,16 @@ func init() {
 // dispatch funnels one event into the page's state machine: legality
 // check, transition counter, coverage cell, trace line, action.
 func (in *Instance) dispatch(ev ProtoEvent, idx vm.PageIdx, m interface{}) {
-	sl := &in.slots[idx]
-	t := protoTable[sl.state][ev]
+	st := in.slots.state(idx) // a read: only an action that writes makes the slot
+	t := protoTable[st][ev]
 	if t == nil {
 		panic(fmt.Sprintf("asvm: illegal transition %v × %v on %v page %d at node %d",
-			sl.state, ev, in.info.ID, idx, in.self()))
+			st, ev, in.info.ID, idx, in.self()))
 	}
 	in.nd.Ctr.V[sim.CtrProtoTransitions]++
-	in.nd.Cover[sl.state][ev]++
+	in.nd.Cover[st][ev]++
 	if in.nd.Trace.on {
-		in.trace("s %s: %v×%v p%d", t.name, sl.state, ev, idx)
+		in.trace("s %s: %v×%v p%d", t.name, st, ev, idx)
 	}
 	t.act(in, idx, m)
 }
@@ -341,7 +341,7 @@ func (in *Instance) dispatch(ev ProtoEvent, idx vm.PageIdx, m interface{}) {
 // setState moves a page to a new protocol state. Actions use it for the
 // dynamic successor states the table entries describe.
 func (in *Instance) setState(idx vm.PageIdx, to PageProtoState) {
-	in.slots[idx].state = to
+	in.slot(idx).state = to
 }
 
 // restOwnerState is the at-rest owner state implied by the reader list.

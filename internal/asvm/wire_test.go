@@ -462,7 +462,7 @@ func TestGrantSnapshotReturnsOnWireSentOrNack(t *testing.T) {
 	if poisoning && page[0] == 0 {
 		t.Error("handleNack left the bounced grant's snapshot out of the pool")
 	}
-	if !reflect.DeepEqual(*g, grantMsg{}) || nd.grantPool.get(grantMsg{}) != g {
+	if !reflect.DeepEqual(*g, grantMsg{}) || nd.pools.grant.Get(grantMsg{}) != g {
 		t.Error("handleNack did not return the bounced grant's box to the free list")
 	}
 }

@@ -69,18 +69,19 @@ func (d *Disk) xferTime(bytes int) time.Duration {
 	return time.Duration(float64(bytes) / d.BytesPerSecond * float64(time.Second))
 }
 
-// Read performs a read of the given size; fn runs at completion.
-func (d *Disk) Read(bytes int, fn func()) {
+// Read performs a read of the given size; r runs at completion (a closure
+// goes in as a sim.Func).
+func (d *Disk) Read(bytes int, r sim.Runnable) {
 	d.Reads++
 	d.BytesRead += uint64(bytes)
-	d.srv.DoRun(d.SeekTime+d.xferTime(bytes), sim.Func(fn))
+	d.srv.DoRun(d.SeekTime+d.xferTime(bytes), r)
 }
 
-// Write performs a write of the given size; fn runs at completion.
-func (d *Disk) Write(bytes int, fn func()) {
+// Write performs a write of the given size; r runs at completion.
+func (d *Disk) Write(bytes int, r sim.Runnable) {
 	d.Writes++
 	d.BytesWritten += uint64(bytes)
-	d.srv.DoRun(d.WriteSeek+d.xferTime(bytes), sim.Func(fn))
+	d.srv.DoRun(d.WriteSeek+d.xferTime(bytes), r)
 }
 
 // Busy reports whether the disk has queued work.

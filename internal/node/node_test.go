@@ -12,7 +12,7 @@ func TestDiskTiming(t *testing.T) {
 	n := New(e, 0)
 	d := n.AttachDisk(e, 10*time.Millisecond, 1e6) // 1 MB/s
 	var done sim.Time
-	d.Write(1000, func() { done = e.Now() }) // 10ms seek + 1ms transfer
+	d.Write(1000, sim.Func(func() { done = e.Now() })) // 10ms seek + 1ms transfer
 	e.Run()
 	if done != 11*time.Millisecond {
 		t.Fatalf("write done at %v, want 11ms", done)
@@ -28,7 +28,7 @@ func TestDiskQueues(t *testing.T) {
 	d := n.AttachDisk(e, 10*time.Millisecond, 1e9)
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
-		d.Read(0, func() { times = append(times, e.Now()) })
+		d.Read(0, sim.Func(func() { times = append(times, e.Now()) }))
 	}
 	if !d.Busy() {
 		t.Fatal("disk should be busy")

@@ -50,36 +50,32 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Protocol messages.
-type (
-	// PageInReq asks the pager for a page's backing contents. ReplyTo is
-	// the requesting client's private reply channel.
-	PageInReq struct {
-		ID      uint64
-		Obj     vm.ObjID
-		Idx     vm.PageIdx
-		ReplyTo xport.ProtoID
-	}
-	// PageInReply answers a PageInReq. Found=false means the pager has no
-	// contents: the page may be zero-filled.
-	PageInReply struct {
-		ID    uint64
-		Data  []byte
-		Found bool
-	}
-	// PageOutMsg writes page contents to backing store.
-	PageOutMsg struct {
-		ID      uint64
-		Obj     vm.ObjID
-		Idx     vm.PageIdx
-		Data    []byte
-		Dirty   bool
-		ReplyTo xport.ProtoID
-	}
-	// PageOutAck confirms a PageOutMsg reached stable storage.
-	PageOutAck struct {
-		ID uint64
-	}
+// op is one pager request, its service and its reply in a single pooled
+// box. The client sends it; the server steps it through its stages as a
+// sim.Runnable — the pager task's CPU, then the disk unless the page is
+// cached or there is no disk, then the reply — and sends the same box back
+// on the client's reply channel; the client recycles it once it has read
+// the reply. A page-in reply with found=false means the pager has no
+// contents: the page may be zero-filled.
+type op struct {
+	s       *Server
+	id      uint64
+	obj     vm.ObjID
+	idx     vm.PageIdx
+	data    []byte // page-out: the contents; page-in reply: the backing copy
+	out     bool   // a page-out (else a page-in)
+	dirty   bool
+	found   bool
+	stage   uint8
+	src     mesh.NodeID
+	replyTo xport.ProtoID
+}
+
+// The stages an op waits in at the server.
+const (
+	opServed uint8 = iota // the pager task's CPU is done
+	opRead                // a page-in's disk read is done
+	opReply               // nothing is left but the reply
 )
 
 type backingKey struct {
@@ -115,6 +111,9 @@ type Server struct {
 	DiskReads, DiskSkip uint64
 
 	clients map[mesh.NodeID]int // per-node reply-channel namer for NewClient
+
+	// ops recycles the request boxes of every client of this server.
+	ops xport.Pool[op]
 }
 
 // NewServer registers a pager server on ioNode under the given channel
@@ -158,86 +157,95 @@ func (s *Server) Has(obj vm.ObjID, idx vm.PageIdx) bool {
 }
 
 func (s *Server) handle(src mesh.NodeID, m interface{}) {
-	switch msg := m.(type) {
-	case PageInReq:
-		s.pageIn(src, msg)
-	case PageOutMsg:
-		s.pageOut(src, msg)
-	default:
+	o, ok := m.(*op)
+	if !ok {
 		panic(fmt.Sprintf("pager %s: unknown message %T", s.Name, m))
 	}
-}
-
-func (s *Server) pageIn(src mesh.NodeID, req PageInReq) {
-	s.PageIns++
-	key := backingKey{req.Obj, req.Idx}
-	if !s.exists[key] {
-		// Nothing backing the page: zero fill at the requester.
-		s.srv.DoRun(s.costs.ZeroSupplyCPU, sim.Func(func() {
-			s.tr.Send(s.node, src, req.ReplyTo, 0, PageInReply{ID: req.ID, Found: false})
-		}))
+	o.src = src
+	key := backingKey{o.obj, o.idx}
+	o.stage = opServed
+	if o.out {
+		s.PageOuts++
+		s.exists[key] = true
+		if s.trackData {
+			buf := make([]byte, vm.PageSize)
+			copy(buf, o.data)
+			s.backing[key] = buf
+		}
+		o.data = nil
+		if s.CacheInMemory {
+			s.cached[key] = true
+		}
+		s.srv.DoRun(s.costs.ServeCPU, o)
 		return
 	}
-	reply := func() {
-		data := s.backing[key]
-		s.tr.Send(s.node, src, req.ReplyTo, vm.PageSize, PageInReply{ID: req.ID, Data: data, Found: true})
+	s.PageIns++
+	if o.found = s.exists[key]; !o.found {
+		// Nothing backing the page: zero fill at the requester.
+		o.stage = opReply
+		s.srv.DoRun(s.costs.ZeroSupplyCPU, o)
+		return
 	}
-	s.srv.DoRun(s.costs.ServeCPU, sim.Func(func() {
-		if s.CacheInMemory && s.cached[key] || s.disk == nil {
-			s.DiskSkip++
-			reply()
-			return
-		}
-		s.DiskReads++
-		s.disk.Read(vm.PageSize, func() {
-			if s.CacheInMemory {
-				s.cached[key] = true
-			}
-			reply()
-		})
-	}))
+	s.srv.DoRun(s.costs.ServeCPU, o)
 }
 
-func (s *Server) pageOut(src mesh.NodeID, msg PageOutMsg) {
-	s.PageOuts++
-	key := backingKey{msg.Obj, msg.Idx}
-	s.exists[key] = true
-	if s.trackData {
-		buf := make([]byte, vm.PageSize)
-		copy(buf, msg.Data)
-		s.backing[key] = buf
-	}
-	if s.CacheInMemory {
-		s.cached[key] = true
-	}
-	ack := func() {
-		s.tr.Send(s.node, src, msg.ReplyTo, 0, PageOutAck{ID: msg.ID})
-	}
-	s.srv.DoRun(s.costs.ServeCPU, sim.Func(func() {
-		if s.disk == nil {
-			ack()
+// Run implements sim.Runnable: it moves a request on from the stage it
+// waited in.
+func (o *op) Run() {
+	s := o.s
+	key := backingKey{o.obj, o.idx}
+	switch o.stage {
+	case opServed:
+		if o.out {
+			if s.disk != nil {
+				o.stage = opReply
+				s.disk.Write(vm.PageSize, o)
+				return
+			}
+		} else if s.CacheInMemory && s.cached[key] || s.disk == nil {
+			s.DiskSkip++
+		} else {
+			s.DiskReads++
+			o.stage = opRead
+			s.disk.Read(vm.PageSize, o)
 			return
 		}
-		s.disk.Write(vm.PageSize, ack)
-	}))
+	case opRead:
+		if s.CacheInMemory {
+			s.cached[key] = true
+		}
+	}
+	o.reply()
+}
+
+// reply sends the box back to its client: a page-out's ack, or a page-in's
+// contents as the backing store holds them now.
+func (o *op) reply() {
+	s := o.s
+	payload := 0
+	if !o.out && o.found {
+		o.data = s.backing[backingKey{o.obj, o.idx}]
+		payload = vm.PageSize
+	}
+	s.tr.Send(s.node, o.src, o.replyTo, payload, o)
 }
 
 // ---------------------------------------------------------------------------
 // Client
 
 // Client issues pager requests from one node and routes replies back to
-// callbacks. Each client has its own private reply channel, so any number
-// of clients may talk to the same server from the same node.
+// their completions. Each client has its own private reply channel, so any
+// number of clients may talk to the same server from the same node.
 type Client struct {
-	eng     *sim.Engine
 	tr      xport.Transport
 	self    mesh.NodeID
+	srv     *Server
 	server  mesh.NodeID
 	proto   xport.ProtoID
 	replyTo xport.ProtoID
 	nextID  uint64
-	pendIn  map[uint64]func(data []byte, found bool)
-	pendOut map[uint64]func()
+	pendIn  map[uint64]PageInDone
+	pendOut map[uint64]PageOutDone
 }
 
 // NewClient creates a client on node self for the given server. Reply
@@ -256,52 +264,59 @@ func NewClient(eng *sim.Engine, tr xport.Transport, self mesh.NodeID, server *Se
 	}
 	server.clients[self]++
 	c := &Client{
-		eng: eng, tr: tr, self: self,
+		tr: tr, self: self, srv: server,
 		server: server.NodeID(), proto: server.Proto(),
 		replyTo: xport.RegisterProto(fmt.Sprintf("pager/%s/r%d", server.Name, server.clients[self])),
-		pendIn:  make(map[uint64]func([]byte, bool)),
-		pendOut: make(map[uint64]func()),
+		pendIn:  make(map[uint64]PageInDone),
+		pendOut: make(map[uint64]PageOutDone),
 	}
 	tr.Register(self, c.replyTo, c.handleReply)
 	return c
 }
 
+// handleReply completes the request a reply answers. The box goes back to
+// the server's pool first: the completion may issue the next request.
 func (c *Client) handleReply(src mesh.NodeID, m interface{}) {
-	switch msg := m.(type) {
-	case PageInReply:
-		cb, ok := c.pendIn[msg.ID]
-		if !ok {
-			panic(fmt.Sprintf("pager client: stray page-in reply %d", msg.ID))
-		}
-		delete(c.pendIn, msg.ID)
-		cb(msg.Data, msg.Found)
-	case PageOutAck:
-		cb, ok := c.pendOut[msg.ID]
-		if !ok {
-			panic(fmt.Sprintf("pager client: stray page-out ack %d", msg.ID))
-		}
-		delete(c.pendOut, msg.ID)
-		cb()
-	default:
+	o, ok := m.(*op)
+	if !ok {
 		panic(fmt.Sprintf("pager client: unknown reply %T", m))
 	}
+	id, obj, idx, data, found := o.id, o.obj, o.idx, o.data, o.found
+	if o.out {
+		done, ok := c.pendOut[id]
+		if !ok {
+			panic(fmt.Sprintf("pager client: stray page-out ack %d", id))
+		}
+		delete(c.pendOut, id)
+		c.srv.ops.Put(o)
+		done.PageOutDone(obj, idx)
+		return
+	}
+	done, ok := c.pendIn[id]
+	if !ok {
+		panic(fmt.Sprintf("pager client: stray page-in reply %d", id))
+	}
+	delete(c.pendIn, id)
+	c.srv.ops.Put(o)
+	done.PageInDone(obj, idx, data, found)
 }
 
-// PageIn requests page contents; cb receives them (found=false: zero
+// PageIn requests page contents; done receives them (found=false: zero
 // fill).
-func (c *Client) PageIn(obj vm.ObjID, idx vm.PageIdx, cb func(data []byte, found bool)) {
+func (c *Client) PageIn(obj vm.ObjID, idx vm.PageIdx, done PageInDone) {
 	c.nextID++
-	id := c.nextID
-	c.pendIn[id] = cb
-	c.tr.Send(c.self, c.server, c.proto, 0, PageInReq{ID: id, Obj: obj, Idx: idx, ReplyTo: c.replyTo})
+	c.pendIn[c.nextID] = done
+	c.tr.Send(c.self, c.server, c.proto, 0,
+		c.srv.ops.Get(op{s: c.srv, id: c.nextID, obj: obj, idx: idx, replyTo: c.replyTo}))
 }
 
-// PageOut writes page contents to the pager; cb runs when stable.
-func (c *Client) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, cb func()) {
+// PageOut writes page contents to the pager; done runs when they are
+// stable.
+func (c *Client) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, done PageOutDone) {
 	c.nextID++
-	id := c.nextID
-	c.pendOut[id] = cb
-	c.tr.Send(c.self, c.server, c.proto, vm.PageSize, PageOutMsg{ID: id, Obj: obj, Idx: idx, Data: data, Dirty: dirty, ReplyTo: c.replyTo})
+	c.pendOut[c.nextID] = done
+	c.tr.Send(c.self, c.server, c.proto, vm.PageSize,
+		c.srv.ops.Get(op{s: c.srv, id: c.nextID, obj: obj, idx: idx, data: data, out: true, dirty: dirty, replyTo: c.replyTo}))
 }
 
 // ---------------------------------------------------------------------------
@@ -323,13 +338,13 @@ func NewBinding(k *vm.Kernel, eng *sim.Engine, tr xport.Transport, server *Serve
 
 // DataRequest implements vm.MemoryManager.
 func (b *Binding) DataRequest(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
-	b.C.PageIn(o.ID, idx, func(data []byte, found bool) {
+	b.C.PageIn(o.ID, idx, InFunc(func(data []byte, found bool) {
 		if found {
 			b.K.DataSupply(o, idx, data, vm.ProtWrite, false)
 		} else {
 			b.K.DataUnavailable(o, idx, vm.ProtWrite)
 		}
-	})
+	}))
 }
 
 // DataUnlock implements vm.MemoryManager; pager-backed pages are never
@@ -340,11 +355,11 @@ func (b *Binding) DataUnlock(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
 
 // DataReturn implements vm.MemoryManager.
 func (b *Binding) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, kept bool) {
-	b.C.PageOut(o.ID, idx, data, dirty, func() {
+	b.C.PageOut(o.ID, idx, data, dirty, OutFunc(func() {
 		if !kept {
 			b.K.RemovePage(o, idx)
 		}
-	})
+	}))
 }
 
 // Terminate implements vm.MemoryManager.

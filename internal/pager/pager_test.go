@@ -56,14 +56,14 @@ func TestPageOutThenPageIn(t *testing.T) {
 	data := make([]byte, vm.PageSize)
 	data[5] = 0x77
 	var gotBack []byte
-	cli.PageOut(obj, 3, data, true, func() {
-		cli.PageIn(obj, 3, func(d []byte, found bool) {
+	cli.PageOut(obj, 3, data, true, OutFunc(func() {
+		cli.PageIn(obj, 3, InFunc(func(d []byte, found bool) {
 			if !found {
 				t.Error("paged-out page not found")
 			}
 			gotBack = d
-		})
-	})
+		}))
+	}))
 	ev.eng.Run()
 	if gotBack == nil || gotBack[5] != 0x77 {
 		t.Fatal("page contents lost through paging space")
@@ -81,12 +81,12 @@ func TestPageInMissingReportsNotFound(t *testing.T) {
 	srv := NewServer(ev.eng, ev.tr, 0, nil, DefaultCosts(), "dp", true)
 	cli := NewClient(ev.eng, ev.tr, 1, srv)
 	called := false
-	cli.PageIn(vm.ObjID{Node: 1, Seq: 9}, 0, func(d []byte, found bool) {
+	cli.PageIn(vm.ObjID{Node: 1, Seq: 9}, 0, InFunc(func(d []byte, found bool) {
 		called = true
 		if found {
 			t.Error("missing page reported found")
 		}
-	})
+	}))
 	ev.eng.Run()
 	if !called {
 		t.Fatal("no reply")
@@ -106,19 +106,19 @@ func TestPreloadAndCache(t *testing.T) {
 	}
 	cli := NewClient(ev.eng, ev.tr, 1, srv)
 	reads := 0
-	cli.PageIn(obj, 0, func(d []byte, found bool) {
+	cli.PageIn(obj, 0, InFunc(func(d []byte, found bool) {
 		if !found || d[0] != 9 {
 			t.Error("preload contents lost")
 		}
 		reads++
 		// Second read must hit the pager cache, not the disk.
-		cli.PageIn(obj, 0, func(d []byte, found bool) {
+		cli.PageIn(obj, 0, InFunc(func(d []byte, found bool) {
 			if !found {
 				t.Error("cached page lost")
 			}
 			reads++
-		})
-	})
+		}))
+	}))
 	ev.eng.Run()
 	if reads != 2 {
 		t.Fatalf("reads = %d", reads)
@@ -135,7 +135,7 @@ func TestDiskSerializationLimitsThroughput(t *testing.T) {
 	obj := vm.ObjID{Node: 1, Seq: 1}
 	done := 0
 	for i := 0; i < 10; i++ {
-		cli.PageOut(obj, vm.PageIdx(i), make([]byte, vm.PageSize), true, func() { done++ })
+		cli.PageOut(obj, vm.PageIdx(i), make([]byte, vm.PageSize), true, OutFunc(func() { done++ }))
 	}
 	end := ev.eng.Run()
 	if done != 10 {
@@ -144,6 +144,44 @@ func TestDiskSerializationLimitsThroughput(t *testing.T) {
 	// 10 disk writes at 8ms seek + 2ms transfer each = at least 100ms.
 	if end < 100*time.Millisecond {
 		t.Fatalf("10 disk writes finished in %v; disk not serializing", end)
+	}
+}
+
+// tally is a long-lived completion, the shape of every hot caller: an
+// XMM manager, an ASVM home's pooled operation.
+type tally struct{ ins, outs int }
+
+func (c *tally) PageInDone(vm.ObjID, vm.PageIdx, []byte, bool) { c.ins++ }
+func (c *tally) PageOutDone(vm.ObjID, vm.PageIdx)              { c.outs++ }
+
+// TestRoundTripZeroAllocs pins the pager's steady state: a page-out round
+// trip and a page-in round trip through the disk each allocate nothing —
+// the request box is pooled and steps itself through the server, and the
+// completion is the caller's own object.
+func TestRoundTripZeroAllocs(t *testing.T) {
+	ev := newPenv(2, true)
+	srv := NewServer(ev.eng, ev.tr, 0, ev.nodes[0].Disk, DefaultCosts(), "dp", false)
+	cli := NewClient(ev.eng, ev.tr, 1, srv)
+	obj := vm.ObjID{Node: 1, Seq: 1}
+	var done tally
+	out := func() {
+		cli.PageOut(obj, 3, nil, true, &done)
+		ev.eng.Run()
+	}
+	in := func() {
+		cli.PageIn(obj, 3, &done)
+		ev.eng.Run()
+	}
+	out()
+	in() // warm up the pool, the tables and the engine's heap
+	if a := testing.AllocsPerRun(100, out); a != 0 {
+		t.Errorf("page-out round trip: %.1f allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, in); a != 0 {
+		t.Errorf("page-in round trip: %.1f allocs, want 0", a)
+	}
+	if done.outs != 102 || done.ins != 102 || srv.DiskReads != 102 {
+		t.Fatalf("completions %d out / %d in, %d disk reads; want 102 each", done.outs, done.ins, srv.DiskReads)
 	}
 }
 

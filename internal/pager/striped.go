@@ -11,13 +11,40 @@ import (
 // one pager, or — the paper's §6 future-work file system — several pagers
 // used in round-robin fashion for a striped file.
 type PagerIO interface {
-	// PageIn requests page contents; cb receives them (found=false: the
+	// PageIn requests page contents; done receives them (found=false: the
 	// page may be zero-filled).
-	PageIn(obj vm.ObjID, idx vm.PageIdx, cb func(data []byte, found bool))
-	// PageOut writes page contents to the backing store; cb runs when
-	// stable.
-	PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, cb func())
+	PageIn(obj vm.ObjID, idx vm.PageIdx, done PageInDone)
+	// PageOut writes page contents to the backing store; done runs when
+	// they are stable.
+	PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, done PageOutDone)
 }
+
+// PageInDone is a page-in's typed completion. The caller's long-lived
+// object implements it — a manager that finds its own state by (obj, idx),
+// or a pooled operation — so a request allocates no closure; cold callers
+// wrap a func in InFunc.
+type PageInDone interface {
+	PageInDone(obj vm.ObjID, idx vm.PageIdx, data []byte, found bool)
+}
+
+// PageOutDone is a page-out's typed completion (see PageInDone); cold
+// callers wrap a func in OutFunc.
+type PageOutDone interface {
+	PageOutDone(obj vm.ObjID, idx vm.PageIdx)
+}
+
+// InFunc adapts a callback to PageInDone, the way sim.Func adapts one to
+// sim.Runnable.
+type InFunc func(data []byte, found bool)
+
+// PageInDone calls f.
+func (f InFunc) PageInDone(_ vm.ObjID, _ vm.PageIdx, data []byte, found bool) { f(data, found) }
+
+// OutFunc adapts a callback to PageOutDone.
+type OutFunc func()
+
+// PageOutDone calls f.
+func (f OutFunc) PageOutDone(vm.ObjID, vm.PageIdx) { f() }
 
 var _ PagerIO = (*Client)(nil)
 
@@ -47,13 +74,13 @@ func (s *Striped) stripe(idx vm.PageIdx) *Client {
 }
 
 // PageIn implements PagerIO.
-func (s *Striped) PageIn(obj vm.ObjID, idx vm.PageIdx, cb func(data []byte, found bool)) {
-	s.stripe(idx).PageIn(obj, idx, cb)
+func (s *Striped) PageIn(obj vm.ObjID, idx vm.PageIdx, done PageInDone) {
+	s.stripe(idx).PageIn(obj, idx, done)
 }
 
 // PageOut implements PagerIO.
-func (s *Striped) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, cb func()) {
-	s.stripe(idx).PageOut(obj, idx, data, dirty, cb)
+func (s *Striped) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, done PageOutDone) {
+	s.stripe(idx).PageOut(obj, idx, data, dirty, done)
 }
 
 var _ PagerIO = (*Striped)(nil)

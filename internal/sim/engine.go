@@ -181,6 +181,9 @@ type Engine struct {
 
 	// Executed is the total number of events executed so far.
 	Executed uint64
+
+	// locals is what packages attach to the engine (Local).
+	locals map[any]any
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -190,6 +193,23 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Local returns the value a package attached to the engine under key,
+// attaching mk() on first use. It holds state that every node one engine
+// runs shares — the message free lists, whose boxes one node takes and
+// another returns — and is meant for construction time: the engine never
+// reads it.
+func (e *Engine) Local(key any, mk func() any) any {
+	v, ok := e.locals[key]
+	if !ok {
+		if e.locals == nil {
+			e.locals = make(map[any]any)
+		}
+		v = mk()
+		e.locals[key] = v
+	}
+	return v
+}
 
 // Schedule arranges for fn to run after delay. A negative delay is treated
 // as zero. Events scheduled for the same instant run in scheduling order.

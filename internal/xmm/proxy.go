@@ -38,7 +38,7 @@ func (p *Proxy) DataUnlock(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
 func (p *Proxy) sendReq(idx vm.PageIdx, want vm.Prot) {
 	p.nd.Ctr.V[sim.CtrProxyRequests]++
 	p.nd.TR.Send(p.nd.Self, p.mgrNode, Proto, 0,
-		accessReq{Obj: p.obj, Idx: idx, Want: want, Origin: p.nd.Self})
+		p.nd.pools.req.Get(accessReq{Obj: p.obj, Idx: idx, Want: want, Origin: p.nd.Self}))
 }
 
 // DataReturn implements vm.MemoryManager. During a manager-driven flush the
@@ -65,7 +65,7 @@ func (p *Proxy) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, kep
 func (p *Proxy) Terminate(o *vm.Object) {}
 
 // handleSupply executes a manager grant against the local kernel.
-func (p *Proxy) handleSupply(msg supplyMsg) {
+func (p *Proxy) handleSupply(msg *supplyMsg) {
 	switch {
 	case msg.NoData:
 		p.nd.K.LockGrant(p.o, msg.Idx, msg.Lock)
@@ -77,23 +77,22 @@ func (p *Proxy) handleSupply(msg supplyMsg) {
 }
 
 // handleFlush executes a manager lock/flush command and acks with any
-// dirty contents.
-func (p *Proxy) handleFlush(msg flushMsg) {
+// dirty contents. The page is present exactly when LockRequest would
+// report it so: resident and not on its way out.
+func (p *Proxy) handleFlush(msg *flushMsg) {
+	pg := p.o.Lookup(msg.Idx)
+	present := pg != nil && !pg.Evicting
 	p.capturing = true
 	p.capturedData = nil
 	p.capturedDirt = false
-	var present bool
-	p.nd.K.LockRequest(p.o, msg.Idx, msg.NewLock, false, func(ok bool) { present = ok })
+	p.nd.K.LockRequest(p.o, msg.Idx, msg.NewLock, false, nil)
 	p.capturing = false
-	payload := 0
-	if p.capturedDirt {
-		payload = vm.PageSize
-	}
-	p.nd.TR.Send(p.nd.Self, p.mgrNode, Proto, payload, flushAck{
+	ack := flushAck{
 		Obj: p.obj, Idx: msg.Idx, Seq: msg.Seq,
 		Present: present, Dirty: p.capturedDirt, Data: p.capturedData,
 		From: p.nd.Self,
-	})
+	}
+	p.nd.TR.Send(p.nd.Self, p.mgrNode, Proto, ack.WireBytes(), p.nd.pools.ack.Get(ack))
 }
 
 // handleEvictAck frees the local frame once the manager has secured the

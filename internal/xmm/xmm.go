@@ -42,9 +42,24 @@ type Node struct {
 	copyPagers map[uint64]*CopyPager
 	copyObjs   map[uint64]*copyBinding
 	nextPager  uint64
+	pools      *pools
 
 	Ctr *sim.Counters
 }
+
+// pools are the free lists of XMM's hot message kinds, one set per engine
+// (xport.Pool): a proxy's request box is returned by the manager's node,
+// the manager's supply and flush boxes by the proxies' nodes. Each box is
+// recycled by its receiver once handle returns.
+type pools struct {
+	req    xport.Pool[accessReq]
+	supply xport.Pool[supplyMsg]
+	flush  xport.Pool[flushMsg]
+	ack    xport.Pool[flushAck]
+}
+
+// poolsKey attaches the pools to an engine.
+type poolsKey struct{}
 
 // NewNode creates the XMM runtime for one node and registers its transport
 // handler.
@@ -56,6 +71,7 @@ func NewNode(eng *sim.Engine, k *vm.Kernel, tr xport.Transport, copyThreads int)
 		proxies:     make(map[vm.ObjID]*Proxy),
 		copyPagers:  make(map[uint64]*CopyPager),
 		copyObjs:    make(map[uint64]*copyBinding),
+		pools:       eng.Local(poolsKey{}, func() any { return new(pools) }).(*pools),
 		Ctr:         sim.NewCounters(),
 	}
 	tr.Register(n.Self, Proto, n.handle)
@@ -70,23 +86,28 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	}
 	// Jump-table dispatch on the envelope's kind; each arm's concrete
 	// assertion is unconditional (a mismatched Kind is a construction bug).
+	// The hot kinds travel as pooled boxes, dead once their arm returns.
 	switch env.Kind() {
 	case msgAccessReq:
-		msg := m.(accessReq)
+		msg := m.(*accessReq)
 		mgr := n.managers[msg.Obj]
 		if mgr == nil {
 			panic(fmt.Sprintf("xmm: node %d is not manager of %v", n.Self, msg.Obj))
 		}
-		mgr.handleRequest(msg)
+		mgr.handleRequest(*msg)
+		n.pools.req.Put(msg)
 	case msgSupply:
-		msg := m.(supplyMsg)
+		msg := m.(*supplyMsg)
 		n.proxy(msg.Obj).handleSupply(msg)
+		n.pools.supply.Put(msg)
 	case msgFlush:
-		msg := m.(flushMsg)
+		msg := m.(*flushMsg)
 		n.proxy(msg.Obj).handleFlush(msg)
+		n.pools.flush.Put(msg)
 	case msgFlushAck:
-		msg := m.(flushAck)
+		msg := m.(*flushAck)
 		n.managers[msg.Obj].handleFlushAck(msg)
+		n.pools.ack.Put(msg)
 	case msgEvict:
 		msg := m.(evictMsg)
 		n.managers[msg.Obj].handleEvict(msg)
@@ -120,10 +141,10 @@ func (n *Node) proxy(id vm.ObjID) *Proxy {
 
 // SetupShared creates an XMM-managed shared memory object across the given
 // nodes. The manager lives on mgrIdx's node (by convention the first) and
-// reaches the backing store through io: one pager's client or a striped
-// file's round-robin set, made on the manager's node. io may be nil for
-// pure anonymous memory (zero-fill only, no pageout). Returns the per-node
-// vm objects, index aligned with nodes.
+// reaches the backing store through io, which is required: one pager's
+// client or a striped file's round-robin set, made on the manager's node
+// (anonymous memory is a pager that has no contents yet). Returns the
+// per-node vm objects, index aligned with nodes.
 func SetupShared(id vm.ObjID, sizePages vm.PageIdx, nodes []*Node, mgrIdx int, io pager.PagerIO) []*vm.Object {
 	mgrNode := nodes[mgrIdx]
 	mapping := make([]mesh.NodeID, len(nodes))

@@ -42,11 +42,13 @@ func newCluster(t *testing.T, n int, memPages int) *cluster {
 }
 
 // shared sets up a shared object across all nodes and returns per-node
-// tasks mapping it at address 0.
+// tasks mapping it at address 0. Its backing store is a free pager on
+// node 0: no disk, no costs.
 func (c *cluster) shared(t *testing.T, sizePages vm.PageIdx) []*vm.Task {
 	t.Helper()
 	id := vm.ObjID{Node: 0, Seq: 9000}
-	objs := SetupShared(id, sizePages, c.xmms, 0, nil)
+	srv := pager.NewServer(c.eng, c.tr, 0, nil, pager.Costs{}, "mem", true)
+	objs := SetupShared(id, sizePages, c.xmms, 0, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
 	tasks := make([]*vm.Task, len(c.xmms))
 	for i, x := range c.xmms {
 		task := x.K.NewTask("t")

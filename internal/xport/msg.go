@@ -18,3 +18,43 @@ type Msg interface {
 	// (page contents ride along; requests and acks are header-only).
 	WireBytes() int
 }
+
+// Pool is a free list of message boxes of one type. A protocol sends its
+// hot kinds as *T drawn from a Pool, so neither the box nor its interface
+// conversion allocates in steady state.
+//
+// The rules: a box is recycled exactly once, by its last consumer — the
+// receiver once its handler returns, or the sender when the message comes
+// back as a Nack (protocol packages state their own cases). And there is
+// one free list per engine: every node one engine runs draws from and
+// returns to the same Pool (sim.Engine.Local), because the node that takes
+// a box is rarely the node that returns it. Per-node lists would drain at
+// the senders and grow without bound at the receivers.
+type Pool[T any] struct {
+	free []*T
+
+	// Misses counts the boxes Get had to allocate.
+	Misses uint64
+}
+
+// Get boxes v, reusing a recycled box when one is available.
+func (p *Pool[T]) Get(v T) *T {
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		*b = v
+		return b
+	}
+	p.Misses++
+	b := new(T)
+	*b = v
+	return b
+}
+
+// Put recycles a dead box. The zeroing drops payload references (a page
+// snapshot lives on with its receiver; the box must not pin it).
+func (p *Pool[T]) Put(b *T) {
+	var zero T
+	*b = zero
+	p.free = append(p.free, b)
+}
