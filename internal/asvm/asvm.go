@@ -120,8 +120,9 @@ type Node struct {
 	// pools are the free lists for the hot wire kinds, shared by every
 	// node of the engine (msgPools).
 	pools *msgPools
-	// homeOps recycles the home's backing-store operations.
-	homeOps []*homeOp
+	// Free lists of this node's multi-step operations.
+	homeOps  xport.Pool[homeOp]
+	writeOps xport.Pool[writeOp]
 }
 
 // NewNode creates the ASVM runtime for one node and registers its
@@ -140,6 +141,17 @@ func NewNode(eng *sim.Engine, k *vm.Kernel, tr xport.Transport, cfg Config) *Nod
 
 // Instance returns this node's instance of a domain, or nil.
 func (n *Node) Instance(id vm.ObjID) *Instance { return n.instances[id] }
+
+// Footprint returns this node's page-state memory for a domain in bytes,
+// or 0 if it has no instance: its slot table's directory, 1 byte per page,
+// plus 448 bytes per 8-slot chunk the protocol wrote here — beside the
+// 1 byte × pages × nodes an XMM manager holds (xmm.(*Node).Footprint).
+func (n *Node) Footprint(id vm.ObjID) int64 {
+	if in := n.instances[id]; in != nil {
+		return in.slots.bytes()
+	}
+	return 0
+}
 
 func (n *Node) inst(id vm.ObjID) *Instance {
 	in := n.instances[id]

@@ -17,9 +17,9 @@ import (
 // the newest copy domain first. The push itself is the EvPushStart
 // transition (Serving → PushWait); an up-to-date page continues
 // synchronously without leaving Serving.
-func (in *Instance) pushIfNeeded(idx vm.PageIdx, cont func()) {
+func (in *Instance) pushIfNeeded(idx vm.PageIdx, cont sim.Runnable) {
 	if in.info.Copy == nil || in.slots.get(idx).version == in.info.Version {
-		cont()
+		cont.Run()
 		return
 	}
 	in.dispatch(EvPushStart, idx, cont)
@@ -29,7 +29,7 @@ func (in *Instance) pushIfNeeded(idx vm.PageIdx, cont func()) {
 // pushing the pre-write contents (paper §3.7.2); the page waits in
 // PushWait for the scan's answer. (pushScan)
 func actPushStart(in *Instance, idx vm.PageIdx, m interface{}) {
-	cont := m.(func())
+	cont := m.(sim.Runnable)
 	cInst := in.nd.instances[in.info.Copy.ID]
 	if cInst == nil {
 		panic(fmt.Sprintf("asvm: node %d shares %v but has no instance of its copy %v",
@@ -60,7 +60,7 @@ func actPushStart(in *Instance, idx vm.PageIdx, m interface{}) {
 			in.nd.Ctr.V[sim.CtrPushesCancelled]++
 		}
 		in.slot(idx).version = in.info.Version
-		cont()
+		cont.Run()
 	}
 	in.setState(idx, StPushWait)
 	// Push scan: does the copy domain already have an owner for the page?

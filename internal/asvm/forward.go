@@ -39,6 +39,9 @@ type fifoSlot struct {
 	gen uint64
 }
 
+// fifoFirstCap is the FIFO order's capacity at a cache's first Put.
+const fifoFirstCap = 64
+
 func newFIFOCache[V any](max int) *fifoCache[V] {
 	if max < 1 {
 		max = 1
@@ -71,6 +74,10 @@ func (c *fifoCache[V]) Put(idx vm.PageIdx, v V) {
 	}
 	c.gen++
 	c.m[idx] = fifoEntry[V]{v: v, gen: c.gen}
+	if c.order == nil {
+		// A cache in use holds many pages: skip append's first doublings.
+		c.order = make([]fifoSlot, 0, min(c.max, fifoFirstCap))
+	}
 	c.order = append(c.order, fifoSlot{idx: idx, gen: c.gen})
 }
 
@@ -420,35 +427,20 @@ const (
 
 // homeOp takes an operation from the node's free list.
 func (in *Instance) homeOp(kind uint8, req accessReq) *homeOp {
-	var h *homeOp
-	if n := len(in.nd.homeOps); n > 0 {
-		h = in.nd.homeOps[n-1]
-		in.nd.homeOps = in.nd.homeOps[:n-1]
-	} else {
-		h = new(homeOp)
-	}
-	*h = homeOp{in: in, kind: kind, req: req, idx: req.Idx}
-	return h
-}
-
-// release returns h to its node's free list.
-func (h *homeOp) release() {
-	nd := h.in.nd
-	*h = homeOp{}
-	nd.homeOps = append(nd.homeOps, h)
+	return in.nd.homeOps.Get(homeOp{in: in, kind: kind, req: req, idx: req.Idx})
 }
 
 // PageInDone implements pager.PageInDone.
 func (h *homeOp) PageInDone(_ vm.ObjID, _ vm.PageIdx, data []byte, found bool) {
 	in, req := h.in, h.req
-	h.release()
+	in.nd.homeOps.Put(h)
 	in.homeGrant(req, data, found)
 }
 
 // PageOutDone implements pager.PageOutDone.
 func (h *homeOp) PageOutDone(vm.ObjID, vm.PageIdx) {
 	in, kind, idx, to, seq := h.in, h.kind, h.idx, h.to, h.seq
-	h.release()
+	in.nd.homeOps.Put(h)
 	in.homeParked(idx)
 	if kind == homeOpEvict {
 		in.evictFinish(idx, -1)

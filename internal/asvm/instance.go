@@ -62,21 +62,35 @@ type slotChunk [1 << slotChunkBits]pageSlot
 // nobody wrote here reads as the zero slot (Invalid, no readers, no home
 // flags). Chunks never move, so a *pageSlot stays valid for the
 // instance's life and the protocol's completion closures may capture one.
+//
+// Chunks are handed out of slabs that double with the chunks in use, up
+// to slabChunks: first touches cost one allocation per slab, and an
+// instance that touched little holds little spare.
 type slotTable struct {
 	dir   []*slotChunk
+	slab  []slotChunk // chunks not yet handed out
+	used  int         // chunks handed out
 	pages vm.PageIdx
 }
+
+// slabChunks caps a slab: 16 chunks, 7 KB.
+const slabChunks = 16
 
 func newSlotTable(pages vm.PageIdx) slotTable {
 	return slotTable{dir: make([]*slotChunk, (pages+1<<slotChunkBits-1)>>slotChunkBits), pages: pages}
 }
 
-// at returns the page's slot for writing, allocating its chunk on first
+// at returns the page's slot for writing, handing its chunk out on first
 // use.
 func (t *slotTable) at(idx vm.PageIdx) *pageSlot {
 	c := t.dir[idx>>slotChunkBits]
 	if c == nil {
-		c = new(slotChunk)
+		if len(t.slab) == 0 {
+			t.slab = make([]slotChunk, min(max(t.used, 1), slabChunks))
+		}
+		c = &t.slab[0]
+		t.slab = t.slab[1:]
+		t.used++
 		t.dir[idx>>slotChunkBits] = c
 	}
 	return &c[idx&(1<<slotChunkBits-1)]
@@ -115,15 +129,11 @@ func (t *slotTable) each(fn func(idx vm.PageIdx, sl *pageSlot) bool) {
 	}
 }
 
-// bytes is the table's host memory: the directory and its chunks.
+// bytes is the table's page state: the directory and the chunks handed
+// out (a slab's spare chunks, fewer than slabChunks, are not counted).
 func (t *slotTable) bytes() int64 {
-	n := int64(len(t.dir)) * int64(unsafe.Sizeof((*slotChunk)(nil)))
-	for _, c := range t.dir {
-		if c != nil {
-			n += int64(unsafe.Sizeof(*c))
-		}
-	}
-	return n
+	return int64(len(t.dir))*int64(unsafe.Sizeof((*slotChunk)(nil))) +
+		int64(t.used)*int64(unsafe.Sizeof(slotChunk{}))
 }
 
 // slotSide is a page's side-table entry, made the first time the page
@@ -523,14 +533,14 @@ func (in *Instance) handleOwnerUpdate(u ownerUpdate) {
 // invalBatch tracks one round of reader invalidations. Batches are stored
 // by value in pendInval and the completion steps (back to Serving, reader
 // list cleared) run in completeInvalTarget, so a round costs no batch box
-// and no wrapper closure — only cont, the caller's own continuation; the
-// await list itself comes from a per-instance free list. await names the
+// and no closure — cont is the write grant's pooled writeOp; the await
+// list itself comes from a per-instance free list. await names the
 // readers whose acks are still due, so a crashed reader's slot can be
 // completed for it by the failure machinery.
 type invalBatch struct {
 	idx   vm.PageIdx
 	await []mesh.NodeID
-	cont  func()
+	cont  sim.Runnable
 }
 
 // xferWait is one outstanding ownership-transfer/page-offer completion:
@@ -570,7 +580,7 @@ func (in *Instance) clearReaders(idx vm.PageIdx) {
 // the Serving window (transitions 6/7). The reader set iterates in
 // ascending NodeID order, so the invalidation fan-out order is
 // deterministic with no sort.
-func (in *Instance) invalidateReaders(idx vm.PageIdx, newOwner mesh.NodeID, cont func()) {
+func (in *Instance) invalidateReaders(idx vm.PageIdx, newOwner mesh.NodeID, cont sim.Runnable) {
 	sl := in.slot(idx)
 	all := sl.readers.AppendTo(&in.arena, in.invalScratch[:0])
 	targets := all[:0]
@@ -582,7 +592,7 @@ func (in *Instance) invalidateReaders(idx vm.PageIdx, newOwner mesh.NodeID, cont
 	in.invalScratch = all // keep the grown capacity for the next round
 	if len(targets) == 0 {
 		in.clearReaders(idx)
-		cont()
+		cont.Run()
 		return
 	}
 	in.seq++
@@ -664,7 +674,7 @@ func (in *Instance) completeInvalTarget(seq uint64, from mesh.NodeID) bool {
 	in.awaitFree = append(in.awaitFree, b.await)
 	in.setState(b.idx, StServing)
 	in.clearReaders(b.idx)
-	b.cont()
+	b.cont.Run()
 	return true
 }
 

@@ -126,55 +126,79 @@ func (in *Instance) serveRead(req accessReq) {
 // old contents, invalidate all readers, then grant write (with ownership
 // when the requester is remote).
 func (in *Instance) serveWrite(req accessReq) {
+	in.pushIfNeeded(req.Idx, in.nd.writeOps.Get(writeOp{in: in, req: req}))
+}
+
+// writeOp is one write grant in progress at the owner. It carries the
+// request from the push to the invalidation round and on to the grant as
+// their sim.Runnable continuation, from a per-node free list, so a write
+// grant allocates no closure.
+type writeOp struct {
+	in      *Instance
+	req     accessReq
+	pushed  bool // the push is done; the invalidation round is under way
+	upgrade bool // the requester holds a read copy: grant without contents
+}
+
+// Run implements sim.Runnable: the next step of the write grant.
+func (w *writeOp) Run() {
+	in, idx := w.in, w.req.Idx
+	if !w.pushed {
+		w.pushed = true
+		w.upgrade = in.slot(idx).readers.Contains(&in.arena, w.req.Origin)
+		in.invalidateReaders(idx, w.req.Origin, w)
+		return
+	}
+	req, upgrade := w.req, w.upgrade
+	in.nd.writeOps.Put(w)
+	in.grantWrite(req, upgrade)
+}
+
+// grantWrite ends a write grant once the readers are gone.
+func (in *Instance) grantWrite(req accessReq, upgrade bool) {
 	idx := req.Idx
-	in.pushIfNeeded(idx, func() {
-		sl := in.slot(idx)
-		upgrade := sl.readers.Contains(&in.arena, req.Origin)
-		in.invalidateReaders(idx, req.Origin, func() {
-			if req.Origin == in.self() {
-				// Transition 7: our own upgrade; we stay owner.
-				in.nd.Ctr.V[sim.CtrSelfUpgrades]++
-				in.nd.K.LockGrant(in.o, idx, vm.ProtWrite)
-				if pg := in.o.Pages[idx]; pg != nil {
-					pg.Dirty = true
-				}
-				in.opDone(idx)
-				return
-			}
-			// Transitions 4/6: grant write and transfer ownership.
-			pg := in.o.Pages[idx]
-			g := grantMsg{
-				Obj: req.Target, Idx: idx, Lock: vm.ProtWrite,
-				Ownership: true, Version: sl.version, From: in.self(),
-			}
-			if !upgrade {
-				if pg == nil {
-					// Our copy vanished mid-protocol (cancelled eviction
-					// lost the race): fall back to retrying the request.
-					g.Retry = true
-				} else {
-					g.Data = copyData(pg.Data)
-					g.HasData = true
-				}
-			}
-			in.nd.Ctr.V[sim.CtrWriteGrants]++
-			if in.nd.Trace.on {
-				in.trace("t xfer: node %d grants ownership of %v p%d to %d (upgrade=%v)", in.self(), in.info.ID, idx, req.Origin, upgrade)
-			}
-			in.sendGrant(req.Origin, g)
-			if g.Retry {
-				in.opDone(idx)
-				return
-			}
-			// Drop our copy; the contents just left with the grant.
-			in.transferring = true
-			in.nd.K.LockRequest(in.o, idx, vm.ProtNone, false, nil)
-			in.transferring = false
-			in.leaveOwner(idx)
-			in.dyn.Put(idx, req.Origin)
-			in.opDone(idx)
-		})
-	})
+	if req.Origin == in.self() {
+		// Transition 7: our own upgrade; we stay owner.
+		in.nd.Ctr.V[sim.CtrSelfUpgrades]++
+		in.nd.K.LockGrant(in.o, idx, vm.ProtWrite)
+		if pg := in.o.Pages[idx]; pg != nil {
+			pg.Dirty = true
+		}
+		in.opDone(idx)
+		return
+	}
+	// Transitions 4/6: grant write and transfer ownership.
+	pg := in.o.Pages[idx]
+	g := grantMsg{
+		Obj: req.Target, Idx: idx, Lock: vm.ProtWrite,
+		Ownership: true, Version: in.slot(idx).version, From: in.self(),
+	}
+	if !upgrade {
+		if pg == nil {
+			// Our copy vanished mid-protocol (cancelled eviction lost the
+			// race): fall back to retrying the request.
+			g.Retry = true
+		} else {
+			g.Data = copyData(pg.Data)
+			g.HasData = true
+		}
+	}
+	in.nd.Ctr.V[sim.CtrWriteGrants]++
+	if in.nd.Trace.on {
+		in.trace("t xfer: node %d grants ownership of %v p%d to %d (upgrade=%v)", in.self(), in.info.ID, idx, req.Origin, upgrade)
+	}
+	in.sendGrant(req.Origin, g)
+	if g.Retry {
+		in.opDone(idx)
+		return
+	}
+	// Drop our copy; the contents just left with the grant.
+	in.transferring = true
+	in.nd.K.LockRequest(in.o, idx, vm.ProtNone, false, nil)
+	in.transferring = false
+	in.leaveOwner(idx)
+	in.dyn.Put(idx, req.Origin)
+	in.opDone(idx)
 }
 
 // servePull answers a request that originated in a copy object and was

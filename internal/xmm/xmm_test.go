@@ -25,6 +25,11 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, memPages int) *cluster {
 	t.Helper()
+	return buildCluster(n, memPages, true)
+}
+
+// buildCluster is newCluster with the kernels' data tracking chosen.
+func buildCluster(n int, memPages int, trackData bool) *cluster {
 	e := sim.NewEngine()
 	net := mesh.New(e, n, mesh.DefaultConfig(n))
 	hw := make([]*node.Node, n)
@@ -34,7 +39,7 @@ func newCluster(t *testing.T, n int, memPages int) *cluster {
 	tr := norma.New(e, net, hw, norma.DefaultCosts())
 	c := &cluster{eng: e, net: net, tr: tr, hw: hw}
 	for i := 0; i < n; i++ {
-		k := vm.NewKernel(e, mesh.NodeID(i), vm.DefaultCosts(), vm.NewPhysMem(memPages), true)
+		k := vm.NewKernel(e, mesh.NodeID(i), vm.DefaultCosts(), vm.NewPhysMem(memPages), trackData)
 		c.kerns = append(c.kerns, k)
 		c.xmms = append(c.xmms, NewNode(e, k, tr, 16))
 	}

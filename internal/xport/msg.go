@@ -19,9 +19,10 @@ type Msg interface {
 	WireBytes() int
 }
 
-// Pool is a free list of message boxes of one type. A protocol sends its
-// hot kinds as *T drawn from a Pool, so neither the box nor its interface
-// conversion allocates in steady state.
+// Pool is a free list of boxes of one type. A protocol sends its hot kinds
+// as *T drawn from a Pool, so neither the box nor its interface conversion
+// allocates in steady state; a multi-step operation pooled the same way is
+// its own continuation.
 //
 // The rules: a box is recycled exactly once, by its last consumer — the
 // receiver once its handler returns, or the sender when the message comes
