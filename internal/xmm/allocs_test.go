@@ -77,20 +77,30 @@ func TestFaultPathAllocs(t *testing.T) {
 			s.f()
 		}
 	}
-	const rounds = 20
-	var got [3]uint64
-	for i := 0; i < rounds; i++ {
-		for j, s := range steps {
-			got[j] += mallocs(s.f)
+	// A GC cycle mallocs on the runtime's own account; keep it out. The
+	// runtime can still malloc for itself now and then, so each step keeps
+	// its best of five batches: a per-fault allocation shows in every one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const rounds, batches = 20, 5
+	best := [3]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	for b := 0; b < batches; b++ {
+		var got [3]uint64
+		for i := 0; i < rounds; i++ {
+			for j, s := range steps {
+				got[j] += mallocs(s.f)
+			}
+		}
+		for j := range best {
+			best[j] = min(best[j], got[j])
 		}
 	}
 	for j, s := range steps {
-		if got[j] > rounds {
-			t.Errorf("%s: %.2f mallocs, want <= 1 (the installed vm.Page)", s.name, float64(got[j])/rounds)
+		if best[j] > rounds {
+			t.Errorf("%s: %.2f mallocs, want <= 1 (the installed vm.Page)", s.name, float64(best[j])/rounds)
 		}
 	}
 	mgr := r.c.xmms[0]
-	if mgr.Ctr.Get("mgr_dirty_to_pager") < 2*rounds || mgr.Ctr.Get("mgr_flushes") < 5*rounds {
+	if mgr.Ctr.Get("mgr_dirty_to_pager") < 2*rounds*batches || mgr.Ctr.Get("mgr_flushes") < 5*rounds*batches {
 		t.Fatalf("the cycle did not exercise the flush paths: %d dirty-to-pager, %d flushes",
 			mgr.Ctr.Get("mgr_dirty_to_pager"), mgr.Ctr.Get("mgr_flushes"))
 	}

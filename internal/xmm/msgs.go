@@ -89,28 +89,10 @@ type (
 	}
 )
 
-// Message kinds, protocol-scoped (see xport.MsgKind).
-const (
-	msgAccessReq xport.MsgKind = iota
-	msgSupply
-	msgFlush
-	msgFlushAck
-	msgEvict
-	msgEvictAck
-	msgCopyReq
-	msgCopyReply
-)
+// Payload accounting for the pooled kinds comes from the message itself: a
+// supply ships a page unless it is an upgrade (NoData) or a zero-fill
+// permission (Fresh); a flush ack ships contents only when dirty.
 
-// The xport.Msg envelope: payload accounting comes from the message
-// itself. A supply ships a page unless it is an upgrade (NoData) or a
-// zero-fill permission (Fresh); flush acks and evictions ship contents
-// only when dirty; a copy reply ships the page unless the requester may
-// zero-fill.
-
-func (accessReq) Kind() xport.MsgKind { return msgAccessReq }
-func (accessReq) WireBytes() int      { return 0 }
-
-func (supplyMsg) Kind() xport.MsgKind { return msgSupply }
 func (s supplyMsg) WireBytes() int {
 	if s.NoData || s.Fresh {
 		return 0
@@ -118,34 +100,8 @@ func (s supplyMsg) WireBytes() int {
 	return vm.PageSize
 }
 
-func (flushMsg) Kind() xport.MsgKind { return msgFlush }
-func (flushMsg) WireBytes() int      { return 0 }
-
-func (flushAck) Kind() xport.MsgKind { return msgFlushAck }
 func (a flushAck) WireBytes() int {
 	if a.Dirty {
-		return vm.PageSize
-	}
-	return 0
-}
-
-func (evictMsg) Kind() xport.MsgKind { return msgEvict }
-func (e evictMsg) WireBytes() int {
-	if e.Dirty {
-		return vm.PageSize
-	}
-	return 0
-}
-
-func (evictAck) Kind() xport.MsgKind { return msgEvictAck }
-func (evictAck) WireBytes() int      { return 0 }
-
-func (copyReq) Kind() xport.MsgKind { return msgCopyReq }
-func (copyReq) WireBytes() int      { return 0 }
-
-func (copyReply) Kind() xport.MsgKind { return msgCopyReply }
-func (r copyReply) WireBytes() int {
-	if r.Data != nil {
 		return vm.PageSize
 	}
 	return 0

@@ -80,52 +80,41 @@ func NewNode(eng *sim.Engine, k *vm.Kernel, tr xport.Transport, copyThreads int)
 
 func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	n.Ctr.V[sim.CtrMsgs]++
-	env, ok := m.(xport.Msg)
-	if !ok {
-		panic(fmt.Sprintf("xmm: unknown message %T", m))
-	}
-	// Jump-table dispatch on the envelope's kind; each arm's concrete
-	// assertion is unconditional (a mismatched Kind is a construction bug).
-	// The hot kinds travel as pooled boxes, dead once their arm returns.
-	switch env.Kind() {
-	case msgAccessReq:
-		msg := m.(*accessReq)
+	// A switch on concrete types compiles to type-word comparisons: unlike
+	// an assertion to xport.Msg, it never calls into the runtime, whose
+	// per-site assertion caches allocate as they fill. The hot kinds travel
+	// as pooled boxes, dead once their arm returns.
+	switch msg := m.(type) {
+	case *accessReq:
 		mgr := n.managers[msg.Obj]
 		if mgr == nil {
 			panic(fmt.Sprintf("xmm: node %d is not manager of %v", n.Self, msg.Obj))
 		}
 		mgr.handleRequest(*msg)
 		n.pools.req.Put(msg)
-	case msgSupply:
-		msg := m.(*supplyMsg)
+	case *supplyMsg:
 		n.proxy(msg.Obj).handleSupply(msg)
 		n.pools.supply.Put(msg)
-	case msgFlush:
-		msg := m.(*flushMsg)
+	case *flushMsg:
 		n.proxy(msg.Obj).handleFlush(msg)
 		n.pools.flush.Put(msg)
-	case msgFlushAck:
-		msg := m.(*flushAck)
+	case *flushAck:
 		n.managers[msg.Obj].handleFlushAck(msg)
 		n.pools.ack.Put(msg)
-	case msgEvict:
-		msg := m.(evictMsg)
+	case evictMsg:
 		n.managers[msg.Obj].handleEvict(msg)
-	case msgEvictAck:
-		msg := m.(evictAck)
+	case evictAck:
 		n.proxy(msg.Obj).handleEvictAck(msg)
-	case msgCopyReq:
-		msg := m.(copyReq)
+	case copyReq:
 		cp := n.copyPagers[msg.PagerID]
 		if cp == nil {
 			panic(fmt.Sprintf("xmm: no copy pager %d on node %d", msg.PagerID, n.Self))
 		}
 		cp.handleRequest(msg)
-	case msgCopyReply:
-		msg := m.(copyReply)
+	case copyReply:
 		n.copyObjs[msg.PagerID].handleReply(msg)
 	default:
-		panic(fmt.Sprintf("xmm: unknown message kind %d (%T)", env.Kind(), m))
+		panic(fmt.Sprintf("xmm: unknown message %T", m))
 	}
 }
 
