@@ -373,7 +373,7 @@ func (in *Instance) handleAtHome(req accessReq) {
 	// Pager-backed or anonymous domain.
 	hs.home = homeGranted
 	in.dyn.Put(req.Idx, req.Origin)
-	in.homePagerIn(req.Idx, in.homeOp(homeOpGrant, req))
+	in.homePagerIn(req.Idx, in.homeOp(req))
 }
 
 // homeGrant answers a request resolved at the home with what the backing
@@ -411,23 +411,15 @@ func (in *Instance) homeParked(idx vm.PageIdx) {
 // a page-in or page-out at the home allocates nothing.
 type homeOp struct {
 	in   *Instance
-	kind uint8
-	req  accessReq // homeOpGrant: the request being answered
-	idx  vm.PageIdx
-	to   mesh.NodeID // homeOpPark: the evicting node to ack
-	seq  uint64      // homeOpPark: its pageout's sequence number
+	req  accessReq   // a page-in: the request it answers; a page-out: its page
+	park bool        // a page-out of another node's eviction (toPager)
+	from mesh.NodeID // park: the evicting node to ack
+	seq  uint64      // park: its pageout's sequence number
 }
 
-// What a homeOp completes.
-const (
-	homeOpGrant uint8 = iota // a page-in answering req
-	homeOpEvict              // the home's own eviction to the pager
-	homeOpPark               // another node's eviction (toPager)
-)
-
-// homeOp takes an operation from the node's free list.
-func (in *Instance) homeOp(kind uint8, req accessReq) *homeOp {
-	return in.nd.homeOps.Get(homeOp{in: in, kind: kind, req: req, idx: req.Idx})
+// homeOp takes an operation for req from the node's free list.
+func (in *Instance) homeOp(req accessReq) *homeOp {
+	return in.nd.homeOps.Get(homeOp{in: in, req: req})
 }
 
 // PageInDone implements pager.PageInDone.
@@ -437,21 +429,22 @@ func (h *homeOp) PageInDone(_ vm.ObjID, _ vm.PageIdx, data []byte, found bool) {
 	in.homeGrant(req, data, found)
 }
 
-// PageOutDone implements pager.PageOutDone.
+// PageOutDone implements pager.PageOutDone: the home's own eviction
+// finishes, another node's is acked.
 func (h *homeOp) PageOutDone(vm.ObjID, vm.PageIdx) {
-	in, kind, idx, to, seq := h.in, h.kind, h.idx, h.to, h.seq
+	in, idx, park, from, seq := h.in, h.req.Idx, h.park, h.from, h.seq
 	in.nd.homeOps.Put(h)
 	in.homeParked(idx)
-	if kind == homeOpEvict {
+	if !park {
 		in.evictFinish(idx, -1)
 		return
 	}
-	in.send(to, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: seq})
+	in.send(from, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: seq})
 }
 
 // Run implements sim.Runnable: a page-out the home completes without the
 // pager (clean contents, or the in-memory parking store).
-func (h *homeOp) Run() { h.PageOutDone(h.in.info.ID, h.idx) }
+func (h *homeOp) Run() { h.PageOutDone(h.in.info.ID, h.req.Idx) }
 
 // homePagerIn fetches backing contents at the home: from the pager if one
 // is configured, else from the in-memory parking store.
@@ -473,7 +466,7 @@ func (in *Instance) homePagerOut(data []byte, dirty bool, h *homeOp) {
 			in.nd.Eng.ScheduleRun(0, h)
 			return
 		}
-		in.pagerCli.PageOut(in.info.ID, h.idx, data, dirty, h)
+		in.pagerCli.PageOut(in.info.ID, h.req.Idx, data, dirty, h)
 		return
 	}
 	if dirty {
@@ -481,7 +474,7 @@ func (in *Instance) homePagerOut(data []byte, dirty bool, h *homeOp) {
 		if buf == nil {
 			buf = []byte{} // metadata-only run: remember existence
 		}
-		in.store[h.idx] = buf
+		in.store[h.req.Idx] = buf
 	}
 	in.nd.Eng.ScheduleRun(0, h)
 }

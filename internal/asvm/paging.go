@@ -169,7 +169,7 @@ func (in *Instance) offerPage(idx vm.PageIdx, data []byte, dirty bool, to mesh.N
 func (in *Instance) evictToPager(idx vm.PageIdx, data []byte, dirty bool) {
 	in.nd.Ctr.V[sim.CtrEvictToPager]++
 	if in.info.Home == in.self() {
-		in.homePagerOut(data, dirty, in.homeOp(homeOpEvict, accessReq{Idx: idx}))
+		in.homePagerOut(data, dirty, in.homeOp(accessReq{Idx: idx}))
 		return
 	}
 	in.seq++
@@ -307,8 +307,8 @@ func actToPager(in *Instance, idx vm.PageIdx, m interface{}) {
 		in.send(tp.From, &toPagerAck{Obj: in.info.ID, Idx: idx, Seq: tp.Seq})
 		return
 	}
-	h := in.homeOp(homeOpPark, accessReq{Idx: idx})
-	h.to, h.seq = tp.From, tp.Seq
+	h := in.homeOp(accessReq{Idx: idx})
+	h.park, h.from, h.seq = true, tp.From, tp.Seq
 	in.homePagerOut(tp.Data, tp.Dirty, h)
 }
 

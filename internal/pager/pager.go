@@ -64,7 +64,6 @@ type op struct {
 	idx     vm.PageIdx
 	data    []byte // page-out: the contents; page-in reply: the backing copy
 	out     bool   // a page-out (else a page-in)
-	dirty   bool
 	found   bool
 	stage   uint8
 	src     mesh.NodeID
@@ -316,7 +315,7 @@ func (c *Client) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, 
 	c.nextID++
 	c.pendOut[c.nextID] = done
 	c.tr.Send(c.self, c.server, c.proto, vm.PageSize,
-		c.srv.ops.Get(op{s: c.srv, id: c.nextID, obj: obj, idx: idx, data: data, out: true, dirty: dirty, replyTo: c.replyTo}))
+		c.srv.ops.Get(op{s: c.srv, id: c.nextID, obj: obj, idx: idx, data: data, out: true, replyTo: c.replyTo}))
 }
 
 // ---------------------------------------------------------------------------
