@@ -226,11 +226,6 @@ type msgPools struct {
 	oupd  xport.Pool[ownerUpdate]
 }
 
-// misses counts the boxes the pools had to allocate.
-func (p *msgPools) misses() uint64 {
-	return p.req.Misses + p.grant.Misses + p.inval.Misses + p.iack.Misses + p.oupd.Misses
-}
-
 // msgPoolsKey attaches the pools to an engine.
 type msgPoolsKey struct{}
 

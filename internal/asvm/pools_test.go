@@ -40,3 +40,8 @@ func TestFreshGrantsStayAtColdStartPeak(t *testing.T) {
 		t.Errorf("pool misses grew from %d to %d over 1000 fresh grants", peak, got)
 	}
 }
+
+// misses counts the boxes the pools had to allocate.
+func (p *msgPools) misses() uint64 {
+	return p.req.Misses + p.grant.Misses + p.inval.Misses + p.iack.Misses + p.oupd.Misses
+}
