@@ -107,8 +107,7 @@ func actPushScanAck(in *Instance, idx vm.PageIdx, m interface{}) {
 func (in *Instance) pullLocal(req accessReq, hs *pageSlot) {
 	if hs.home.atPager() {
 		// The copy page went out to this domain's backing store.
-		hs.home |= homeGranted
-		hs.home &^= homeAtPager
+		hs.home = homeGranted
 		in.dyn.Put(req.Idx, req.Origin)
 		in.homePagerIn(req.Idx, pager.InFunc(func(data []byte, found bool) {
 			if !found {
