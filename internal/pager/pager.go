@@ -239,8 +239,6 @@ type Client struct {
 	tr      xport.Transport
 	self    mesh.NodeID
 	srv     *Server
-	server  mesh.NodeID
-	proto   xport.ProtoID
 	replyTo xport.ProtoID
 	nextID  uint64
 	pendIn  map[uint64]PageInDone
@@ -264,7 +262,6 @@ func NewClient(eng *sim.Engine, tr xport.Transport, self mesh.NodeID, server *Se
 	server.clients[self]++
 	c := &Client{
 		tr: tr, self: self, srv: server,
-		server: server.NodeID(), proto: server.Proto(),
 		replyTo: xport.RegisterProto(fmt.Sprintf("pager/%s/r%d", server.Name, server.clients[self])),
 		pendIn:  make(map[uint64]PageInDone),
 		pendOut: make(map[uint64]PageOutDone),
@@ -305,7 +302,7 @@ func (c *Client) handleReply(src mesh.NodeID, m interface{}) {
 func (c *Client) PageIn(obj vm.ObjID, idx vm.PageIdx, done PageInDone) {
 	c.nextID++
 	c.pendIn[c.nextID] = done
-	c.tr.Send(c.self, c.server, c.proto, 0,
+	c.tr.Send(c.self, c.srv.node, c.srv.proto, 0,
 		c.srv.ops.Get(op{s: c.srv, id: c.nextID, obj: obj, idx: idx, replyTo: c.replyTo}))
 }
 
@@ -314,7 +311,7 @@ func (c *Client) PageIn(obj vm.ObjID, idx vm.PageIdx, done PageInDone) {
 func (c *Client) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, done PageOutDone) {
 	c.nextID++
 	c.pendOut[c.nextID] = done
-	c.tr.Send(c.self, c.server, c.proto, vm.PageSize,
+	c.tr.Send(c.self, c.srv.node, c.srv.proto, vm.PageSize,
 		c.srv.ops.Get(op{s: c.srv, id: c.nextID, obj: obj, idx: idx, data: data, out: true, replyTo: c.replyTo}))
 }
 
