@@ -271,7 +271,7 @@ func NewClient(eng *sim.Engine, tr xport.Transport, self mesh.NodeID, server *Se
 }
 
 // handleReply completes the request a reply answers. The box goes back to
-// the server's pool first: the completion may issue the next request.
+// the server's pool first: the completion may send the next request.
 func (c *Client) handleReply(src mesh.NodeID, m interface{}) {
 	o, ok := m.(*op)
 	if !ok {
