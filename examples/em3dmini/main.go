@@ -1,7 +1,6 @@
-// Em3dmini: a small EM3D run (the paper's §4.3 application) with the
-// protocol work behind each system made visible — the messages, faults,
-// invalidations and pageouts that turn the same computation into a speedup
-// under ASVM and a slowdown under XMM.
+// Em3dmini: a small EM3D run (the paper's §4.3 application) timed on one
+// node and on four under each memory system — the same computation is a
+// speedup under ASVM and a slowdown under XMM.
 package main
 
 import (
@@ -9,8 +8,8 @@ import (
 	"log"
 	"time"
 
+	"asvm/internal/exp"
 	"asvm/internal/machine"
-	"asvm/internal/workload"
 )
 
 func main() {
@@ -22,15 +21,15 @@ func main() {
 	fmt.Printf("EM3D: %d cells, %d nodes, %d iterations (paper runs 100)\n\n", cells, nodes, iters)
 
 	// run assembles the cluster the configuration asks for and runs EM3D.
-	run := func(sys machine.System, cfg workload.EM3DConfig) (time.Duration, error) {
+	run := func(sys machine.System, cfg exp.EM3DConfig) (time.Duration, error) {
 		p := machine.DefaultParams(cfg.Nodes)
 		p.System = sys
 		p.MemMB = cfg.MemMB
 		p.Seed = cfg.Seed
-		d, _, err := workload.RunEM3D(machine.New(p), cfg)
+		d, _, err := exp.RunEM3D(machine.New(p), cfg)
 		return d, err
 	}
-	seq := workload.DefaultEM3D(cells, 1, iters)
+	seq := exp.DefaultEM3D(cells, 1, iters)
 	seq.MemMB = 0
 	seqTime, err := run(machine.SysASVM, seq)
 	if err != nil {
@@ -39,7 +38,7 @@ func main() {
 	fmt.Printf("sequential reference: %8.2f s\n", seqTime.Seconds())
 
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
-		cfg := workload.DefaultEM3D(cells, nodes, iters)
+		cfg := exp.DefaultEM3D(cells, nodes, iters)
 		d, err := run(sys, cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"asvm/internal/machine"
 	"asvm/internal/sim"
-	"asvm/internal/workload"
 )
 
 // raceBuild reports a -race test binary, whose instrumentation allocates
@@ -33,12 +32,12 @@ func TestTable3MallocsPerFault(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC cycle mallocs for itself
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
-		cfg := workload.DefaultEM3D(64000, 8, 2)
+		cfg := DefaultEM3D(64000, 8, 2)
 		cfg.Seed = 1
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		c := machine.New(em3dParams(sys, cfg))
-		if _, _, err := workload.RunEM3D(c, cfg); err != nil {
+		if _, _, err := RunEM3D(c, cfg); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -65,12 +64,12 @@ func TestFootprintLadder(t *testing.T) {
 	t.Logf("%5s %6s %14s %14s %14s %14s", "nodes", "pages", "XMM manager B", "ASVM total B", "ASVM home B", "ASVM max other B")
 	var lastOther int64
 	for _, n := range []int{8, 16, 32, 64} {
-		cfg := workload.DefaultEM3D(256000, n, 2)
+		cfg := DefaultEM3D(256000, n, 2)
 		cfg.Seed = 1
 		var xmmFP int64
 		for _, sys := range []machine.System{machine.SysXMM, machine.SysASVM} {
 			c := machine.New(em3dParams(sys, cfg))
-			_, r, err := workload.RunEM3D(c, cfg)
+			_, r, err := RunEM3D(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

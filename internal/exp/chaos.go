@@ -7,7 +7,6 @@ import (
 
 	"asvm/internal/machine"
 	"asvm/internal/sim"
-	"asvm/internal/workload"
 	"asvm/internal/xport"
 )
 
@@ -132,13 +131,13 @@ type chaosCell struct {
 // chaosCells builds the sweep grid: every workload crossed with every rate,
 // grouped by workload so each group's zero-rate row is its baseline.
 func chaosCells(rates []float64, seed uint64, quick bool) []chaosCell {
-	scs := workload.Table1Scenarios()
+	scs := table1Scenarios()
 	fileNodes := 4
-	em3d := workload.DefaultEM3D(64000, 4, 3)
+	em3d := DefaultEM3D(64000, 4, 3)
 	if quick {
 		scs = scs[:3]
 		fileNodes = 2
-		em3d = workload.DefaultEM3D(8000, 2, 2)
+		em3d = DefaultEM3D(8000, 2, 2)
 		em3d.MemMB = 8 // keep paging pressure despite the small dataset
 	}
 
@@ -150,25 +149,25 @@ func chaosCells(rates []float64, seed uint64, quick bool) []chaosCell {
 	}
 	for _, sc := range scs {
 		sc := sc
-		p := cellParams(machine.SysASVM, workload.FaultClusterSize(sc), seed)
+		p := cellParams(machine.SysASVM, faultClusterSize(sc), seed)
 		p.TrackData = true
 		add("fault: "+sc.Name, "ms", p, func(c *machine.Cluster) (float64, *machine.Region, error) {
-			lat, r, err := workload.MeasureFault(c, sc)
+			lat, r, err := faultLatency(c, sc)
 			return lat.Seconds(), r, err
 		})
 	}
-	fileParams := cellParams(machine.SysASVM, workload.FileClusterSize(fileNodes), seed)
+	fileParams := cellParams(machine.SysASVM, fileClusterSize(fileNodes), seed)
 	add(fmt.Sprintf("filebench write, %d nodes", fileNodes), "MB/s", fileParams,
 		func(c *machine.Cluster) (float64, *machine.Region, error) {
-			return workload.MeasureFileWrite(c, fileNodes)
+			return fileWriteRate(c, fileNodes)
 		})
 	add(fmt.Sprintf("filebench read, %d nodes", fileNodes), "MB/s", fileParams,
 		func(c *machine.Cluster) (float64, *machine.Region, error) {
-			return workload.MeasureFileRead(c, fileNodes)
+			return fileReadRate(c, fileNodes)
 		})
 	add(fmt.Sprintf("em3d %dc/%dn/%di", em3d.Cells, em3d.Nodes, em3d.Iters), "s", em3dParams(machine.SysASVM, em3d),
 		func(c *machine.Cluster) (float64, *machine.Region, error) {
-			d, r, err := workload.RunEM3D(c, em3d)
+			d, r, err := RunEM3D(c, em3d)
 			return d.Seconds(), r, err
 		})
 	return cells

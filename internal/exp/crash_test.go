@@ -100,8 +100,8 @@ func TestCrashReport(t *testing.T) {
 // cold and completes additional work, and the run still drains clean.
 func TestCrashCellRestartRecovers(t *testing.T) {
 	seed := uint64(3)
-	cfgPerm := CrashConfigFor(CrashCell{Crashed: 1}, seed, true)
-	cfgRest := CrashConfigFor(CrashCell{Crashed: 1, Restart: true}, seed, true)
+	cfgPerm := crashConfigFor(CrashCell{Crashed: 1}, seed, true)
+	cfgRest := crashConfigFor(CrashCell{Crashed: 1, Restart: true}, seed, true)
 	perm, err := runCrash(cfgPerm, ChaosPlanFor(0))
 	if err != nil {
 		t.Fatal(err)

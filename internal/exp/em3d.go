@@ -1,4 +1,4 @@
-package workload
+package exp
 
 import (
 	"fmt"
@@ -175,12 +175,15 @@ func planEM3D(cfg EM3DConfig) []em3dNodePlan {
 }
 
 // RunEM3D executes the benchmark on c, which must have cfg.Nodes nodes
-// (with cfg.MemMB of memory each), and returns the execution time of the
-// computation loop (initialization excluded, like the paper) and the
-// shared region.
+// (with cfg.MemMB of memory each), for at least one iteration, and returns
+// the execution time of the computation loop (initialization excluded, like
+// the paper) and the shared region.
 func RunEM3D(c *machine.Cluster, cfg EM3DConfig) (time.Duration, *machine.Region, error) {
 	if cfg.Nodes < 1 || cfg.Cells%cfg.Nodes != 0 {
-		return 0, nil, fmt.Errorf("workload: %d cells not divisible by %d nodes", cfg.Cells, cfg.Nodes)
+		return 0, nil, fmt.Errorf("exp: %d cells not divisible by %d nodes", cfg.Cells, cfg.Nodes)
+	}
+	if cfg.Iters < 1 {
+		return 0, nil, fmt.Errorf("exp: em3d needs at least 1 iteration, got %d", cfg.Iters)
 	}
 	if err := checkNodes(c, cfg.Nodes); err != nil {
 		return 0, nil, err
@@ -268,7 +271,7 @@ func RunEM3D(c *machine.Cluster, cfg EM3DConfig) (time.Duration, *machine.Region
 	var first sim.Time
 	for n := range all {
 		if ends[n] == 0 {
-			return 0, nil, fmt.Errorf("workload: em3d node %d never finished (deadlock?)", n)
+			return 0, nil, fmt.Errorf("exp: em3d node %d never finished (deadlock?)", n)
 		}
 		if n == 0 || starts[n] < first {
 			first = starts[n]

@@ -4,6 +4,13 @@
 //
 // Experiment index (DESIGN.md §4): T1 = Table 1, F10/F11 = Figures 10/11,
 // T2 = Table 2 (+ Figures 12/13), T3 = Table 3, A1..A3 = ablations.
+//
+// The paper's three workloads live here too: the page-fault latency
+// microbenchmarks (faultbench.go: Table 1, Figures 10/11), the mapped-file
+// transfer (filebench.go: Table 2) and the EM3D application (em3d.go:
+// Table 3). Every workload body programs against the portable app.Host
+// API; simhost runs it on a cluster the caller assembled with the node
+// count the workload states, and the workload rejects any other size.
 package exp
 
 import (
@@ -12,7 +19,6 @@ import (
 	"time"
 
 	"asvm/internal/machine"
-	"asvm/internal/workload"
 )
 
 // cellParams is the calibrated configuration of one experiment cell: every
@@ -27,7 +33,7 @@ func cellParams(sys machine.System, nodes int, seed uint64) machine.Params {
 
 // em3dParams is the cluster an EM3D configuration runs on: its node count,
 // per-node memory and graph seed.
-func em3dParams(sys machine.System, cfg workload.EM3DConfig) machine.Params {
+func em3dParams(sys machine.System, cfg EM3DConfig) machine.Params {
 	p := cellParams(sys, cfg.Nodes, cfg.Seed)
 	p.MemMB = cfg.MemMB
 	return p
@@ -35,10 +41,19 @@ func em3dParams(sys machine.System, cfg workload.EM3DConfig) machine.Params {
 
 // measureFault runs one fault scenario on a fresh data-tracking cluster of
 // the scenario's size.
-func measureFault(sys machine.System, sc workload.FaultScenario, seed uint64) (time.Duration, error) {
-	p := cellParams(sys, workload.FaultClusterSize(sc), seed)
+func measureFault(sys machine.System, sc faultScenario, seed uint64) (time.Duration, error) {
+	p := cellParams(sys, faultClusterSize(sc), seed)
 	p.TrackData = true
-	lat, _, err := workload.MeasureFault(machine.New(p), sc)
+	lat, _, err := faultLatency(machine.New(p), sc)
+	return lat, err
+}
+
+// measureChainFault runs Figure 11's chain of the given length on a fresh
+// data-tracking cluster of chain+1 nodes.
+func measureChainFault(sys machine.System, chain int, seed uint64) (time.Duration, error) {
+	p := cellParams(sys, chain+1, seed)
+	p.TrackData = true
+	lat, _, err := chainFaultLatency(machine.New(p), chain)
 	return lat, err
 }
 
@@ -48,7 +63,7 @@ func ms(d time.Duration) string {
 }
 
 // Table1Paper holds the paper's measured latencies (ms) row-aligned with
-// workload.Table1Scenarios.
+// table1Scenarios.
 var Table1Paper = map[machine.System][]float64{
 	machine.SysASVM: {2.24, 3.10, 8.96, 1.51, 7.75, 2.35, 2.35},
 	machine.SysXMM:  {38.42, 12.92, 72.18, 3.83, 63.72, 38.59, 10.06},
@@ -58,10 +73,10 @@ var Table1Paper = map[machine.System][]float64{
 // (7 scenarios x 2 systems) are independent simulations and run on workers
 // goroutines (see RunCells); the table is assembled in scenario order.
 func Table1(w io.Writer, seed uint64, workers int) error {
-	scs := workload.Table1Scenarios()
+	scs := table1Scenarios()
 	type cell struct {
 		sys machine.System
-		sc  workload.FaultScenario
+		sc  faultScenario
 	}
 	cells := make([]cell, 0, 2*len(scs))
 	for _, sc := range scs {
@@ -115,7 +130,7 @@ func Figure10(w io.Writer, readers []int, seed uint64, workers int) error {
 	}
 	lats, err := RunCells(workers, len(cells), func(i int) (time.Duration, error) {
 		c := cells[i]
-		lat, err := measureFault(cfgs[c.cfg].sys, workload.FaultScenario{
+		lat, err := measureFault(cfgs[c.cfg].sys, faultScenario{
 			Name: "fig10", Readers: c.r, Write: true, FaulterHasCopy: cfgs[c.cfg].upgrade,
 		}, seed)
 		if err != nil {
@@ -162,9 +177,7 @@ func Figure11(w io.Writer, chains []int, seed uint64, workers int) error {
 	systems := []machine.System{machine.SysASVM, machine.SysXMM}
 	lats, err := RunCells(workers, 2*len(chains), func(i int) (time.Duration, error) {
 		n, sys := chains[i/2], systems[i%2]
-		p := cellParams(sys, n+1, seed)
-		p.TrackData = true
-		lat, _, err := workload.MeasureChainFault(machine.New(p), n)
+		lat, err := measureChainFault(sys, n, seed)
 		if err != nil {
 			return 0, fmt.Errorf("F11 %v n=%d: %w", sys, n, err)
 		}
@@ -234,14 +247,14 @@ var Table2Series = []string{"ASVM write", "XMM write", "ASVM read", "XMM read"}
 // behind Table2, used by benchmark snapshots.
 func Table2Rates(nodes []int, seed uint64, workers int) (map[string][]float64, error) {
 	measure := func(series string, n int) (float64, error) {
-		sys, run := machine.SysASVM, workload.MeasureFileRead
+		sys, run := machine.SysASVM, fileReadRate
 		if series == "XMM write" || series == "XMM read" {
 			sys = machine.SysXMM
 		}
 		if series == "ASVM write" || series == "XMM write" {
-			run = workload.MeasureFileWrite
+			run = fileWriteRate
 		}
-		rate, _, err := run(machine.New(cellParams(sys, workload.FileClusterSize(n), seed)), n)
+		rate, _, err := run(machine.New(cellParams(sys, fileClusterSize(n), seed)), n)
 		return rate, err
 	}
 	vals, err := RunCells(workers, 4*len(nodes), func(i int) (float64, error) {
@@ -320,13 +333,13 @@ func Table3(w io.Writer, sizes, nodes []int, iters int, seed uint64, workers int
 		sys   machine.System
 		cells int
 		n     int
-		cfg   workload.EM3DConfig
+		cfg   EM3DConfig
 	}
 	var grid []cell
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
 		for _, cells := range sizes {
 			for _, n := range nodes {
-				cfg := workload.DefaultEM3D(cells, n, iters)
+				cfg := DefaultEM3D(cells, n, iters)
 				cfg.Seed = seed
 				if n == 1 {
 					cfg.MemMB = 0 // the paper's 32 MB reference node
@@ -340,7 +353,7 @@ func Table3(w io.Writer, sizes, nodes []int, iters int, seed uint64, workers int
 	}
 	durs, err := RunCells(workers, len(grid), func(i int) (time.Duration, error) {
 		c := grid[i]
-		d, _, err := workload.RunEM3D(machine.New(em3dParams(c.sys, c.cfg)), c.cfg)
+		d, _, err := RunEM3D(machine.New(em3dParams(c.sys, c.cfg)), c.cfg)
 		if err != nil {
 			return 0, fmt.Errorf("T3 %v cells=%d n=%d: %w", c.sys, c.cells, c.n, err)
 		}

@@ -1,12 +1,4 @@
-// Package workload implements the paper's three measurement workloads:
-// the basic page-fault latency microbenchmarks (Table 1, Figures 10/11),
-// the mapped-file transfer benchmark (Table 2, Figures 12/13), and the
-// EM3D application (Table 3). Every workload body programs against the
-// portable app.Host API; this package supplies the simulator harness
-// around it (role layout, measurement, the region to validate). Each
-// workload has one entry point, which runs on a cluster the caller
-// assembled with the node count the workload states.
-package workload
+package exp
 
 import (
 	"fmt"
@@ -18,8 +10,8 @@ import (
 	"asvm/internal/vm"
 )
 
-// FaultScenario describes one Table 1 row.
-type FaultScenario struct {
+// faultScenario describes one Table 1 row.
+type faultScenario struct {
 	Name string
 	// Readers is the number of nodes holding read copies before the
 	// measured fault.
@@ -34,9 +26,9 @@ type FaultScenario struct {
 	SecondReader bool
 }
 
-// Table1Scenarios returns the paper's seven rows.
-func Table1Scenarios() []FaultScenario {
-	return []FaultScenario{
+// table1Scenarios returns the paper's seven rows.
+func table1Scenarios() []faultScenario {
+	return []faultScenario{
 		{Name: "write fault, 1 read copy", Readers: 1, Write: true},
 		{Name: "write fault, 2 read copies", Readers: 2, Write: true},
 		{Name: "write fault, 64 read copies", Readers: 64, Write: true},
@@ -47,9 +39,9 @@ func Table1Scenarios() []FaultScenario {
 	}
 }
 
-// FaultClusterSize returns the node count a cluster running the scenario
+// faultClusterSize returns the node count a cluster running the scenario
 // must have.
-func FaultClusterSize(sc FaultScenario) int {
+func faultClusterSize(sc faultScenario) int {
 	n := sc.Readers + 3
 	if n < 5 {
 		n = 5
@@ -57,7 +49,7 @@ func FaultClusterSize(sc FaultScenario) int {
 	return n
 }
 
-// MeasureFault runs one scenario on c, which must have FaultClusterSize(sc)
+// faultLatency runs one scenario on c, which must have faultClusterSize(sc)
 // nodes, and returns the observed fault latency plus the benchmark region
 // for protocol-state validation. Node roles: node 0 hosts the
 // manager/home stack (remote from everyone else, like the paper's "XMM
@@ -65,8 +57,8 @@ func FaultClusterSize(sc FaultScenario) int {
 // copy is the first "read copy" of the write scenarios, which is what
 // makes the measured fault the *first* request by another node in the
 // single-copy row — and the last node faults.
-func MeasureFault(c *machine.Cluster, sc FaultScenario) (time.Duration, *machine.Region, error) {
-	if err := checkNodes(c, FaultClusterSize(sc)); err != nil {
+func faultLatency(c *machine.Cluster, sc faultScenario) (time.Duration, *machine.Region, error) {
+	if err := checkNodes(c, faultClusterSize(sc)); err != nil {
 		return 0, nil, err
 	}
 	n := c.P.Nodes
@@ -146,20 +138,20 @@ func MeasureFault(c *machine.Cluster, sc FaultScenario) (time.Duration, *machine
 		return 0, nil, err
 	}
 	if lat == 0 {
-		return 0, nil, fmt.Errorf("workload: scenario %q measured no fault", sc.Name)
+		return 0, nil, fmt.Errorf("exp: scenario %q measured no fault", sc.Name)
 	}
 	return lat, w.Region(0), nil
 }
 
-// MeasureChainFault reproduces Figure 11 on c, which must have chain+1
+// chainFaultLatency reproduces Figure 11 on c, which must have chain+1
 // nodes: a 128 KB region is initialized on node 0, a chain of copies spans
 // `chain` additional nodes (one remote fork per node), and the last node
 // faults in every page. Returned is the mean per-page fault latency and the
 // region.
-func MeasureChainFault(c *machine.Cluster, chain int) (time.Duration, *machine.Region, error) {
+func chainFaultLatency(c *machine.Cluster, chain int) (time.Duration, *machine.Region, error) {
 	const regionPages = 16 // 128 KByte
 	if chain < 1 {
-		return 0, nil, fmt.Errorf("workload: chain needs at least 1 hop")
+		return 0, nil, fmt.Errorf("exp: chain needs at least 1 hop")
 	}
 	if err := checkNodes(c, chain+1); err != nil {
 		return 0, nil, err
@@ -192,7 +184,7 @@ func MeasureChainFault(c *machine.Cluster, chain int) (time.Duration, *machine.R
 				return err
 			}
 			if v != uint64(i+1) {
-				return fmt.Errorf("workload: chain content corrupted: page %d = %d", i, v)
+				return fmt.Errorf("exp: chain content corrupted: page %d = %d", i, v)
 			}
 		}
 		mean = (cur.Now() - t0) / regionPages
@@ -208,7 +200,7 @@ func MeasureChainFault(c *machine.Cluster, chain int) (time.Duration, *machine.R
 // lays its roles out over.
 func checkNodes(c *machine.Cluster, want int) error {
 	if c.P.Nodes != want {
-		return fmt.Errorf("workload: cluster has %d nodes, want %d", c.P.Nodes, want)
+		return fmt.Errorf("exp: cluster has %d nodes, want %d", c.P.Nodes, want)
 	}
 	return nil
 }

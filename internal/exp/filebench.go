@@ -1,4 +1,4 @@
-package workload
+package exp
 
 import (
 	"fmt"
@@ -10,24 +10,24 @@ import (
 	"asvm/internal/vm"
 )
 
-// FileBenchBytes is the benchmark file size (paper §4.2: 4 MB).
-const FileBenchBytes = 4 << 20
+// fileBenchBytes is the benchmark file size (paper §4.2: 4 MB).
+const fileBenchBytes = 4 << 20
 
-// FileBenchPages is the file size in pages.
-const FileBenchPages = FileBenchBytes / vm.PageSize
+// fileBenchPages is the file size in pages.
+const fileBenchPages = fileBenchBytes / vm.PageSize
 
-// FileClusterSize returns the node count a cluster running a file
+// fileClusterSize returns the node count a cluster running a file
 // benchmark for nNodes active clients must have: one extra, so the I/O
 // node (node 0) stays off the clients.
-func FileClusterSize(nNodes int) int { return nNodes + 1 }
+func fileClusterSize(nNodes int) int { return nNodes + 1 }
 
 // fileUsers checks c against the size contract and returns the client node
 // indices 1..nNodes.
 func fileUsers(c *machine.Cluster, nNodes int) ([]int, error) {
 	if nNodes < 1 {
-		return nil, fmt.Errorf("workload: file benchmark needs at least 1 client, got %d", nNodes)
+		return nil, fmt.Errorf("exp: file benchmark needs at least 1 client, got %d", nNodes)
 	}
-	if err := checkNodes(c, FileClusterSize(nNodes)); err != nil {
+	if err := checkNodes(c, fileClusterSize(nNodes)); err != nil {
 		return nil, err
 	}
 	users := make([]int, nNodes)
@@ -37,18 +37,18 @@ func fileUsers(c *machine.Cluster, nNodes int) ([]int, error) {
 	return users, nil
 }
 
-// MeasureFileWrite reproduces Table 2's write rows on c, which must have
-// FileClusterSize(nNodes) nodes: nNodes map the same (initially empty) 4 MB
+// fileWriteRate reproduces Table 2's write rows on c, which must have
+// fileClusterSize(nNodes) nodes: nNodes map the same (initially empty) 4 MB
 // file and each writes a disjoint section using asynchronous writes (dirty
 // pages are not forced out). Returned is the mean per-node effective
 // transfer rate in MB/s and the file region.
-func MeasureFileWrite(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
+func fileWriteRate(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
 	users, err := fileUsers(c, nNodes)
 	if err != nil {
 		return 0, nil, err
 	}
 	w, err := simhost.NewWorld(c, []simhost.Spec{
-		{Name: "bench", Pages: FileBenchPages, Nodes: users, File: true},
+		{Name: "bench", Pages: fileBenchPages, Nodes: users, File: true},
 	})
 	if err != nil {
 		return 0, nil, err
@@ -57,7 +57,7 @@ func MeasureFileWrite(c *machine.Cluster, nNodes int) (float64, *machine.Region,
 		return 0, nil, err
 	}
 
-	perNode := FileBenchPages / nNodes
+	perNode := fileBenchPages / nNodes
 	times := make([]time.Duration, nNodes)
 	for i, nIdx := range users {
 		i := i
@@ -79,7 +79,7 @@ func MeasureFileWrite(c *machine.Cluster, nNodes int) (float64, *machine.Region,
 	var sumRate float64
 	for i := range times {
 		if times[i] == 0 {
-			return 0, nil, fmt.Errorf("workload: writer %d made no progress", i)
+			return 0, nil, fmt.Errorf("exp: writer %d made no progress", i)
 		}
 		bytes := float64(perNode * vm.PageSize)
 		sumRate += bytes / times[i].Seconds() / 1e6
@@ -87,17 +87,17 @@ func MeasureFileWrite(c *machine.Cluster, nNodes int) (float64, *machine.Region,
 	return sumRate / float64(nNodes), w.Region(0), nil
 }
 
-// MeasureFileRead reproduces Table 2's read rows on c, which must have
-// FileClusterSize(nNodes) nodes: nNodes read the entire preloaded 4 MB file
+// fileReadRate reproduces Table 2's read rows on c, which must have
+// fileClusterSize(nNodes) nodes: nNodes read the entire preloaded 4 MB file
 // in parallel. Returned is the mean per-node rate in MB/s and the file
 // region.
-func MeasureFileRead(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
+func fileReadRate(c *machine.Cluster, nNodes int) (float64, *machine.Region, error) {
 	users, err := fileUsers(c, nNodes)
 	if err != nil {
 		return 0, nil, err
 	}
 	w, err := simhost.NewWorld(c, []simhost.Spec{
-		{Name: "bench", Pages: FileBenchPages, Nodes: users, File: true, Preload: true},
+		{Name: "bench", Pages: fileBenchPages, Nodes: users, File: true, Preload: true},
 	})
 	if err != nil {
 		return 0, nil, err
@@ -113,9 +113,9 @@ func MeasureFileRead(c *machine.Cluster, nNodes int) (float64, *machine.Region, 
 			t0 := h.Now()
 			// Stagger starting offsets so nodes don't convoy on the same
 			// page, like independent readers would.
-			start := (i * FileBenchPages) / nNodes
-			for k := 0; k < FileBenchPages; k++ {
-				pg := (start + k) % FileBenchPages
+			start := (i * fileBenchPages) / nNodes
+			for k := 0; k < fileBenchPages; k++ {
+				pg := (start + k) % fileBenchPages
 				if _, err := h.Read(0, int64(pg*vm.PageSize)); err != nil {
 					return err
 				}
@@ -130,9 +130,9 @@ func MeasureFileRead(c *machine.Cluster, nNodes int) (float64, *machine.Region, 
 	var sumRate float64
 	for i := range times {
 		if times[i] == 0 {
-			return 0, nil, fmt.Errorf("workload: reader %d made no progress", i)
+			return 0, nil, fmt.Errorf("exp: reader %d made no progress", i)
 		}
-		sumRate += float64(FileBenchBytes) / times[i].Seconds() / 1e6
+		sumRate += float64(fileBenchBytes) / times[i].Seconds() / 1e6
 	}
 	return sumRate / float64(nNodes), w.Region(0), nil
 }

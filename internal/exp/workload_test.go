@@ -1,4 +1,4 @@
-package workload
+package exp
 
 import (
 	"encoding/binary"
@@ -10,52 +10,24 @@ import (
 	"asvm/internal/vm"
 )
 
-// newCluster assembles the nodes-node cluster a test runs one workload on.
-func newCluster(sys machine.System, nodes int, seed uint64, trackData bool) *machine.Cluster {
-	p := machine.DefaultParams(nodes)
-	p.System = sys
-	p.Seed = seed
-	p.TrackData = trackData
-	return machine.New(p)
-}
-
-func measureFault(sys machine.System, sc FaultScenario, seed uint64) (time.Duration, error) {
-	lat, _, err := MeasureFault(newCluster(sys, FaultClusterSize(sc), seed, true), sc)
-	return lat, err
-}
-
-func measureChainFault(sys machine.System, chain int) (time.Duration, error) {
-	lat, _, err := MeasureChainFault(newCluster(sys, chain+1, 1, true), chain)
-	return lat, err
-}
-
 func measureFile(run func(*machine.Cluster, int) (float64, *machine.Region, error), sys machine.System, nNodes int) (float64, error) {
-	rate, _, err := run(newCluster(sys, FileClusterSize(nNodes), 1, false), nNodes)
+	rate, _, err := run(machine.New(cellParams(sys, fileClusterSize(nNodes), 1)), nNodes)
 	return rate, err
 }
 
 func runEM3D(sys machine.System, cfg EM3DConfig) (time.Duration, error) {
-	p := machine.DefaultParams(cfg.Nodes)
-	p.System = sys
-	p.MemMB = cfg.MemMB
-	p.Seed = cfg.Seed
-	d, _, err := RunEM3D(machine.New(p), cfg)
-	return d, err
-}
-
-func runSOR(sys machine.System, cfg SORConfig) (time.Duration, error) {
-	d, _, err := RunSOR(newCluster(sys, cfg.Nodes, 1, false), cfg)
+	d, _, err := RunEM3D(machine.New(em3dParams(sys, cfg)), cfg)
 	return d, err
 }
 
 func TestTable1ScenarioCount(t *testing.T) {
-	if n := len(Table1Scenarios()); n != 7 {
+	if n := len(table1Scenarios()); n != 7 {
 		t.Fatalf("scenarios = %d, want 7 (paper Table 1 rows)", n)
 	}
 }
 
 func TestFaultASVMBeatsXMMOnEveryRow(t *testing.T) {
-	for _, sc := range Table1Scenarios() {
+	for _, sc := range table1Scenarios() {
 		if sc.Readers > 4 {
 			sc.Readers = 4 // keep the unit test fast; the bench runs full size
 		}
@@ -75,11 +47,11 @@ func TestFaultASVMBeatsXMMOnEveryRow(t *testing.T) {
 
 func TestFaultLatencyGrowsWithReaders(t *testing.T) {
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
-		lat2, err := measureFault(sys, FaultScenario{Readers: 2, Write: true}, 1)
+		lat2, err := measureFault(sys, faultScenario{Readers: 2, Write: true}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat8, err := measureFault(sys, FaultScenario{Readers: 8, Write: true}, 1)
+		lat8, err := measureFault(sys, faultScenario{Readers: 8, Write: true}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +62,7 @@ func TestFaultLatencyGrowsWithReaders(t *testing.T) {
 }
 
 func TestMeasureFaultDeterministic(t *testing.T) {
-	sc := FaultScenario{Readers: 2, Write: true}
+	sc := faultScenario{Readers: 2, Write: true}
 	a, err := measureFault(machine.SysASVM, sc, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +78,11 @@ func TestMeasureFaultDeterministic(t *testing.T) {
 
 func TestChainFaultGrowsLinearly(t *testing.T) {
 	for _, sys := range []machine.System{machine.SysASVM, machine.SysXMM} {
-		l1, err := measureChainFault(sys, 1)
+		l1, err := measureChainFault(sys, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l3, err := measureChainFault(sys, 3)
+		l3, err := measureChainFault(sys, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +94,11 @@ func TestChainFaultGrowsLinearly(t *testing.T) {
 
 func TestChainASVMMuchFlatterThanXMM(t *testing.T) {
 	slope := func(sys machine.System) time.Duration {
-		l1, err := measureChainFault(sys, 1)
+		l1, err := measureChainFault(sys, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l5, err := measureChainFault(sys, 5)
+		l5, err := measureChainFault(sys, 5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +111,11 @@ func TestChainASVMMuchFlatterThanXMM(t *testing.T) {
 }
 
 func TestFileWriteRatesDeclineWithNodes(t *testing.T) {
-	r1, err := measureFile(MeasureFileWrite, machine.SysASVM, 1)
+	r1, err := measureFile(fileWriteRate, machine.SysASVM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := measureFile(MeasureFileWrite, machine.SysASVM, 8)
+	r8, err := measureFile(fileWriteRate, machine.SysASVM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +128,19 @@ func TestFileWriteRatesDeclineWithNodes(t *testing.T) {
 }
 
 func TestFileReadASVMSustainsXMMCollapses(t *testing.T) {
-	a2, err := measureFile(MeasureFileRead, machine.SysASVM, 2)
+	a2, err := measureFile(fileReadRate, machine.SysASVM, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := measureFile(MeasureFileRead, machine.SysASVM, 8)
+	a8, err := measureFile(fileReadRate, machine.SysASVM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := measureFile(MeasureFileRead, machine.SysXMM, 2)
+	x2, err := measureFile(fileReadRate, machine.SysXMM, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x8, err := measureFile(MeasureFileRead, machine.SysXMM, 8)
+	x8, err := measureFile(fileReadRate, machine.SysXMM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,41 +247,14 @@ func TestEM3DRejectsIndivisibleCells(t *testing.T) {
 	}
 }
 
-func TestSORBothSystemsCorrectAndOrdered(t *testing.T) {
-	// The SOR halo-exchange pattern: ASVM scales, XMM pays the manager.
-	a, err := runSOR(machine.SysASVM, DefaultSOR(512, 512, 4, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := runSOR(machine.SysXMM, DefaultSOR(512, 512, 4, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a <= 0 || x <= 0 {
-		t.Fatalf("non-positive times: %v %v", a, x)
-	}
-	if x <= a {
-		t.Fatalf("XMM (%v) should be slower than ASVM (%v) on halo exchange", x, a)
-	}
-}
-
-func TestSORScalesUnderASVM(t *testing.T) {
-	seq, err := runSOR(machine.SysASVM, DefaultSOR(1024, 1024, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runSOR(machine.SysASVM, DefaultSOR(1024, 1024, 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par >= seq {
-		t.Fatalf("4-node SOR (%v) not faster than sequential (%v)", par, seq)
-	}
-}
-
-func TestSORRejectsIndivisibleRows(t *testing.T) {
-	if _, err := runSOR(machine.SysASVM, DefaultSOR(100, 100, 3, 1)); err == nil {
-		t.Fatal("100 rows on 3 nodes accepted")
+// TestEM3DRejectsNonPositiveIters pins the iteration check: with no
+// iteration there is no computation loop to time, and Table 3 would scale
+// the empty measurement to NaN or a negative zero.
+func TestEM3DRejectsNonPositiveIters(t *testing.T) {
+	for _, iters := range []int{0, -2} {
+		if _, err := runEM3D(machine.SysASVM, DefaultEM3D(8000, 4, iters)); err == nil {
+			t.Errorf("%d iterations accepted", iters)
+		}
 	}
 }
 
@@ -318,7 +263,7 @@ func TestSORRejectsIndivisibleRows(t *testing.T) {
 // faulter holds a copy) is cheaper than a plain write fault.
 func TestMeasureWriteFaultVsReadersSweep(t *testing.T) {
 	sweep := func(readers int, upgrade bool) time.Duration {
-		lat, err := measureFault(machine.SysASVM, FaultScenario{Readers: readers, Write: true, FaulterHasCopy: upgrade}, 1)
+		lat, err := measureFault(machine.SysASVM, faultScenario{Readers: readers, Write: true, FaulterHasCopy: upgrade}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,24 +282,22 @@ func TestMeasureWriteFaultVsReadersSweep(t *testing.T) {
 // workload entry point handed a cluster of the wrong size returns an
 // error instead of panicking on a missing node.
 func TestEntryPointsRejectWrongSizeCluster(t *testing.T) {
-	sc := Table1Scenarios()[0]
+	sc := table1Scenarios()[0]
 	em3d := DefaultEM3D(8000, 4, 1)
-	sor := DefaultSOR(64, 64, 4, 1)
-	crash := DefaultCrash(4, 1, 1)
+	crash := defaultCrash(4, 1, 1)
 	runs := map[string]func(c *machine.Cluster) error{
-		"MeasureFault": func(c *machine.Cluster) error { _, _, err := MeasureFault(c, sc); return err },
-		"MeasureChainFault": func(c *machine.Cluster) error {
-			_, _, err := MeasureChainFault(c, 3)
+		"faultLatency": func(c *machine.Cluster) error { _, _, err := faultLatency(c, sc); return err },
+		"chainFaultLatency": func(c *machine.Cluster) error {
+			_, _, err := chainFaultLatency(c, 3)
 			return err
 		},
-		"MeasureFileWrite": func(c *machine.Cluster) error { _, _, err := MeasureFileWrite(c, 3); return err },
-		"MeasureFileRead":  func(c *machine.Cluster) error { _, _, err := MeasureFileRead(c, 3); return err },
-		"RunEM3D":          func(c *machine.Cluster) error { _, _, err := RunEM3D(c, em3d); return err },
-		"RunSOR":           func(c *machine.Cluster) error { _, _, err := RunSOR(c, sor); return err },
-		"CrashChurn":       func(c *machine.Cluster) error { _, _, err := CrashChurn(c, crash); return err },
+		"fileWriteRate": func(c *machine.Cluster) error { _, _, err := fileWriteRate(c, 3); return err },
+		"fileReadRate":  func(c *machine.Cluster) error { _, _, err := fileReadRate(c, 3); return err },
+		"RunEM3D":       func(c *machine.Cluster) error { _, _, err := RunEM3D(c, em3d); return err },
+		"crashChurn":    func(c *machine.Cluster) error { _, _, err := crashChurn(c, crash); return err },
 	}
-	// The right sizes are 5, 4, 4, 4, 4, 4 and 4 nodes: 2 is too small for
-	// all of them, 9 too large.
+	// The right sizes are 5, 4, 4, 4, 4 and 4 nodes: 2 is too small for all
+	// of them, 9 too large.
 	for name, run := range runs {
 		for _, nodes := range []int{2, 9} {
 			func() {
@@ -363,14 +306,14 @@ func TestEntryPointsRejectWrongSizeCluster(t *testing.T) {
 						t.Errorf("%s on %d nodes panicked: %v", name, nodes, r)
 					}
 				}()
-				if err := run(newCluster(machine.SysASVM, nodes, 1, true)); err == nil {
+				if err := run(machine.New(cellParams(machine.SysASVM, nodes, 1))); err == nil {
 					t.Errorf("%s accepted a %d-node cluster", name, nodes)
 				}
 			}()
 		}
 	}
-	if _, _, err := MeasureFileWrite(newCluster(machine.SysASVM, 1, 1, false), 0); err == nil {
-		t.Error("MeasureFileWrite accepted 0 clients")
+	if _, _, err := fileWriteRate(machine.New(cellParams(machine.SysASVM, 1, 1)), 0); err == nil {
+		t.Error("fileWriteRate accepted 0 clients")
 	}
 }
 

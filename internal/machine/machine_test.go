@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"strings"
 	"testing"
 
 	"asvm/internal/sim"
@@ -358,11 +357,23 @@ func TestDestroyRegionFreesEverything(t *testing.T) {
 	}
 }
 
-func TestStatsReportRuns(t *testing.T) {
-	// Each system reports the one wire it runs on, with its traffic.
-	wire := map[System]string{SysASVM: "sts:", SysXMM: "norma:"}
-	for _, sys := range []System{SysASVM, SysXMM} {
-		c := New(testParams(4, sys))
+// TestClusterBuildsOneWire checks that a cluster carries its traffic on
+// the one wire its system's cost row asks for: NORMA-IPC under XMM and
+// under ASVM over NORMA, STS otherwise.
+func TestClusterBuildsOneWire(t *testing.T) {
+	cases := []struct {
+		sys       System
+		overNorma bool
+		wire      string
+	}{
+		{SysASVM, false, "sts"},
+		{SysXMM, false, "norma"},
+		{SysASVM, true, "norma"},
+	}
+	for _, tc := range cases {
+		p := testParams(4, tc.sys)
+		p.ASVMOverNorma = tc.overNorma
+		c := New(p)
 		r := c.NewSharedRegion("s", 4, []int{0, 1, 2, 3})
 		t0, _ := c.TaskOn(0, "t", r, 0)
 		t1, _ := c.TaskOn(1, "t", r, 0)
@@ -371,26 +382,11 @@ func TestStatsReportRuns(t *testing.T) {
 			t1.ReadU64(p, 0)
 		})
 		c.Run()
-		var sb strings.Builder
-		c.StatsReport(&sb)
-		out := sb.String()
-		for _, want := range []string{"cluster statistics", "kernel:", "transport:", "resident pages"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("%v: report missing %q:\n%s", sys, want, out)
-			}
+		if got := c.Wire.Name(); got != tc.wire {
+			t.Errorf("%v over norma=%v: wire %q, want %q", tc.sys, tc.overNorma, got, tc.wire)
 		}
-		traffic := false
-		for _, line := range strings.Split(out, "\n") {
-			f := strings.Fields(line)
-			traffic = traffic || len(f) > 2 && f[0] == wire[sys] && f[1] != "0" && f[2] == "msgs"
-		}
-		if !traffic {
-			t.Fatalf("%v: report has no %q line with traffic:\n%s", sys, wire[sys], out)
-		}
-		for other, name := range wire {
-			if other != sys && strings.Contains(out, name) {
-				t.Fatalf("%v: report names the unused wire %q:\n%s", sys, name, out)
-			}
+		if c.Wire.Msgs == 0 {
+			t.Errorf("%v over norma=%v: no message crossed the wire", tc.sys, tc.overNorma)
 		}
 	}
 }

@@ -59,12 +59,6 @@ type Network struct {
 
 	// hopPool recycles the in-flight stage objects of SendRun.
 	hopPool []*hop
-
-	// Stats counts traffic.
-	Stats struct {
-		Messages uint64
-		Bytes    uint64
-	}
 }
 
 // New builds a network for nodes 0..n-1 using cfg.
@@ -147,8 +141,6 @@ func (h *hop) Run() {
 // (src == dst) is delivered with only the setup latency. The in-flight
 // stage is pooled, keeping the whole path allocation-free.
 func (nw *Network) SendRun(src, dst NodeID, bytes int, r sim.Runnable) {
-	nw.Stats.Messages++
-	nw.Stats.Bytes += uint64(bytes)
 	if src == dst {
 		nw.eng.ScheduleRun(nw.cfg.SetupLatency+nw.chooseExtraLatency(), r)
 		return

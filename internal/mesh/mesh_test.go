@@ -139,17 +139,6 @@ func TestOverlappingRoutesDontStall(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	e := sim.NewEngine()
-	nw := New(e, 16, testConfig())
-	send(nw, e, 0, 1, 100)
-	send(nw, e, 1, 2, 200)
-	e.Run()
-	if nw.Stats.Messages != 2 || nw.Stats.Bytes != 300 {
-		t.Fatalf("stats = %+v", nw.Stats)
-	}
-}
-
 func TestDefaultConfigFits(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 16, 64, 72, 1792} {
 		cfg := DefaultConfig(n)

@@ -54,9 +54,8 @@ type Disk struct {
 	WriteSeek      time.Duration // write positioning (+ allocation)
 	BytesPerSecond float64
 
-	// Stats.
-	Reads, Writes           uint64
-	BytesRead, BytesWritten uint64
+	// Writes counts the write operations issued.
+	Writes uint64
 }
 
 // SetWriteSeek overrides the write positioning cost.
@@ -72,20 +71,14 @@ func (d *Disk) xferTime(bytes int) time.Duration {
 // Read performs a read of the given size; r runs at completion (a closure
 // goes in as a sim.Func).
 func (d *Disk) Read(bytes int, r sim.Runnable) {
-	d.Reads++
-	d.BytesRead += uint64(bytes)
 	d.srv.DoRun(d.SeekTime+d.xferTime(bytes), r)
 }
 
 // Write performs a write of the given size; r runs at completion.
 func (d *Disk) Write(bytes int, r sim.Runnable) {
 	d.Writes++
-	d.BytesWritten += uint64(bytes)
 	d.srv.DoRun(d.WriteSeek+d.xferTime(bytes), r)
 }
 
 // Busy reports whether the disk has queued work.
 func (d *Disk) Busy() bool { return !d.srv.Idle() }
-
-// Server exposes the underlying serial server for accounting.
-func (d *Disk) Server() *sim.Server { return d.srv }

@@ -17,8 +17,8 @@ func TestDiskTiming(t *testing.T) {
 	if done != 11*time.Millisecond {
 		t.Fatalf("write done at %v, want 11ms", done)
 	}
-	if d.Writes != 1 || d.BytesWritten != 1000 {
-		t.Fatalf("stats: %d writes %d bytes", d.Writes, d.BytesWritten)
+	if d.Writes != 1 {
+		t.Fatalf("Writes = %d, want 1", d.Writes)
 	}
 }
 
@@ -38,9 +38,6 @@ func TestDiskQueues(t *testing.T) {
 		if times[i] != want {
 			t.Fatalf("ops at %v, want 10/20/30ms", times)
 		}
-	}
-	if d.Reads != 3 {
-		t.Fatalf("Reads = %d", d.Reads)
 	}
 }
 

@@ -167,11 +167,10 @@ func (q *eventQueue) shrink() {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	q      eventQueue
-	procs  []*Proc // live procs, for leak detection and KillProcs
-	halted bool
+	now   Time
+	seq   uint64
+	q     eventQueue
+	procs []*Proc // live procs, for leak detection and KillProcs
 
 	// chooser is the schedule-exploration hook (see choose.go); nil in
 	// every production run, and the hot loop pays one nil check for it.
@@ -254,16 +253,13 @@ func (e *Engine) ScheduleRunAt(at Time, r Runnable) {
 // queued for this instant (FIFO by sequence).
 func (e *Engine) wake(p *Proc) { e.ScheduleRunAt(e.now, (*procWake)(p)) }
 
-// Halt stops the run loop after the current event finishes.
-func (e *Engine) Halt() { e.halted = true }
-
 // maxTime is the largest representable deadline (Run's "no deadline").
 const maxTime = Time(1<<62 - 1)
 
-// Run executes events until no events remain or Halt is called. It returns
-// the final virtual time. When a large scenario has drained, the queue's
-// backing memory is released (see shrinkCap), so a long-lived engine does
-// not pin the high-water mark of its biggest burst.
+// Run executes events until no events remain. It returns the final virtual
+// time. When a large scenario has drained, the queue's backing memory is
+// released (see shrinkCap), so a long-lived engine does not pin the
+// high-water mark of its biggest burst.
 func (e *Engine) Run() Time {
 	t := e.RunUntil(maxTime)
 	if e.Pending() == 0 {
@@ -282,10 +278,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// RunMax executes events until the queue drains, Halt is called, or max
-// events have run — the explorer's non-termination bound. It reports
-// whether the queue drained (false means the bound was hit or the engine
-// was halted with events still pending).
+// RunMax executes events until the queue drains or max events have run —
+// the explorer's non-termination bound. It reports whether the queue
+// drained (false means the bound was hit with events still pending).
 func (e *Engine) RunMax(max uint64) bool {
 	e.run(maxTime, max)
 	return e.q.len() == 0
@@ -294,11 +289,10 @@ func (e *Engine) RunMax(max uint64) bool {
 // run is the engine's one dispatch loop, behind Run, RunUntil and RunMax.
 // It pops events in (time, seq) order — or, with a chooser installed, lets
 // the chooser order each same-timestamp cohort — until the queue drains,
-// Halt is called, max events have run, or the next event lies beyond
-// deadline (the clock then reads deadline, unless deadline is already past).
+// max events have run, or the next event lies beyond deadline (the clock
+// then reads deadline, unless deadline is already past).
 func (e *Engine) run(deadline Time, max uint64) {
-	e.halted = false
-	for ; max > 0 && e.q.len() > 0 && !e.halted; max-- {
+	for ; max > 0 && e.q.len() > 0; max-- {
 		if e.q.ev[0].at > deadline {
 			if deadline > e.now {
 				e.now = deadline

@@ -220,57 +220,6 @@ func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
 	}
 }
 
-// TestHaltInsideEvent halts from within an event handler with more events
-// queued at the same instant, and checks none of them run until resumed —
-// Halt takes effect after the current event, not after the current instant.
-func TestHaltInsideEvent(t *testing.T) {
-	e := NewEngine()
-	var ran []int
-	e.Schedule(time.Millisecond, func() {
-		ran = append(ran, 0)
-		e.Halt()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.Schedule(time.Millisecond, func() { ran = append(ran, i) })
-	}
-	e.Run()
-	if len(ran) != 1 {
-		t.Fatalf("events ran after Halt at the same instant: %v", ran)
-	}
-	if e.Now() != time.Millisecond {
-		t.Fatalf("now = %v, want 1ms", e.Now())
-	}
-	e.Run()
-	if len(ran) != 4 {
-		t.Fatalf("resume ran %v, want all four", ran)
-	}
-}
-
-// TestHaltFromProc halts the engine from inside a proc, which must park the
-// run loop without deadlocking the proc handoff.
-func TestHaltFromProc(t *testing.T) {
-	e := NewEngine()
-	var after bool
-	e.Spawn("h", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		e.Halt()
-		p.Sleep(time.Millisecond) // resumes only on the next Run
-		after = true
-	})
-	e.Run()
-	if after {
-		t.Fatal("proc ran past Halt within the same Run")
-	}
-	if e.LiveProcs() != 1 {
-		t.Fatalf("live procs = %d, want the halted sleeper", e.LiveProcs())
-	}
-	e.Run()
-	if !after || e.LiveProcs() != 0 {
-		t.Fatalf("after=%v live=%d after resume", after, e.LiveProcs())
-	}
-}
-
 // TestLiveProcsLeakDetection: a proc abandoned on a never-completed future
 // shows up in LiveProcs after the run drains — exactly how stuck protocol
 // operations are caught in tests.
@@ -460,8 +409,8 @@ func TestSameInstantFanoutFIFO(t *testing.T) {
 // random delays (including zero — same-instant chains). The generator is
 // seeded and draws only inside events, so two run loops given the same seed
 // see the exact same schedule requests for as long as they execute in the
-// same order. onExec, when non-nil, is called at the end of every event.
-func genWorkload(seed uint64, onExec, drive func(e *Engine)) []int {
+// same order.
+func genWorkload(seed uint64, drive func(e *Engine)) []int {
 	const roots, maxDepth = 20, 6
 	e := NewEngine()
 	rng := NewRNG(seed)
@@ -478,9 +427,6 @@ func genWorkload(seed uint64, onExec, drive func(e *Engine)) []int {
 					e.Schedule(Time(rng.Intn(5))*time.Microsecond, spawn(depth+1))
 				}
 			}
-			if onExec != nil {
-				onExec(e)
-			}
 		}
 	}
 	for i := 0; i < roots; i++ {
@@ -492,12 +438,13 @@ func genWorkload(seed uint64, onExec, drive func(e *Engine)) []int {
 
 // TestRunEntryPointsAgree is the randomized differential test for the run
 // loop's entry points: Run, RunMax, a run under an all-zeros Chooser, and a
-// run cut into RunUntil slices and resumed after Halts that land in the
-// middle of a same-instant cohort must all execute the exact same order.
+// run cut into slices — RunMax's event bound, which can stop in the middle
+// of a same-instant cohort, alternating with RunUntil's deadline — must all
+// execute the exact same order.
 func TestRunEntryPointsAgree(t *testing.T) {
-	midCohortHalts := 0
+	midCohortStops := 0
 	for seed := uint64(1); seed <= 60; seed++ {
-		want := genWorkload(seed, nil, func(e *Engine) {
+		want := genWorkload(seed, func(e *Engine) {
 			if !e.RunMax(1 << 40) {
 				t.Fatalf("seed %d: RunMax did not drain", seed)
 			}
@@ -509,28 +456,23 @@ func TestRunEntryPointsAgree(t *testing.T) {
 					seed, mode, len(got), len(want))
 			}
 		}
-		check("Run", genWorkload(seed, nil, func(e *Engine) { e.Run() }))
-		check("zero-Chooser Run", genWorkload(seed, nil, func(e *Engine) {
+		check("Run", genWorkload(seed, func(e *Engine) { e.Run() }))
+		check("zero-Chooser Run", genWorkload(seed, func(e *Engine) {
 			e.SetChooser(&fixedChooser{})
 			e.Run()
 		}))
-		n := 0
-		haltEveryFifth := func(e *Engine) {
-			if n++; n%5 == 0 {
-				e.Halt()
-			}
-		}
-		check("RunUntil slices with Halts", genWorkload(seed, haltEveryFifth, func(e *Engine) {
+		check("RunMax and RunUntil slices", genWorkload(seed, func(e *Engine) {
 			for e.Pending() > 0 {
-				e.RunUntil(e.Now() + 3*time.Microsecond)
+				e.RunMax(5)
 				if at, ok := e.NextEventAt(); ok && at == e.Now() {
-					midCohortHalts++
+					midCohortStops++
 				}
+				e.RunUntil(e.Now() + 3*time.Microsecond)
 			}
 		}))
 	}
-	if midCohortHalts == 0 {
-		t.Fatal("no Halt landed mid-cohort; the resume arm tested nothing")
+	if midCohortStops == 0 {
+		t.Fatal("no RunMax bound landed mid-cohort; the resume arm tested nothing")
 	}
 }
 

@@ -100,28 +100,6 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			n++
-			if n == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if n != 3 {
-		t.Fatalf("executed %d events after Halt, want 3", n)
-	}
-	// Run can be resumed.
-	e.Run()
-	if n != 10 {
-		t.Fatalf("resume after halt executed %d, want 10", n)
-	}
-}
-
 func TestExecutedCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {

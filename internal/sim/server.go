@@ -11,11 +11,6 @@ type Server struct {
 	name string
 
 	busyUntil Time
-
-	// Accounting.
-	Jobs     uint64        // total jobs accepted
-	BusyTime time.Duration // total service time accumulated
-	maxQueue time.Duration // largest backlog observed (in service time)
 }
 
 // NewServer returns an idle server.
@@ -35,12 +30,7 @@ func (s *Server) DoRun(cost time.Duration, r Runnable) Time {
 	if start < now {
 		start = now
 	}
-	if backlog := start - now; backlog > s.maxQueue {
-		s.maxQueue = backlog
-	}
 	s.busyUntil = start + cost
-	s.Jobs++
-	s.BusyTime += cost
 	s.eng.ScheduleRunAt(s.busyUntil, r)
 	return s.busyUntil
 }
@@ -51,19 +41,5 @@ func (s *Server) BusyUntil() Time { return s.busyUntil }
 // Idle reports whether the server has no queued or in-progress work.
 func (s *Server) Idle() bool { return s.busyUntil <= s.eng.Now() }
 
-// MaxBacklog returns the largest queueing delay (in service time ahead of a
-// new arrival) observed so far.
-func (s *Server) MaxBacklog() time.Duration { return s.maxQueue }
-
 // Name returns the server's diagnostic name.
 func (s *Server) Name() string { return s.name }
-
-// Utilization returns BusyTime / elapsed as a fraction (0 when no time has
-// passed).
-func (s *Server) Utilization() float64 {
-	now := s.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return s.BusyTime.Seconds() / now.Seconds()
-}

@@ -19,12 +19,6 @@ func TestServerSerializesJobs(t *testing.T) {
 			t.Fatalf("completions %v, want %v", done, want)
 		}
 	}
-	if s.Jobs != 3 {
-		t.Fatalf("Jobs = %d", s.Jobs)
-	}
-	if s.BusyTime != 30*time.Millisecond {
-		t.Fatalf("BusyTime = %v", s.BusyTime)
-	}
 }
 
 func TestServerIdleGapsDontAccumulate(t *testing.T) {
@@ -67,28 +61,5 @@ func TestServerNegativeCostClamped(t *testing.T) {
 	e.Run()
 	if !ran || e.Now() != 0 {
 		t.Fatalf("negative cost mishandled: ran=%v now=%v", ran, e.Now())
-	}
-}
-
-func TestServerBacklogTracking(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "dev")
-	s.DoRun(10*time.Millisecond, nil)
-	s.DoRun(10*time.Millisecond, nil) // arrives with 10ms backlog
-	if s.MaxBacklog() != 10*time.Millisecond {
-		t.Fatalf("MaxBacklog = %v, want 10ms", s.MaxBacklog())
-	}
-	e.Run()
-}
-
-func TestServerUtilization(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "dev")
-	s.DoRun(time.Second, nil)
-	e.Schedule(2*time.Second, func() {})
-	e.Run()
-	u := s.Utilization()
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v, want ~0.5", u)
 	}
 }
