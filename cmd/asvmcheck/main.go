@@ -47,6 +47,10 @@ func main() {
 		mincover = flag.Float64("mincover", 0, "fail unless at least this fraction of legal protocol transitions was exercised")
 	)
 	flag.Parse()
+	if err := checkFlags(*walk, *depth, *branch, *runs, *mincover); err != nil {
+		fmt.Fprintf(os.Stderr, "asvmcheck: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *replay != "" {
 		os.Exit(doReplay(*replay))
@@ -124,6 +128,22 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects budgets no run can mean: a negative count would
+// otherwise read as "the default" (a negative -walk even as "no walk"), and
+// a coverage floor outside [0, 1] is unsatisfiable or vacuous.
+func checkFlags(walk, depth, branch, runs int, mincover float64) error {
+	names := []string{"walk", "depth", "branch", "runs"}
+	for i, v := range []int{walk, depth, branch, runs} {
+		if v < 0 {
+			return fmt.Errorf("-%s %d: must not be negative", names[i], v)
+		}
+	}
+	if !(mincover >= 0 && mincover <= 1) {
+		return fmt.Errorf("-mincover %v: must be within [0, 1]", mincover)
+	}
+	return nil
 }
 
 // pick resolves the scenario set: one by name, the liveness-focused set

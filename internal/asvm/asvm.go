@@ -399,33 +399,3 @@ func AddNode(info *DomainInfo, n *Node) *Instance {
 	}
 	return newInstance(n, info, pos)
 }
-
-// actTeardown drops one page's protocol state, side entry included, as
-// its domain goes away. (teardown)
-func actTeardown(in *Instance, idx vm.PageIdx, m interface{}) {
-	delete(in.side, idx)
-	*in.slot(idx) = pageSlot{}
-}
-
-// Teardown removes a domain from every node: every page's protocol state
-// retires through the EvTeardown transition, local vm objects are
-// destroyed (frames freed) and instances dropped. The caller must have
-// quiesced the domain (no faults in flight), as with Mach's
-// memory_object_terminate.
-func Teardown(cluster Cluster, info *DomainInfo) {
-	for _, nid := range info.Mapping {
-		nd := cluster.node(nid)
-		in := nd.instances[info.ID]
-		if in == nil {
-			continue
-		}
-		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
-			if sl.state != StInvalid {
-				in.dispatch(EvTeardown, idx, nil)
-			}
-			return true
-		})
-		nd.K.DestroyObject(in.o)
-		delete(nd.instances, info.ID)
-	}
-}

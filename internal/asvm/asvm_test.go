@@ -995,46 +995,3 @@ func TestASVMLargeClusterSmoke(t *testing.T) {
 		t.Fatalf("large-cluster faults degraded: read %v write %v", first, second)
 	}
 }
-
-// TestAddNodeAfterTeardownNoDuplicate: tearing a domain down drops the
-// instances but leaves the DomainInfo's mapping ring intact, so re-adding a
-// node must reuse its ring slot rather than append a second entry (a
-// duplicate would skew static hashing and the global ring scan).
-func TestAddNodeAfterTeardownNoDuplicate(t *testing.T) {
-	c := newCluster(t, 3, 0, DefaultConfig())
-	info, _ := c.setupDomain(sharedID, 4, nil, DefaultConfig())
-	if len(info.Mapping) != 3 {
-		t.Fatalf("mapping has %d entries after setup, want 3", len(info.Mapping))
-	}
-	Teardown(c.cl(), info)
-	for _, a := range c.asvms {
-		if a.Instance(sharedID) != nil {
-			t.Fatalf("node %d still has an instance after teardown", a.Self)
-		}
-	}
-
-	// Re-add every node: the ring must keep exactly one entry per node, in
-	// the original order, and each node must get a live instance again.
-	for _, a := range c.asvms {
-		in := AddNode(info, a)
-		if in == nil || a.Instance(sharedID) != in {
-			t.Fatalf("node %d not re-established", a.Self)
-		}
-	}
-	if len(info.Mapping) != 3 {
-		t.Fatalf("mapping has %d entries after re-add, want 3: %v", len(info.Mapping), info.Mapping)
-	}
-	for i, a := range c.asvms {
-		if got := info.mappingIndex(a.Self); got != i {
-			t.Errorf("node %d at ring index %d, want %d", a.Self, got, i)
-		}
-	}
-
-	// AddNode on a live instance stays idempotent.
-	if AddNode(info, c.asvms[1]) != c.asvms[1].Instance(sharedID) {
-		t.Error("AddNode on a live instance did not return it")
-	}
-	if len(info.Mapping) != 3 {
-		t.Errorf("idempotent AddNode grew the mapping: %v", info.Mapping)
-	}
-}

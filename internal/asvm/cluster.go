@@ -8,8 +8,8 @@ import (
 
 // Cluster is a dense node directory indexed by mesh.NodeID — the O(1)
 // replacement for the `[]*Node` + nodeByID linear-scan idiom that every
-// cross-node operation (fork plumbing, crash recovery, invariant sweeps,
-// teardown) used to pay per lookup. Build it once per assembled machine
+// cross-node operation (fork plumbing, crash recovery, invariant sweeps)
+// used to pay per lookup. Build it once per assembled machine
 // (or test cluster) with NewCluster; every lookup after that is a slice
 // index. Test clusters that run ASVM runtimes on a subset of the hardware
 // nodes leave nil gaps, which ByID reports as absent.

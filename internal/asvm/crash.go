@@ -20,33 +20,8 @@ import (
 // peer dead, and Node.crashEra stays false (strict panics intact) until
 // either happens.
 
-// CrashLedger counts the degradation one crash inflicted on a domain.
-type CrashLedger struct {
-	// OwnershipLost counts pages whose ownership died with the node.
-	OwnershipLost int
-	// PagesLost counts dirty pages whose only copy died with the node —
-	// future faults see the pager's stale (but internally consistent)
-	// contents, or zero fill.
-	PagesLost int
-	// CopiesDropped counts surviving read copies invalidated because
-	// their owner died (single-source rule: with the owner gone, the
-	// pager's copy becomes the page's only authority).
-	CopiesDropped int
-	// FaultsAborted counts the dead node's own in-flight faults failed
-	// with vm.ErrNodeCrashed.
-	FaultsAborted int
-}
-
-// Add accumulates another ledger into l.
-func (l *CrashLedger) Add(o CrashLedger) {
-	l.OwnershipLost += o.OwnershipLost
-	l.PagesLost += o.PagesLost
-	l.CopiesDropped += o.CopiesDropped
-	l.FaultsAborted += o.FaultsAborted
-}
-
-// actCrash drops one page's protocol state as its node dies: identical to
-// teardown — under crash-stop, volatile state simply ceases. (crash)
+// actCrash drops one page's protocol state, side entry included, as its
+// node dies: under crash-stop, volatile state simply ceases. (crash)
 func actCrash(in *Instance, idx vm.PageIdx, m interface{}) {
 	delete(in.side, idx)
 	*in.slot(idx) = pageSlot{}
@@ -296,13 +271,13 @@ func (in *Instance) completePendingFor(dead mesh.NodeID) {
 	}
 }
 
-// CrashRecover tears a dead node out of one domain (crash-stop): the
-// ledger records what the cluster lost, survivors scrub every reference to
+// CrashRecover tears a dead node out of one domain (crash-stop): the node
+// counters count what the cluster lost, survivors scrub every reference to
 // the dead node and re-drive faults that may have died with it, and the
 // dead node's instance retires through EvCrash. The dead node keeps its
 // mapping-ring position (marked Down) so static hashing is undisturbed and
 // a restart can rejoin in place via AddNode.
-func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *CrashLedger) {
+func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID) {
 	if info.Down == nil {
 		info.Down = make(map[mesh.NodeID]bool)
 	}
@@ -325,10 +300,8 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 			if !sl.state.Owner() {
 				return true
 			}
-			led.OwnershipLost++
 			deadNd.Ctr.V[sim.CtrOwnershipLost]++
 			if pg := deadIn.o.Pages[idx]; pg != nil && pg.Dirty {
-				led.PagesLost++
 				deadNd.Ctr.V[sim.CtrPagesLost]++
 			}
 			if homeIn != nil {
@@ -348,7 +321,6 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 					rin.setState(idx, StInvalid)
 				}
 				rin.dyn.Delete(idx)
-				led.CopiesDropped++
 				rin.nd.Ctr.V[sim.CtrCopiesDropped]++
 			}
 			return true
@@ -399,20 +371,18 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID, led *Cras
 // the home's ledger says "granted" forever, every fault scans the ring for
 // an owner that does not exist, and the home's paced retry livelocks. The
 // loss is declared exactly as if the grant had bounced: the home forgets
-// the grant, its hint is dropped, and the ledger counts the ownership (and
-// dirty contents travelling with it) as dead. Run after CrashRecover so the
-// scrub cannot resurrect the hint.
-func DeadLetters(cluster Cluster, info *DomainInfo, dead mesh.NodeID, msgs []xport.AbandonedSend, led *CrashLedger) {
+// the grant, its hint is dropped, and the node counters count the
+// ownership (and dirty contents travelling with it) as dead. Run after
+// CrashRecover so the scrub cannot resurrect the hint.
+func DeadLetters(cluster Cluster, info *DomainInfo, dead mesh.NodeID, msgs []xport.AbandonedSend) {
 	deadNd := cluster.node(dead)
 	for _, as := range msgs {
 		g, ok := as.Msg.(*grantMsg)
 		if !ok || g.Obj != info.ID || !g.Ownership || g.Retry || g.Unavailable {
 			continue
 		}
-		led.OwnershipLost++
 		deadNd.Ctr.V[sim.CtrOwnershipLost]++
 		if g.HasData && !g.AtPagerCopy {
-			led.PagesLost++
 			deadNd.Ctr.V[sim.CtrPagesLost]++
 		}
 		if info.Down[info.Home] {
@@ -453,7 +423,7 @@ func (in *Instance) dropQueuedFrom(dead mesh.NodeID) {
 // it. Backing-store knowledge survives the crash at the pager itself for
 // pager-backed domains; an anonymous domain's in-memory parking store is
 // volatile and lost with the home — those pages re-resolve as fresh, the
-// crash-stop degradation the ledger counts.
+// crash-stop degradation the node counters count.
 func RebuildHome(cluster Cluster, info *DomainInfo) {
 	hin := cluster.node(info.Home).instances[info.ID]
 	if hin == nil {

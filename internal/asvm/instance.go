@@ -393,9 +393,6 @@ func (in *Instance) DataUnlock(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
 	in.dispatch(EvFaultWrite, idx, desired)
 }
 
-// Terminate implements vm.MemoryManager.
-func (in *Instance) Terminate(o *vm.Object) {}
-
 // actFault starts or widens an outstanding fault at a non-owner: remember
 // the strongest access wanted, mark the page faulting, and enter the
 // request redirector. (faultStart/faultMerge/upgradeStart)

@@ -112,7 +112,6 @@ const (
 	EvFaultWrite // kernel write miss or upgrade (DataRequest/DataUnlock)
 	EvEvict      // kernel pageout (vm.MemoryManager.DataReturn)
 	EvPushStart  // a write grant needs the pre-copy contents pushed first
-	EvTeardown   // domain teardown drops the page's protocol state
 	EvReqNack    // a forwarded request bounced off a dead node
 	EvCrash      // this node crashed: the page's state dies with it
 	EvPeerDown   // a peer was declared dead: scrub it / re-drive the fault
@@ -137,7 +136,6 @@ var protoEventNames = [NumProtoEvents]string{
 	EvFaultWrite:   "FaultWrite",
 	EvEvict:        "Evict",
 	EvPushStart:    "PushStart",
-	EvTeardown:     "Teardown",
 	EvReqNack:      "ReqNack",
 	EvCrash:        "Crash",
 	EvPeerDown:     "PeerDown",
@@ -186,7 +184,7 @@ func eventForMsgKind(k xport.MsgKind) (ProtoEvent, bool) {
 // protoAction executes one legal transition. m is the dispatch payload:
 // the incoming message for message events, and a small typed value for
 // local stimuli (vm.Prot for faults, *evictEvent for pageout, func() for
-// push starts, xport.Nack for bounces, nil for teardown).
+// push starts, xport.Nack for bounces, nil for a crash).
 type protoAction func(in *Instance, idx vm.PageIdx, m interface{})
 
 // transition is one legal (state, event) table entry. next-state logic
@@ -305,8 +303,6 @@ func init() {
 	entry(EvEvict, "evictCancel", actEvictCancel, busyStates...)
 
 	entry(EvPushStart, "pushScan", actPushStart, StServing)
-
-	entry(EvTeardown, "teardown", actTeardown, allStates...)
 
 	// A bounced request re-enters the redirector whatever our own page
 	// state is — we may even own the page by now and serve it.

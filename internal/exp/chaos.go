@@ -28,13 +28,13 @@ func ChaosPlanFor(rate float64) xport.FaultPlan {
 	if rate == 0 {
 		return xport.FaultPlan{}
 	}
-	return xport.FaultPlan{Default: xport.Rates{
+	return xport.FaultPlan{
 		Drop:     rate,
 		Dup:      rate / 2,
 		Delay:    2 * rate,
 		DelayMin: 200 * time.Microsecond,
 		DelayMax: 2 * time.Millisecond,
-	}}
+	}
 }
 
 // ChaosResult is one chaos or crash cell: the workload's own metric plus

@@ -148,12 +148,11 @@ type ScaleResult struct {
 	Mean    time.Duration
 	End     sim.Time // final virtual time
 
-	DataRequests   int64
-	FwdDynamic     int64
-	FwdStatic      int64
-	FwdGlobal      int64
-	HopEscalations int64
-	RingScanHops   int64
+	DataRequests int64
+	FwdDynamic   int64
+	FwdStatic    int64
+	FwdGlobal    int64
+	RingScanHops int64
 }
 
 // FallbackRate is the fraction of data requests that resolved through the
@@ -276,7 +275,6 @@ func RunScaleCell(cell ScaleCell) (ScaleResult, error) {
 		res.FwdDynamic += nd.Ctr.V[sim.CtrFwdDynamic]
 		res.FwdStatic += nd.Ctr.V[sim.CtrFwdStatic]
 		res.FwdGlobal += nd.Ctr.V[sim.CtrFwdGlobal]
-		res.HopEscalations += nd.Ctr.V[sim.CtrHopEscalations]
 		res.RingScanHops += nd.Ctr.V[sim.CtrRingScanHops]
 	}
 	return res, nil

@@ -209,7 +209,7 @@ var scenarios = []*Scenario{
 			// chooser picks fates, so the exact values only matter off the
 			// explorer (they are never used there — scenarios run with a
 			// chooser installed).
-			p.Fault = xport.FaultPlan{Default: xport.Rates{Drop: 0.05, Dup: 0.05}}
+			p.Fault = xport.FaultPlan{Drop: 0.05, Dup: 0.05}
 			p.Reliable = true
 			return p
 		},

@@ -44,8 +44,6 @@ type CrashStats struct {
 	// FaultsAborted counts kernel faults failed with ErrNodeCrashed at
 	// the crashing nodes themselves.
 	FaultsAborted int
-	// Ledger aggregates the protocol-level degradation across all regions.
-	Ledger asvm.CrashLedger
 }
 
 // armCrashPlan schedules the plan's fates. Called from New only when the
@@ -97,8 +95,8 @@ func (c *Cluster) NodeIsCrashed(idx int) bool { return c.crashed[idx] }
 //     in-flight frames toward it bounce back as Nacks;
 //  4. the protocol scrubs the dead node from each region it mapped
 //     (asvm.CrashRecover): survivors re-drive faults, drop its read
-//     copies, and the ledger counts the ownership and contents that died
-//     with it.
+//     copies, and the node counters count the ownership and contents that
+//     died with it.
 func (c *Cluster) CrashNode(idx int) {
 	if c.crashed[idx] {
 		return
@@ -128,10 +126,10 @@ func (c *Cluster) CrashNode(idx int) {
 		if r.info == nil || r.info.Down[n] || !r.hasNode(idx) {
 			continue
 		}
-		asvm.CrashRecover(c.proto, r.info, n, &c.CrashStats.Ledger)
+		asvm.CrashRecover(c.proto, r.info, n)
 		// Authority the dead node had in flight (undelivered ownership
 		// grants) is lost with certainty; declare it now, after the scrub.
-		asvm.DeadLetters(c.proto, r.info, n, abandoned, &c.CrashStats.Ledger)
+		asvm.DeadLetters(c.proto, r.info, n, abandoned)
 	}
 }
 

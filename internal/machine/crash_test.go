@@ -1,11 +1,12 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"asvm/internal/asvm"
 	"asvm/internal/sim"
-
 	"asvm/internal/vm"
 )
 
@@ -64,5 +65,51 @@ func TestCrashPlanEmptyIsInert(t *testing.T) {
 	c := New(p)
 	if c.Eng.Pending() != 1 {
 		t.Errorf("1-crash plan left %d events pending at build, want 1", c.Eng.Pending())
+	}
+}
+
+// TestRestartedNodeKeepsRingSlot: a crash retires the node's instance but
+// leaves the domain's mapping ring intact, so the cold rejoin on restart
+// (RestartNode → attach → asvm.AddNode) must reuse the node's ring slot
+// rather than append a second entry — a duplicate would skew static
+// hashing and the global ring scan. The home rejoins the same way.
+func TestRestartedNodeKeepsRingSlot(t *testing.T) {
+	c := New(testParams(3, SysASVM))
+	r := c.NewSharedRegion("ring", 4, []int{0, 1, 2})
+	info := r.ASVMInfo()
+	want := fmt.Sprint(info.Mapping)
+	if len(info.Mapping) != 3 {
+		t.Fatalf("mapping has %d entries after setup, want 3: %v", len(info.Mapping), info.Mapping)
+	}
+	for _, idx := range []int{1, r.Home} {
+		task, err := c.TaskOn(idx, "w", r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Spawn("w", func(p *sim.Proc) {
+			if err := task.WriteU64(p, vm.Addr(idx)*vm.PageSize, uint64(idx+1)); err != nil {
+				t.Errorf("node %d write: %v", idx, err)
+			}
+		})
+		c.Run()
+
+		c.CrashNode(idx)
+		if c.ASVMs[idx].Instance(r.ID) != nil {
+			t.Fatalf("node %d still has an instance after its crash", idx)
+		}
+		c.RestartNode(idx)
+		if got := fmt.Sprint(info.Mapping); got != want {
+			t.Fatalf("mapping after node %d restarted = %s, want %s", idx, got, want)
+		}
+		in := c.ASVMs[idx].Instance(r.ID)
+		if in == nil {
+			t.Fatalf("node %d has no instance after restart", idx)
+		}
+		if asvm.AddNode(info, c.ASVMs[idx]) != in {
+			t.Fatalf("AddNode on node %d's live instance did not return it", idx)
+		}
+		if got := fmt.Sprint(info.Mapping); got != want {
+			t.Fatalf("idempotent AddNode on node %d grew the mapping: %s, want %s", idx, got, want)
+		}
 	}
 }

@@ -222,7 +222,7 @@ func New(p Params) *Cluster {
 		c.TR = c.FaultTR
 	}
 	if p.Reliable {
-		c.RelTR = xport.NewReliable(e, c.TR, xport.ReliableConfig{})
+		c.RelTR = xport.NewReliable(e, c.TR)
 		c.TR = c.RelTR
 	}
 
@@ -469,22 +469,3 @@ func (c *Cluster) Spawn(name string, fn func(p *sim.Proc)) *sim.Proc {
 // Run drives the simulation to completion and returns the final virtual
 // time.
 func (c *Cluster) Run() sim.Time { return c.Eng.Run() }
-
-// DestroyRegion tears a shared region down on every node, freeing its
-// frames and protocol state. The region must be quiesced (no faults in
-// flight) and its tasks unmapped or abandoned.
-func (c *Cluster) DestroyRegion(r *Region) {
-	switch c.P.System {
-	case SysASVM:
-		if r.info != nil {
-			asvm.Teardown(c.proto, r.info)
-		}
-	case SysXMM:
-		nodes := make([]*xmm.Node, 0, len(r.Nodes))
-		for _, n := range r.Nodes {
-			nodes = append(nodes, c.XMMs[n])
-		}
-		xmm.Teardown(r.ID, nodes)
-	}
-	r.objs = map[int]*vm.Object{}
-}

@@ -318,45 +318,6 @@ func TestSystemsDifferentialOracle(t *testing.T) {
 	}
 }
 
-func TestDestroyRegionFreesEverything(t *testing.T) {
-	for _, sys := range []System{SysASVM, SysXMM} {
-		c := New(testParams(4, sys))
-		r := c.NewSharedRegion("gone", 16, []int{0, 1, 2, 3})
-		tasks := make([]*vm.Task, 4)
-		for i := range tasks {
-			var err error
-			tasks[i], err = c.TaskOn(i, "t", r, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.Spawn("test", func(p *sim.Proc) {
-			for i := 0; i < 16; i++ {
-				tasks[i%4].WriteU64(p, vm.Addr(i*vm.PageSize), uint64(i))
-			}
-		})
-		c.Run()
-		before := 0
-		for _, k := range c.Kerns {
-			before += k.Mem.ResidentPages
-		}
-		if before == 0 {
-			t.Fatalf("%v: nothing resident before destroy", sys)
-		}
-		c.DestroyRegion(r)
-		after := 0
-		for _, k := range c.Kerns {
-			after += k.Mem.ResidentPages
-			if k.Object(r.ID) != nil {
-				t.Fatalf("%v: object survived destroy", sys)
-			}
-		}
-		if after != 0 {
-			t.Fatalf("%v: %d pages resident after destroy", sys, after)
-		}
-	}
-}
-
 // TestClusterBuildsOneWire checks that a cluster carries its traffic on
 // the one wire its system's cost row asks for: NORMA-IPC under XMM and
 // under ASVM over NORMA, STS otherwise.

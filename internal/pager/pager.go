@@ -132,12 +132,6 @@ func NewServer(eng *sim.Engine, tr xport.Transport, ioNode mesh.NodeID, d *node.
 	return s
 }
 
-// NodeID returns the I/O node the server runs on.
-func (s *Server) NodeID() mesh.NodeID { return s.node }
-
-// Proto returns the interned transport channel the server listens on.
-func (s *Server) Proto() xport.ProtoID { return s.proto }
-
 // Preload seeds backing contents for a page without any simulated cost
 // (building initial file contents for an experiment).
 func (s *Server) Preload(obj vm.ObjID, idx vm.PageIdx, data []byte) {
@@ -357,8 +351,5 @@ func (b *Binding) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, k
 		}
 	}))
 }
-
-// Terminate implements vm.MemoryManager.
-func (b *Binding) Terminate(o *vm.Object) {}
 
 var _ vm.MemoryManager = (*Binding)(nil)

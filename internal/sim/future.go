@@ -52,10 +52,6 @@ func (f *FutureOf[T]) Reinit(e *Engine) {
 // Done reports whether the future has been completed.
 func (f *FutureOf[T]) Done() bool { return f.done }
 
-// Value returns the value the future was completed with (the zero value
-// before completion).
-func (f *FutureOf[T]) Value() T { return f.value }
-
 // Set completes the future, waking all waiting procs in arrival order.
 func (f *FutureOf[T]) Set(v T) {
 	if f.done {

@@ -116,9 +116,6 @@ func (e *Engine) KillProcs() {
 	}
 }
 
-// Engine returns the engine this proc belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 

@@ -49,9 +49,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Fork derives an independent generator, useful for giving each component
-// its own deterministic stream.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}

@@ -86,18 +86,3 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRNGForkIndependent(t *testing.T) {
-	r := NewRNG(77)
-	f := r.Fork()
-	// The fork must not replay the parent's stream.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if r.Uint64() == f.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("fork correlated with parent: %d/100 identical", same)
-	}
-}

@@ -92,21 +92,6 @@ func (s *Series) Percentile(p float64) time.Duration {
 	return sorted[rank]
 }
 
-// Stddev returns the population standard deviation in seconds.
-func (s *Series) Stddev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean().Seconds()
-	var ss float64
-	for _, d := range s.samples {
-		dev := d.Seconds() - mean
-		ss += dev * dev
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // String implements fmt.Stringer with a one-line summary.
 func (s *Series) String() string {
 	return fmt.Sprintf("%s: n=%d mean=%v min=%v max=%v",

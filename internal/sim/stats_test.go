@@ -48,21 +48,6 @@ func TestSeriesPercentile(t *testing.T) {
 	}
 }
 
-func TestSeriesStddev(t *testing.T) {
-	s := NewSeries("sd")
-	s.Add(time.Second)
-	s.Add(time.Second)
-	if s.Stddev() != 0 {
-		t.Fatalf("constant series stddev = %v", s.Stddev())
-	}
-	s2 := NewSeries("sd2")
-	s2.Add(0)
-	s2.Add(2 * time.Second)
-	if got := s2.Stddev(); got < 0.99 || got > 1.01 {
-		t.Fatalf("stddev = %v, want ~1s", got)
-	}
-}
-
 func TestCounters(t *testing.T) {
 	c := NewCounters()
 	c.V[CtrMsgs] += 3

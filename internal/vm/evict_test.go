@@ -43,8 +43,6 @@ func (d *defaultPagerStub) DataReturn(o *Object, idx PageIdx, data []byte, dirty
 	}
 }
 
-func (d *defaultPagerStub) Terminate(o *Object) {}
-
 func TestEvictionKeepsOccupancyBounded(t *testing.T) {
 	e := sim.NewEngine()
 	k := memKernel(e, 16)

@@ -107,17 +107,13 @@ func (k *Kernel) NextID() ObjID {
 // Object returns the node's representation of id, or nil.
 func (k *Kernel) Object(id ObjID) *Object { return k.objects[id] }
 
-// Objects returns the number of live objects on this node.
-func (k *Kernel) Objects() int { return len(k.objects) }
-
-// DestroyObject forgets an object (after Terminate handling).
+// DestroyObject forgets an object.
 func (k *Kernel) DestroyObject(o *Object) {
 	for idx, pg := range o.Pages {
 		if pg != nil {
 			k.removeFrame(o, PageIdx(idx))
 		}
 	}
-	o.Terminated = true
 	delete(k.objects, o.ID)
 }
 
@@ -410,9 +406,6 @@ func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
 // distributed state (cold caches) around it.
 func (k *Kernel) Restart() { k.crashed = false }
 
-// Crashed reports whether the node is currently dead.
-func (k *Kernel) Crashed() bool { return k.crashed }
-
 // Fault resolves a page fault for the calling proc: addr in map m with the
 // desired access. It blocks the proc in simulated time until the fault is
 // resolved and returns the page that satisfied it (which may belong to a
@@ -605,8 +598,6 @@ func (k *Kernel) interposeShadow(entry *Entry) {
 	sh.Shadow = orig
 	entry.Object = sh
 	entry.NeedsCopy = false
-	orig.MapRefs--
-	sh.MapRefs++
 	k.Ctr.V[sim.CtrShadowInterpose]++
 }
 

@@ -202,8 +202,6 @@ func (f *fakeMgr) DataReturn(o *Object, idx PageIdx, data []byte, dirty, kept bo
 	}
 }
 
-func (f *fakeMgr) Terminate(o *Object) {}
-
 func TestManagedFaultDataSupply(t *testing.T) {
 	e := sim.NewEngine()
 	k := testKernel(e)
@@ -454,7 +452,6 @@ func (f *livelockMgr) DataRequest(o *Object, idx PageIdx, desired Prot) {
 }
 func (f *livelockMgr) DataUnlock(o *Object, idx PageIdx, desired Prot)            {}
 func (f *livelockMgr) DataReturn(o *Object, idx PageIdx, d []byte, dr, kept bool) {}
-func (f *livelockMgr) Terminate(o *Object)                                        {}
 
 func TestFaultRetryExhaustedError(t *testing.T) {
 	// A manager that acknowledges requests but never supplies the page must

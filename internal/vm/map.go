@@ -63,22 +63,9 @@ func (m *Map) MapObject(start Addr, o *Object, offsetPages, lenPages PageIdx, pr
 		Object: o, OffsetPages: offsetPages,
 		MaxProt: prot, Inherit: inherit,
 	}
-	o.MapRefs++
 	m.entries = append(m.entries, entry)
 	sort.Slice(m.entries, func(i, j int) bool { return m.entries[i].Start < m.entries[j].Start })
 	return entry, nil
-}
-
-// Unmap removes the entry containing addr; it reports whether one existed.
-func (m *Map) Unmap(addr Addr) bool {
-	for i, e := range m.entries {
-		if addr >= e.Start && addr < e.End {
-			e.Object.MapRefs--
-			m.entries = append(m.entries[:i], m.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Lookup returns the entry containing addr, or nil.
@@ -124,7 +111,6 @@ func (m *Map) ForkLocal() *Map {
 		case InheritShare:
 			ce := &Entry{Start: e.Start, End: e.End, Object: e.Object,
 				OffsetPages: e.OffsetPages, MaxProt: e.MaxProt, Inherit: e.Inherit}
-			e.Object.MapRefs++
 			child.entries = append(child.entries, ce)
 		case InheritCopy:
 			switch e.Object.Strategy {
@@ -132,14 +118,12 @@ func (m *Map) ForkLocal() *Map {
 				cp := k.CopyAsymmetric(e.Object)
 				ce := &Entry{Start: e.Start, End: e.End, Object: cp,
 					OffsetPages: e.OffsetPages, MaxProt: e.MaxProt, Inherit: e.Inherit}
-				cp.MapRefs++
 				child.entries = append(child.entries, ce)
 			default: // symmetric (and CopyNone treated as symmetric here)
 				e.NeedsCopy = true
 				ce := &Entry{Start: e.Start, End: e.End, Object: e.Object,
 					OffsetPages: e.OffsetPages, MaxProt: e.MaxProt,
 					Inherit: e.Inherit, NeedsCopy: true}
-				e.Object.MapRefs++
 				child.entries = append(child.entries, ce)
 			}
 		}

@@ -77,15 +77,9 @@ type Object struct {
 	// manager).
 	PagedOut map[PageIdx]bool
 
-	// MapRefs counts map entries referencing this object on this node.
-	MapRefs int
-
 	// pending tracks in-flight data requests per page so concurrent faults
 	// coalesce onto one EMMI transaction.
 	pending map[PageIdx]*pendingReq
-
-	// Terminated is set once the object is torn down.
-	Terminated bool
 }
 
 // pendingReq is one in-flight data request/unlock. Records are pooled on
@@ -196,15 +190,4 @@ type MemoryManager interface {
 	// when a flush already removed the page, only until DataReturn returns
 	// — and a manager that needs it longer copies it.
 	DataReturn(o *Object, idx PageIdx, data []byte, dirty, kept bool)
-
-	// Terminate tells the manager this node no longer maps the object.
-	Terminate(o *Object)
-}
-
-// ZeroFiller is an optional MemoryManager refinement: managers return true
-// from CanZeroFill when the kernel may satisfy an initial-touch fault
-// locally instead of issuing a DataRequest. Plain pagers never allow it;
-// ASVM allows it for anonymous objects whose page is known fresh.
-type ZeroFiller interface {
-	CanZeroFill(o *Object, idx PageIdx) bool
 }

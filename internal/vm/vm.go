@@ -32,9 +32,6 @@ type Addr uint64
 // PageIdx is a page index within a memory object.
 type PageIdx int64
 
-// PageOf returns the page index containing a byte offset into an object.
-func PageOf(off int64) PageIdx { return PageIdx(off >> PageShift) }
-
 // Prot is an access right. Write implies Read.
 type Prot int
 

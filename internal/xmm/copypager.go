@@ -93,9 +93,6 @@ func (b *copyBinding) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirt
 	}
 }
 
-// Terminate implements vm.MemoryManager.
-func (b *copyBinding) Terminate(o *vm.Object) {}
-
 func (b *copyBinding) handleReply(msg copyReply) {
 	if msg.Zero {
 		b.nd.K.DataUnavailable(b.o, msg.Idx, vm.ProtRead)

@@ -61,9 +61,6 @@ func (p *Proxy) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, kep
 		evictMsg{Obj: p.obj, Idx: idx, Dirty: dirty, Data: data, From: p.nd.Self})
 }
 
-// Terminate implements vm.MemoryManager.
-func (p *Proxy) Terminate(o *vm.Object) {}
-
 // handleSupply executes a manager grant against the local kernel.
 func (p *Proxy) handleSupply(msg *supplyMsg) {
 	switch {

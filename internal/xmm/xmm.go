@@ -163,16 +163,3 @@ func (n *Node) Footprint(id vm.ObjID) int64 {
 	}
 	return 0
 }
-
-// Teardown removes a shared object from every node: proxies and the
-// manager are dropped and local vm objects destroyed. The caller must have
-// quiesced the object (no requests in flight).
-func Teardown(id vm.ObjID, nodes []*Node) {
-	for _, n := range nodes {
-		if px := n.proxies[id]; px != nil {
-			n.K.DestroyObject(px.o)
-			delete(n.proxies, id)
-		}
-		delete(n.managers, id)
-	}
-}

@@ -13,9 +13,11 @@ import (
 // event order, so a run is bit-for-bit reproducible for a fixed (plan, seed)
 // and independent of how many experiment cells run in parallel.
 
-// Rates are the fault probabilities of one directed link. A zero Rates value
-// injects nothing.
-type Rates struct {
+// FaultPlan describes the faults to inject: the same probabilities apply to
+// every directed link. The zero plan is inactive: a FaultyTransport carrying
+// it delegates every Send verbatim without drawing a single random number
+// (the provable no-op the determinism tests rely on).
+type FaultPlan struct {
 	// Drop is the probability a message is silently lost (never reaches
 	// the wire; the sender pays no cost — loss is modelled in the network).
 	Drop float64
@@ -27,44 +29,9 @@ type Rates struct {
 	DelayMin, DelayMax time.Duration
 }
 
-// active reports whether these rates can ever inject a fault.
-func (r Rates) active() bool {
-	return r.Drop > 0 || r.Dup > 0 || (r.Delay > 0 && r.DelayMax > 0)
-}
-
-// Link is a directed (src, dst) node pair.
-type Link struct {
-	Src, Dst mesh.NodeID
-}
-
-// FaultPlan describes the faults to inject: Default applies to every link,
-// Links overrides individual directed pairs. The zero plan is inactive: a
-// FaultyTransport carrying it delegates every Send verbatim without drawing
-// a single random number (the provable no-op the determinism tests rely on).
-type FaultPlan struct {
-	Default Rates
-	Links   map[Link]Rates
-}
-
 // Active reports whether the plan can inject any fault at all.
 func (p FaultPlan) Active() bool {
-	if p.Default.active() {
-		return true
-	}
-	for _, r := range p.Links {
-		if r.active() {
-			return true
-		}
-	}
-	return false
-}
-
-// rates returns the effective rates for one directed link.
-func (p FaultPlan) rates(src, dst mesh.NodeID) Rates {
-	if r, ok := p.Links[Link{src, dst}]; ok {
-		return r
-	}
-	return p.Default
+	return p.Drop > 0 || p.Dup > 0 || (p.Delay > 0 && p.DelayMax > 0)
 }
 
 // FaultyTransport wraps an inner Transport with FaultPlan-driven fault
@@ -99,16 +66,16 @@ func (t *FaultyTransport) Register(n mesh.NodeID, proto ProtoID, h Handler) {
 
 // Send implements Transport: decide the message's fate, then delegate. Each
 // configured fault class draws at most one random number, and none are drawn
-// when its rate is zero, so inactive links behave exactly like the bare
+// when its rate is zero, so an inactive plan behaves exactly like the bare
 // transport.
 func (t *FaultyTransport) Send(src, dst mesh.NodeID, proto ProtoID, payloadBytes int, m interface{}) {
-	r := t.plan.rates(src, dst)
-	if src == dst || !r.active() {
+	r := &t.plan
+	if src == dst || !r.Active() {
 		t.inner.Send(src, dst, proto, payloadBytes, m)
 		return
 	}
 	if t.eng.Exploring() {
-		t.sendChoose(src, dst, proto, payloadBytes, m, r)
+		t.sendChoose(src, dst, proto, payloadBytes, m)
 		return
 	}
 	if r.Drop > 0 && t.rng.Float64() < r.Drop {
@@ -139,7 +106,8 @@ func (t *FaultyTransport) Send(src, dst mesh.NodeID, proto ProtoID, payloadBytes
 // "deliver normally", so the default schedule is fault-free). The delay
 // alternative uses the plan's DelayMax deterministically — no RNG is
 // consumed at all while exploring, keeping replay exact.
-func (t *FaultyTransport) sendChoose(src, dst mesh.NodeID, proto ProtoID, payloadBytes int, m interface{}, r Rates) {
+func (t *FaultyTransport) sendChoose(src, dst mesh.NodeID, proto ProtoID, payloadBytes int, m interface{}) {
+	r := &t.plan
 	// Fixed class order (drop, dup, delay) so a choice index always maps to
 	// the same fate for a given plan.
 	n := 1

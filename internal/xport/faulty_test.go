@@ -97,7 +97,7 @@ func TestFaultyDropIsDeterministic(t *testing.T) {
 	run := func(seed uint64) ([]fakeSend, uint64) {
 		e := sim.NewEngine()
 		fk := newFake(e)
-		ft := NewFaulty(e, fk, FaultPlan{Default: Rates{Drop: 0.5}}, sim.NewRNG(seed))
+		ft := NewFaulty(e, fk, FaultPlan{Drop: 0.5}, sim.NewRNG(seed))
 		ft.Register(1, protoP, func(mesh.NodeID, interface{}) {})
 		for i := 0; i < 100; i++ {
 			ft.Send(0, 1, protoP, 0, i)
@@ -121,7 +121,7 @@ func TestFaultyDropIsDeterministic(t *testing.T) {
 func TestFaultyDupAndDelay(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
-	ft := NewFaulty(e, fk, FaultPlan{Default: Rates{Dup: 1}}, sim.NewRNG(1))
+	ft := NewFaulty(e, fk, FaultPlan{Dup: 1}, sim.NewRNG(1))
 	ft.Register(1, protoP, func(mesh.NodeID, interface{}) {})
 	ft.Send(0, 1, protoP, 0, "m")
 	e.Run()
@@ -132,9 +132,7 @@ func TestFaultyDupAndDelay(t *testing.T) {
 	e2 := sim.NewEngine()
 	fk2 := newFake(e2)
 	const lag = 5 * time.Millisecond
-	ft2 := NewFaulty(e2, fk2, FaultPlan{
-		Default: Rates{Delay: 1, DelayMin: lag, DelayMax: lag},
-	}, sim.NewRNG(1))
+	ft2 := NewFaulty(e2, fk2, FaultPlan{Delay: 1, DelayMin: lag, DelayMax: lag}, sim.NewRNG(1))
 	var at sim.Time
 	ft2.Register(1, protoP, func(mesh.NodeID, interface{}) { at = e2.Now() })
 	ft2.Send(0, 1, protoP, 0, "m")
@@ -147,33 +145,12 @@ func TestFaultyDupAndDelay(t *testing.T) {
 func TestFaultyLoopbackExempt(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
-	ft := NewFaulty(e, fk, FaultPlan{Default: Rates{Drop: 1}}, sim.NewRNG(1))
+	ft := NewFaulty(e, fk, FaultPlan{Drop: 1}, sim.NewRNG(1))
 	got := 0
 	ft.Register(0, protoP, func(mesh.NodeID, interface{}) { got++ })
 	ft.Send(0, 0, protoP, 0, "local")
 	e.Run()
 	if got != 1 || ft.Dropped != 0 {
 		t.Fatalf("loopback faulted: delivered=%d dropped=%d", got, ft.Dropped)
-	}
-}
-
-func TestFaultyPerLinkOverride(t *testing.T) {
-	e := sim.NewEngine()
-	fk := newFake(e)
-	plan := FaultPlan{
-		Default: Rates{Drop: 1},
-		Links:   map[Link]Rates{{Src: 0, Dst: 2}: {}}, // exempt this link
-	}
-	ft := NewFaulty(e, fk, plan, sim.NewRNG(1))
-	delivered := map[mesh.NodeID]int{}
-	for _, n := range []mesh.NodeID{1, 2} {
-		n := n
-		ft.Register(n, protoP, func(mesh.NodeID, interface{}) { delivered[n]++ })
-	}
-	ft.Send(0, 1, protoP, 0, "x")
-	ft.Send(0, 2, protoP, 0, "y")
-	e.Run()
-	if delivered[1] != 0 || delivered[2] != 1 {
-		t.Fatalf("per-link override ignored: %v (dropped=%d)", delivered, ft.Dropped)
 	}
 }

@@ -27,7 +27,7 @@ import (
 // suppresses as a duplicate and re-acks.
 
 // ErrPeerDown is the typed verdict of retransmit exhaustion: the observing
-// node has retried a frame MaxRetries times without an ack and declares the
+// node has retried a frame maxRetries times without an ack and declares the
 // destination dead. It is delivered to the observer's registered down-handler
 // (OnPeerDown); every in-flight frame toward the dead node then bounces back
 // to its sender as a Nack so the protocol above can re-route or abort.
@@ -39,45 +39,19 @@ func (e ErrPeerDown) Error() string {
 	return fmt.Sprintf("xport: peer node %d is down (retransmit exhaustion)", e.Node)
 }
 
-// ReliableConfig tunes the retry/ack layer.
-type ReliableConfig struct {
-	// RTO is the first retransmit timeout; attempt k waits min(RTO<<k,
-	// MaxRTO).
-	RTO    time.Duration
-	MaxRTO time.Duration
-	// MaxRetries bounds retransmissions of one message; exceeding it means
-	// the observer declares the destination down (ErrPeerDown) and every
-	// pending frame toward it bounces back as a Nack. Deterministic chaos
-	// plans with loss rates well below 1 never get close; only a genuinely
-	// crashed peer exhausts the schedule.
-	MaxRetries int
-}
-
-// DefaultReliableConfig returns timeouts sized for the simulated Paragon:
-// an STS round trip is a few hundred microseconds, so 4 ms catches a loss
-// quickly without retransmitting under ordinary queueing delay.
-func DefaultReliableConfig() ReliableConfig {
-	return ReliableConfig{
-		RTO:        4 * time.Millisecond,
-		MaxRTO:     64 * time.Millisecond,
-		MaxRetries: 30,
-	}
-}
-
-// withDefaults fills zero fields.
-func (c ReliableConfig) withDefaults() ReliableConfig {
-	d := DefaultReliableConfig()
-	if c.RTO <= 0 {
-		c.RTO = d.RTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = d.MaxRTO
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	return c
-}
+// The retransmit schedule, sized for the simulated Paragon: an STS round
+// trip is a few hundred microseconds, so a 4 ms first timeout catches a loss
+// quickly without retransmitting under ordinary queueing delay. Attempt k
+// waits min(rto<<k, maxRTO). maxRetries bounds retransmissions of one
+// message; exceeding it means the observer declares the destination down
+// (ErrPeerDown) and every pending frame toward it bounces back as a Nack.
+// Deterministic chaos plans with loss rates well below 1 never get close;
+// only a genuinely crashed peer exhausts the schedule.
+const (
+	rto        = 4 * time.Millisecond
+	maxRTO     = 64 * time.Millisecond
+	maxRetries = 30
+)
 
 // relFrame wraps an application message with its per-link sequence number
 // and both endpoints' incarnations at send time. A frame stamped with a
@@ -157,7 +131,6 @@ type relRecvState struct {
 type Reliable struct {
 	inner Transport
 	eng   *sim.Engine
-	cfg   ReliableConfig
 
 	send   map[relLink]*relSendState
 	recv   map[relLink]*relRecvState
@@ -179,7 +152,6 @@ type Reliable struct {
 	AcksSent       uint64
 	Nacks          uint64
 	PeersDowned    uint64
-	FastFails      uint64
 	StaleDrops     uint64
 	// DeliveredFlushed counts pending frames completed silently during a
 	// bounce flush because the delivery record shows the destination already
@@ -188,9 +160,9 @@ type Reliable struct {
 }
 
 // NewReliable layers reliability over inner.
-func NewReliable(e *sim.Engine, inner Transport, cfg ReliableConfig) *Reliable {
+func NewReliable(e *sim.Engine, inner Transport) *Reliable {
 	return &Reliable{
-		inner: inner, eng: e, cfg: cfg.withDefaults(),
+		inner: inner, eng: e,
 		send:   make(map[relLink]*relSendState),
 		recv:   make(map[relLink]*relRecvState),
 		ackReg: make(map[mesh.NodeID]bool),
@@ -278,7 +250,6 @@ func (r *Reliable) Send(src, dst mesh.NodeID, proto ProtoID, payloadBytes int, m
 		return // a crashed node sends nothing
 	}
 	if r.down[relObs{src, dst}] {
-		r.FastFails++
 		r.inner.Send(src, src, proto, 0, relBounce{Nack{Dst: dst, Proto: proto, Msg: m}})
 		return
 	}
@@ -313,14 +284,14 @@ func (r *Reliable) Send(src, dst mesh.NodeID, proto ProtoID, payloadBytes int, m
 	r.armRetry(link, ss, seq, pm)
 }
 
-// RetryWait returns the backoff before the retransmit that follows `attempts`
-// prior transmissions: min(RTO << attempts, MaxRTO), with shift overflow
-// clamped to MaxRTO. Exposed so the schedule is pinned by a golden test —
-// retuning it should be a visible diff, not a silent behavior change.
-func (c ReliableConfig) RetryWait(attempts int) time.Duration {
-	wait := c.RTO << uint(attempts)
-	if wait > c.MaxRTO || wait <= 0 {
-		wait = c.MaxRTO
+// retryWait returns the backoff before the retransmit that follows
+// `attempts` prior transmissions: min(rto << attempts, maxRTO), with shift
+// overflow clamped to maxRTO. A golden test pins the schedule — retuning it
+// should be a visible diff, not a silent behavior change.
+func retryWait(attempts int) time.Duration {
+	wait := rto << uint(attempts)
+	if wait > maxRTO || wait <= 0 {
+		wait = maxRTO
 	}
 	return wait
 }
@@ -329,12 +300,12 @@ func (c ReliableConfig) RetryWait(attempts int) time.Duration {
 // engine has no event cancellation: an acked message's timer fires as a
 // no-op (the pending entry is gone).
 func (r *Reliable) armRetry(link relLink, ss *relSendState, seq uint64, pm *relPending) {
-	r.eng.Schedule(r.cfg.RetryWait(pm.attempts), func() {
+	r.eng.Schedule(retryWait(pm.attempts), func() {
 		if ss.pending[seq] != pm {
 			return // acked (or nacked) in the meantime
 		}
 		pm.attempts++
-		if pm.attempts > r.cfg.MaxRetries {
+		if pm.attempts > maxRetries {
 			r.peerDown(link.src, link.dst)
 			return
 		}

@@ -8,10 +8,6 @@ import (
 	"asvm/internal/sim"
 )
 
-func relTestCfg() ReliableConfig {
-	return ReliableConfig{RTO: time.Millisecond, MaxRTO: 4 * time.Millisecond, MaxRetries: 8}
-}
-
 // TestReliableRetransmitsLostFrames drops the first transmission of every
 // data frame; every message must still arrive exactly once.
 func TestReliableRetransmitsLostFrames(t *testing.T) {
@@ -26,7 +22,7 @@ func TestReliableRetransmitsLostFrames(t *testing.T) {
 		tried[f.Seq] = true
 		return true
 	}
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	var got []int
 	r.Register(1, protoP, func(src mesh.NodeID, m interface{}) { got = append(got, m.(int)) })
 	const n = 5
@@ -63,7 +59,7 @@ func TestReliableSuppressesDuplicates(t *testing.T) {
 		acked[a.Seq] = true
 		return true
 	}
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	got := 0
 	r.Register(1, protoP, func(mesh.NodeID, interface{}) { got++ })
 	const n = 4
@@ -83,7 +79,7 @@ func TestReliableSuppressesDuplicates(t *testing.T) {
 }
 
 // TestReliableGivesUpLoudly: a link that never delivers must panic after
-// MaxRetries rather than retry forever.
+// maxRetries rather than retry forever.
 func TestReliableGivesUpLoudly(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
@@ -91,14 +87,14 @@ func TestReliableGivesUpLoudly(t *testing.T) {
 		_, isFrame := m.(relFrame)
 		return isFrame // black-hole all data frames, let acks through
 	}
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	r.Register(1, protoP, func(mesh.NodeID, interface{}) {})
 	r.Send(0, 1, protoP, 0, "doomed")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("dead link did not panic after MaxRetries")
+			t.Fatal("dead link did not panic after maxRetries")
 		}
-		if want := uint64(relTestCfg().MaxRetries); r.Retransmits != want {
+		if want := uint64(30); r.Retransmits != want {
 			t.Fatalf("retransmits=%d, want %d", r.Retransmits, want)
 		}
 	}()
@@ -110,14 +106,14 @@ func TestReliableGivesUpLoudly(t *testing.T) {
 func TestReliableNackCancelsAndPassesUp(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	var nk *Nack
 	r.Register(0, protoP, func(src mesh.NodeID, m interface{}) {
 		n := m.(Nack)
 		nk = &n
 	})
 	r.Send(0, 9, protoP, 0, "stray") // node 9 never registered
-	e.Run()                          // would panic via MaxRetries if the pending entry survived
+	e.Run()                          // would panic via maxRetries if the pending entry survived
 	if nk == nil {
 		t.Fatal("no Nack surfaced")
 	}
@@ -129,8 +125,8 @@ func TestReliableNackCancelsAndPassesUp(t *testing.T) {
 	}
 }
 
-// TestReliableBackoffDoubles: retransmit intervals follow RTO<<k capped at
-// MaxRTO.
+// TestReliableBackoffDoubles: retransmit intervals follow rto<<k (capped at
+// maxRTO, which TestRetryWaitGoldenSchedule pins).
 func TestReliableBackoffDoubles(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
@@ -142,7 +138,7 @@ func TestReliableBackoffDoubles(t *testing.T) {
 		}
 		return false
 	}
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	got := 0
 	r.Register(1, protoP, func(mesh.NodeID, interface{}) { got++ })
 	r.Send(0, 1, protoP, 0, "x")
@@ -150,8 +146,8 @@ func TestReliableBackoffDoubles(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("delivered %d times, want 1", got)
 	}
-	// Gaps between transmissions: 1ms, 2ms, 4ms, then capped at 4ms.
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond}
+	// Gaps between transmissions: 4ms, 8ms, 16ms, 32ms.
+	want := []time.Duration{4 * time.Millisecond, 8 * time.Millisecond, 16 * time.Millisecond, 32 * time.Millisecond}
 	if len(attempts) != 5 {
 		t.Fatalf("saw %d transmissions, want 5", len(attempts))
 	}
@@ -167,7 +163,7 @@ func TestReliableBackoffDoubles(t *testing.T) {
 func TestReliableSeparateLinkSequences(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	protoA, protoB := RegisterProto("a"), RegisterProto("b")
 	got := map[ProtoID]int{}
 	for _, proto := range []ProtoID{protoA, protoB} {
@@ -188,27 +184,26 @@ func TestReliableSeparateLinkSequences(t *testing.T) {
 
 // TestRetryWaitGoldenSchedule pins the production backoff schedule as a
 // golden sequence: 4 ms doubling to a 64 ms cap, 30 retransmissions, and
-// the exhaustion horizon they add up to. Retuning any of the three knobs
+// the exhaustion horizon they add up to. Retuning any of the three constants
 // is a deliberate act, reviewed as a diff of this list — the crash
 // scenarios' virtual-time budgets (how long a survivor grinds before the
 // organic peer-down verdict) are derived from it.
 func TestRetryWaitGoldenSchedule(t *testing.T) {
-	cfg := DefaultReliableConfig()
-	if cfg.RTO != 4*time.Millisecond || cfg.MaxRTO != 64*time.Millisecond || cfg.MaxRetries != 30 {
-		t.Fatalf("default config changed: %+v", cfg)
+	if rto != 4*time.Millisecond || maxRTO != 64*time.Millisecond || maxRetries != 30 {
+		t.Fatalf("schedule changed: rto %v, maxRTO %v, maxRetries %d", rto, maxRTO, maxRetries)
 	}
 	var golden []time.Duration
 	for _, ms := range []int{4, 8, 16, 32} {
 		golden = append(golden, time.Duration(ms)*time.Millisecond)
 	}
-	for k := 4; k <= cfg.MaxRetries; k++ {
+	for k := 4; k <= maxRetries; k++ {
 		golden = append(golden, 64*time.Millisecond)
 	}
 	var total time.Duration
-	for k := 0; k <= cfg.MaxRetries; k++ {
-		w := cfg.RetryWait(k)
+	for k := 0; k <= maxRetries; k++ {
+		w := retryWait(k)
 		if w != golden[k] {
-			t.Errorf("RetryWait(%d) = %v, want %v", k, w, golden[k])
+			t.Errorf("retryWait(%d) = %v, want %v", k, w, golden[k])
 		}
 		total += w
 	}
@@ -218,8 +213,8 @@ func TestRetryWaitGoldenSchedule(t *testing.T) {
 	if want := 1788 * time.Millisecond; total != want {
 		t.Errorf("exhaustion horizon = %v, want %v", total, want)
 	}
-	if w := cfg.RetryWait(200); w != cfg.MaxRTO {
-		t.Errorf("RetryWait(200) = %v, want cap %v", w, cfg.MaxRTO)
+	if w := retryWait(200); w != maxRTO {
+		t.Errorf("retryWait(200) = %v, want cap %v", w, maxRTO)
 	}
 }
 
@@ -230,7 +225,7 @@ func TestRetryWaitGoldenSchedule(t *testing.T) {
 func TestReliableGhostFrameFromDeadIncarnation(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	var got []string
 	r.Register(1, protoP, func(_ mesh.NodeID, m interface{}) { got = append(got, m.(string)) })
 	r.Send(0, 1, protoP, 0, "ghost") // in flight when the sender dies
@@ -263,7 +258,7 @@ func TestReliableCrashBounceSkipsDeliveredFrames(t *testing.T) {
 		_, isAck := m.(relAck)
 		return dropAcks && isAck
 	}
-	r := NewReliable(e, fk, relTestCfg())
+	r := NewReliable(e, fk)
 	delivered := 0
 	r.Register(1, protoP, func(mesh.NodeID, interface{}) { delivered++ })
 	var nacked []interface{}
@@ -314,8 +309,8 @@ func nackCounter(r *Reliable) *int {
 func TestReliableDuplicatedBounceGoesUpOnce(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
-	ft := NewFaulty(e, fk, FaultPlan{Default: Rates{Dup: 1}}, sim.NewRNG(1))
-	r := NewReliable(e, ft, relTestCfg())
+	ft := NewFaulty(e, fk, FaultPlan{Dup: 1}, sim.NewRNG(1))
+	r := NewReliable(e, ft)
 	nacks := nackCounter(r)
 	r.Send(0, 9, protoP, 0, "stray") // node 9 never registered
 	e.Run()
@@ -332,9 +327,9 @@ func TestReliableDuplicatedBounceGoesUpOnce(t *testing.T) {
 func TestReliableRetransmittedBounceGoesUpOnce(t *testing.T) {
 	e := sim.NewEngine()
 	fk := newFake(e)
-	lag := 3 * relTestCfg().RTO
-	ft := NewFaulty(e, fk, FaultPlan{Default: Rates{Delay: 1, DelayMin: lag, DelayMax: lag}}, sim.NewRNG(1))
-	r := NewReliable(e, ft, relTestCfg())
+	lag := 3 * rto
+	ft := NewFaulty(e, fk, FaultPlan{Delay: 1, DelayMin: lag, DelayMax: lag}, sim.NewRNG(1))
+	r := NewReliable(e, ft)
 	nacks := nackCounter(r)
 	r.Send(0, 9, protoP, 0, "stray")
 	e.Run()
