@@ -80,7 +80,11 @@ func main() {
 		}
 	}
 
-	scs := pick(*scenario, *walk > 0, *live)
+	scs, err := pick(*scenario, *walk > 0, *live)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "asvmcheck: %v\n", err)
+		os.Exit(2)
+	}
 	var cover asvm.Coverage
 	for _, sc := range scs {
 		t0 := time.Now()
@@ -148,24 +152,22 @@ func checkFlags(walk, depth, branch, runs int, mincover float64) error {
 
 // pick resolves the scenario set: one by name, the liveness-focused set
 // under -live, or every scenario eligible for the mode (walks may use the
-// unbounded ones too).
-func pick(name string, walking, live bool) []*explore.Scenario {
+// unbounded ones too). An unknown name is an error listing every scenario.
+func pick(name string, walking, live bool) ([]*explore.Scenario, error) {
 	if name != "" {
 		sc := explore.Lookup(name)
 		if sc == nil {
-			fmt.Fprintf(os.Stderr, "asvmcheck: unknown scenario %q (have: %s)\n",
-				name, strings.Join(explore.Names(), ", "))
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown scenario %q (have: %s)", name, strings.Join(explore.Names(), ", "))
 		}
-		return []*explore.Scenario{sc}
+		return []*explore.Scenario{sc}, nil
 	}
 	if live {
-		return explore.LiveScenarios()
+		return explore.LiveScenarios(), nil
 	}
 	if walking {
-		return explore.Scenarios()
+		return explore.Scenarios(), nil
 	}
-	return explore.BoundedScenarios()
+	return explore.BoundedScenarios(), nil
 }
 
 func doReplay(path string) int {

@@ -266,12 +266,12 @@ func (n *Node) handleNack(nk xport.Nack) {
 	case *ownerXfer:
 		// The reader we offered ownership to is dead: treat as declined.
 		if in := n.instances[msg.Obj]; in != nil {
-			in.completeXfer(msg.Seq, false)
+			in.completeWait(msg.Seq, waitXfer, false)
 		}
 	case *pageOffer:
 		// The node we offered the page to is dead: treat as declined.
 		if in := n.instances[msg.Obj]; in != nil {
-			in.completeXfer(msg.Seq, false)
+			in.completeWait(msg.Seq, waitXfer, false)
 		}
 		vm.PutPageBuf(msg.Data)
 	case *toPager:
@@ -282,7 +282,7 @@ func (n *Node) handleNack(nk xport.Nack) {
 			if msg.Dirty && !msg.Lost {
 				n.Ctr.V[sim.CtrPagesLost]++
 			}
-			in.completePgr(msg.Seq)
+			in.completeWait(msg.Seq, waitPgr, true)
 		}
 	case *ownerXferAck, *pageOfferAck, *toPagerAck, *pushScanAck:
 		// An ack addressed to a dead requester: drop.

@@ -530,6 +530,51 @@ func TestASVMEvictionToPagerWhenAllFull(t *testing.T) {
 	}
 }
 
+// TestASVMCleanOwnerEvictionKeepsData: serving a read downgrades the
+// owner's page and the kernel marks it clean, but the pager has never seen
+// those contents. When both nodes then run out of frames, the owner's
+// eviction must still write the page to the pager.
+func TestASVMCleanOwnerEvictionKeepsData(t *testing.T) {
+	c := newCluster(t, 2, 4, DefaultConfig())
+	c.hw[0].AttachDisk(c.eng, 5*time.Millisecond, 5e6)
+	srv := pager.NewServer(c.eng, c.tr, 0, c.hw[0].Disk, pager.DefaultCosts(), "fp", true)
+	id := vm.ObjID{Node: 0, Seq: 43}
+	_, objs := c.setupDomain(id, 12, pager.NewClient(c.eng, c.tr, 0, srv), DefaultConfig())
+	tasks := make([]*vm.Task, 2)
+	for i := range tasks {
+		tasks[i] = c.asvms[i].K.NewTask("t")
+		if _, err := tasks[i].Map.MapObject(0, objs[i], 0, 12, vm.ProtWrite, vm.InheritShare); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.run(t, func(p *sim.Proc) error {
+		if err := tasks[1].WriteU64(p, 0, 4242); err != nil {
+			return err
+		}
+		if _, err := tasks[0].ReadU64(p, 0); err != nil {
+			return err
+		}
+		for i := 1; i < 12; i++ {
+			for _, task := range tasks {
+				if _, err := task.ReadU64(p, vm.Addr(i*vm.PageSize)); err != nil {
+					return err
+				}
+			}
+		}
+		v, err := tasks[1].ReadU64(p, 0)
+		if err != nil {
+			return err
+		}
+		if v != 4242 {
+			t.Errorf("page 0 reads %d after eviction, want 4242", v)
+		}
+		return nil
+	})
+	if c.asvms[1].Ctr.Get("evict_to_pager") == 0 {
+		t.Fatal("node 1 never evicted to the pager: the test no longer reaches the clean-owner path")
+	}
+}
+
 func TestASVMRemoteForkReadsParentData(t *testing.T) {
 	c := newCluster(t, 3, 0, DefaultConfig())
 	parent := c.kerns[0].NewTask("parent")

@@ -10,8 +10,9 @@ import (
 // scrubStatic runs the real peer-down scrub, Instance.forgetOwner, over a
 // bare static cache.
 func scrubStatic(s *fifoCache[staticEntry], dead mesh.NodeID) {
-	in := &Instance{static: s, dyn: newFIFOCache[mesh.NodeID](1)}
+	in := &Instance{static: *s}
 	in.forgetOwner(dead)
+	*s = in.static
 }
 
 // TestStaticLRUGoldenEvictionOrder pins the static manager cache's exact
@@ -74,7 +75,7 @@ func TestStaticLRUMinCapacityAndDeleteOwner(t *testing.T) {
 	s.Put(1, staticEntry{owner: 3})
 	s.Put(2, staticEntry{owner: 5})
 	s.Put(3, staticEntry{owner: 3, paged: true})
-	scrubStatic(s, 3)
+	scrubStatic(&s, 3)
 	if _, ok := s.Get(1); ok {
 		t.Fatal("owner hint for dead node 3 survived the scrub")
 	}
@@ -95,7 +96,7 @@ func TestStaticCacheScrubKeepsReadmittedPage(t *testing.T) {
 	s := newFIFOCache[staticEntry](3)
 	s.Put(1, staticEntry{owner: 5})
 	s.Put(2, staticEntry{owner: 6})
-	scrubStatic(s, 5)
+	scrubStatic(&s, 5)
 	if len(s.m) != 1 {
 		t.Fatalf("scrub left %d entries, want 1", len(s.m))
 	}

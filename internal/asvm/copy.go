@@ -39,6 +39,9 @@ func actPushStart(in *Instance, idx vm.PageIdx, m interface{}) {
 		panic(fmt.Sprintf("asvm: concurrent pushes for %v page %d", in.info.ID, idx))
 	}
 	in.nd.Ctr.V[sim.CtrPushesStarted]++
+	if in.pendPush == nil {
+		in.pendPush = make(map[vm.PageIdx]func(bool))
+	}
 	in.pendPush[idx] = func(found bool) {
 		if !found {
 			// No owner in the copy domain: insert the pre-write contents

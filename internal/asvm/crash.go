@@ -174,9 +174,7 @@ func (in *Instance) declareLost(idx vm.PageIdx) {
 		in.slot(idx).home &^= homeGranted
 		return
 	}
-	in.seq++
-	seq := in.seq
-	in.pendPgr[seq] = pgrWait{to: in.info.Home, cb: func() {}}
+	seq := in.wait(pendWait{kind: waitPgr, to: in.info.Home, cb: func(bool) {}})
 	in.send(in.info.Home, &toPager{Obj: in.info.ID, Idx: idx, Lost: true, Seq: seq, From: in.self()})
 }
 
@@ -232,42 +230,24 @@ func (n *Node) instancesSorted() []*Instance {
 // crashed before answering leaves nothing in flight to bounce.
 func (in *Instance) completePendingFor(dead mesh.NodeID) {
 	var seqs []uint64
-	for s, b := range in.pendInval {
-		for _, t := range b.await {
-			if t == dead {
+	for _, kind := range []waitKind{waitInval, waitXfer, waitPgr} {
+		seqs = seqs[:0]
+		for s, w := range in.pend { // a round waits on its await list, the rest on to
+			if w.kind == kind && (slices.Contains(w.await, dead) || kind != waitInval && w.to == dead) {
 				seqs = append(seqs, s)
-				break
 			}
 		}
-	}
-	slices.Sort(seqs)
-	for _, s := range seqs {
-		in.completeInvalTarget(s, dead)
-	}
-
-	seqs = seqs[:0]
-	for s, w := range in.pendXfer {
-		if w.to == dead {
-			seqs = append(seqs, s)
+		slices.Sort(seqs)
+		for _, s := range seqs {
+			if kind == waitInval {
+				in.completeInvalTarget(s, dead)
+				continue
+			}
+			if in.pend[s].dirty {
+				in.nd.Ctr.V[sim.CtrPagesLost]++
+			}
+			in.completeWait(s, kind, false)
 		}
-	}
-	slices.Sort(seqs)
-	for _, s := range seqs {
-		in.completeXfer(s, false)
-	}
-
-	seqs = seqs[:0]
-	for s, w := range in.pendPgr {
-		if w.to == dead {
-			seqs = append(seqs, s)
-		}
-	}
-	slices.Sort(seqs)
-	for _, s := range seqs {
-		if w := in.pendPgr[s]; w.dirty {
-			in.nd.Ctr.V[sim.CtrPagesLost]++
-		}
-		in.completePgr(s)
 	}
 }
 

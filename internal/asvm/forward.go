@@ -17,7 +17,8 @@ import (
 // key keeps its FIFO slot. Deleting a key tombstones its slot by
 // generation: a deleted-then-readmitted page gets a fresh slot and a fresh
 // generation, so stale slots never evict a live entry early. Tombstones
-// are compacted away once they outnumber the capacity.
+// are compacted away once they outnumber the capacity. A cache holds
+// nothing until its first Put.
 type fifoCache[V any] struct {
 	max   int
 	m     map[vm.PageIdx]fifoEntry[V]
@@ -42,11 +43,8 @@ type fifoSlot struct {
 // fifoFirstCap is the FIFO order's capacity at a cache's first Put.
 const fifoFirstCap = 64
 
-func newFIFOCache[V any](max int) *fifoCache[V] {
-	if max < 1 {
-		max = 1
-	}
-	return &fifoCache[V]{max: max, m: make(map[vm.PageIdx]fifoEntry[V])}
+func newFIFOCache[V any](capacity int) fifoCache[V] {
+	return fifoCache[V]{max: max(capacity, 1)}
 }
 
 // Get looks up a page's entry.
@@ -72,12 +70,13 @@ func (c *fifoCache[V]) Put(idx vm.PageIdx, v V) {
 			c.dead-- // skipped a tombstone
 		}
 	}
-	c.gen++
-	c.m[idx] = fifoEntry[V]{v: v, gen: c.gen}
-	if c.order == nil {
+	if c.m == nil {
 		// A cache in use holds many pages: skip append's first doublings.
+		c.m = make(map[vm.PageIdx]fifoEntry[V])
 		c.order = make([]fifoSlot, 0, min(c.max, fifoFirstCap))
 	}
+	c.gen++
+	c.m[idx] = fifoEntry[V]{v: v, gen: c.gen}
 	c.order = append(c.order, fifoSlot{idx: idx, gen: c.gen})
 }
 
@@ -459,22 +458,18 @@ func (in *Instance) homePagerIn(idx vm.PageIdx, done pager.PageInDone) {
 
 // homePagerOut stores contents at the home's backing store and completes
 // h when they are stable.
-func (in *Instance) homePagerOut(data []byte, dirty bool, h *homeOp) {
+func (in *Instance) homePagerOut(data []byte, h *homeOp) {
 	if in.pagerCli != nil {
-		if !dirty {
-			// The pager already holds identical contents.
-			in.nd.Eng.ScheduleRun(0, h)
-			return
-		}
-		in.pagerCli.PageOut(in.info.ID, h.req.Idx, data, dirty, h)
+		in.pagerCli.PageOut(in.info.ID, h.req.Idx, data, true, h)
 		return
 	}
-	if dirty {
-		buf := copyData(data)
-		if buf == nil {
-			buf = []byte{} // metadata-only run: remember existence
-		}
-		in.store[h.req.Idx] = buf
+	buf := copyData(data)
+	if buf == nil {
+		buf = []byte{} // metadata-only run: remember existence
 	}
+	if in.store == nil {
+		in.store = make(map[vm.PageIdx][]byte)
+	}
+	in.store[h.req.Idx] = buf
 	in.nd.Eng.ScheduleRun(0, h)
 }

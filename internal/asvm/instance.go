@@ -152,6 +152,9 @@ type slotSide struct {
 func (in *Instance) sideOf(idx vm.PageIdx) *slotSide {
 	if sl := in.slot(idx); !sl.side {
 		sl.side = true
+		if in.side == nil {
+			in.side = make(map[vm.PageIdx]*slotSide)
+		}
 		in.side[idx] = &slotSide{}
 	}
 	return in.side[idx]
@@ -197,17 +200,17 @@ type Instance struct {
 
 	pagerCli pager.PagerIO
 
+	// Only the slot directory is made up front; every table below is made
+	// on its first write, and a cache holds at most the object's pages.
 	slots  slotTable
 	side   map[vm.PageIdx]*slotSide // see slotSide
-	dyn    *fifoCache[mesh.NodeID]
-	static *fifoCache[staticEntry]
+	dyn    fifoCache[mesh.NodeID]
+	static fifoCache[staticEntry]
 	store  map[vm.PageIdx][]byte // home-side parking when no pager is configured
 
-	seq       uint64
-	pendInval map[uint64]invalBatch
-	pendXfer  map[uint64]xferWait
-	pendPush  map[vm.PageIdx]func(found bool)
-	pendPgr   map[uint64]pgrWait
+	seq      uint64
+	pend     map[uint64]pendWait // by seq: invalidation rounds, transfers, offers, pageouts
+	pendPush map[vm.PageIdx]func(found bool)
 
 	arena readerArena // the slots' promoted reader sets
 
@@ -232,16 +235,10 @@ type Instance struct {
 func newInstance(nd *Node, info *DomainInfo, ringPos int) *Instance {
 	in := &Instance{
 		nd: nd, info: info, ringPos: ringPos,
-		slots:     newSlotTable(info.SizePages),
-		side:      make(map[vm.PageIdx]*slotSide),
-		arena:     readerArena{info: info},
-		dyn:       newFIFOCache[mesh.NodeID](info.Cfg.DynamicCacheSize),
-		static:    newFIFOCache[staticEntry](info.Cfg.StaticCacheSize),
-		store:     make(map[vm.PageIdx][]byte),
-		pendInval: make(map[uint64]invalBatch),
-		pendXfer:  make(map[uint64]xferWait),
-		pendPush:  make(map[vm.PageIdx]func(bool)),
-		pendPgr:   make(map[uint64]pgrWait),
+		slots:  newSlotTable(info.SizePages),
+		arena:  readerArena{info: info},
+		dyn:    newFIFOCache[mesh.NodeID](min(info.Cfg.DynamicCacheSize, int(info.SizePages))),
+		static: newFIFOCache[staticEntry](min(info.Cfg.StaticCacheSize, int(info.SizePages))),
 
 		lastAccepted: -1,
 	}
@@ -527,34 +524,41 @@ func (in *Instance) handleOwnerUpdate(u ownerUpdate) {
 	in.static.Put(u.Idx, staticEntry{owner: u.Owner})
 }
 
-// invalBatch tracks one round of reader invalidations. Batches are stored
-// by value in pendInval and the completion steps (back to Serving, reader
-// list cleared) run in completeInvalTarget, so a round costs no batch box
-// and no closure — cont is the write grant's pooled writeOp; the await
-// list itself comes from a per-instance free list. await names the
-// readers whose acks are still due, so a crashed reader's slot can be
-// completed for it by the failure machinery.
-type invalBatch struct {
+// pendWait is one protocol wait outstanding at this node, stored by value
+// in Instance.pend under its seq; the kinds share in.seq, so keys never
+// collide, and a completion for the wrong kind finds nothing outstanding.
+// An invalidation round names its page, the readers whose acks are still
+// due and the write grant's pooled writeOp to continue with (its await
+// list comes from a free list: a round costs no box and no closure). A
+// transfer, offer or pageout names the node it waits on; a pageout's dirty
+// marks contents that exist nowhere else. The failure machinery completes
+// the waits on a node that died (completePendingFor).
+type pendWait struct {
+	kind  waitKind
+	to    mesh.NodeID
+	dirty bool
 	idx   vm.PageIdx
 	await []mesh.NodeID
 	cont  sim.Runnable
+	cb    func(accepted bool) // a transfer's or offer's; a pageout's ignores accepted
 }
 
-// xferWait is one outstanding ownership-transfer/page-offer completion:
-// the continuation plus the node it waits on, so the failure machinery can
-// decline entries addressed to a node that died.
-type xferWait struct {
-	to mesh.NodeID
-	cb func(accepted bool)
-}
+type waitKind uint8
 
-// pgrWait is one outstanding pageout completion, likewise tagged with the
-// home node it waits on; dirty marks contents that exist nowhere else, so
-// the failure machinery can count them lost if the home dies first.
-type pgrWait struct {
-	to    mesh.NodeID
-	dirty bool
-	cb    func()
+const (
+	waitInval waitKind = iota // a round of reader invalidations
+	waitXfer                  // an ownership transfer or page offer
+	waitPgr                   // a pageout to the home
+)
+
+// wait records w under the next sequence number and returns it.
+func (in *Instance) wait(w pendWait) uint64 {
+	in.seq++
+	if in.pend == nil {
+		in.pend = make(map[uint64]pendWait)
+	}
+	in.pend[in.seq] = w
+	return in.seq
 }
 
 // takeAwait copies targets into a recycled await list.
@@ -592,10 +596,8 @@ func (in *Instance) invalidateReaders(idx vm.PageIdx, newOwner mesh.NodeID, cont
 		cont.Run()
 		return
 	}
-	in.seq++
-	seq := in.seq
+	seq := in.wait(pendWait{kind: waitInval, idx: idx, await: in.takeAwait(targets), cont: cont})
 	in.setState(idx, StInvalWait)
-	in.pendInval[seq] = invalBatch{idx: idx, await: in.takeAwait(targets), cont: cont}
 	for _, r := range targets {
 		in.nd.Ctr.V[sim.CtrInvalidations]++
 		in.sendInval(r, invalMsg{Obj: in.info.ID, Idx: idx, NewOwner: newOwner, Seq: seq, From: in.self()})
@@ -648,8 +650,8 @@ func actInvalAck(in *Instance, idx vm.PageIdx, m interface{}) {
 // whether the (seq, reader) pair was actually outstanding — a duplicate or
 // post-crash completion returns false and changes nothing.
 func (in *Instance) completeInvalTarget(seq uint64, from mesh.NodeID) bool {
-	b, ok := in.pendInval[seq]
-	if !ok {
+	b, ok := in.pend[seq]
+	if !ok || b.kind != waitInval {
 		return false
 	}
 	i := -1
@@ -664,10 +666,10 @@ func (in *Instance) completeInvalTarget(seq uint64, from mesh.NodeID) bool {
 	}
 	b.await = append(b.await[:i], b.await[i+1:]...)
 	if len(b.await) > 0 {
-		in.pendInval[seq] = b
+		in.pend[seq] = b
 		return true
 	}
-	delete(in.pendInval, seq)
+	delete(in.pend, seq)
 	in.awaitFree = append(in.awaitFree, b.await)
 	in.setState(b.idx, StServing)
 	in.clearReaders(b.idx)
@@ -675,27 +677,15 @@ func (in *Instance) completeInvalTarget(seq uint64, from mesh.NodeID) bool {
 	return true
 }
 
-// completeXfer resumes one transfer/offer completion. It reports whether
-// the seq was still outstanding.
-func (in *Instance) completeXfer(seq uint64, accepted bool) bool {
-	w, ok := in.pendXfer[seq]
-	if !ok {
+// completeWait resumes one transfer, offer or pageout completion. It
+// reports whether the seq was still outstanding as a wait of that kind.
+func (in *Instance) completeWait(seq uint64, kind waitKind, accepted bool) bool {
+	w, ok := in.pend[seq]
+	if !ok || w.kind != kind {
 		return false
 	}
-	delete(in.pendXfer, seq)
+	delete(in.pend, seq)
 	w.cb(accepted)
-	return true
-}
-
-// completePgr resumes one pageout completion. It reports whether the seq
-// was still outstanding.
-func (in *Instance) completePgr(seq uint64) bool {
-	w, ok := in.pendPgr[seq]
-	if !ok {
-		return false
-	}
-	delete(in.pendPgr, seq)
-	w.cb()
 	return true
 }
 

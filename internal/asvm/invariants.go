@@ -57,7 +57,7 @@ func CheckInvariants(cluster Cluster, info *DomainInfo) error {
 		if pend != 0 {
 			return fmt.Errorf("asvm: node %d has %d pending faults", nid, pend)
 		}
-		if len(in.pendInval) != 0 || len(in.pendXfer) != 0 || len(in.pendPush) != 0 || len(in.pendPgr) != 0 {
+		if len(in.pend) != 0 || len(in.pendPush) != 0 {
 			return fmt.Errorf("asvm: node %d has dangling protocol completions", nid)
 		}
 		var err error
@@ -305,7 +305,7 @@ func CheckInvariantsSampled(cluster Cluster, info *DomainInfo, samplePages int, 
 		if in == nil {
 			return fmt.Errorf("asvm: node %d lost its instance of %v", nid, info.ID)
 		}
-		if len(in.pendInval) != 0 || len(in.pendXfer) != 0 || len(in.pendPush) != 0 || len(in.pendPgr) != 0 {
+		if len(in.pend) != 0 || len(in.pendPush) != 0 {
 			return fmt.Errorf("asvm: node %d has dangling protocol completions", nid)
 		}
 		var err error

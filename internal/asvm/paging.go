@@ -18,8 +18,7 @@ import (
 // evictEvent carries the kernel's pageout notification into the state
 // machine dispatch.
 type evictEvent struct {
-	data  []byte
-	dirty bool
+	data []byte
 }
 
 // DataReturn implements vm.MemoryManager: the local kernel is evicting (or
@@ -29,11 +28,11 @@ func (in *Instance) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty,
 		return // contents just left with an ownership grant
 	}
 	if kept {
-		// Clean-in-place downgrade (during copy creation): the owner keeps
-		// content responsibility; nothing to do.
+		// Clean-in-place downgrade: the owner keeps content responsibility
+		// (an owner evicts as dirty whatever the kernel's bit says).
 		return
 	}
-	in.dispatch(EvEvict, idx, &evictEvent{data: data, dirty: dirty})
+	in.dispatch(EvEvict, idx, &evictEvent{data: data})
 }
 
 // actEvictDiscard drops a non-owned copy (step 1). The owner's reader list
@@ -65,11 +64,14 @@ func actEvictOwner(in *Instance, idx vm.PageIdx, m interface{}) {
 	}
 	in.setState(idx, StXferOut)
 	in.nd.Ctr.V[sim.CtrEvictOwner]++
+	// The kernel's dirty bit is ignored: a downgrade that served a read
+	// cleaned the page in place, yet the pager may never have seen it, so
+	// an owned page always leaves as dirty.
 	if in.info.Cfg.DisableInternodePaging {
-		in.evictToPager(idx, copyData(ev.data), ev.dirty)
+		in.evictToPager(idx, copyData(ev.data))
 		return
 	}
-	in.evictTryReaders(idx, copyData(ev.data), ev.dirty)
+	in.evictTryReaders(idx, copyData(ev.data))
 }
 
 // evictTryReaders is step 2: ask readers one after another; the first that
@@ -77,25 +79,23 @@ func actEvictOwner(in *Instance, idx vm.PageIdx, m interface{}) {
 // reader probed is always the smallest NodeID still on the list — a
 // property the reader set now gives structurally, where the old map scan
 // had to re-derive it to stay deterministic.
-func (in *Instance) evictTryReaders(idx vm.PageIdx, data []byte, dirty bool) {
+func (in *Instance) evictTryReaders(idx vm.PageIdx, data []byte) {
 	sl := in.slot(idx)
 	reader, ok := sl.readers.Min(&in.arena)
 	if !ok {
-		in.evictTryTransfer(idx, data, dirty)
+		in.evictTryTransfer(idx, data)
 		return
 	}
 	others := sl.readers.AppendTo(&in.arena, make([]mesh.NodeID, 0, sl.readers.Len()))[1:]
-	in.seq++
-	seq := in.seq
-	in.pendXfer[seq] = xferWait{to: reader, cb: func(accepted bool) {
+	seq := in.wait(pendWait{kind: waitXfer, to: reader, cb: func(accepted bool) {
 		if accepted {
 			in.nd.Ctr.V[sim.CtrEvictOwnerXfer]++
 			in.evictFinish(idx, reader)
 			return
 		}
 		sl.readers.Remove(&in.arena, reader)
-		in.evictTryReaders(idx, data, dirty)
-	}}
+		in.evictTryReaders(idx, data)
+	}})
 	in.send(reader, &ownerXfer{
 		Obj: in.info.ID, Idx: idx, Readers: others,
 		Version: sl.version, Seq: seq, From: in.self(),
@@ -105,13 +105,13 @@ func (in *Instance) evictTryReaders(idx vm.PageIdx, data []byte, dirty bool) {
 // evictTryTransfer is step 3: offer the page to another mapping node with
 // free memory, cycling through the mapping and locking onto the last
 // accepter.
-func (in *Instance) evictTryTransfer(idx vm.PageIdx, data []byte, dirty bool) {
+func (in *Instance) evictTryTransfer(idx vm.PageIdx, data []byte) {
 	target := in.nextPageoutTarget()
 	if target == -1 {
-		in.evictToPager(idx, data, dirty)
+		in.evictToPager(idx, data)
 		return
 	}
-	in.offerPage(idx, data, dirty, target, func(accepted bool) {
+	in.offerPage(idx, data, target, func(accepted bool) {
 		if accepted {
 			in.lastAccepted = target
 			in.nd.Ctr.V[sim.CtrEvictPageXfer]++
@@ -121,18 +121,18 @@ func (in *Instance) evictTryTransfer(idx vm.PageIdx, data []byte, dirty bool) {
 		// Ask the node that most recently accepted a transfer.
 		last := in.lastAccepted
 		if last != -1 && last != target && last != in.self() {
-			in.offerPage(idx, data, dirty, last, func(accepted bool) {
+			in.offerPage(idx, data, last, func(accepted bool) {
 				if accepted {
 					in.nd.Ctr.V[sim.CtrEvictPageXfer]++
 					in.evictFinish(idx, last)
 					return
 				}
 				in.lastAccepted = -1
-				in.evictToPager(idx, data, dirty)
+				in.evictToPager(idx, data)
 			})
 			return
 		}
-		in.evictToPager(idx, data, dirty)
+		in.evictToPager(idx, data)
 	})
 }
 
@@ -153,33 +153,28 @@ func (in *Instance) nextPageoutTarget() mesh.NodeID {
 	return -1
 }
 
-func (in *Instance) offerPage(idx vm.PageIdx, data []byte, dirty bool, to mesh.NodeID, cb func(bool)) {
-	in.seq++
-	seq := in.seq
-	in.pendXfer[seq] = xferWait{to: to, cb: cb}
+func (in *Instance) offerPage(idx vm.PageIdx, data []byte, to mesh.NodeID, cb func(bool)) {
+	seq := in.wait(pendWait{kind: waitXfer, to: to, cb: cb})
 	in.send(to, &pageOffer{
 		Obj: in.info.ID, Idx: idx, Data: copyData(data),
 		Version: in.slots.get(idx).version, Seq: seq, From: in.self(),
 	})
-	_ = dirty
 }
 
 // evictToPager is step 4: return the page to the memory object's pager via
 // the home instance.
-func (in *Instance) evictToPager(idx vm.PageIdx, data []byte, dirty bool) {
+func (in *Instance) evictToPager(idx vm.PageIdx, data []byte) {
 	in.nd.Ctr.V[sim.CtrEvictToPager]++
 	if in.info.Home == in.self() {
-		in.homePagerOut(data, dirty, in.homeOp(accessReq{Idx: idx}))
+		in.homePagerOut(data, in.homeOp(accessReq{Idx: idx}))
 		return
 	}
-	in.seq++
-	seq := in.seq
-	in.pendPgr[seq] = pgrWait{to: in.info.Home, dirty: dirty, cb: func() {
+	seq := in.wait(pendWait{kind: waitPgr, to: in.info.Home, dirty: true, cb: func(bool) {
 		in.evictFinish(idx, -1)
-	}}
+	}})
 	in.send(in.info.Home, &toPager{
 		Obj: in.info.ID, Idx: idx, Data: copyData(data),
-		Dirty: dirty, Seq: seq, From: in.self(),
+		Dirty: true, Seq: seq, From: in.self(),
 	})
 }
 
@@ -247,7 +242,7 @@ func actOwnerXferDecline(in *Instance, idx vm.PageIdx, m interface{}) {
 // flight. (xferAck)
 func actOwnerXferAck(in *Instance, idx vm.PageIdx, m interface{}) {
 	a := *m.(*ownerXferAck)
-	if in.completeXfer(a.Seq, a.Accepted) {
+	if in.completeWait(a.Seq, waitXfer, a.Accepted) {
 		return
 	}
 	if !in.nd.crashEra {
@@ -286,7 +281,7 @@ func actPageOfferDecline(in *Instance, idx vm.PageIdx, m interface{}) {
 // tolerated only in the crash era, as with actOwnerXferAck. (offerAck)
 func actPageOfferAck(in *Instance, idx vm.PageIdx, m interface{}) {
 	a := *m.(*pageOfferAck)
-	if in.completeXfer(a.Seq, a.Accepted) {
+	if in.completeWait(a.Seq, waitXfer, a.Accepted) {
 		return
 	}
 	if !in.nd.crashEra {
@@ -309,14 +304,14 @@ func actToPager(in *Instance, idx vm.PageIdx, m interface{}) {
 	}
 	h := in.homeOp(accessReq{Idx: idx})
 	h.park, h.from, h.seq = true, tp.From, tp.Seq
-	in.homePagerOut(tp.Data, tp.Dirty, h)
+	in.homePagerOut(tp.Data, h)
 }
 
 // actToPagerAck completes the evicting owner's pageout; stray acks are
 // tolerated only in the crash era. (pagerAck)
 func actToPagerAck(in *Instance, idx vm.PageIdx, m interface{}) {
 	a := *m.(*toPagerAck)
-	if in.completePgr(a.Seq) {
+	if in.completeWait(a.Seq, waitPgr, true) {
 		return
 	}
 	if !in.nd.crashEra {
@@ -338,7 +333,7 @@ func actToPagerAckLoose(in *Instance, idx vm.PageIdx, m interface{}) {
 		panic(fmt.Sprintf("asvm: pager ack seq %d for %v p%d in %v at node %d",
 			a.Seq, in.info.ID, idx, in.State(idx), in.self()))
 	}
-	if !in.completePgr(a.Seq) {
+	if !in.completeWait(a.Seq, waitPgr, true) {
 		in.nd.Ctr.V[sim.CtrLateAcks]++
 	}
 }

@@ -257,17 +257,22 @@ func TestFalseSharingSuppliesPerFault(t *testing.T) {
 // First under memory pressure: each node has room for four pages and works
 // on eight of its own, so owned pages keep leaving — offered to the others
 // (who are as full, and decline), parked at the home's pager, paged back
-// in. Nodes keep to their own pages there because of a protocol bug this test found and does not fix
-// (the simulator has it too): serving a read downgrades the owner's page
-// and marks it clean, and a clean owner page evicted to the pager is
-// dropped as "already there" although the pager never saw it. (A node with
-// room to accept offers is left out for the same kind of reason: the first
-// accepted offer ends in a fault livelock on the wall-clock engine, at the
-// parent commit as here.) Then with memory unlimited again, every node reads and writes every page: read
-// copies are invalidated, ownership is stolen.
+// in. Then with memory unlimited, every node reads and writes every page:
+// read copies are invalidated, ownership is stolen.
+//
+// Last, under pressure again on a second set of 24 pages, each node also
+// reads the others' pages: a page whose owner served a read is clean to the
+// kernel yet unseen by the pager, and must come back intact after its
+// eviction. Nodes still write only their own pages there, and these pages'
+// reader lists start empty: a node that read a page, dropped its copy under
+// pressure and then writes it is still on the owner's reader list and is
+// granted ownership without contents (a protocol bug this test does not
+// fix; the simulator has it too). A node with room to accept offers is left
+// out too: the first accepted offer ends in a fault livelock on the
+// wall-clock engine.
 func TestEvictionInvalidationOverTCPEveryReadChecked(t *testing.T) {
 	const pages, frames, words = 24, 4, 4
-	nodes := tcpMesh(t, 3, pages)
+	nodes := tcpMesh(t, 3, 2*pages)
 	setMem := func(capacity int) {
 		for _, nd := range nodes {
 			nd.loop.Call(func() {
@@ -280,12 +285,12 @@ func TestEvictionInvalidationOverTCPEveryReadChecked(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	model := make(map[vm.Addr]uint64)
 	op := 0
-	run := func(ops int, pageFor func(node int) int) {
+	run := func(ops int, pick func(node int) (addr vm.Addr, write bool)) {
 		for end := op + ops; op < end; op++ {
 			i := rng.Intn(len(nodes))
 			nd := nodes[i]
-			addr := vm.Addr(pageFor(i))*vm.PageSize + vm.Addr(8*rng.Intn(words))
-			if rng.Intn(3) == 0 {
+			addr, write := pick(i)
+			if write {
 				model[addr] = uint64(op)
 				if _, err := nd.Write(addr, uint64(op)); err != nil {
 					t.Fatalf("op %d: write %#x on node %d: %v", op, addr, i, err)
@@ -301,9 +306,16 @@ func TestEvictionInvalidationOverTCPEveryReadChecked(t *testing.T) {
 		}
 		return n
 	}
+	// word draws a word of the page; ownPage draws one of the node's own
+	// pages (page mod 3 == node) in the set of 24 starting at base.
+	word := func(page int) vm.Addr { return vm.Addr(page)*vm.PageSize + vm.Addr(8*rng.Intn(words)) }
+	ownPage := func(base, node int) int { return base + node + len(nodes)*rng.Intn(pages/len(nodes)) }
 
 	setMem(frames)
-	run(4000, func(node int) int { return node + len(nodes)*rng.Intn(pages/len(nodes)) })
+	run(4000, func(node int) (vm.Addr, bool) {
+		addr := word(ownPage(0, node))
+		return addr, rng.Intn(3) == 0
+	})
 	drainNodes(t, nodes, 10*time.Second) // evictions still in flight must land before the pressure lifts
 	offers, parked, pagedIn := count("pageoffer_declined"), count("evict_to_pager"), count("home_pager_supplies")
 	t.Logf("under pressure: %d evictions, %d offers declined, %d pages parked at the pager, %d paged back in",
@@ -313,11 +325,29 @@ func TestEvictionInvalidationOverTCPEveryReadChecked(t *testing.T) {
 	}
 
 	setMem(0)
-	run(4000, func(int) int { return rng.Intn(pages) })
+	run(4000, func(int) (vm.Addr, bool) {
+		addr := word(rng.Intn(pages))
+		return addr, rng.Intn(3) == 0
+	})
 	drainNodes(t, nodes, 10*time.Second)
 	invals, steals := count("invalidations"), count("write_grants")
 	t.Logf("unlimited: %d invalidations, %d ownership transfers", invals, steals)
 	if invals == 0 || steals == 0 {
 		t.Fatal("the sharing phase invalidated or stole nothing")
+	}
+
+	reads, parked := count("read_grants"), count("evict_to_pager")
+	setMem(frames)
+	run(4000, func(node int) (vm.Addr, bool) {
+		if rng.Intn(3) == 0 {
+			return word(ownPage(pages, node)), true
+		}
+		return word(ownPage(pages, (node+1+rng.Intn(len(nodes)-1))%len(nodes))), false
+	})
+	drainNodes(t, nodes, 10*time.Second)
+	reads, parked = count("read_grants")-reads, count("evict_to_pager")-parked
+	t.Logf("under pressure, reading across: %d read grants, %d more pages parked at the pager", reads, parked)
+	if reads == 0 || parked == 0 {
+		t.Fatal("the last pressure phase granted no read or parked no page at the pager")
 	}
 }

@@ -169,7 +169,11 @@ func (r ScaleResult) FallbackRate() float64 {
 // every node's generated stream concurrently, drains, checks the global
 // invariants (full sweep, or sampled when the cell asks for it), and
 // gathers the ledger.
-func RunScaleCell(cell ScaleCell) (ScaleResult, error) {
+func RunScaleCell(cell ScaleCell) (ScaleResult, error) { return runScaleCell(cell, nil) }
+
+// runScaleCell is RunScaleCell with a hook that sees the drained machine
+// just before the invariant check.
+func runScaleCell(cell ScaleCell, drained func(*machine.Cluster, *simhost.World)) (ScaleResult, error) {
 	p := machine.DefaultParams(cell.Nodes)
 	p.Seed = cell.Seed
 	if cell.DynCacheSize > 0 {
@@ -246,6 +250,9 @@ func RunScaleCell(cell ScaleCell) (ScaleResult, error) {
 
 	if n := c.Eng.Pending(); n != 0 {
 		return ScaleResult{}, fmt.Errorf("scale: %d events still pending after drain", n)
+	}
+	if drained != nil {
+		drained(c, w)
 	}
 	for o := 0; o < cell.Objects; o++ {
 		r := w.Region(o)

@@ -1,7 +1,13 @@
 package exp
 
 import (
+	"strings"
 	"testing"
+
+	"asvm/internal/app/simhost"
+	"asvm/internal/machine"
+	"asvm/internal/sim"
+	"asvm/internal/vm"
 )
 
 // TestGenScaleOpsChurnBalance pins the generator's structural contract: at
@@ -108,5 +114,36 @@ func TestRunScaleCellQuick(t *testing.T) {
 	}
 	if f := res.FallbackRate(); f < 0 || f > 1 {
 		t.Fatalf("fallback rate %v out of [0,1]", f)
+	}
+}
+
+// TestScaleCellSampledInvariants runs the quick 64-node cell under the
+// sampled drain check the 1024-node cell uses (4 of each object's 8 pages
+// checked across nodes), and shows that check bites: with a write copy of
+// the first sampled page planted in object 0 on a node that did not hold
+// it — a writer that is not the owner — the cell fails.
+func TestScaleCellSampledInvariants(t *testing.T) {
+	cell := ScaleCells(1, true)[0]
+	cell.SamplePages = 4
+	if _, err := runScaleCell(cell, nil); err != nil {
+		t.Fatal(err)
+	}
+	idx := vm.PageIdx(sim.NewRNG(cell.Seed).Intn(cell.PagesPerObject)) // the sweep's first sample
+	planted := -1
+	_, err := runScaleCell(cell, func(c *machine.Cluster, w *simhost.World) {
+		id := w.Region(0).ASVMInfo().ID
+		for n, nd := range c.ASVMs {
+			if in := nd.Instance(id); in != nil && !in.Obj().Resident(idx) {
+				nd.K.InstallPage(in.Obj(), idx, nil, vm.ProtWrite)
+				planted = n
+				return
+			}
+		}
+	})
+	if planted < 0 {
+		t.Fatalf("no node of object 0 left page %d untouched to plant on", idx)
+	}
+	if err == nil || !strings.Contains(err.Error(), "write-held by non-owner") {
+		t.Fatalf("page %d planted write-held on node %d: check returned %v", idx, planted, err)
 	}
 }

@@ -179,7 +179,7 @@ func TestPullRequestThroughPagedOutShadow(t *testing.T) {
 	e := sim.NewEngine()
 	k := testKernel(e)
 	bottom := k.NewAnonymous(8)
-	bottom.PagedOut[2] = true
+	bottom.MarkPagedOut(2)
 	top := k.NewAnonymous(8)
 	top.Shadow = bottom
 	k.PullRequest(top, 2, func(res PullResult, d []byte, sh *Object) {

@@ -217,7 +217,7 @@ func TestFaultWaitsForEviction(t *testing.T) {
 		// must wait for the eviction to finish and then page back in.
 		pg := obj.Lookup(0)
 		k.startEviction(obj, pg)
-		obj.PagedOut[0] = true
+		obj.MarkPagedOut(0)
 		v, err := task.ReadU64(p, 0)
 		if err != nil {
 			return err

@@ -258,7 +258,7 @@ func (k *Kernel) startEviction(o *Object, pg *Page) {
 			k.Ctr.V[sim.CtrEvictStuck]++
 			return
 		}
-		o.PagedOut[idx] = true
+		o.MarkPagedOut(idx)
 		k.DefaultMgr.DataReturn(o, idx, pg.Data, true, false)
 		return
 	}
@@ -626,7 +626,7 @@ func (k *Kernel) sendDataRequest(p *sim.Proc, o *Object, idx PageIdx, want Prot)
 
 func (k *Kernel) sendDataRequestTo(p *sim.Proc, mgr MemoryManager, o *Object, idx PageIdx, want Prot) error {
 	req := k.newPendingReq(want)
-	o.pending[idx] = req
+	o.setPending(idx, req)
 	k.Ctr.V[sim.CtrDataRequests]++
 	p.Sleep(k.Costs.EMMILocal)
 	mgr.DataRequest(o, idx, want)
@@ -638,11 +638,19 @@ func (k *Kernel) sendDataUnlock(p *sim.Proc, o *Object, idx PageIdx, want Prot) 
 		return k.waitPending(p, req)
 	}
 	req := k.newPendingReq(want)
-	o.pending[idx] = req
+	o.setPending(idx, req)
 	k.Ctr.V[sim.CtrDataUnlocks]++
 	p.Sleep(k.Costs.EMMILocal)
 	o.Mgr.DataUnlock(o, idx, want)
 	return k.waitPending(p, req)
+}
+
+// setPending records the page's in-flight request.
+func (o *Object) setPending(idx PageIdx, req *pendingReq) {
+	if o.pending == nil {
+		o.pending = make(map[PageIdx]*pendingReq)
+	}
+	o.pending[idx] = req
 }
 
 // completePending wakes fault procs waiting on (o, idx).

@@ -95,21 +95,18 @@ type pendingReq struct {
 }
 
 // NewObject creates an empty object of the given size owned by kernel k.
-// It is registered under its ID.
+// It is registered under its ID. Its maps are made on their first write.
 func (k *Kernel) NewObject(id ObjID, sizePages PageIdx, mgr MemoryManager, strategy CopyStrategy) *Object {
 	if _, dup := k.objects[id]; dup {
 		panic(fmt.Sprintf("vm: duplicate object %v on node %d", id, k.Node))
 	}
 	o := &Object{
-		ID:          id,
-		Kernel:      k,
-		SizePages:   sizePages,
-		Pages:       make([]*Page, sizePages),
-		Mgr:         mgr,
-		Strategy:    strategy,
-		PageVersion: make(map[PageIdx]uint64),
-		PagedOut:    make(map[PageIdx]bool),
-		pending:     make(map[PageIdx]*pendingReq),
+		ID:        id,
+		Kernel:    k,
+		SizePages: sizePages,
+		Pages:     make([]*Page, sizePages),
+		Mgr:       mgr,
+		Strategy:  strategy,
 	}
 	k.objects[id] = o
 	return o
@@ -154,7 +151,18 @@ func (o *Object) NeedsPush(idx PageIdx) bool {
 
 // MarkPushed stamps the page as pushed at the current object version.
 func (o *Object) MarkPushed(idx PageIdx) {
+	if o.PageVersion == nil {
+		o.PageVersion = make(map[PageIdx]uint64)
+	}
 	o.PageVersion[idx] = o.Version
+}
+
+// MarkPagedOut records that the default pager holds the page.
+func (o *Object) MarkPagedOut(idx PageIdx) {
+	if o.PagedOut == nil {
+		o.PagedOut = make(map[PageIdx]bool)
+	}
+	o.PagedOut[idx] = true
 }
 
 // String implements fmt.Stringer.
