@@ -84,9 +84,6 @@ func FromNodes(nodes []*dsm.Node) *Env {
 	return New(conns)
 }
 
-// NumNodes implements app.Env.
-func (e *Env) NumNodes() int { return len(e.conns) }
-
 // Step implements app.Env: run fn against the node's host view, then
 // drain the mesh so the next step starts from protocol quiescence. The
 // latency is the sum of the daemon-measured latencies of the operations
@@ -141,9 +138,6 @@ type host struct {
 	node int
 	lat  *time.Duration // daemon-measured latency accumulator for the step
 }
-
-func (h host) NodeID() int   { return h.node }
-func (h host) NumNodes() int { return len(h.env.conns) }
 
 func (h host) On(node int) app.Host { return host{env: h.env, node: node, lat: h.lat} }
 

@@ -26,10 +26,6 @@ var ErrUnsupported = errors.New("app: operation not supported by this host")
 // every call runs in virtual time on the calling proc's node; on the real
 // mesh it runs on the wall clock against the node's daemon.
 type Host interface {
-	// NodeID is the node this host is bound to; NumNodes the mesh size.
-	NodeID() int
-	NumNodes() int
-
 	// On returns a host bound to another node but the same thread of
 	// control — driver-style workloads (the Table 1 microbenchmarks)
 	// issue a sequential op stream across many nodes from one thread.

@@ -72,8 +72,6 @@ func Pages(ops []Op, pageSize int64) int64 {
 // drains the system to quiescence afterwards, plus the drained protocol
 // counters. simhost and dsmhost both implement it.
 type Env interface {
-	NumNodes() int
-
 	// Step runs fn as one short thread of control on the given node and
 	// drains to quiescence before returning. The returned duration is the
 	// operation's own latency on the env's clock — virtual time on the

@@ -36,9 +36,6 @@ func NewEnv(nodes int, pages int64) (*Env, error) {
 	return &Env{W: w}, nil
 }
 
-// NumNodes implements app.Env.
-func (e *Env) NumNodes() int { return e.W.C.P.Nodes }
-
 // Step runs fn as one proc on the node and drains the engine: the next
 // step starts from protocol quiescence. The latency is virtual time.
 func (e *Env) Step(node int, label string, fn func(h app.Host) error) (time.Duration, error) {

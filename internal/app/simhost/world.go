@@ -192,9 +192,6 @@ type host struct {
 	node int
 }
 
-func (h host) NodeID() int   { return h.node }
-func (h host) NumNodes() int { return h.w.C.P.Nodes }
-
 func (h host) On(node int) app.Host { return host{w: h.w, p: h.p, node: node} }
 
 // Open ensures the node's task exists (all objects map at task creation,

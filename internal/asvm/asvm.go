@@ -31,13 +31,6 @@ type Config struct {
 	// StaticCacheSize bounds each static manager's cache (entries).
 	StaticCacheSize int
 
-	// HopBound caps how many forwarding hops a request may take before it
-	// escalates to the deterministic ring scan. 0 means the legacy
-	// adaptive bound 2*len(Mapping)+8 — fine at paper scale, but at 1024
-	// nodes that lets a hint storm burn ~2k hops before tripping, so
-	// scale runs set an absolute bound instead.
-	HopBound int
-
 	// DisableInternodePaging skips eviction steps 2 and 3 (ownership
 	// transfer to readers, page transfer to free nodes): evicted owner
 	// pages go straight to the pager. Ablation A3.

@@ -164,11 +164,7 @@ func (in *Instance) forward(req accessReq) {
 		return
 	}
 	cfg := in.info.Cfg
-	bound := cfg.HopBound
-	if bound <= 0 {
-		bound = 2*len(in.info.Mapping) + 8
-	}
-	if req.Hops > bound {
+	if req.Hops > 2*len(in.info.Mapping)+8 {
 		// Hint chasing has gone on too long: escalate to the ring scan,
 		// which terminates deterministically.
 		in.nd.Ctr.V[sim.CtrHopEscalations]++

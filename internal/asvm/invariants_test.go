@@ -28,140 +28,133 @@ func TestInvariantsHoldAfterSimpleRun(t *testing.T) {
 	}
 }
 
-func TestInvariantsDetectDoubleOwner(t *testing.T) {
-	c := newCluster(t, 2, 0, DefaultConfig())
-	tasks := c.shared(t, 2, DefaultConfig())
-	info := c.asvms[0].Instance(sharedID).Info()
-	c.run(t, func(p *sim.Proc) error {
-		return tasks[0].WriteU64(p, 0, 1)
-	})
-	// Corrupt: force a second owner.
-	in1 := c.asvms[1].Instance(sharedID)
-	c.kerns[1].InstallPage(in1.o, 0, nil, vm.ProtWrite)
-	in1.installOwner(0, nil, 0)
-	if err := CheckInvariants(c.cl(), info); err == nil {
-		t.Fatal("double owner not detected")
-	}
+// plant is one corruption of a drained two-node cluster in which node 0
+// wrote page 0 and, if read, node 1 then read it.
+type plant struct {
+	read    bool
+	safety  bool // a mid-flight rule: CheckPageInvariants must catch it too
+	corrupt func(c *cluster)
 }
 
-// corruptibleCluster runs one write so node 0 owns page 0, then hands the
-// drained cluster to corrupt before checking the invariants, which must fail.
-func corruptibleCluster(t *testing.T, corrupt func(c *cluster)) error {
+// detectPlant checks the healthy cluster passes every entry point of the
+// checker, applies the plant, and requires each entry point that applies
+// to report it: the drain check, its bench-facing alias, and (for safety
+// plants) the mid-flight check of page 0.
+func detectPlant(t *testing.T, pl plant) {
 	t.Helper()
 	c := newCluster(t, 2, 0, DefaultConfig())
 	tasks := c.shared(t, 2, DefaultConfig())
 	info := c.asvms[0].Instance(sharedID).Info()
 	c.run(t, func(p *sim.Proc) error {
-		if err := tasks[0].WriteU64(p, 0, 1); err != nil {
+		if err := tasks[0].WriteU64(p, 0, 1); err != nil || !pl.read {
 			return err
 		}
 		_, err := tasks[1].ReadU64(p, 0)
 		return err
 	})
-	if err := CheckInvariants(c.cl(), info); err != nil {
-		t.Fatalf("healthy cluster failed invariants: %v", err)
+	checks := []struct {
+		name string
+		fn   func() error
+	}{
+		{"CheckInvariants", func() error { return CheckInvariants(c.cl(), info) }},
+		{"CheckInvariantsSampled", func() error { return CheckInvariantsSampled(c.cl(), info, 1, 1) }},
+		{"CheckPageInvariants", func() error { return CheckPageInvariants(c.cl(), info, 0) }},
 	}
-	corrupt(c)
-	return CheckInvariants(c.cl(), info)
+	for _, ch := range checks {
+		if err := ch.fn(); err != nil {
+			t.Fatalf("healthy cluster failed %s: %v", ch.name, err)
+		}
+	}
+	pl.corrupt(c)
+	if !pl.safety {
+		checks = checks[:2]
+	}
+	for _, ch := range checks {
+		if err := ch.fn(); err == nil {
+			t.Errorf("%s missed the plant", ch.name)
+		}
+	}
+}
+
+func TestInvariantsDetectDoubleOwner(t *testing.T) {
+	detectPlant(t, plant{safety: true, corrupt: func(c *cluster) {
+		in1 := c.asvms[1].Instance(sharedID)
+		c.kerns[1].InstallPage(in1.o, 0, nil, vm.ProtWrite)
+		in1.installOwner(0, nil, 0)
+	}})
 }
 
 func TestInvariantsDetectOwnerWithoutPage(t *testing.T) {
-	err := corruptibleCluster(t, func(c *cluster) {
+	detectPlant(t, plant{read: true, safety: true, corrupt: func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
 		c.kerns[0].RemovePage(in0.o, 0)
-	})
-	if err == nil {
-		t.Fatal("owner without a resident page not detected")
-	}
+	}})
 }
 
 func TestInvariantsDetectUnknownReader(t *testing.T) {
-	err := corruptibleCluster(t, func(c *cluster) {
+	detectPlant(t, plant{read: true, safety: true, corrupt: func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
 		in0.slot(0).readers.Remove(&in0.arena, 1)
-	})
-	if err == nil {
-		t.Fatal("reader unknown to the owner not detected")
-	}
+	}})
 }
 
+// A home that forgot its grant: only the drain check compares the home's
+// ledger, so CheckInvariantsSampled must be the full check to see it.
 func TestInvariantsDetectHomeGrantMismatch(t *testing.T) {
-	err := corruptibleCluster(t, func(c *cluster) {
+	detectPlant(t, plant{read: true, corrupt: func(c *cluster) {
 		home := c.asvms[0].Instance(sharedID)
 		home.slot(0).home &^= homeGranted
-	})
-	if err == nil {
-		t.Fatal("home/granted mismatch not detected")
-	}
+	}})
 }
 
 func TestInvariantsDetectDanglingBusy(t *testing.T) {
-	err := corruptibleCluster(t, func(c *cluster) {
+	detectPlant(t, plant{read: true, corrupt: func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
 		in0.slot(0).state = StServing
-	})
-	if err == nil {
-		t.Fatal("dangling busy state not detected")
-	}
+	}})
 }
 
-// The protocol-state coherence checks added with the explicit state
-// machine: each corruption makes the PageProtoState lie about the data it
-// summarizes, and CheckInvariants must call it out.
+// The protocol-state coherence plants: each makes the PageProtoState lie
+// about the data it summarizes.
 
 func TestInvariantsDetectOwnerStateWithoutReaders(t *testing.T) {
 	// After tasks[0] writes and tasks[1] reads, node 0 is in StOwner with
 	// node 1 on its reader list. Empty the list without changing state:
-	// StOwner now claims readers that do not exist. (The unknown-reader
-	// check also fires for node 1's copy, so corrupt the state first.)
-	err := corruptibleCluster(t, func(c *cluster) {
+	// StOwner now claims readers that do not exist. Node 1's copy and its
+	// ReadShared state go too, so no holder-based rule fires instead.
+	detectPlant(t, plant{read: true, safety: true, corrupt: func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
 		in0.slot(0).state = StOwner
 		in0.slot(0).readers.Clear(&in0.arena)
-		// Silence the holder-based check so the state-coherence check is
-		// what must catch this: drop node 1's copy and its ReadShared state.
 		in1 := c.asvms[1].Instance(sharedID)
 		c.kerns[1].RemovePage(in1.o, 0)
 		*in1.slot(0) = pageSlot{}
-	})
-	if err == nil {
-		t.Fatal("Owner state with empty reader list not detected")
-	}
+	}})
 }
 
 func TestInvariantsDetectOwnerSoleStateWithReaders(t *testing.T) {
-	err := corruptibleCluster(t, func(c *cluster) {
+	detectPlant(t, plant{read: true, safety: true, corrupt: func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
 		in0.slot(0).state = StOwnerSole
-	})
-	if err == nil {
-		t.Fatal("OwnerSole state with readers not detected")
-	}
+	}})
 }
 
 func TestInvariantsDetectReadSharedWithoutCopy(t *testing.T) {
-	err := corruptibleCluster(t, func(c *cluster) {
+	detectPlant(t, plant{read: true, safety: true, corrupt: func(c *cluster) {
 		in1 := c.asvms[1].Instance(sharedID)
 		c.kerns[1].RemovePage(in1.o, 0)
-	})
-	if err == nil {
-		t.Fatal("ReadShared state without a resident copy not detected")
-	}
+	}})
 }
 
 func TestInvariantsDetectReadSharedOffOwnerList(t *testing.T) {
 	// Drop node 1 from the owner's reader list and fix up the owner's own
-	// Owner/OwnerSole split so only node 1's surviving ReadShared state
-	// disagrees: the state-coherence check (which runs before the
-	// holder-based checks) must flag it.
-	err := corruptibleCluster(t, func(c *cluster) {
+	// Owner/OwnerSole split so only node 1's surviving ReadShared copy
+	// disagrees with the owner.
+	detectPlant(t, plant{read: true, safety: true, corrupt: func(c *cluster) {
 		in0 := c.asvms[0].Instance(sharedID)
 		in0.slot(0).readers.Remove(&in0.arena, 1)
 		in0.slot(0).state = StOwnerSole
-	})
-	if err == nil {
-		t.Fatal("ReadShared node missing from owner's reader list not detected")
-	}
+	}})
 }
 
 // TestInvariantsUnderRandomConcurrentLoad drives random concurrent

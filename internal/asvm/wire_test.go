@@ -424,7 +424,6 @@ func FuzzDecodeFrame(f *testing.F) {
 // captureTransport records what is sent through it.
 type captureTransport struct{ sent []interface{} }
 
-func (*captureTransport) Name() string                                       { return "capture" }
 func (*captureTransport) Register(mesh.NodeID, xport.ProtoID, xport.Handler) {}
 func (c *captureTransport) Send(_, _ mesh.NodeID, _ xport.ProtoID, _ int, m interface{}) {
 	c.sent = append(c.sent, m)

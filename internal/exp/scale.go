@@ -7,7 +7,6 @@ import (
 
 	"asvm/internal/app"
 	"asvm/internal/app/simhost"
-	"asvm/internal/asvm"
 	"asvm/internal/machine"
 	"asvm/internal/sim"
 	"asvm/internal/vm"
@@ -33,8 +32,7 @@ type ScaleCell struct {
 	OpenObjects     int     // objects each node starts with open
 	DynCacheSize    int     // dynamic hint cache entries (0: default)
 	StaticCacheSize int     // static manager cache entries (0: default)
-	HopBound        int     // forwarding hop bound (0: legacy 2*ring+8)
-	SamplePages     int     // >0: sampled invariant sweep (big meshes)
+	SamplePages     int     // read only by the frozen benchmark; no cell sets it
 	Seed            uint64
 }
 
@@ -167,8 +165,7 @@ func (r ScaleResult) FallbackRate() float64 {
 // RunScaleCell assembles the machine, lays the objects out with rotated
 // ring order (homes and static managers spread across the mesh), drives
 // every node's generated stream concurrently, drains, checks the global
-// invariants (full sweep, or sampled when the cell asks for it), and
-// gathers the ledger.
+// invariants, and gathers the ledger.
 func RunScaleCell(cell ScaleCell) (ScaleResult, error) { return runScaleCell(cell, nil) }
 
 // runScaleCell is RunScaleCell with a hook that sees the drained machine
@@ -182,7 +179,6 @@ func runScaleCell(cell ScaleCell, drained func(*machine.Cluster, *simhost.World)
 	if cell.StaticCacheSize > 0 {
 		p.ASVM.StaticCacheSize = cell.StaticCacheSize
 	}
-	p.ASVM.HopBound = cell.HopBound
 	c := machine.New(p)
 
 	specs := make([]simhost.Spec, cell.Objects)
@@ -256,14 +252,7 @@ func runScaleCell(cell ScaleCell, drained func(*machine.Cluster, *simhost.World)
 	}
 	for o := 0; o < cell.Objects; o++ {
 		r := w.Region(o)
-		var err error
-		if cell.SamplePages > 0 {
-			err = asvm.CheckInvariantsSampled(c.ASVMCluster(), r.ASVMInfo(),
-				cell.SamplePages, cell.Seed)
-		} else {
-			err = c.CheckInvariants(r)
-		}
-		if err != nil {
+		if err := c.CheckInvariants(r); err != nil {
 			return ScaleResult{}, fmt.Errorf("scale %s: %w", r.Name, err)
 		}
 	}
@@ -310,7 +299,6 @@ func ScaleCells(seed uint64, quick bool) []ScaleCell {
 	c256.Nodes, c256.OpsPerNode = 256, 16
 	c1024 := base
 	c1024.Nodes, c1024.OpsPerNode = 1024, 6
-	c1024.SamplePages = 4 // sampled sweep: full per-page pass is the small-mesh luxury
 
 	tiny := c64
 	tiny.DynCacheSize, tiny.StaticCacheSize = 2, 2

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -117,33 +118,54 @@ func TestRunScaleCellQuick(t *testing.T) {
 	}
 }
 
-// TestScaleCellSampledInvariants runs the quick 64-node cell under the
-// sampled drain check the 1024-node cell uses (4 of each object's 8 pages
-// checked across nodes), and shows that check bites: with a write copy of
-// the first sampled page planted in object 0 on a node that did not hold
-// it — a writer that is not the owner — the cell fails.
+// TestScaleCellSampledInvariants shows the scale cell's drain check is the
+// full one whatever SamplePages says: the benchmark's field once made the
+// check cover only 4 of each object's 8 pages (drawn from the cell's seed)
+// and skip home bookkeeping. A write copy planted on a non-owner node, on an
+// owned page outside that sample, must fail the cell.
 func TestScaleCellSampledInvariants(t *testing.T) {
 	cell := ScaleCells(1, true)[0]
 	cell.SamplePages = 4
 	if _, err := runScaleCell(cell, nil); err != nil {
 		t.Fatal(err)
 	}
-	idx := vm.PageIdx(sim.NewRNG(cell.Seed).Intn(cell.PagesPerObject)) // the sweep's first sample
-	planted := -1
+	sampled := map[int]bool{}
+	for rng := sim.NewRNG(cell.Seed); len(sampled) < cell.SamplePages; {
+		sampled[rng.Intn(cell.PagesPerObject)] = true
+	}
+	planted := ""
 	_, err := runScaleCell(cell, func(c *machine.Cluster, w *simhost.World) {
-		id := w.Region(0).ASVMInfo().ID
-		for n, nd := range c.ASVMs {
-			if in := nd.Instance(id); in != nil && !in.Obj().Resident(idx) {
-				nd.K.InstallPage(in.Obj(), idx, nil, vm.ProtWrite)
-				planted = n
-				return
+		for o := 0; o < cell.Objects && planted == ""; o++ {
+			id := w.Region(o).ASVMInfo().ID
+			for pg := 0; pg < cell.PagesPerObject && planted == ""; pg++ {
+				idx := vm.PageIdx(pg)
+				if sampled[pg] || !ownedOn(c, id, idx) {
+					continue
+				}
+				for n, nd := range c.ASVMs {
+					if in := nd.Instance(id); in != nil && !in.Obj().Resident(idx) {
+						nd.K.InstallPage(in.Obj(), idx, nil, vm.ProtWrite)
+						planted = fmt.Sprintf("object %d page %d on node %d", o, pg, n)
+						break
+					}
+				}
 			}
 		}
 	})
-	if planted < 0 {
-		t.Fatalf("no node of object 0 left page %d untouched to plant on", idx)
+	if planted == "" {
+		t.Fatalf("no owned page outside the sample %v to plant on", sampled)
 	}
 	if err == nil || !strings.Contains(err.Error(), "write-held by non-owner") {
-		t.Fatalf("page %d planted write-held on node %d: check returned %v", idx, planted, err)
+		t.Fatalf("write copy planted at %s: check returned %v", planted, err)
 	}
+}
+
+// ownedOn reports whether some node owns page idx of object id.
+func ownedOn(c *machine.Cluster, id vm.ObjID, idx vm.PageIdx) bool {
+	for _, nd := range c.ASVMs {
+		if in := nd.Instance(id); in != nil && in.Owns(idx) {
+			return true
+		}
+	}
+	return false
 }

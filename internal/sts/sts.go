@@ -31,7 +31,7 @@ import (
 // Costs is one row of the simulated transport's cost table: the
 // per-message software costs, on each side of the wire, of one IPC design.
 type Costs struct {
-	// Name is the transport's name (xport.Transport.Name, panics, reports).
+	// Name is the cost row's name (Transport.Name, panics, reports).
 	Name string
 	// SendCPU is the sender-side cost (STS: fill header, DMA start; NORMA:
 	// typed-message marshalling, port name lookup, kernel entry).
@@ -108,7 +108,7 @@ func New(e *sim.Engine, net *mesh.Network, nodes []*node.Node, costs Costs) *Tra
 	}
 }
 
-// Name implements xport.Transport.
+// Name is the name of the transport's cost row ("sts" or "norma").
 func (t *Transport) Name() string { return t.costs.Name }
 
 // Register implements xport.Transport.

@@ -55,10 +55,6 @@ func NewFaulty(e *sim.Engine, inner Transport, plan FaultPlan, rng *sim.RNG) *Fa
 	return &FaultyTransport{inner: inner, eng: e, plan: plan, rng: rng}
 }
 
-// Name implements Transport; the wrapper is cost-transparent and keeps the
-// inner transport's name.
-func (t *FaultyTransport) Name() string { return t.inner.Name() }
-
 // Register implements Transport.
 func (t *FaultyTransport) Register(n mesh.NodeID, proto ProtoID, h Handler) {
 	t.inner.Register(n, proto, h)

@@ -38,8 +38,6 @@ func newFake(e *sim.Engine) *fakeXport {
 
 func fkey(n mesh.NodeID, proto ProtoID) string { return fmt.Sprintf("%d/%d", n, proto) }
 
-func (f *fakeXport) Name() string { return "fake" }
-
 func (f *fakeXport) Register(n mesh.NodeID, proto ProtoID, h Handler) {
 	k := fkey(n, proto)
 	if _, dup := f.handlers[k]; dup {

@@ -197,9 +197,6 @@ func (t *Transport) peer(id mesh.NodeID) *peerLink {
 	return t.peers[id]
 }
 
-// Name implements xport.Transport.
-func (t *Transport) Name() string { return "netx" }
-
 // Register implements xport.Transport. netx speaks for one node, so n
 // must be Self.
 func (t *Transport) Register(n mesh.NodeID, proto xport.ProtoID, h xport.Handler) {

@@ -180,9 +180,6 @@ func (r *Reliable) OnPeerDown(n mesh.NodeID, fn func(ErrPeerDown)) {
 	r.onDown[n] = fn
 }
 
-// Name implements Transport; the layer is name-transparent.
-func (r *Reliable) Name() string { return r.inner.Name() }
-
 // Register implements Transport: the inner registration decodes frames,
 // acks them, suppresses duplicates, and hands fresh messages to h.
 func (r *Reliable) Register(n mesh.NodeID, proto ProtoID, h Handler) {

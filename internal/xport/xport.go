@@ -29,9 +29,6 @@ type Transport interface {
 	// back to another route. Only when the sender itself has no handler —
 	// nobody to tell — does the transport panic.
 	Send(src, dst mesh.NodeID, proto ProtoID, payloadBytes int, m interface{})
-
-	// Name identifies the transport ("norma" or "sts").
-	Name() string
 }
 
 // Nack is delivered to the sender's own (src, proto) handler when a message

@@ -174,14 +174,6 @@ func TestStatsCount(t *testing.T) {
 	}
 }
 
-func TestTransportNames(t *testing.T) {
-	ev := newEnv(2)
-	trs := transports(ev)
-	if trs["norma"].Name() != "norma" || trs["sts"].Name() != "sts" {
-		t.Fatal("bad names")
-	}
-}
-
 func TestNormaManyToOneRetransmits(t *testing.T) {
 	// NORMA's broken flow control (paper §1): a storm of senders overruns
 	// the receiver's buffers and messages pay retransmission delays. The
