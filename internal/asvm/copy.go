@@ -153,10 +153,7 @@ func (in *Instance) pullNow(req accessReq, hs *pageSlot) {
 		case vm.PullAskManager:
 			srcInst, ok := shadow.Mgr.(*Instance)
 			if !ok {
-				// An unmanaged shadow holding the page at the default
-				// pager: fault it in locally, then retry the pull.
-				in.pullThroughLocalFault(req, hs, shadow)
-				return
+				panic(fmt.Sprintf("asvm: pull of page %d reached %v, which no domain manages", req.Idx, shadow.ID))
 			}
 			// Reserve at this home: the origin will own the page once the
 			// source domain answers.
@@ -170,16 +167,5 @@ func (in *Instance) pullNow(req accessReq, hs *pageSlot) {
 			fwd.LastFrom = in.self()
 			srcInst.forward(fwd)
 		}
-	})
-}
-
-// pullThroughLocalFault pages an unmanaged shadow page back in (it sits at
-// the default pager) and then serves the pull from it.
-func (in *Instance) pullThroughLocalFault(req accessReq, hs *pageSlot, shadow *vm.Object) {
-	in.nd.Eng.Spawn("asvm-pullin", func(p *sim.Proc) {
-		if _, err := in.nd.K.FaultObject(p, shadow, req.Idx, vm.ProtRead); err != nil {
-			panic(fmt.Sprintf("asvm: pull page-in failed: %v", err))
-		}
-		in.pullLocal(req, hs)
 	})
 }

@@ -190,15 +190,6 @@ func TestRemoteForkSharedEntries(t *testing.T) {
 	})
 }
 
-func TestPromoteRejectsPagedOut(t *testing.T) {
-	c := newCluster(t, 2, 0, DefaultConfig())
-	o := c.kerns[0].NewAnonymous(4)
-	o.MarkPagedOut(1)
-	if _, err := Promote(c.asvms[0], o, DefaultConfig()); err == nil {
-		t.Fatal("promotion with paged-out pages accepted")
-	}
-}
-
 func TestPromoteIdempotent(t *testing.T) {
 	c := newCluster(t, 2, 0, DefaultConfig())
 	o := c.kerns[0].NewAnonymous(4)

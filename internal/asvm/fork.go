@@ -27,9 +27,6 @@ func Promote(nd *Node, o *vm.Object, cfg Config) (*DomainInfo, error) {
 		}
 		return nil, fmt.Errorf("asvm: %v already has a foreign manager", o.ID)
 	}
-	if len(o.PagedOut) > 0 {
-		return nil, fmt.Errorf("asvm: cannot promote %v with pages at the default pager", o.ID)
-	}
 	info := NewDomain(o.ID, o.SizePages, nd.Self, []mesh.NodeID{nd.Self}, cfg)
 	AddNode(info, nd)
 	return info, nil

@@ -12,6 +12,25 @@ import (
 	"asvm/internal/vm"
 )
 
+// The EM3D graph's fixed shape and cost (paper §4.3).
+const (
+	// em3dEdgesPerCell is the in-degree of each cell (paper: 6).
+	em3dEdgesPerCell = 6
+	// em3dRemotePct is the percentage of edges whose source cell lives on
+	// a different node (paper: 20).
+	em3dRemotePct = 20
+	// em3dCellBytes is the memory footprint per cell (paper: 224).
+	em3dCellBytes = 224
+	// em3dPerCellCompute is the update cost for one cell including its
+	// edge arithmetic; calibrated so the sequential 64000-cell run lands at
+	// the paper's 43.6 s.
+	em3dPerCellCompute = 6800 * time.Nanosecond
+	// em3dGhostCells is the size of the neighbour-boundary window remote
+	// edges select their sources from (EM3D graphs are physically local:
+	// remote dependencies cluster at partition boundaries).
+	em3dGhostCells = 256
+)
+
 // EM3DConfig parameterizes the EM3D electromagnetic wave propagation
 // application (paper §4.3): a bipartite graph of E and H cells, updated in
 // alternating phases over shared virtual memory.
@@ -19,25 +38,10 @@ type EM3DConfig struct {
 	// Cells is the total number of cells (E + H). Paper: 64000, 256000,
 	// 1024000.
 	Cells int
-	// EdgesPerCell is the in-degree of each cell (paper: 6).
-	EdgesPerCell int
-	// RemotePct is the percentage of edges whose source cell lives on a
-	// different node (paper: 20).
-	RemotePct int
 	// Iters is the number of compute iterations (paper: 100).
 	Iters int
 	// Nodes is the number of compute nodes.
 	Nodes int
-	// CellBytes is the memory footprint per cell (paper: 224).
-	CellBytes int
-	// PerCellCompute is the update cost for one cell including its edge
-	// arithmetic; calibrated so the sequential 64000-cell run lands at the
-	// paper's 43.6 s.
-	PerCellCompute time.Duration
-	// GhostCells is the size of the neighbour-boundary window remote edges
-	// select their sources from (EM3D graphs are physically local: remote
-	// dependencies cluster at partition boundaries).
-	GhostCells int
 	// MemMB is per-node memory (16 for the paper's GP nodes; 0 for the
 	// unlimited sequential reference run marked * in Table 3).
 	MemMB int
@@ -49,22 +53,17 @@ type EM3DConfig struct {
 // node count.
 func DefaultEM3D(cells, nodes, iters int) EM3DConfig {
 	return EM3DConfig{
-		Cells:          cells,
-		EdgesPerCell:   6,
-		RemotePct:      20,
-		Iters:          iters,
-		Nodes:          nodes,
-		CellBytes:      224,
-		PerCellCompute: 6800 * time.Nanosecond,
-		GhostCells:     256,
-		MemMB:          16,
-		Seed:           1,
+		Cells: cells,
+		Iters: iters,
+		Nodes: nodes,
+		MemMB: 16,
+		Seed:  1,
 	}
 }
 
 // DatasetBytes returns the problem's memory footprint.
 func (cfg EM3DConfig) DatasetBytes() int64 {
-	return int64(cfg.Cells) * int64(cfg.CellBytes)
+	return int64(cfg.Cells) * em3dCellBytes
 }
 
 // Feasible reports whether the combined user memory of the nodes can hold
@@ -92,7 +91,7 @@ func planEM3D(cfg EM3DConfig) []em3dNodePlan {
 	rng := sim.NewRNG(cfg.Seed)
 	cpn := cfg.Cells / cfg.Nodes
 	cellPage := func(cell int) vm.PageIdx {
-		return vm.PageIdx(int64(cell) * int64(cfg.CellBytes) / vm.PageSize)
+		return vm.PageIdx(int64(cell) * em3dCellBytes / vm.PageSize)
 	}
 	pagesOf := func(firstCell, nCells int) []vm.PageIdx {
 		if nCells <= 0 {
@@ -123,12 +122,12 @@ func planEM3D(cfg EM3DConfig) []em3dNodePlan {
 		p.writeH = pagesOf(hFirst, hCount)
 
 		// Remote sources cluster at neighbouring nodes' boundary windows.
-		ghost := cfg.GhostCells
+		ghost := em3dGhostCells
 		if ghost > half {
 			ghost = half
 		}
-		remoteE := eCount * cfg.EdgesPerCell * cfg.RemotePct / 100
-		remoteH := hCount * cfg.EdgesPerCell * cfg.RemotePct / 100
+		remoteE := eCount * em3dEdgesPerCell * em3dRemotePct / 100
+		remoteH := hCount * em3dEdgesPerCell * em3dRemotePct / 100
 
 		// sample appends to dst the distinct ghost pages of count remote
 		// edges, ascending; seen dedupes them and is left all false again.
@@ -244,7 +243,7 @@ func RunEM3D(c *machine.Cluster, cfg EM3DConfig) (time.Duration, *machine.Region
 				if err := touch(plan.writeE, true); err != nil {
 					return err
 				}
-				h.Sleep(time.Duration(plan.updatesE) * cfg.PerCellCompute)
+				h.Sleep(time.Duration(plan.updatesE) * em3dPerCellCompute)
 				if err := h.Barrier(bar); err != nil {
 					return err
 				}
@@ -255,7 +254,7 @@ func RunEM3D(c *machine.Cluster, cfg EM3DConfig) (time.Duration, *machine.Region
 				if err := touch(plan.writeH, true); err != nil {
 					return err
 				}
-				h.Sleep(time.Duration(plan.updatesH) * cfg.PerCellCompute)
+				h.Sleep(time.Duration(plan.updatesH) * em3dPerCellCompute)
 				if err := h.Barrier(bar); err != nil {
 					return err
 				}

@@ -1,8 +1,9 @@
 // Package machine assembles a simulated Paragon-class multicomputer: mesh
 // interconnect, per-node kernels and message processors, I/O nodes with
 // disks and pagers, and one of the two distributed memory systems (the XMM
-// baseline or ASVM). It owns Params — the single calibration surface for
-// every cost constant in the simulation (DESIGN.md §6).
+// baseline or ASVM). Params holds what experiments vary; the calibrated
+// cost constants live in each package's DefaultCosts (mesh, vm, pager, sts,
+// norma) and in the Paragon testbed constants below (DESIGN.md §6).
 package machine
 
 import (
@@ -38,9 +39,9 @@ func (s System) String() string {
 	return "ASVM"
 }
 
-// Params configures a cluster. All latency/bandwidth constants were
-// calibrated once against the paper's Table 1 ASVM column and sequential
-// EM3D time; see EXPERIMENTS.md.
+// Params configures a cluster: what the experiments vary. The cost
+// constants, each package's DefaultCosts, were calibrated once against the
+// paper's Table 1 ASVM column and sequential EM3D time; see EXPERIMENTS.md.
 type Params struct {
 	// Nodes is the machine size (Paragon installations: up to 1792;
 	// the paper's testbed: 72).
@@ -64,10 +65,7 @@ type Params struct {
 	// System picks ASVM or XMM.
 	System System
 
-	Mesh  mesh.Config
-	VM    vm.Costs
-	Pager pager.Costs
-	ASVM  asvm.Config
+	ASVM asvm.Config
 
 	// XMMCopyThreads bounds each node's XMM copy-pager thread pool.
 	XMMCopyThreads int
@@ -120,9 +118,6 @@ func DefaultParams(n int) Params {
 		MemMB:          0, // unlimited unless an experiment sets it
 		TrackData:      false,
 		System:         SysASVM,
-		Mesh:           mesh.DefaultConfig(n),
-		VM:             vm.DefaultCosts(),
-		Pager:          pager.DefaultCosts(),
 		ASVM:           asvm.DefaultConfig(),
 		XMMCopyThreads: 64,
 		Seed:           1,
@@ -201,7 +196,7 @@ func New(p Params) *Cluster {
 	c := &Cluster{
 		P:           p,
 		Eng:         e,
-		Net:         mesh.New(e, p.Nodes, p.Mesh),
+		Net:         mesh.New(e, p.Nodes, mesh.DefaultConfig(p.Nodes)),
 		PagingSpace: make(map[mesh.NodeID]*pager.Server),
 		RNG:         sim.NewRNG(p.Seed),
 	}
@@ -233,20 +228,12 @@ func New(p Params) *Cluster {
 		io := mesh.NodeID(i)
 		c.HW[i].AttachDisk(e, DiskSeek, DiskBytesPerSecond).SetWriteSeek(DiskWriteSeek)
 		c.PagingSpace[io] = pager.NewServer(e, c.TR, io, c.HW[i].Disk,
-			p.Pager, fmt.Sprintf("dp%d", i), p.TrackData)
+			pager.DefaultCosts(), fmt.Sprintf("dp%d", i), p.TrackData)
 	}
 
 	for i := 0; i < p.Nodes; i++ {
-		k := vm.NewKernel(e, mesh.NodeID(i), p.VM, vm.NewPhysMem(p.UserPages()), p.TrackData)
+		k := vm.NewKernel(e, mesh.NodeID(i), vm.DefaultCosts(), vm.NewPhysMem(p.UserPages()), p.TrackData)
 		c.Kerns = append(c.Kerns, k)
-	}
-	// Anonymous pageout goes to the group's paging space.
-	for i, k := range c.Kerns {
-		io := pager.IONodeFor(mesh.NodeID(i), p.Nodes, IORatio)
-		srv := c.PagingSpace[io]
-		if srv != nil {
-			k.DefaultMgr = pager.NewBinding(k, e, c.TR, srv)
-		}
 	}
 
 	switch p.System {
@@ -387,7 +374,7 @@ func (c *Cluster) filePager(io mesh.NodeID, name string) *pager.Server {
 	if hw.Disk == nil {
 		hw.AttachDisk(c.Eng, DiskSeek, DiskBytesPerSecond).SetWriteSeek(DiskWriteSeek)
 	}
-	srv := pager.NewServer(c.Eng, c.TR, io, hw.Disk, c.P.Pager, name, c.P.TrackData)
+	srv := pager.NewServer(c.Eng, c.TR, io, hw.Disk, pager.DefaultCosts(), name, c.P.TrackData)
 	srv.CacheInMemory = true
 	return srv
 }

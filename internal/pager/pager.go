@@ -3,9 +3,8 @@
 // mapped files), both running on I/O nodes with attached disks — the
 // Paragon typically had one disk node per 32 compute nodes.
 //
-// A pager is a Server reachable over a transport channel; kernels and
-// distribution layers (XMM, ASVM) talk to it through a Client, or bind it
-// directly into a kernel as its MemoryManager with a Binding.
+// A pager is a Server reachable over a transport channel; the distribution
+// layers (XMM, ASVM) talk to it through a Client.
 package pager
 
 import (
@@ -308,48 +307,3 @@ func (c *Client) PageOut(obj vm.ObjID, idx vm.PageIdx, data []byte, dirty bool, 
 	c.tr.Send(c.self, c.srv.node, c.srv.proto, vm.PageSize,
 		c.srv.ops.Get(op{s: c.srv, id: c.nextID, obj: obj, idx: idx, data: data, out: true, replyTo: c.replyTo}))
 }
-
-// ---------------------------------------------------------------------------
-// Binding: plug a pager directly into a kernel as its MemoryManager.
-
-// Binding adapts a Client to vm.MemoryManager for a single kernel — the
-// configuration of a node whose memory object is backed directly by a
-// pager with no distribution layer (single-node mappings, and the default
-// pager for anonymous pageout).
-type Binding struct {
-	K *vm.Kernel
-	C *Client
-}
-
-// NewBinding builds a binding for kernel k talking to server through tr.
-func NewBinding(k *vm.Kernel, eng *sim.Engine, tr xport.Transport, server *Server) *Binding {
-	return &Binding{K: k, C: NewClient(eng, tr, k.Node, server)}
-}
-
-// DataRequest implements vm.MemoryManager.
-func (b *Binding) DataRequest(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
-	b.C.PageIn(o.ID, idx, InFunc(func(data []byte, found bool) {
-		if found {
-			b.K.DataSupply(o, idx, data, vm.ProtWrite, false)
-		} else {
-			b.K.DataUnavailable(o, idx, vm.ProtWrite)
-		}
-	}))
-}
-
-// DataUnlock implements vm.MemoryManager; pager-backed pages are never
-// lock-restricted by the pager, so upgrades are immediate.
-func (b *Binding) DataUnlock(o *vm.Object, idx vm.PageIdx, desired vm.Prot) {
-	b.K.LockGrant(o, idx, desired)
-}
-
-// DataReturn implements vm.MemoryManager.
-func (b *Binding) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, kept bool) {
-	b.C.PageOut(o.ID, idx, data, dirty, OutFunc(func() {
-		if !kept {
-			b.K.RemovePage(o, idx)
-		}
-	}))
-}
-
-var _ vm.MemoryManager = (*Binding)(nil)

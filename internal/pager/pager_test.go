@@ -18,6 +18,11 @@ type penv struct {
 	tr    xport.Transport
 }
 
+// outFunc adapts a callback to PageOutDone.
+type outFunc func()
+
+func (f outFunc) PageOutDone(vm.ObjID, vm.PageIdx) { f() }
+
 func newPenv(n int, withDisk bool) *penv {
 	e := sim.NewEngine()
 	net := mesh.New(e, n, mesh.DefaultConfig(n))
@@ -56,7 +61,7 @@ func TestPageOutThenPageIn(t *testing.T) {
 	data := make([]byte, vm.PageSize)
 	data[5] = 0x77
 	var gotBack []byte
-	cli.PageOut(obj, 3, data, true, OutFunc(func() {
+	cli.PageOut(obj, 3, data, true, outFunc(func() {
 		cli.PageIn(obj, 3, InFunc(func(d []byte, found bool) {
 			if !found {
 				t.Error("paged-out page not found")
@@ -135,7 +140,7 @@ func TestDiskSerializationLimitsThroughput(t *testing.T) {
 	obj := vm.ObjID{Node: 1, Seq: 1}
 	done := 0
 	for i := 0; i < 10; i++ {
-		cli.PageOut(obj, vm.PageIdx(i), make([]byte, vm.PageSize), true, OutFunc(func() { done++ }))
+		cli.PageOut(obj, vm.PageIdx(i), make([]byte, vm.PageSize), true, outFunc(func() { done++ }))
 	}
 	end := ev.eng.Run()
 	if done != 10 {
@@ -183,78 +188,4 @@ func TestRoundTripZeroAllocs(t *testing.T) {
 	if done.outs != 102 || done.ins != 102 || srv.DiskReads != 102 {
 		t.Fatalf("completions %d out / %d in, %d disk reads; want 102 each", done.outs, done.ins, srv.DiskReads)
 	}
-}
-
-func TestBindingIntoKernel(t *testing.T) {
-	ev := newPenv(2, false)
-	srv := NewServer(ev.eng, ev.tr, 0, nil, DefaultCosts(), "dp", true)
-	k := vm.NewKernel(ev.eng, 1, vm.DefaultCosts(), vm.NewPhysMem(4), true)
-	k.DefaultMgr = NewBinding(k, ev.eng, ev.tr, srv)
-	task := k.NewTask("t")
-	obj := k.NewAnonymous(16)
-	task.Map.MapObject(0, obj, 0, 16, vm.ProtWrite, vm.InheritCopy)
-	var err error
-	ev.eng.Spawn("t", func(p *sim.Proc) {
-		for i := 0; i < 16; i++ {
-			if err = task.WriteU64(p, vm.Addr(i*vm.PageSize), uint64(i+1)); err != nil {
-				return
-			}
-		}
-		for i := 0; i < 16; i++ {
-			var v uint64
-			v, err = task.ReadU64(p, vm.Addr(i*vm.PageSize))
-			if err != nil {
-				return
-			}
-			if v != uint64(i+1) {
-				t.Errorf("page %d = %d", i, v)
-			}
-		}
-	})
-	ev.eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.PageOuts == 0 || srv.PageIns == 0 {
-		t.Fatalf("paging space unused: %d outs %d ins", srv.PageOuts, srv.PageIns)
-	}
-	if k.Mem.ResidentPages > 4 {
-		t.Fatalf("resident = %d", k.Mem.ResidentPages)
-	}
-}
-
-func TestBindingManagedObjectFaults(t *testing.T) {
-	// A memory object backed directly by a file pager on another node.
-	ev := newPenv(2, false)
-	srv := NewServer(ev.eng, ev.tr, 0, nil, DefaultCosts(), "fp", true)
-	k := vm.NewKernel(ev.eng, 1, vm.DefaultCosts(), vm.NewPhysMem(0), true)
-	id := vm.ObjID{Node: 0, Seq: 77}
-	data := make([]byte, vm.PageSize)
-	data[100] = 0x5A
-	srv.Preload(id, 2, data)
-
-	b := &Binding{K: k, C: NewClient(ev.eng, ev.tr, 1, srv)}
-	obj := k.NewObject(id, 8, b, vm.CopyNone)
-	task := k.NewTask("t")
-	task.Map.MapObject(0, obj, 0, 8, vm.ProtWrite, vm.InheritShare)
-	ev.eng.Spawn("t", func(p *sim.Proc) {
-		pg, err := task.Touch(p, 2*vm.PageSize, vm.ProtRead)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if pg.Data[100] != 0x5A {
-			t.Error("file contents lost")
-		}
-		// A page with no backing zero-fills through DataUnavailable.
-		pg2, err := task.Touch(p, 5*vm.PageSize, vm.ProtWrite)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if pg2.Data[0] != 0 {
-			t.Error("fresh page not zero")
-		}
-	})
-	ev.eng.Run()
 }

@@ -27,8 +27,7 @@ type PageInDone interface {
 	PageInDone(obj vm.ObjID, idx vm.PageIdx, data []byte, found bool)
 }
 
-// PageOutDone is a page-out's typed completion (see PageInDone); cold
-// callers wrap a func in OutFunc.
+// PageOutDone is a page-out's typed completion (see PageInDone).
 type PageOutDone interface {
 	PageOutDone(obj vm.ObjID, idx vm.PageIdx)
 }
@@ -39,12 +38,6 @@ type InFunc func(data []byte, found bool)
 
 // PageInDone calls f.
 func (f InFunc) PageInDone(_ vm.ObjID, _ vm.PageIdx, data []byte, found bool) { f(data, found) }
-
-// OutFunc adapts a callback to PageOutDone.
-type OutFunc func()
-
-// PageOutDone calls f.
-func (f OutFunc) PageOutDone(vm.ObjID, vm.PageIdx) { f() }
 
 var _ PagerIO = (*Client)(nil)
 

@@ -144,7 +144,6 @@ const (
 	CtrLocalPushes
 	CtrMgrDirtyToPager
 	CtrMgrFlushes
-	CtrMgrPageouts
 	CtrMgrRequests
 	CtrMgrUpgrades
 	CtrMsgs
@@ -157,7 +156,6 @@ const (
 	CtrPagesLost
 	CtrPeerDowns
 	CtrProtoTransitions
-	CtrProxyEvicts
 	CtrProxyRequests
 	CtrPullGrants
 	CtrPullRequests
@@ -229,7 +227,6 @@ var ctrNames = [NumCtrs]string{
 	CtrLocalPushes:        "local_pushes",
 	CtrMgrDirtyToPager:    "mgr_dirty_to_pager",
 	CtrMgrFlushes:         "mgr_flushes",
-	CtrMgrPageouts:        "mgr_pageouts",
 	CtrMgrRequests:        "mgr_requests",
 	CtrMgrUpgrades:        "mgr_upgrades",
 	CtrMsgs:               "msgs",
@@ -242,7 +239,6 @@ var ctrNames = [NumCtrs]string{
 	CtrPagesLost:          "pages_lost",
 	CtrPeerDowns:          "peer_downs",
 	CtrProtoTransitions:   "proto_transitions",
-	CtrProxyEvicts:        "proxy_evicts",
 	CtrProxyRequests:      "proxy_requests",
 	CtrPullGrants:         "pull_grants",
 	CtrPullRequests:       "pull_requests",

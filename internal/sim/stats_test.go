@@ -168,7 +168,6 @@ func TestCounterNameTableGolden(t *testing.T) {
 		CtrLocalPushes:        "local_pushes",
 		CtrMgrDirtyToPager:    "mgr_dirty_to_pager",
 		CtrMgrFlushes:         "mgr_flushes",
-		CtrMgrPageouts:        "mgr_pageouts",
 		CtrMgrRequests:        "mgr_requests",
 		CtrMgrUpgrades:        "mgr_upgrades",
 		CtrMsgs:               "msgs",
@@ -181,7 +180,6 @@ func TestCounterNameTableGolden(t *testing.T) {
 		CtrPagesLost:          "pages_lost",
 		CtrPeerDowns:          "peer_downs",
 		CtrProtoTransitions:   "proto_transitions",
-		CtrProxyEvicts:        "proxy_evicts",
 		CtrProxyRequests:      "proxy_requests",
 		CtrPullGrants:         "pull_grants",
 		CtrPullRequests:       "pull_requests",

@@ -175,20 +175,6 @@ func TestCancelEvictionWakesWaiters(t *testing.T) {
 	}
 }
 
-func TestPullRequestThroughPagedOutShadow(t *testing.T) {
-	e := sim.NewEngine()
-	k := testKernel(e)
-	bottom := k.NewAnonymous(8)
-	bottom.MarkPagedOut(2)
-	top := k.NewAnonymous(8)
-	top.Shadow = bottom
-	k.PullRequest(top, 2, func(res PullResult, d []byte, sh *Object) {
-		if res != PullAskManager || sh != bottom {
-			t.Errorf("pull through paged-out shadow = %v", res)
-		}
-	})
-}
-
 func TestHasPending(t *testing.T) {
 	e := sim.NewEngine()
 	k := testKernel(e)

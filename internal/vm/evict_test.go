@@ -11,30 +11,29 @@ func memKernel(e *sim.Engine, pages int) *Kernel {
 	return NewKernel(e, 0, DefaultCosts(), NewPhysMem(pages), true)
 }
 
-// defaultPagerStub implements MemoryManager as an in-memory paging space.
-type defaultPagerStub struct {
+// pagerStub implements MemoryManager as an in-memory paging space.
+type pagerStub struct {
 	k     *Kernel
 	store map[pageKey][]byte
-	outs  int
-	ins   int
 }
 
-func newDefaultPagerStub(k *Kernel) *defaultPagerStub {
-	return &defaultPagerStub{k: k, store: make(map[pageKey][]byte)}
+// newPagedObject makes an object of the given size backed by a pagerStub.
+func newPagedObject(k *Kernel, sizePages PageIdx) *Object {
+	o := k.NewAnonymous(sizePages)
+	o.Mgr = &pagerStub{k: k, store: make(map[pageKey][]byte)}
+	return o
 }
 
-func (d *defaultPagerStub) DataRequest(o *Object, idx PageIdx, desired Prot) {
-	d.ins++
+func (d *pagerStub) DataRequest(o *Object, idx PageIdx, desired Prot) {
 	data := d.store[pageKey{o.ID, idx}]
 	d.k.Eng.Schedule(0, func() { d.k.DataSupply(o, idx, data, ProtWrite, false) })
 }
 
-func (d *defaultPagerStub) DataUnlock(o *Object, idx PageIdx, desired Prot) {
+func (d *pagerStub) DataUnlock(o *Object, idx PageIdx, desired Prot) {
 	d.k.LockGrant(o, idx, desired)
 }
 
-func (d *defaultPagerStub) DataReturn(o *Object, idx PageIdx, data []byte, dirty, kept bool) {
-	d.outs++
+func (d *pagerStub) DataReturn(o *Object, idx PageIdx, data []byte, dirty, kept bool) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	d.store[pageKey{o.ID, idx}] = buf
@@ -46,9 +45,8 @@ func (d *defaultPagerStub) DataReturn(o *Object, idx PageIdx, data []byte, dirty
 func TestEvictionKeepsOccupancyBounded(t *testing.T) {
 	e := sim.NewEngine()
 	k := memKernel(e, 16)
-	k.DefaultMgr = newDefaultPagerStub(k)
 	task := k.NewTask("t")
-	obj := k.NewAnonymous(64)
+	obj := newPagedObject(k, 64)
 	task.Map.MapObject(0, obj, 0, 64, ProtWrite, InheritCopy)
 	runTask(t, e, func(p *sim.Proc) error {
 		for i := 0; i < 64; i++ {
@@ -66,42 +64,10 @@ func TestEvictionKeepsOccupancyBounded(t *testing.T) {
 	}
 }
 
-func TestEvictedDirtyPageRoundTripsThroughPager(t *testing.T) {
-	e := sim.NewEngine()
-	k := memKernel(e, 8)
-	pager := newDefaultPagerStub(k)
-	k.DefaultMgr = pager
-	task := k.NewTask("t")
-	obj := k.NewAnonymous(32)
-	task.Map.MapObject(0, obj, 0, 32, ProtWrite, InheritCopy)
-	runTask(t, e, func(p *sim.Proc) error {
-		// Write all pages, forcing early ones out to the pager.
-		for i := 0; i < 32; i++ {
-			if err := task.WriteU64(p, Addr(i*PageSize), uint64(1000+i)); err != nil {
-				return err
-			}
-		}
-		// Read everything back; early pages must come from paging space.
-		for i := 0; i < 32; i++ {
-			v, err := task.ReadU64(p, Addr(i*PageSize))
-			if err != nil {
-				return err
-			}
-			if v != uint64(1000+i) {
-				t.Errorf("page %d read %d, want %d", i, v, 1000+i)
-			}
-		}
-		return nil
-	})
-	if pager.outs == 0 || pager.ins == 0 {
-		t.Fatalf("pager not exercised: outs=%d ins=%d", pager.outs, pager.ins)
-	}
-}
-
 func TestCleanPagesDroppedWithoutPager(t *testing.T) {
 	e := sim.NewEngine()
 	k := memKernel(e, 8)
-	// No default pager: only clean pages can be evicted.
+	// Anonymous memory: only clean pages can be evicted.
 	task := k.NewTask("t")
 	obj := k.NewAnonymous(32)
 	task.Map.MapObject(0, obj, 0, 32, ProtWrite, InheritCopy)
@@ -164,9 +130,8 @@ func TestDirtyPagesStickWithoutPager(t *testing.T) {
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	e := sim.NewEngine()
 	k := memKernel(e, 4)
-	k.DefaultMgr = newDefaultPagerStub(k)
 	task := k.NewTask("t")
-	obj := k.NewAnonymous(16)
+	obj := newPagedObject(k, 16)
 	task.Map.MapObject(0, obj, 0, 16, ProtWrite, InheritCopy)
 	runTask(t, e, func(p *sim.Proc) error {
 		if err := task.WriteU64(p, 0, 42); err != nil {
@@ -204,10 +169,8 @@ func TestLRUOrdering(t *testing.T) {
 func TestFaultWaitsForEviction(t *testing.T) {
 	e := sim.NewEngine()
 	k := memKernel(e, 0)
-	pager := newDefaultPagerStub(k)
-	k.DefaultMgr = pager
 	task := k.NewTask("t")
-	obj := k.NewAnonymous(8)
+	obj := newPagedObject(k, 8)
 	task.Map.MapObject(0, obj, 0, 8, ProtWrite, InheritCopy)
 	runTask(t, e, func(p *sim.Proc) error {
 		if err := task.WriteU64(p, 0, 5); err != nil {
@@ -217,7 +180,6 @@ func TestFaultWaitsForEviction(t *testing.T) {
 		// must wait for the eviction to finish and then page back in.
 		pg := obj.Lookup(0)
 		k.startEviction(obj, pg)
-		obj.MarkPagedOut(0)
 		v, err := task.ReadU64(p, 0)
 		if err != nil {
 			return err

@@ -20,11 +20,6 @@ type Kernel struct {
 	// tests use it, large benchmarks run metadata-only.
 	TrackData bool
 
-	// DefaultMgr is the default-pager binding used for anonymous memory
-	// page-out. Nil disables anonymous pageout (pages are then pinned by
-	// cleanliness rules).
-	DefaultMgr MemoryManager
-
 	// Ctr accumulates kernel-level statistics (faults, zero fills, ...).
 	Ctr *sim.Counters
 
@@ -244,41 +239,29 @@ func (k *Kernel) startEviction(o *Object, pg *Page) {
 	k.Ctr.V[sim.CtrEvictions]++
 	idx := pg.Idx
 	if o.Mgr != nil {
-		// Managed object: the manager (pager binding / XMM / ASVM) decides
-		// where the page goes and finishes with RemovePage.
+		// Managed object: the manager (XMM / ASVM) decides where the page
+		// goes and finishes with RemovePage, or keeps it with
+		// CancelEviction.
 		o.Mgr.DataReturn(o, idx, pg.Data, pg.Dirty, false)
 		return
 	}
-	// Anonymous memory.
+	// Anonymous memory has no paging space: a dirty page stays resident
+	// and a clean one is dropped.
 	if pg.Dirty {
-		if k.DefaultMgr == nil {
-			// Nowhere to put it; give up on this page (stays resident).
-			pg.Evicting = false
-			k.Mem.EvictingPages--
-			k.Ctr.V[sim.CtrEvictStuck]++
-			return
-		}
-		o.MarkPagedOut(idx)
-		k.DefaultMgr.DataReturn(o, idx, pg.Data, true, false)
+		pg.Evicting = false
+		k.Mem.EvictingPages--
+		k.Ctr.V[sim.CtrEvictStuck]++
 		return
 	}
-	if o.PagedOut[idx] {
-		// Clean page with a valid copy at the default pager: drop it; a
-		// later fault pages it back in.
-		k.Ctr.V[sim.CtrEvictDrop]++
-		k.RemovePage(o, idx)
-		return
-	}
-	// Clean anonymous page: contents are reproducible (zero fill or a prior
-	// pageout copy) — just drop it.
 	k.Ctr.V[sim.CtrEvictDrop]++
 	k.RemovePage(o, idx)
 }
 
 // CancelEviction aborts an in-progress eviction, leaving the page
-// resident. Managers call it when the page is busy in a protocol operation
-// and this pageout round should skip it. Waiting faulters are woken to
-// retry against the still-resident page.
+// resident. Managers call it when this pageout round should skip the page:
+// ASVM when the page is busy in a protocol operation, XMM always (it never
+// pages out). Waiting faulters are woken to retry against the
+// still-resident page.
 func (k *Kernel) CancelEviction(o *Object, idx PageIdx) {
 	pg := o.Lookup(idx)
 	if pg == nil || !pg.Evicting {
@@ -454,29 +437,6 @@ func (k *Kernel) Fault(p *sim.Proc, m *Map, addr Addr, want Prot) (*Page, error)
 	return nil, &ErrFaultRetryExhausted{Node: k.Node, Obj: lastObj, Page: lastIdx, Retries: maxFaultRetries}
 }
 
-// FaultObject resolves a fault directly against an object (no address map);
-// used by pagers and tests.
-func (k *Kernel) FaultObject(p *sim.Proc, obj *Object, idx PageIdx, want Prot) (*Page, error) {
-	if idx < 0 || idx >= obj.SizePages {
-		return nil, fmt.Errorf("vm: page %d outside %v", idx, obj.ID)
-	}
-	k.Ctr.V[sim.CtrFaults]++
-	p.Sleep(k.Costs.FaultBase)
-	for retry := 0; retry < maxFaultRetries; retry++ {
-		if k.crashed {
-			return nil, &ErrNodeCrashed{Node: k.Node}
-		}
-		pg, done, err := k.faultStep(p, obj, idx, want)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return pg, nil
-		}
-	}
-	return nil, &ErrFaultRetryExhausted{Node: k.Node, Obj: obj.ID, Page: idx, Retries: maxFaultRetries}
-}
-
 // faultStep makes one pass down the shadow chain. It either resolves the
 // fault (done=true), or blocks the proc waiting for some asynchronous state
 // change and asks the caller to retry (done=false).
@@ -505,13 +465,6 @@ func (k *Kernel) faultStep(p *sim.Proc, obj *Object, idx PageIdx, want Prot) (*P
 				desired = ProtRead // below the top we only ever read
 			}
 			return nil, false, k.sendDataRequest(p, cur, idx, desired)
-		}
-		if cur.PagedOut[idx] {
-			// Anonymous page that went to the default pager.
-			if k.DefaultMgr == nil {
-				return nil, false, fmt.Errorf("vm: %v page %d paged out with no default pager", cur.ID, idx)
-			}
-			return nil, false, k.sendDataRequestTo(p, k.DefaultMgr, cur, idx, ProtRead)
 		}
 	}
 	// Chain exhausted: zero fill in the faulted object.
@@ -621,15 +574,11 @@ func (k *Kernel) localPush(p *sim.Proc, obj *Object, idx PageIdx, pg *Page) {
 // Outbound EMMI (kernel -> manager)
 
 func (k *Kernel) sendDataRequest(p *sim.Proc, o *Object, idx PageIdx, want Prot) error {
-	return k.sendDataRequestTo(p, o.Mgr, o, idx, want)
-}
-
-func (k *Kernel) sendDataRequestTo(p *sim.Proc, mgr MemoryManager, o *Object, idx PageIdx, want Prot) error {
 	req := k.newPendingReq(want)
 	o.setPending(idx, req)
 	k.Ctr.V[sim.CtrDataRequests]++
 	p.Sleep(k.Costs.EMMILocal)
-	mgr.DataRequest(o, idx, want)
+	o.Mgr.DataRequest(o, idx, want)
 	return k.waitPending(p, req)
 }
 
@@ -680,9 +629,6 @@ func (k *Kernel) DataSupply(o *Object, idx PageIdx, data []byte, lock Prot, push
 		k.pushSupply(o, idx, data)
 		return
 	}
-	// Note: a PagedOut marker is deliberately kept — the pager's copy stays
-	// valid until the page is dirtied again, so a clean re-eviction can
-	// simply drop the frame.
 	if pg := o.Lookup(idx); pg != nil {
 		// Already resident (e.g. raced with a local zero fill): treat as a
 		// lock delivery.
@@ -791,12 +737,6 @@ func (k *Kernel) PullRequest(o *Object, idx PageIdx, done func(res PullResult, d
 			return
 		}
 		if cur.Mgr != nil {
-			done(PullAskManager, nil, cur)
-			return
-		}
-		if cur.PagedOut[idx] {
-			// The page exists but is on the default pager; treat the
-			// default pager as the manager to ask.
 			done(PullAskManager, nil, cur)
 			return
 		}

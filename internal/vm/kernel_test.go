@@ -456,7 +456,7 @@ func (f *livelockMgr) DataReturn(o *Object, idx PageIdx, d []byte, dr, kept bool
 func TestFaultRetryExhaustedError(t *testing.T) {
 	// A manager that acknowledges requests but never supplies the page must
 	// surface the typed livelock error with the spinning access identified,
-	// both through a task mapping and through a direct object fault.
+	// for a read and for a write fault.
 	e := sim.NewEngine()
 	k := testKernel(e)
 	mgr := &livelockMgr{k: k}
@@ -465,13 +465,13 @@ func TestFaultRetryExhaustedError(t *testing.T) {
 	if _, err := task.Map.MapObject(0, obj, 0, 8, ProtWrite, InheritShare); err != nil {
 		t.Fatal(err)
 	}
-	var mapErr, objErr error
+	var readErr, writeErr error
 	e.Spawn("t", func(p *sim.Proc) {
-		_, mapErr = task.Touch(p, 3*PageSize, ProtRead)
-		_, objErr = k.FaultObject(p, obj, 5, ProtWrite)
+		_, readErr = task.Touch(p, 3*PageSize, ProtRead)
+		_, writeErr = task.Touch(p, 5*PageSize, ProtWrite)
 	})
 	e.Run()
-	for name, err := range map[string]error{"map": mapErr, "object": objErr} {
+	for name, err := range map[string]error{"read": readErr, "write": writeErr} {
 		var ex *ErrFaultRetryExhausted
 		if !errors.As(err, &ex) {
 			t.Fatalf("%s fault: got %v, want ErrFaultRetryExhausted", name, err)
@@ -481,13 +481,13 @@ func TestFaultRetryExhaustedError(t *testing.T) {
 		}
 	}
 	var ex *ErrFaultRetryExhausted
-	errors.As(mapErr, &ex)
+	errors.As(readErr, &ex)
 	if ex.Page != 3 {
-		t.Errorf("map fault page = %d, want 3", ex.Page)
+		t.Errorf("read fault page = %d, want 3", ex.Page)
 	}
-	errors.As(objErr, &ex)
+	errors.As(writeErr, &ex)
 	if ex.Page != 5 {
-		t.Errorf("object fault page = %d, want 5", ex.Page)
+		t.Errorf("write fault page = %d, want 5", ex.Page)
 	}
 }
 
@@ -525,8 +525,12 @@ func TestCrashWakesWaitersInOrder(t *testing.T) {
 		var woke []uint64
 		for _, seq := range []uint64{3, 1, 4, 2} {
 			obj := k.NewObject(ObjID{Node: 0, Seq: seq}, 4, mgr, CopyNone)
+			task := k.NewTask("t")
+			if _, err := task.Map.MapObject(0, obj, 0, 4, ProtRead, InheritShare); err != nil {
+				t.Fatal(err)
+			}
 			e.Spawn("t", func(p *sim.Proc) {
-				_, err := k.FaultObject(p, obj, PageIdx(seq%4), ProtRead)
+				_, err := task.Touch(p, Addr(seq%4)*PageSize, ProtRead)
 				var crashed *ErrNodeCrashed
 				if !errors.As(err, &crashed) {
 					t.Errorf("fault on %v: got %v, want ErrNodeCrashed", obj.ID, err)

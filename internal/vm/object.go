@@ -55,8 +55,8 @@ type Object struct {
 	// (data is pushed through this link before source writes).
 	Copy *Object
 
-	// Mgr is the memory manager backing this object: a pager binding, an
-	// XMM proxy, or an ASVM instance. Nil for plain anonymous memory.
+	// Mgr is the memory manager backing this object: an XMM proxy or an
+	// ASVM instance. Nil for plain anonymous memory.
 	Mgr MemoryManager
 
 	// Strategy is the copy strategy the object's manager declared.
@@ -71,11 +71,6 @@ type Object struct {
 	// Only pages that have been pushed at least once appear here; absent
 	// means version 0.
 	PageVersion map[PageIdx]uint64
-
-	// PagedOut remembers pages this node evicted to the default pager
-	// (anonymous objects only; managed objects track this in their
-	// manager).
-	PagedOut map[PageIdx]bool
 
 	// pending tracks in-flight data requests per page so concurrent faults
 	// coalesce onto one EMMI transaction.
@@ -155,14 +150,6 @@ func (o *Object) MarkPushed(idx PageIdx) {
 		o.PageVersion = make(map[PageIdx]uint64)
 	}
 	o.PageVersion[idx] = o.Version
-}
-
-// MarkPagedOut records that the default pager holds the page.
-func (o *Object) MarkPagedOut(idx PageIdx) {
-	if o.PagedOut == nil {
-		o.PagedOut = make(map[PageIdx]bool)
-	}
-	o.PagedOut[idx] = true
 }
 
 // String implements fmt.Stringer.

@@ -55,7 +55,6 @@ const (
 	stIdle         uint8 = iota
 	stFlushWriter        // the writer's flush ack is due
 	stWriterOut          // the writer's dirty contents are going to the pager
-	stEvictWait          // the writer's eviction is in flight; handleEvict resumes
 	stFlushReaders       // the readers' flush acks are due
 	stPagerIn            // the contents are coming from the pager
 )
@@ -110,24 +109,19 @@ func (m *Manager) flushWriter(idx vm.PageIdx, ps *mpage) {
 
 // writerFlushed takes the writer's flush ack.
 func (m *Manager) writerFlushed(idx vm.PageIdx, ps *mpage, ack *flushAck) {
-	switch {
-	case ack.Present && ack.Dirty:
+	if ack.Present && ack.Dirty {
 		// First remote request for a dirty page: write it to paging space
 		// before serving (paper §4.1.1). The writer keeps a read copy.
 		m.nd.Ctr.V[sim.CtrMgrDirtyToPager]++
 		m.readers.add(idx, ack.From)
 		ps.stage = stWriterOut
 		m.io.PageOut(m.obj, idx, ack.Data, true, m)
-	case ack.Present:
-		m.readers.add(idx, ack.From)
-		m.writerGone(idx, ps)
-	case ps.writer == noNode:
-		m.writerGone(idx, ps)
-	default:
-		// Page already gone from the writer: its eviction message is in
-		// flight, and handleEvict resumes the request.
-		ps.stage = stEvictWait
+		return
 	}
+	if ack.Present {
+		m.readers.add(idx, ack.From)
+	}
+	m.writerGone(idx, ps)
 }
 
 // PageOutDone implements pager.PageOutDone: the writer's dirty contents
@@ -233,31 +227,6 @@ func (m *Manager) handleFlushAck(ack *flushAck) {
 	m.readers.del(ack.Idx, ack.From)
 	if ps.acks--; ps.acks == 0 {
 		m.supply(ack.Idx, ps)
-	}
-}
-
-// handleEvict processes a node's data_return: dirty contents go to paging
-// space; state drops the node; the frame is released with an ack.
-func (m *Manager) handleEvict(ev evictMsg) {
-	if !ev.Dirty {
-		m.evicted(ev.Idx, ev.From)
-		return
-	}
-	m.nd.Ctr.V[sim.CtrMgrPageouts]++
-	m.io.PageOut(m.obj, ev.Idx, ev.Data, true, pager.OutFunc(func() { m.evicted(ev.Idx, ev.From) }))
-}
-
-// evicted drops the evicting node from the page's state, acks, and resumes
-// a request that was waiting for the eviction.
-func (m *Manager) evicted(idx vm.PageIdx, from mesh.NodeID) {
-	ps := &m.pages[idx]
-	if ps.writer == from {
-		ps.writer = noNode
-	}
-	m.readers.del(idx, from)
-	m.nd.TR.Send(m.nd.Self, from, Proto, 0, evictAck{Obj: m.obj, Idx: idx})
-	if ps.stage == stEvictWait {
-		m.writerGone(idx, ps)
 	}
 }
 

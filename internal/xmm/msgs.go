@@ -56,22 +56,6 @@ type (
 		From    mesh.NodeID
 	}
 
-	// evictMsg is a proxy-initiated data_return: the node is dropping the
-	// page (clean) or paging it out (dirty).
-	evictMsg struct {
-		Obj   vm.ObjID
-		Idx   vm.PageIdx
-		Dirty bool
-		Data  []byte
-		From  mesh.NodeID
-	}
-
-	// evictAck lets the proxy free the frame.
-	evictAck struct {
-		Obj vm.ObjID
-		Idx vm.PageIdx
-	}
-
 	// copyReq asks an XMM-internal copy pager for a page of an inherited
 	// region (remote task creation, paper §2.3.3).
 	copyReq struct {

@@ -18,8 +18,7 @@ type Proxy struct {
 	mgrNode mesh.NodeID
 
 	// capture diverts the kernel's synchronous DataReturn during a
-	// manager-commanded flush, so the data rides the flushAck instead of a
-	// separate eviction message.
+	// manager-commanded flush, so the data rides the flushAck.
 	capturing    bool
 	capturedData []byte
 	capturedDirt bool
@@ -42,23 +41,17 @@ func (p *Proxy) sendReq(idx vm.PageIdx, want vm.Prot) {
 }
 
 // DataReturn implements vm.MemoryManager. During a manager-driven flush the
-// data is captured into the pending flushAck; otherwise this is a
-// node-initiated eviction that must round-trip to the manager.
+// data is captured into the pending flushAck; otherwise the kernel is
+// evicting the page, and XMM keeps it resident: the eviction is cancelled.
 func (p *Proxy) DataReturn(o *vm.Object, idx vm.PageIdx, data []byte, dirty, kept bool) {
-	if p.capturing {
-		// A copy: data is the page's frame, the kernel's again (and
-		// recyclable) long before the flushAck is read.
-		p.capturedData = append([]byte(nil), data...)
-		p.capturedDirt = dirty
+	if !p.capturing {
+		p.nd.K.CancelEviction(o, idx)
 		return
 	}
-	payload := 0
-	if dirty {
-		payload = vm.PageSize
-	}
-	p.nd.Ctr.V[sim.CtrProxyEvicts]++
-	p.nd.TR.Send(p.nd.Self, p.mgrNode, Proto, payload,
-		evictMsg{Obj: p.obj, Idx: idx, Dirty: dirty, Data: data, From: p.nd.Self})
+	// A copy: data is the page's frame, the kernel's again (and
+	// recyclable) long before the flushAck is read.
+	p.capturedData = append([]byte(nil), data...)
+	p.capturedDirt = dirty
 }
 
 // handleSupply executes a manager grant against the local kernel.
@@ -90,12 +83,6 @@ func (p *Proxy) handleFlush(msg *flushMsg) {
 		From: p.nd.Self,
 	}
 	p.nd.TR.Send(p.nd.Self, p.mgrNode, Proto, ack.WireBytes(), p.nd.pools.ack.Get(ack))
-}
-
-// handleEvictAck frees the local frame once the manager has secured the
-// data.
-func (p *Proxy) handleEvictAck(msg evictAck) {
-	p.nd.K.RemovePage(p.o, msg.Idx)
 }
 
 var _ vm.MemoryManager = (*Proxy)(nil)

@@ -101,10 +101,6 @@ func (n *Node) handle(src mesh.NodeID, m interface{}) {
 	case *flushAck:
 		n.managers[msg.Obj].handleFlushAck(msg)
 		n.pools.ack.Put(msg)
-	case evictMsg:
-		n.managers[msg.Obj].handleEvict(msg)
-	case evictAck:
-		n.proxy(msg.Obj).handleEvictAck(msg)
 	case copyReq:
 		cp := n.copyPagers[msg.PagerID]
 		if cp == nil {
