@@ -26,14 +26,84 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"asvm/internal/exp"
 )
 
+// config is what the flags fix for every experiment of one run.
+type config struct {
+	seed                   uint64
+	workers, iters         int
+	quick                  bool
+	nodes, readers, chains []int
+	em3dSizes, em3dNodes   []int
+}
+
+// experiment is one catalogue entry: the -exp selector that picks it, the
+// name its "[... done in]" line reports, whether -exp all runs it, and the
+// run itself.
+type experiment struct {
+	sel, name string
+	inAll     bool
+	run       func(c config) error
+}
+
+// catalogue lists every experiment in run order; -list, the selector check
+// and the run loop all read it. The four ablations share one selector.
+// chaos, crash, scale and kv stay out of "all": they measure fault-injected
+// configurations, crash-stop degradation, machines beyond the paper's
+// envelope and the portable layer's kv workload (netdemo's simulated twin),
+// so their output never mixes into the paper tables of results_full.txt.
+var catalogue = []experiment{
+	{"table1", "table1", true, func(c config) error { return exp.Table1(os.Stdout, c.seed, c.workers) }},
+	{"fig10", "fig10", true, func(c config) error { return exp.Figure10(os.Stdout, c.readers, c.seed, c.workers) }},
+	{"fig11", "fig11", true, func(c config) error { return exp.Figure11(os.Stdout, c.chains, c.seed, c.workers) }},
+	{"table2", "table2", true, func(c config) error { return exp.Table2(os.Stdout, c.nodes, c.seed, c.workers) }},
+	{"table3", "table3", true, func(c config) error {
+		return exp.Table3(os.Stdout, c.em3dSizes, c.em3dNodes, c.iters, c.seed, c.workers)
+	}},
+	{"dist", "dist", true, func(c config) error { return exp.Distribution(os.Stdout, 8, 16, 4, c.seed, c.workers) }},
+	{"chaos", "chaos", false, func(c config) error { return exp.Chaos(os.Stdout, exp.ChaosRates, c.seed, c.workers, c.quick) }},
+	{"crash", "crash", false, func(c config) error { return exp.Crash(os.Stdout, c.seed, c.workers, c.quick) }},
+	{"scale", "scale", false, func(c config) error { return exp.Scale(os.Stdout, c.seed, c.workers, c.quick) }},
+	{"kv", "kv", false, func(c config) error { return exp.KV(os.Stdout, c.seed, c.workers, c.quick) }},
+	{"ablations", "ablation-forwarding", true, func(c config) error { return exp.AblationForwarding(os.Stdout, 8, 6, c.seed, c.workers) }},
+	{"ablations", "ablation-transport", true, func(c config) error { return exp.AblationTransport(os.Stdout, c.seed, c.workers) }},
+	{"ablations", "ablation-internode-paging", true, func(c config) error { return exp.AblationInternodePaging(os.Stdout, c.seed, c.workers) }},
+	{"ablations", "ablation-chain-threads", true, func(c config) error { return exp.AblationChainThreads(os.Stdout, c.seed, c.workers) }},
+}
+
+// selectors returns the valid -exp names in run order, "all" last.
+func selectors() []string {
+	var out []string
+	for _, e := range catalogue {
+		if len(out) == 0 || out[len(out)-1] != e.sel {
+			out = append(out, e.sel)
+		}
+	}
+	return append(out, "all")
+}
+
+// pick returns the catalogue entries a selector runs, in run order, or an
+// error naming every valid selector.
+func pick(sel string) ([]experiment, error) {
+	var out []experiment
+	for _, e := range catalogue {
+		if e.sel == sel || sel == "all" && e.inAll {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (want %s)", sel, strings.Join(selectors(), "|"))
+	}
+	return out, nil
+}
+
 func main() {
 	var (
-		which   = flag.String("exp", "all", "experiment: table1|fig10|fig11|table2|table3|dist|ablations|chaos|crash|scale|kv|all")
+		which   = flag.String("exp", "all", "experiment: "+strings.Join(selectors(), "|"))
 		quick   = flag.Bool("quick", false, "reduced sweeps (small node counts, few iterations)")
 		iters   = flag.Int("iters", 10, "EM3D iterations (results are scaled to the paper's 100)")
 		seed    = flag.Uint64("seed", 1, "workload RNG seed")
@@ -73,85 +143,40 @@ func main() {
 	}
 
 	if *list {
-		for _, n := range exp.ExpNames() {
+		for _, n := range selectors() {
 			fmt.Println(n)
 		}
 		return
 	}
 
-	nodesSweep := []int{1, 2, 4, 8, 16, 32, 64}
-	readerSweep := []int{1, 2, 4, 8, 16, 32, 64}
-	chainSweep := []int{1, 2, 4, 8, 12, 16}
-	em3dSizes := []int{64000, 256000, 1024000}
-	em3dNodes := []int{1, 2, 4, 8, 16, 32, 64}
-	if *quick {
-		nodesSweep = []int{1, 2, 4, 8}
-		readerSweep = []int{1, 2, 8}
-		chainSweep = []int{1, 2, 4}
-		em3dSizes = []int{64000}
-		em3dNodes = []int{1, 2, 4, 8}
-		if *iters > 3 {
-			*iters = 3
-		}
+	c := config{
+		seed: *seed, workers: *workers, iters: *iters, quick: *quick,
+		nodes:     []int{1, 2, 4, 8, 16, 32, 64},
+		readers:   []int{1, 2, 4, 8, 16, 32, 64},
+		chains:    []int{1, 2, 4, 8, 12, 16},
+		em3dSizes: []int{64000, 256000, 1024000},
+		em3dNodes: []int{1, 2, 4, 8, 16, 32, 64},
+	}
+	if c.quick {
+		c.nodes = []int{1, 2, 4, 8}
+		c.readers = []int{1, 2, 8}
+		c.chains = []int{1, 2, 4}
+		c.em3dSizes = []int{64000}
+		c.em3dNodes = []int{1, 2, 4, 8}
+		c.iters = min(c.iters, 3)
 	}
 
-	run := func(name string, fn func() error) {
-		t0 := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "asvmbench: %s failed: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[%s done in %.1fs]\n\n", name, time.Since(t0).Seconds())
-	}
-
-	all := *which == "all"
-	if _, err := exp.ParseExp(*which); err != nil {
+	exps, err := pick(*which)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "asvmbench: %v\n", err)
 		os.Exit(2)
 	}
-	if all || *which == "table1" {
-		run("table1", func() error { return exp.Table1(os.Stdout, *seed, *workers) })
-	}
-	if all || *which == "fig10" {
-		run("fig10", func() error { return exp.Figure10(os.Stdout, readerSweep, *seed, *workers) })
-	}
-	if all || *which == "fig11" {
-		run("fig11", func() error { return exp.Figure11(os.Stdout, chainSweep, *seed, *workers) })
-	}
-	if all || *which == "table2" {
-		run("table2", func() error { return exp.Table2(os.Stdout, nodesSweep, *seed, *workers) })
-	}
-	if all || *which == "table3" {
-		run("table3", func() error { return exp.Table3(os.Stdout, em3dSizes, em3dNodes, *iters, *seed, *workers) })
-	}
-	if all || *which == "dist" {
-		run("dist", func() error { return exp.Distribution(os.Stdout, 8, 16, 4, *seed, *workers) })
-	}
-	// The chaos sweep is opt-in (not part of "all"): it measures the
-	// fault-injected configurations, so its output is additional to — never
-	// mixed into — the paper-reproduction tables in results_full.txt.
-	if *which == "chaos" {
-		run("chaos", func() error { return exp.Chaos(os.Stdout, exp.ChaosRates, *seed, *workers, *quick) })
-	}
-	// Likewise opt-in: the crash sweep measures crash-stop degradation, not
-	// the paper's fault-free numbers.
-	if *which == "crash" {
-		run("crash", func() error { return exp.Crash(os.Stdout, *seed, *workers, *quick) })
-	}
-	// Opt-in as well: the scale sweep runs 64-1024-node machines, beyond the
-	// paper's evaluation envelope, so it never lands in results_full.txt.
-	if *which == "scale" {
-		run("scale", func() error { return exp.Scale(os.Stdout, *seed, *workers, *quick) })
-	}
-	// Opt-in: the kv workload demonstrates the portable application layer
-	// (the simulated twin of `netdemo -workload kv`), not a paper table.
-	if *which == "kv" {
-		run("kv", func() error { return exp.KV(os.Stdout, *seed, *workers, *quick) })
-	}
-	if all || *which == "ablations" {
-		run("ablation-forwarding", func() error { return exp.AblationForwarding(os.Stdout, 8, 6, *seed, *workers) })
-		run("ablation-transport", func() error { return exp.AblationTransport(os.Stdout, *seed, *workers) })
-		run("ablation-internode-paging", func() error { return exp.AblationInternodePaging(os.Stdout, *seed, *workers) })
-		run("ablation-chain-threads", func() error { return exp.AblationChainThreads(os.Stdout, *seed, *workers) })
+	for _, e := range exps {
+		t0 := time.Now()
+		if err := e.run(c); err != nil {
+			fmt.Fprintf(os.Stderr, "asvmbench: %s failed: %v\n", e.name, err)
+			os.Exit(1)
+		}
+		fmt.Printf("[%s done in %.1fs]\n\n", e.name, time.Since(t0).Seconds())
 	}
 }

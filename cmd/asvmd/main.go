@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"asvm/internal/dsm"
 )
@@ -42,37 +40,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: asvmd -config mesh.json -node N")
 		os.Exit(2)
 	}
-
-	cfg, err := dsm.LoadConfig(*configPath)
-	if err != nil {
+	if err := dsm.Daemon("asvmd", *configPath, *nodeID); err != nil {
 		log.Fatalf("asvmd: %v", err)
-	}
-	spec := cfg.Node(*nodeID)
-	if spec == nil {
-		log.Fatalf("asvmd: node %d is not in %s", *nodeID, *configPath)
-	}
-
-	n, err := dsm.Open(cfg, *nodeID)
-	if err != nil {
-		log.Fatalf("asvmd: %v", err)
-	}
-	defer n.Close()
-
-	ctrl, err := dsm.ServeCtrl(n, spec.Ctrl)
-	if err != nil {
-		log.Fatalf("asvmd: %v", err)
-	}
-	defer ctrl.Close()
-
-	log.Printf("asvmd: node %d up (xport %s, ctrl %s, region %q, %d pages, home %d)",
-		*nodeID, n.Addr(), ctrl.Addr(), cfg.Region, cfg.Pages, cfg.Home)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case <-ctrl.Shutdown:
-		log.Printf("asvmd: node %d shutting down (control request)", *nodeID)
-	case s := <-sig:
-		log.Printf("asvmd: node %d shutting down (%v)", *nodeID, s)
 	}
 }

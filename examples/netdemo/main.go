@@ -23,10 +23,8 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
@@ -48,7 +46,11 @@ func main() {
 	flag.Parse()
 
 	if *serve {
-		runDaemon(*configPath, *nodeID)
+		// One mesh node, exactly what cmd/asvmd runs, so the demo needs no
+		// second binary under `go run`.
+		if err := dsm.Daemon("netdemo daemon", *configPath, *nodeID); err != nil {
+			log.Fatalf("netdemo daemon: %v", err)
+		}
 		return
 	}
 	if *nodes < 2 || *nodes > 4 {
@@ -56,36 +58,6 @@ func main() {
 	}
 	if err := orchestrate(*nodes, *workload, *seed, *asvmd); err != nil {
 		log.Fatalf("netdemo: %v", err)
-	}
-}
-
-// runDaemon is the -serve mode: one mesh node, exactly what cmd/asvmd
-// does, so the demo needs no second binary under `go run`.
-func runDaemon(configPath string, nodeID int) {
-	cfg, err := dsm.LoadConfig(configPath)
-	if err != nil {
-		log.Fatalf("netdemo daemon: %v", err)
-	}
-	spec := cfg.Node(nodeID)
-	if spec == nil {
-		log.Fatalf("netdemo daemon: node %d not in config", nodeID)
-	}
-	n, err := dsm.Open(cfg, nodeID)
-	if err != nil {
-		log.Fatalf("netdemo daemon: %v", err)
-	}
-	defer n.Close()
-	ctrl, err := dsm.ServeCtrl(n, spec.Ctrl)
-	if err != nil {
-		log.Fatalf("netdemo daemon: %v", err)
-	}
-	defer ctrl.Close()
-	log.Printf("netdemo daemon: node %d up (xport %s, ctrl %s)", nodeID, n.Addr(), ctrl.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case <-ctrl.Shutdown:
-	case <-sig:
 	}
 }
 
@@ -187,9 +159,7 @@ func orchestrate(nodes int, workload string, seed uint64, asvmdPath string) erro
 	// The op stream, one op at a time, drained between ops — the schedule
 	// under which the simulator's twin run takes identical protocol
 	// decisions, making the latency table like-for-like.
-	env := dsmhost.FromClients(clients)
-	env.DrainTimeout = 15 * time.Second
-	realRes, err := app.Run(env, ops)
+	realRes, err := app.Run(dsmhost.FromClients(clients), ops)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
-// Package dsmhost implements the portable application layer (app.Host,
-// app.Env) over a real mesh of dsm nodes: OS processes (or in-process
-// loopback nodes) running the identical ASVM protocol code on the wall
-// clock, with TCP or net.Pipe for a wire. Workloads written against
-// app.Host run here unchanged from the simulator; because op streams
+// Package dsmhost implements the portable application layer (app.Env,
+// handing each step an app.Mem) over a real mesh of dsm nodes: OS
+// processes (or in-process loopback nodes) running the identical ASVM
+// protocol code on the wall clock, with TCP or net.Pipe for a wire. Op
+// streams run here unchanged from the simulator; because they
 // execute one at a time with the mesh drained between steps, the
 // protocol's decisions are deterministic and the counters must match the
 // simulated twin exactly.
@@ -36,26 +36,16 @@ type Conn interface {
 // overhead included, control-plane round trip excluded).
 type Env struct {
 	conns []Conn
-
-	// DrainTimeout bounds each drain; on expiry the error is a
-	// dsm.ErrDrainTimeout.
-	DrainTimeout time.Duration
-
-	start time.Time
 }
 
 // The drains' stability windows: consecutive polls with every node quiet
-// and total frame traffic unchanged, after each step and at the end.
+// and total frame traffic unchanged, after each step and at the end. Each
+// drain gives up after drainTimeout with a dsm.ErrDrainTimeout.
 const (
-	stepRounds  = 3
-	finalRounds = 5
+	stepRounds   = 3
+	finalRounds  = 5
+	drainTimeout = 15 * time.Second
 )
-
-// New builds an Env over explicit conns (mostly for tests; use
-// FromClients or FromNodes).
-func New(conns []Conn) *Env {
-	return &Env{conns: conns, DrainTimeout: 30 * time.Second, start: time.Now()}
-}
 
 // FromClients builds an Env over control-plane clients, one per mesh
 // node in node-ID order — the shape the netdemo orchestrator has after
@@ -65,7 +55,7 @@ func FromClients(clients []*dsm.Client) *Env {
 	for i, c := range clients {
 		conns[i] = c
 	}
-	return New(conns)
+	return &Env{conns: conns}
 }
 
 // nodeConn adapts an in-process dsm.Node (whose Counters cannot fail) to
@@ -81,14 +71,14 @@ func FromNodes(nodes []*dsm.Node) *Env {
 	for i, n := range nodes {
 		conns[i] = nodeConn{n}
 	}
-	return New(conns)
+	return &Env{conns: conns}
 }
 
-// Step implements app.Env: run fn against the node's host view, then
+// Step implements app.Env: run fn against the node's memory, then
 // drain the mesh so the next step starts from protocol quiescence. The
 // latency is the sum of the daemon-measured latencies of the operations
 // fn performed.
-func (e *Env) Step(node int, label string, fn func(h app.Host) error) (time.Duration, error) {
+func (e *Env) Step(node int, label string, fn func(m app.Mem) error) (time.Duration, error) {
 	if node < 0 || node >= len(e.conns) {
 		return 0, fmt.Errorf("dsmhost: no node %d in a %d-node mesh", node, len(e.conns))
 	}
@@ -110,7 +100,7 @@ func (e *Env) drain(rounds int) error {
 	for i, c := range e.conns {
 		pollers[i] = c
 	}
-	return dsm.DrainPollers(pollers, rounds, e.DrainTimeout)
+	return dsm.DrainPollers(pollers, rounds, drainTimeout)
 }
 
 // Counters implements app.Env: every node's merged protocol counters,
@@ -129,33 +119,15 @@ func (e *Env) Counters() (map[string]int64, error) {
 	return out, nil
 }
 
-// host is the app.Host view of one mesh node. The mesh provides exactly
-// one shared region (object 0); tasks, forks and barriers are simulator
-// amenities, so the unsupported subset reports app.ErrUnsupported
-// rather than guessing.
+// host is the app.Mem of one mesh node. The mesh provides exactly one
+// shared region (object 0); any other object reports app.ErrUnsupported.
 type host struct {
 	env  *Env
 	node int
 	lat  *time.Duration // daemon-measured latency accumulator for the step
 }
 
-func (h host) On(node int) app.Host { return host{env: h.env, node: node, lat: h.lat} }
-
 func (h host) conn() Conn { return h.env.conns[h.node] }
-
-func (h host) Open(obj int) error {
-	if obj != 0 {
-		return app.ErrUnsupported
-	}
-	return nil
-}
-
-func (h host) Close(obj int) error {
-	if obj != 0 {
-		return app.ErrUnsupported
-	}
-	return nil
-}
 
 func (h host) Read(obj int, off int64) (uint64, error) {
 	if obj != 0 {
@@ -192,10 +164,3 @@ func (h host) Unlock(obj int, lo, hi int64) error {
 	*h.lat += lat
 	return err
 }
-
-func (h host) Fork(node int, name string) (app.Host, error) { return nil, app.ErrUnsupported }
-
-func (h host) Barrier(id int) error { return app.ErrUnsupported }
-
-func (h host) Now() time.Duration    { return time.Since(h.env.start) }
-func (h host) Sleep(d time.Duration) { time.Sleep(d) }

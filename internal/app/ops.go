@@ -16,8 +16,7 @@ import (
 // OpKind classifies one step of an op stream.
 type OpKind uint8
 
-// The op-stream alphabet. Every backend implements all of it through the
-// portable Host subset.
+// The op-stream alphabet. Every backend implements all of it through Mem.
 const (
 	OpRead OpKind = iota
 	OpWrite
@@ -76,7 +75,7 @@ type Env interface {
 	// drains to quiescence before returning. The returned duration is the
 	// operation's own latency on the env's clock — virtual time on the
 	// simulator, the daemon-measured wall latency on the mesh.
-	Step(node int, label string, fn func(h Host) error) (time.Duration, error)
+	Step(node int, label string, fn func(m Mem) error) (time.Duration, error)
 
 	// Drain waits for full protocol quiescence (a stricter final check
 	// than the per-step drain on backends where frames ride a real wire).
@@ -99,7 +98,7 @@ func Run(env Env, ops []Op) (*Result, error) {
 	res := &Result{}
 	for _, op := range ops {
 		op := op
-		lat, err := env.Step(op.Node, op.Label, func(h Host) error {
+		lat, err := env.Step(op.Node, op.Label, func(h Mem) error {
 			switch op.Kind {
 			case OpWrite:
 				return h.Write(0, op.Addr, op.Val)

@@ -38,7 +38,7 @@ func NewEnv(nodes int, pages int64) (*Env, error) {
 
 // Step runs fn as one proc on the node and drains the engine: the next
 // step starts from protocol quiescence. The latency is virtual time.
-func (e *Env) Step(node int, label string, fn func(h app.Host) error) (time.Duration, error) {
+func (e *Env) Step(node int, label string, fn func(m app.Mem) error) (time.Duration, error) {
 	var lat time.Duration
 	var opErr error
 	e.W.C.Spawn(label, func(pr *sim.Proc) {

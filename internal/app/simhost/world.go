@@ -1,5 +1,6 @@
-// Package simhost implements the portable application layer (app.Host,
-// app.Env) over the deterministic simulator: machine-assembled clusters,
+// Package simhost implements the application layer (app.Env, and
+// app.Host, which extends the portable app.Mem) over the deterministic
+// simulator: machine-assembled clusters,
 // vm tasks, and sim procs. The implementation is deliberately a zero-cost
 // veneer — every Host call compiles down to exactly the call sequence the
 // pre-refactor workloads made (Touch for untracked data, ReadU64/WriteU64

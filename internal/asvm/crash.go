@@ -179,25 +179,34 @@ func (in *Instance) declareLost(idx vm.PageIdx) {
 }
 
 // PeerDown is the reliability layer's down-handler: the transport has
-// declared dead unreachable (retransmit exhaustion), or the machine layer
-// is executing a planned crash. Every instance scrubs its forwarding
-// caches, completes protocol waits addressed to the dead node, and
-// dispatches EvPeerDown for pages that must react (outstanding faults,
-// reader-list entries). Idempotent: a second call for the same node finds
-// nothing left to scrub.
+// declared dead unreachable (retransmit exhaustion). Every instance scrubs
+// the dead node (scrubPeer). Idempotent: a second call for the same node
+// finds nothing left to scrub.
 func (n *Node) PeerDown(dead mesh.NodeID) {
 	n.crashEra = true
 	n.Ctr.V[sim.CtrPeerDowns]++
 	for _, in := range n.instancesSorted() {
-		n.Ctr.V[sim.CtrHintEvictions] += int64(in.forgetOwner(dead))
-		in.completePendingFor(dead)
-		in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
-			if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(&in.arena, dead)) {
-				in.dispatch(EvPeerDown, idx, dead)
-			}
-			return true
-		})
+		in.scrubPeer(dead)
 	}
+}
+
+// scrubPeer is a survivor's reaction to a dead peer in one domain: it
+// scrubs the peer from both forwarding caches, completes protocol waits
+// addressed to it, drops the requests it queued, and dispatches EvPeerDown
+// for pages that must react (outstanding faults, reader-list entries). Its
+// two callers are CrashRecover (a planned crash) and PeerDown (the
+// reliability layer's retransmit-exhaustion verdict).
+func (in *Instance) scrubPeer(dead mesh.NodeID) {
+	in.nd.crashEra = true
+	in.nd.Ctr.V[sim.CtrHintEvictions] += int64(in.forgetOwner(dead))
+	in.completePendingFor(dead)
+	in.dropQueuedFrom(dead)
+	in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
+		if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(&in.arena, dead)) {
+			in.dispatch(EvPeerDown, idx, dead)
+		}
+		return true
+	})
 }
 
 // forgetOwner scrubs a dead node from both forwarding caches — "paged"
@@ -313,18 +322,8 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID) {
 		if nid == dead || info.Down[nid] {
 			continue
 		}
-		nd := cluster.node(nid)
-		if in := nd.instances[info.ID]; in != nil {
-			nd.crashEra = true
-			nd.Ctr.V[sim.CtrHintEvictions] += int64(in.forgetOwner(dead))
-			in.completePendingFor(dead)
-			in.dropQueuedFrom(dead)
-			in.slots.each(func(idx vm.PageIdx, sl *pageSlot) bool {
-				if sl.state.FaultOut() || (sl.state.Owner() && sl.readers.Contains(&in.arena, dead)) {
-					in.dispatch(EvPeerDown, idx, dead)
-				}
-				return true
-			})
+		if in := cluster.node(nid).instances[info.ID]; in != nil {
+			in.scrubPeer(dead)
 		}
 	}
 
@@ -344,41 +343,38 @@ func CrashRecover(cluster Cluster, info *DomainInfo, dead mesh.NodeID) {
 }
 
 // DeadLetters accounts for authority a crashed node had in flight: frames
-// it sent that were never delivered (xport.AbandonedSends) die with its
+// it sent that were never delivered (its share of inflight, the
+// reliability layer's undelivered frames taken at the crash) die with its
 // incarnation. An ownership grant among them is the dangerous case — the
 // sender relinquished the page when it sent the grant, the grantee will
 // never receive it, and no survivor's state records the loss. Without this
 // the home's ledger says "granted" forever, every fault scans the ring for
 // an owner that does not exist, and the home's paced retry livelocks. The
-// loss is declared exactly as if the grant had bounced: the home forgets
-// the grant, its hint is dropped, and the node counters count the
-// ownership (and dirty contents travelling with it) as dead. Run after
-// CrashRecover so the scrub cannot resurrect the hint.
-func DeadLetters(cluster Cluster, info *DomainInfo, dead mesh.NodeID, msgs []xport.AbandonedSend) {
+// home declares the loss exactly as if the grant had bounced (declareLost);
+// dirty contents travelling with the grant count as lost on the dead node,
+// and so does the ownership when the home is down too (its restart rebuild
+// re-derives the ledger). Run after CrashRecover so the scrub cannot
+// resurrect the hint.
+func DeadLetters(cluster Cluster, info *DomainInfo, dead mesh.NodeID, inflight []xport.PendingSend) {
 	deadNd := cluster.node(dead)
-	for _, as := range msgs {
-		g, ok := as.Msg.(*grantMsg)
-		if !ok || g.Obj != info.ID || !g.Ownership || g.Retry || g.Unavailable {
+	for _, f := range inflight {
+		g, ok := ownershipGrant(f.Msg, info.ID)
+		if !ok || f.Src != dead {
 			continue
 		}
-		deadNd.Ctr.V[sim.CtrOwnershipLost]++
 		if g.HasData && !g.AtPagerCopy {
 			deadNd.Ctr.V[sim.CtrPagesLost]++
 		}
-		if info.Down[info.Home] {
-			continue // the home's own restart rebuild re-derives the ledger
+		var hin *Instance
+		if !info.Down[info.Home] {
+			hin = cluster.node(info.Home).instances[info.ID]
 		}
-		hin := cluster.node(info.Home).instances[info.ID]
 		if hin == nil {
+			deadNd.Ctr.V[sim.CtrOwnershipLost]++
 			continue
 		}
 		hin.nd.crashEra = true
-		if hin.nd.Trace.on {
-			hin.trace("t dead-letter: node %d voids %v p%d ownership grant %d->%d",
-				hin.self(), info.ID, g.Idx, dead, as.Dst)
-		}
-		hin.slot(g.Idx).home &^= homeGranted
-		hin.dyn.Delete(g.Idx)
+		hin.declareLost(g.Idx)
 	}
 }
 
@@ -398,13 +394,18 @@ func (in *Instance) dropQueuedFrom(dead mesh.NodeID) {
 	}
 }
 
-// RebuildHome reconstructs a restarted home's bookkeeping from the
-// cluster's surviving owners: a page is granted iff some live node owns
-// it. Backing-store knowledge survives the crash at the pager itself for
-// pager-backed domains; an anonymous domain's in-memory parking store is
-// volatile and lost with the home — those pages re-resolve as fresh, the
-// crash-stop degradation the node counters count.
-func RebuildHome(cluster Cluster, info *DomainInfo) {
+// RebuildHome reconstructs a restarted home's bookkeeping: a page is
+// granted iff some live node owns it, or an ownership grant to a live node
+// is in flight (among inflight, the reliability layer's undelivered
+// frames). Without the second rule a grant that lands after the restart
+// leaves an owner the home does not know of, and the home may fresh-grant
+// the page a second time. An ownerXfer or pageOffer in flight needs no
+// rule: its sender stays in StXferOut, an owner state, until the answer
+// comes back. Backing-store knowledge survives the crash at the pager
+// itself for pager-backed domains; an anonymous domain's in-memory parking
+// store is volatile and lost with the home — those pages re-resolve as
+// fresh, the crash-stop degradation the node counters count.
+func RebuildHome(cluster Cluster, info *DomainInfo, inflight []xport.PendingSend) {
 	hin := cluster.node(info.Home).instances[info.ID]
 	if hin == nil {
 		return
@@ -424,4 +425,16 @@ func RebuildHome(cluster Cluster, info *DomainInfo) {
 			return true
 		})
 	}
+	for _, f := range inflight {
+		if g, ok := ownershipGrant(f.Msg, info.ID); ok && !info.Down[f.Dst] {
+			hin.slot(g.Idx).home = homeGranted
+		}
+	}
+}
+
+// ownershipGrant returns m as a grant of ownership of a page of domain obj,
+// if it is one.
+func ownershipGrant(m interface{}, obj vm.ObjID) (*grantMsg, bool) {
+	g, ok := m.(*grantMsg)
+	return g, ok && g.Obj == obj && g.Ownership && !g.Retry && !g.Unavailable
 }

@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net"
+	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 
 	"asvm/internal/vm"
 )
@@ -78,6 +82,41 @@ func ServeCtrl(n *Node, addr string) (*CtrlServer, error) {
 		}
 	}()
 	return s, nil
+}
+
+// Daemon is the whole body of a mesh daemon process: it loads the config
+// at configPath, opens node self, serves the control protocol on the
+// node's Ctrl address, and blocks until a shutdown request or SIGINT/
+// SIGTERM arrives. Log lines start with name. cmd/asvmd and netdemo's
+// -serve mode both run it.
+func Daemon(name, configPath string, self int) error {
+	cfg, err := LoadConfig(configPath)
+	if err != nil {
+		return err
+	}
+	n, err := Open(cfg, self)
+	if err != nil {
+		return err
+	}
+	defer n.Close()
+	ctrl, err := ServeCtrl(n, cfg.Node(self).Ctrl)
+	if err != nil {
+		return err
+	}
+	defer ctrl.Close()
+
+	log.Printf("%s: node %d up (xport %s, ctrl %s, region %q, %d pages, home %d)",
+		name, self, n.Addr(), ctrl.Addr(), cfg.Region, cfg.Pages, cfg.Home)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	select {
+	case <-ctrl.Shutdown:
+		log.Printf("%s: node %d shutting down (control request)", name, self)
+	case s := <-sig:
+		log.Printf("%s: node %d shutting down (%v)", name, self, s)
+	}
+	return nil
 }
 
 // Addr returns the resolved control listen address.

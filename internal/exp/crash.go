@@ -148,7 +148,7 @@ type crashConfig struct {
 }
 
 // defaultCrash returns the standard cell: crashed highest-index nodes (the
-// home at node 0 survives; dedicated tests cover home death), killed far
+// home at node 0 survives; TestCrashChurnHomeDeath kills it), killed far
 // enough into the run that the dying nodes hold ownership, dirty contents,
 // and read copies — so every degradation path is exercised — while most of
 // the workload still runs degraded.

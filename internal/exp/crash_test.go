@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCrashSweepQuick runs the full quick grid once and checks the
@@ -116,5 +117,36 @@ func TestCrashCellRestartRecovers(t *testing.T) {
 	if rest.Metric <= perm.Metric {
 		t.Errorf("restarted cell completed %v ops, permanent %v; rejoin should recover work",
 			rest.Metric, perm.Metric)
+	}
+}
+
+// TestCrashChurnHomeDeath kills the region's home (node 0) mid-run, for
+// good and with a restart, on a clean and a lossy wire. A permanent home
+// death turns every fault that needs the home into a typed abort; a
+// restarted home rebuilds its grant ledger, and the drained cluster must
+// pass the invariants either way — ownership that was in flight when the
+// home came back included.
+func TestCrashChurnHomeDeath(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, rate := range CrashDropRates {
+			for _, restart := range []time.Duration{0, 6 * time.Millisecond} {
+				cfg := defaultCrash(6, 0, seed)
+				cfg.Rounds = 80
+				cfg.Crashed = []int{0}
+				cfg.RestartAfter = restart
+				res, err := runCrash(cfg, ChaosPlanFor(rate))
+				if err != nil {
+					t.Errorf("seed %d drop %.2f restart %v: %v", seed, rate, restart, err)
+					continue
+				}
+				if res.Crashes != 1 {
+					t.Errorf("seed %d drop %.2f restart %v: %d crashes executed, want 1", seed, rate, restart, res.Crashes)
+				}
+				if restart == 0 && res.FaultsAborted == 0 {
+					t.Errorf("seed %d drop %.2f: the home died for good but no fault aborted", seed, rate)
+				}
+				t.Logf("seed %d drop %.2f restart %v: ops %v aborted %d ownlost %d", seed, rate, restart, res.Metric, res.FaultsAborted, res.OwnershipLost)
+			}
+		}
 	}
 }

@@ -8,8 +8,8 @@
 // The paper's three workloads live here too: the page-fault latency
 // microbenchmarks (faultbench.go: Table 1, Figures 10/11), the mapped-file
 // transfer (filebench.go: Table 2) and the EM3D application (em3d.go:
-// Table 3). Every workload body programs against the portable app.Host
-// API; simhost runs it on a cluster the caller assembled with the node
+// Table 3). Every workload body programs against app.Host, the
+// simulator's extension of the portable app.Mem; simhost runs it on a cluster the caller assembled with the node
 // count the workload states, and the workload rejects any other size.
 package exp
 

@@ -112,9 +112,9 @@ func (c *Cluster) CrashNode(idx int) {
 	n := mesh.NodeID(idx)
 
 	c.CrashStats.FaultsAborted += c.Kerns[idx].Crash()
-	var abandoned []xport.AbandonedSend
+	var inflight []xport.PendingSend
 	if c.RelTR != nil {
-		abandoned = c.RelTR.AbandonedSends(n)
+		inflight = c.RelTR.InFlight()
 		c.RelTR.NodeCrashed(n)
 		for j := 0; j < c.P.Nodes; j++ {
 			if j != idx && !c.crashed[j] {
@@ -129,7 +129,7 @@ func (c *Cluster) CrashNode(idx int) {
 		asvm.CrashRecover(c.proto, r.info, n)
 		// Authority the dead node had in flight (undelivered ownership
 		// grants) is lost with certainty; declare it now, after the scrub.
-		asvm.DeadLetters(c.proto, r.info, n, abandoned)
+		asvm.DeadLetters(c.proto, r.info, n, inflight)
 	}
 }
 
@@ -138,8 +138,8 @@ func (c *Cluster) CrashNode(idx int) {
 // ring position (static hashing is undisturbed), joined through the same
 // attach as at setup. A restarted home gets its backing store back — one
 // pager or a striped file's stripes — and rebuilds its grant ledger from
-// the surviving owners; its backing-store knowledge lives at the pagers and
-// needs no rebuild.
+// the surviving owners and the ownership in flight between them; its
+// backing-store knowledge lives at the pagers and needs no rebuild.
 func (c *Cluster) RestartNode(idx int) {
 	if !c.crashed[idx] {
 		return
@@ -159,7 +159,11 @@ func (c *Cluster) RestartNode(idx int) {
 		delete(r.info.Down, n)
 		c.attach(r, idx)
 		if r.Home == idx {
-			asvm.RebuildHome(c.proto, r.info)
+			var inflight []xport.PendingSend
+			if c.RelTR != nil {
+				inflight = c.RelTR.InFlight()
+			}
+			asvm.RebuildHome(c.proto, r.info, inflight)
 		}
 	}
 }

@@ -127,6 +127,47 @@ func TestDirtyPagesStickWithoutPager(t *testing.T) {
 	}
 }
 
+// TestPushedCopyPageSurvivesPressure: the page an asymmetric copy receives
+// when its source is written holds the only copy of the old contents, so
+// memory pressure must not drop it as a clean page.
+func TestPushedCopyPageSurvivesPressure(t *testing.T) {
+	e := sim.NewEngine()
+	k := memKernel(e, 4)
+	src := k.NewAnonymous(8)
+	src.Strategy = CopyAsymmetric
+	task := k.NewTask("t")
+	task.Map.MapObject(0, src, 0, 8, ProtWrite, InheritCopy)
+	runTask(t, e, func(p *sim.Proc) error {
+		if err := task.WriteU64(p, 0, 1); err != nil {
+			return err
+		}
+		cp := k.CopyAsymmetric(src)
+		ct := k.NewTask("ct")
+		ct.Map.MapObject(0, cp, 0, 8, ProtRead, InheritShare)
+		if err := task.WriteU64(p, 0, 2); err != nil {
+			return err
+		}
+		for i := 1; i < 8; i++ {
+			if _, err := task.ReadU64(p, Addr(i*PageSize)); err != nil {
+				return err
+			}
+		}
+		v, err := ct.ReadU64(p, 0)
+		if err != nil {
+			return err
+		}
+		if v != 1 {
+			t.Errorf("copy read %d, want 1 (local_pushes=%d, evict_drop=%d)",
+				v, k.Ctr.Get("local_pushes"), k.Ctr.Get("evict_drop"))
+		}
+		return nil
+	})
+	if k.Ctr.Get("local_pushes") != 1 || k.Ctr.Get("evict_drop") == 0 {
+		t.Fatalf("local_pushes=%d evict_drop=%d: the test needs one push under pressure",
+			k.Ctr.Get("local_pushes"), k.Ctr.Get("evict_drop"))
+	}
+}
+
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	e := sim.NewEngine()
 	k := memKernel(e, 4)

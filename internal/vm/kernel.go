@@ -557,6 +557,9 @@ func (k *Kernel) interposeShadow(entry *Entry) {
 // localPush implements the asymmetric copy strategy's push for unmanaged
 // objects: before the page is modified, its current contents are inserted
 // into the newest copy object (if absent) and the page version stamped.
+// A pushed page is dirty, here and in pushSupply and LockRequest's push:
+// its contents exist nowhere else, so the pageout daemon must not drop it
+// as a clean page (the copy would then read the source's newer value).
 func (k *Kernel) localPush(p *sim.Proc, obj *Object, idx PageIdx, pg *Page) {
 	cp := obj.Copy
 	if cp == nil {
@@ -565,7 +568,7 @@ func (k *Kernel) localPush(p *sim.Proc, obj *Object, idx PageIdx, pg *Page) {
 	if !cp.Resident(idx) {
 		p.Sleep(k.Costs.PageCopy)
 		k.Ctr.V[sim.CtrLocalPushes]++
-		k.InstallPage(cp, idx, pg.Data, ProtWrite)
+		k.InstallPage(cp, idx, pg.Data, ProtWrite).Dirty = true
 	}
 	obj.MarkPushed(idx)
 }
@@ -653,7 +656,7 @@ func (k *Kernel) pushSupply(o *Object, idx PageIdx, data []byte) {
 		return
 	}
 	if !cp.Resident(idx) {
-		k.InstallPage(cp, idx, data, ProtWrite)
+		k.InstallPage(cp, idx, data, ProtWrite).Dirty = true
 		k.Ctr.V[sim.CtrPushSupplies]++
 		k.completePending(cp, idx)
 	}
@@ -697,7 +700,7 @@ func (k *Kernel) LockRequest(o *Object, idx PageIdx, newLock Prot, pushFirst boo
 	}
 	if pushFirst {
 		if cp := o.Copy; cp != nil && !cp.Resident(idx) {
-			k.InstallPage(cp, idx, pg.Data, ProtWrite)
+			k.InstallPage(cp, idx, pg.Data, ProtWrite).Dirty = true
 			k.Ctr.V[sim.CtrPushLocks]++
 		}
 		o.MarkPushed(idx)

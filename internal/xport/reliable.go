@@ -395,28 +395,28 @@ func (r *Reliable) bounceAll(keep func(relLink, *relPending) bool) {
 	}
 }
 
-// AbandonedSend is one frame a crashing node had sent but that was never
-// delivered: its in-flight copies will be stale-dropped at the destination
-// (source-incarnation check) and its retransmit schedule dies with the
-// node, so the message is lost with certainty. The machine layer collects
-// these before NodeCrashed wipes the send state and hands them to the
-// failure model, so authority that died in transit (an ownership grant the
-// sender already relinquished) is declared lost rather than leaked.
-type AbandonedSend struct {
-	Dst mesh.NodeID
-	Msg interface{}
+// PendingSend is one frame its sender has not seen acked and its
+// destination has not received.
+type PendingSend struct {
+	Src, Dst mesh.NodeID
+	Msg      interface{}
 }
 
-// AbandonedSends returns n's pending outbound frames that were never
-// delivered, in deterministic (dst, proto, seq) order. A frame the
-// destination has already received (only its ack is outstanding) is NOT
-// abandoned — the receiver acted on it — and is excluded. Must be called
-// before NodeCrashed(n).
-func (r *Reliable) AbandonedSends(n mesh.NodeID) []AbandonedSend {
-	var out []AbandonedSend
-	for _, f := range r.pendingFrames(func(link relLink, _ *relPending) bool { return link.src == n }) {
+// InFlight returns every frame sent and not yet received, in (src, dst,
+// proto, seq) order. A frame the destination has already received (only
+// its ack is outstanding) is excluded: the receiver acted on it. The
+// failure model reads authority in transit from it. Taken as a node
+// crashes (before NodeCrashed wipes its send state), the frames that node
+// sent are lost with certainty — their copies are stale-dropped at the
+// destination, their retransmit schedule dies with the node — so an
+// ownership grant among them is declared lost (asvm.DeadLetters). Taken as
+// a home restarts, the ownership grants among them count as granted
+// (asvm.RebuildHome).
+func (r *Reliable) InFlight() []PendingSend {
+	var out []PendingSend
+	for _, f := range r.pendingFrames(func(relLink, *relPending) bool { return true }) {
 		if !f.delivered {
-			out = append(out, AbandonedSend{Dst: f.link.dst, Msg: f.pm.m})
+			out = append(out, PendingSend{Src: f.link.src, Dst: f.link.dst, Msg: f.pm.m})
 		}
 	}
 	return out
