@@ -285,14 +285,29 @@ func TestTimerArmedByBorrowedOwnerFires(t *testing.T) {
 	l, eng := startedIdle(t)
 	me := goid()
 	fired := make(chan time.Duration, 1)
-	wallStart := time.Now()
-	var armedOn uint64
-	l.Do(func() {
-		armedOn = goid()
-		eng.Schedule(30*time.Millisecond, func() { fired <- time.Since(wallStart) })
-	})
-	if armedOn != me {
-		t.Fatalf("timer armed on goroutine %d, want the borrowing caller %d", armedOn, me)
+	// The loop goroutine may still be finishing a turn, and then it runs
+	// the closure itself: hand over again until the caller borrows the
+	// engine, and arm the timer only on that turn. (armed is touched by the
+	// engine's owner only; a caller's drain also runs earlier closures.)
+	var armedOn atomic.Uint64
+	armed := false
+	for try := 0; ; try++ {
+		l.Do(func() {
+			on := goid()
+			armedOn.Store(on)
+			if on == me && !armed {
+				armed = true
+				wallStart := time.Now()
+				eng.Schedule(30*time.Millisecond, func() { fired <- time.Since(wallStart) })
+			}
+		})
+		if armedOn.Load() == me {
+			break
+		}
+		if try == 100 {
+			t.Fatalf("Do never ran its closure on the caller of an idle loop (last on goroutine %d)", armedOn.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	select {
 	case took := <-fired:

@@ -207,6 +207,12 @@ func TestWireSentOncePerWrittenFrameNeverOnNack(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery within 5s")
 	}
+	// The writer calls WireSent once its write returns, which may be after
+	// the receiver has the frame.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.sent.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if n := p.sent.Load(); n != 1 {
 		t.Fatalf("WireSent called %d times for one written frame", n)
 	}

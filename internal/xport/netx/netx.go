@@ -114,22 +114,30 @@ type outFrame struct {
 type wireSent interface{ WireSent() }
 
 // framePools holds outbound frame buffers in two size classes, header
-// frames and page frames (key: larger than smallFrame), so a buffer is
-// sized to the frame it carries and a long queue of header frames never
-// pins page-sized buffers.
-var framePools = map[bool]*sync.Pool{false: {}, true: {}}
+// frames and page frames (index: sizeClass), so a buffer is sized to the
+// frame it carries and a long queue of header frames never pins page-sized
+// buffers.
+var framePools [2]sync.Pool
 
 const smallFrame = 512
 
+// sizeClass is 1 for a frame larger than smallFrame, else 0.
+func sizeClass(size int) int {
+	if size > smallFrame {
+		return 1
+	}
+	return 0
+}
+
 func getFrameBuf(size int) *[]byte {
-	if b, _ := framePools[size > smallFrame].Get().(*[]byte); b != nil {
+	if b, _ := framePools[sizeClass(size)].Get().(*[]byte); b != nil {
 		return b
 	}
 	b := make([]byte, 0, size)
 	return &b
 }
 
-func putFrameBuf(b *[]byte) { framePools[cap(*b) > smallFrame].Put(b) }
+func putFrameBuf(b *[]byte) { framePools[sizeClass(cap(*b))].Put(b) }
 
 // peerLink is the outbound half of one peering: a queue drained by a
 // dedicated writer goroutine that owns the connection and its lifecycle.
@@ -460,6 +468,11 @@ func resolve(routes map[string]*route, name []byte) *route {
 	return r
 }
 
+// pingpongRearm is the inbound silence after which a frame re-enters
+// pingpong mode: the kernel drops out of it when its delayed-ACK timer
+// fires, which takes at least twice this long.
+const pingpongRearm = 10 * time.Millisecond
+
 // readFrames handles the frames arriving on c until it breaks (EOF or a
 // broken conn is the peer's problem to retry). On an inbound connection
 // peer is the hello's node ID, messages arrive, and this goroutine is the
@@ -469,6 +482,11 @@ func resolve(routes map[string]*route, name []byte) *route {
 // aliases the reader's buffer: nothing may keep it past the next read.
 func (t *Transport) readFrames(c net.Conn, peer mesh.NodeID, inbound bool) {
 	fr := newFrameReader(c, maxFrame)
+	// An inbound connection carries data one way, so its socket would
+	// otherwise send a pure ACK for every read (DESIGN §12
+	// "Acknowledgements").
+	pingpong := inbound && enterPingpong(c)
+	last := time.Now()
 	if inbound {
 		var err error
 		if peer, err = readHello(fr); err != nil {
@@ -480,6 +498,13 @@ func (t *Transport) readFrames(c net.Conn, peer mesh.NodeID, inbound bool) {
 		frame, err := fr.next()
 		if err != nil {
 			return
+		}
+		if pingpong {
+			now := time.Now()
+			if now.Sub(last) >= pingpongRearm {
+				enterPingpong(c)
+			}
+			last = now
 		}
 		t.st.framesRecv.Add(1)
 		t.st.bytesRecv.Add(uint64(len(frame)))
