@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"asvm/internal/app"
+	"asvm/internal/asvm"
 	"asvm/internal/machine"
 	"asvm/internal/sim"
 	"asvm/internal/vm"
@@ -48,7 +49,6 @@ type Spec struct {
 type World struct {
 	C *machine.Cluster
 
-	specs    []Spec
 	bases    []vm.Addr
 	regions  []*machine.Region // per spec; nil for Private
 	privObjs []*vm.Object      // per spec; nil unless Private
@@ -62,7 +62,6 @@ type World struct {
 func NewWorld(c *machine.Cluster, specs []Spec) (*World, error) {
 	w := &World{
 		C:        c,
-		specs:    specs,
 		tasks:    make([]*vm.Task, c.P.Nodes),
 		barriers: make(map[int]*machine.Barrier),
 	}
@@ -105,6 +104,9 @@ func allNodes(n int) []int {
 // sim-side harnesses can run protocol-state validation after a drain.
 func (w *World) Region(obj int) *machine.Region { return w.regions[obj] }
 
+// Task returns the node's task, nil until Prepare or a Host call made it.
+func (w *World) Task(node int) *vm.Task { return w.tasks[node] }
+
 // Prepare creates the nodes' tasks (with every shared object mapped) up
 // front — required before Run for SPMD workloads, and the way to pin the
 // task-creation order when it matters for trace readability.
@@ -123,26 +125,16 @@ func (w *World) task(node int) (*vm.Task, error) {
 		return t, nil
 	}
 	t := w.C.Kerns[node].NewTask(fmt.Sprintf("app%d", node))
-	for i, sp := range w.specs {
-		nodes := sp.Nodes
-		if nodes == nil {
-			nodes = allNodes(w.C.P.Nodes)
-		}
-		if sp.Private {
-			if nodes[0] == node {
-				if _, err := t.Map.MapObject(w.bases[i], w.privObjs[i], 0,
-					vm.PageIdx(sp.Pages), vm.ProtWrite, vm.InheritCopy); err != nil {
-					return nil, err
-				}
+	for i, r := range w.regions {
+		var err error
+		if o := w.privObjs[i]; o != nil {
+			if int(o.Kernel.Node) == node {
+				_, err = t.Map.MapObject(w.bases[i], o, 0, o.SizePages, vm.ProtWrite, vm.InheritCopy)
 			}
-			continue
+		} else if o := r.Obj(node); o != nil { // nil: the node does not share it
+			err = asvm.MapShared(t, w.bases[i], o)
 		}
-		o := w.regions[i].Obj(node)
-		if o == nil {
-			continue // the node does not share this object
-		}
-		if _, err := t.Map.MapObject(w.bases[i], o, 0,
-			vm.PageIdx(sp.Pages), vm.ProtWrite, vm.InheritShare); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"asvm/internal/mesh"
+	"asvm/internal/pager"
 	"asvm/internal/sim"
 	"asvm/internal/vm"
 	"asvm/internal/xport"
@@ -326,17 +327,11 @@ type DomainInfo struct {
 	mapIdx map[mesh.NodeID]int
 }
 
-// DomainSeqBase is where cluster-level domain IDs start: a cluster numbers
-// its shared domains DomainSeqBase+1, +2, … above any kernel-local ID, so a
-// mesh's one region and a simulated cluster's first region share an ID.
-const DomainSeqBase = 1_000_000
-
 // NewDomain is the one constructor of a domain's cluster-wide description,
 // for simulated regions, the real mesh's region, promotions and copy
 // domains alike. mapping is copied and fixes the ring order static hashing
 // and ring scans use. No node holds an instance yet: each joins through
-// AddNode, and the caller hands the home's instance its backing store with
-// SetPager — a home without one zero-fills and parks page-outs in memory.
+// AddNode, a shared domain's nodes through Join.
 func NewDomain(id vm.ObjID, sizePages vm.PageIdx, home mesh.NodeID, mapping []mesh.NodeID, cfg Config) *DomainInfo {
 	d := &DomainInfo{
 		ID: id, SizePages: sizePages, Home: home, Cfg: cfg,
@@ -391,4 +386,37 @@ func AddNode(info *DomainInfo, n *Node) *Instance {
 		info.mapIdx[n.Self] = pos
 	}
 	return newInstance(n, info, pos)
+}
+
+// The join path below is the one way a node comes to share a domain, on
+// the simulator (machine's regions, restarts and tasks; simhost's tasks)
+// and on the real mesh (dsm.Open) alike. What each deployment keeps to
+// itself is its transport, clock, cost row, pager and ring order.
+
+// SharedID numbers a cluster's k-th shared domain (k = 1, 2, …) in node
+// ns's namespace, above any kernel-local ID: the mesh's one region and a
+// simulated cluster's first region share an ID.
+func SharedID(ns mesh.NodeID, k uint64) vm.ObjID {
+	return vm.ObjID{Node: ns, Seq: 1_000_000 + k}
+}
+
+// Join attaches n to a shared domain through AddNode, at setup or when a
+// crashed node restarts cold, and hands the home's instance io as its
+// backing store: one pager's client, or a striped file's round-robin set
+// (paper §6). A home without one zero-fills and parks page-outs in memory;
+// the other nodes' io is ignored and may be nil.
+func Join(info *DomainInfo, n *Node, io pager.PagerIO) *Instance {
+	in := AddNode(info, n)
+	if n.Self == info.Home {
+		in.pagerCli = io
+	}
+	return in
+}
+
+// MapShared maps a shared domain's local object o, whole, into task t at
+// base: writable, and shared with the children of a fork. It is how every
+// task of either deployment maps a shared region, XMM's included.
+func MapShared(t *vm.Task, base vm.Addr, o *vm.Object) error {
+	_, err := t.Map.MapObject(base, o, 0, o.SizePages, vm.ProtWrite, vm.InheritShare)
+	return err
 }

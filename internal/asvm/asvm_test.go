@@ -53,11 +53,7 @@ func (c *cluster) setupDomain(id vm.ObjID, sizePages vm.PageIdx, io pager.PagerI
 	info := NewDomain(id, sizePages, mapping[0], mapping, cfg)
 	objs := make([]*vm.Object, len(c.asvms))
 	for i, a := range c.asvms {
-		in := AddNode(info, a)
-		if i == 0 && io != nil {
-			in.SetPager(io)
-		}
-		objs[i] = in.Obj()
+		objs[i] = Join(info, a, io).Obj()
 	}
 	return info, objs
 }
@@ -68,7 +64,7 @@ func (c *cluster) shared(t *testing.T, sizePages vm.PageIdx, cfg Config) []*vm.T
 	tasks := make([]*vm.Task, len(c.asvms))
 	for i, a := range c.asvms {
 		task := a.K.NewTask("t")
-		if _, err := task.Map.MapObject(0, objs[i], 0, sizePages, vm.ProtWrite, vm.InheritShare); err != nil {
+		if err := MapShared(task, 0, objs[i]); err != nil {
 			t.Fatal(err)
 		}
 		tasks[i] = task

@@ -263,11 +263,6 @@ func newInstance(nd *Node, info *DomainInfo, ringPos int) *Instance {
 	return in
 }
 
-// SetPager hands the home instance its backing store: one pager's client,
-// or a striped file's round-robin set (paper §6). Without one the home
-// zero-fills and parks page-outs in memory.
-func (in *Instance) SetPager(io pager.PagerIO) { in.pagerCli = io }
-
 // Obj returns the instance's local vm object.
 func (in *Instance) Obj() *vm.Object { return in.o }
 

@@ -91,46 +91,42 @@ func Open(cfg *MeshConfig, self int) (*Node, error) {
 		return nil, fmt.Errorf("dsm: node %d transport: %w", self, err)
 	}
 
-	// The protocol stack is built exactly as the simulator builds it —
-	// same kernel, same runtime, same domain constructor and join — just
-	// one node's worth, with the peers across sockets instead of
-	// in-process. What is the mesh's own: netx, zero costs, the mapping
-	// rule and a pager in the home's process. Costs are zero because on
-	// the wall clock modelled 1996 CPU charges would just add fixed timer
-	// waits to every fault, hiding the thing a real mesh measures (actual
-	// compute + wire time); cost constants never change protocol decisions,
-	// so counter parity with the simulated twin holds regardless. Data is
-	// tracked (the region holds real bytes) and memory is unlimited (the
-	// demo measures fault latency, not eviction).
+	// The node joins its domain the way a simulated node does (asvm.Join,
+	// asvm.MapShared), one node's worth, with the peers across sockets
+	// instead of in-process. What is the mesh's own: netx, zero costs, the
+	// sorted-ID ring and a pager in the home's process. Costs are zero
+	// because on the wall clock modelled 1996 CPU charges would just add
+	// fixed timer waits to every fault, hiding the thing a real mesh
+	// measures (actual compute + wire time); cost constants never change
+	// protocol decisions, so counter parity with the simulated twin holds
+	// regardless. Data is tracked (the region holds real bytes) and memory
+	// is unlimited (the demo measures fault latency, not eviction).
 	n.kern = vm.NewKernel(n.eng, n.Self, vm.Costs{}, vm.NewPhysMem(0), true)
 	n.asn = asvm.NewNode(n.eng, n.kern, n.tr, asvm.DefaultConfig())
 
-	// Mapping order is protocol-significant (static hashing, ring scans):
+	// Ring order is protocol-significant (static hashing, ring scans):
 	// every process must build the identical ring, so it is the sorted
-	// node-ID list, independent of config file order. The region's ID is
-	// the one a simulated cluster gives its first region.
-	mapping := make([]mesh.NodeID, 0, len(cfg.Nodes))
+	// node-ID list, independent of config file order.
+	ring := make([]mesh.NodeID, 0, len(cfg.Nodes))
 	for _, ns := range cfg.Nodes {
-		mapping = append(mapping, mesh.NodeID(ns.ID))
+		ring = append(ring, mesh.NodeID(ns.ID))
 	}
-	slices.Sort(mapping)
+	slices.Sort(ring)
 	home := mesh.NodeID(cfg.Home)
-	info := asvm.NewDomain(vm.ObjID{Node: home, Seq: asvm.DomainSeqBase + 1},
-		vm.PageIdx(cfg.Pages), home, mapping, asvm.DefaultConfig())
-	n.inst = asvm.AddNode(info, n.asn)
-
+	var io pager.PagerIO
 	if n.Self == home {
-		// The pager lives in the home's process; with no peers involved its
-		// traffic is all self-sends, so it needs no wire codec. A nil disk
-		// is an infinitely fast backing store — the measured latencies are
-		// protocol and wire, not 1996 disk seeks.
+		// With no peers involved the pager's traffic is all self-sends, so
+		// it needs no wire codec. A nil disk is an infinitely fast backing
+		// store — the measured latencies are protocol and wire, not 1996
+		// disk seeks.
 		srv := pager.NewServer(n.eng, n.tr, home, nil,
 			pager.Costs{}, fmt.Sprintf("dsm-%s", cfg.Region), true)
-		n.inst.SetPager(pager.NewClient(n.eng, n.tr, n.Self, srv))
+		io = pager.NewClient(n.eng, n.tr, n.Self, srv)
 	}
-
+	info := asvm.NewDomain(asvm.SharedID(home, 1), vm.PageIdx(cfg.Pages), home, ring, asvm.DefaultConfig())
+	n.inst = asvm.Join(info, n.asn, io)
 	n.task = n.kern.NewTask(fmt.Sprintf("dsm%d", self))
-	if _, err := n.task.Map.MapObject(0, n.inst.Obj(), 0, vm.PageIdx(cfg.Pages), vm.ProtWrite, vm.InheritShare); err != nil {
+	if err := asvm.MapShared(n.task, 0, n.inst.Obj()); err != nil {
 		n.tr.Close()
 		return nil, fmt.Errorf("dsm: mapping region: %w", err)
 	}

@@ -123,7 +123,7 @@ func (c *Cluster) CrashNode(idx int) {
 		}
 	}
 	for _, r := range c.regions {
-		if r.info == nil || r.info.Down[n] || !r.hasNode(idx) {
+		if r.info == nil || r.info.Down[n] || r.objs[idx] == nil {
 			continue
 		}
 		asvm.CrashRecover(c.proto, r.info, n)
@@ -136,7 +136,7 @@ func (c *Cluster) CrashNode(idx int) {
 // RestartNode rejoins a crashed node cold: a fresh kernel incarnation, a
 // reopened transport, and a cold protocol instance per region in its old
 // ring position (static hashing is undisturbed), joined through the same
-// attach as at setup. A restarted home gets its backing store back — one
+// asvm.Join as at setup. A restarted home gets its backing store back — one
 // pager or a striped file's stripes — and rebuilds its grant ledger from
 // the surviving owners and the ownership in flight between them; its
 // backing-store knowledge lives at the pagers and needs no rebuild.
@@ -153,11 +153,11 @@ func (c *Cluster) RestartNode(idx int) {
 		c.RelTR.PeerRestarted(n)
 	}
 	for _, r := range c.regions {
-		if r.info == nil || !r.hasNode(idx) {
+		if r.info == nil || r.objs[idx] == nil {
 			continue
 		}
 		delete(r.info.Down, n)
-		c.attach(r, idx)
+		r.objs[idx] = asvm.Join(r.info, c.ASVMs[idx], r.io).Obj()
 		if r.Home == idx {
 			var inflight []xport.PendingSend
 			if c.RelTR != nil {
@@ -167,10 +167,6 @@ func (c *Cluster) RestartNode(idx int) {
 		}
 	}
 }
-
-// hasNode reports whether the region maps cluster node idx — an O(1) set
-// probe, so the crash paths stay flat as regions span hundreds of nodes.
-func (r *Region) hasNode(idx int) bool { return r.nodeSet[idx] }
 
 // wireDownHandlers registers each node's peer-down handler with the
 // reliability layer: when retransmit exhaustion declares a peer dead (the

@@ -279,37 +279,20 @@ func (c *Cluster) CheckInvariants(r *Region) error {
 // it to call the asvm invariant checkers directly.
 func (c *Cluster) ASVMCluster() asvm.Cluster { return c.proto }
 
-// nextID allocates a cluster-level object ID under the given node's
-// namespace, numbered above any kernel-local ID.
-func (c *Cluster) nextID(home mesh.NodeID) vm.ObjID {
-	c.nextObj++
-	return vm.ObjID{Node: home, Seq: asvm.DomainSeqBase + c.nextObj}
-}
-
 // Region is a shared memory object mapped across a set of nodes.
 type Region struct {
 	Name      string
 	SizePages vm.PageIdx
 	ID        vm.ObjID
 	Home      int
-	Nodes     []int // cluster node indices sharing the region
 
-	objs    map[int]*vm.Object // node index -> local vm object
-	info    *asvm.DomainInfo   // ASVM only
-	io      pager.PagerIO      // the home's backing store, kept for restart
-	nodeSet map[int]bool       // Nodes as a set, for O(1) membership
+	objs []*vm.Object // by cluster node index; nil off the region
+	info *asvm.DomainInfo
+	io   pager.PagerIO // the home's backing store, kept for restart
 }
 
-// newNodeSet builds the O(1) membership view of a region's node list.
-func newNodeSet(nodeIdxs []int) map[int]bool {
-	s := make(map[int]bool, len(nodeIdxs))
-	for _, n := range nodeIdxs {
-		s[n] = true
-	}
-	return s
-}
-
-// Obj returns the region's vm object on a node.
+// Obj returns the region's vm object on a cluster node, nil for a node
+// outside the region.
 func (r *Region) Obj(nodeIdx int) *vm.Object { return r.objs[nodeIdx] }
 
 // ASVMInfo returns the region's ASVM domain description (nil under XMM).
@@ -327,7 +310,7 @@ func (c *Cluster) NewSharedRegion(name string, sizePages vm.PageIdx, nodeIdxs []
 	}
 	home := mesh.NodeID(nodeIdxs[0])
 	backing := c.PagingSpace[pager.IONodeFor(home, c.P.Nodes, IORatio)]
-	return c.newRegion(name, sizePages, c.nextID(home), nodeIdxs, pager.NewClient(c.Eng, c.TR, home, backing))
+	return c.newRegion(name, sizePages, home, nodeIdxs, pager.NewClient(c.Eng, c.TR, home, backing))
 }
 
 // NewMappedFile creates a file-pager-backed shared object (a memory-mapped
@@ -336,12 +319,12 @@ func (c *Cluster) NewSharedRegion(name string, sizePages vm.PageIdx, nodeIdxs []
 func (c *Cluster) NewMappedFile(name string, sizePages vm.PageIdx, nodeIdxs []int, preload bool) (*Region, *pager.Server) {
 	home := mesh.NodeID(nodeIdxs[0])
 	io := pager.IONodeFor(home, c.P.Nodes, IORatio)
-	id := c.nextID(io)
 	srv := c.filePager(io, "file-"+name)
+	r := c.newRegion(name, sizePages, io, nodeIdxs, pager.NewClient(c.Eng, c.TR, home, srv))
 	for i := vm.PageIdx(0); preload && i < sizePages; i++ {
-		srv.Preload(id, i, nil)
+		srv.Preload(r.ID, i, nil)
 	}
-	return c.newRegion(name, sizePages, id, nodeIdxs, pager.NewClient(c.Eng, c.TR, home, srv)), srv
+	return r, srv
 }
 
 // NewStripedFile creates a mapped file striped round-robin across several
@@ -356,15 +339,15 @@ func (c *Cluster) NewStripedFile(name string, sizePages vm.PageIdx, nodeIdxs, st
 		return nil, nil, fmt.Errorf("machine: striped file needs stripe nodes")
 	}
 	home := mesh.NodeID(nodeIdxs[0])
-	id := c.nextID(home)
 	servers := make([]*pager.Server, len(stripeNodes))
 	for i, sn := range stripeNodes {
 		servers[i] = c.filePager(mesh.NodeID(sn), fmt.Sprintf("stripe%d-%s", i, name))
 	}
+	r := c.newRegion(name, sizePages, home, nodeIdxs, pager.NewStriped(c.Eng, c.TR, home, servers))
 	for pg := vm.PageIdx(0); preload && pg < sizePages; pg++ {
-		servers[int(pg)%len(servers)].Preload(id, pg, nil)
+		servers[int(pg)%len(servers)].Preload(r.ID, pg, nil)
 	}
-	return c.newRegion(name, sizePages, id, nodeIdxs, pager.NewStriped(c.Eng, c.TR, home, servers)), servers, nil
+	return r, servers, nil
 }
 
 // filePager starts a file pager on node io, attaching a disk if the node
@@ -379,33 +362,37 @@ func (c *Cluster) filePager(io mesh.NodeID, name string) *pager.Server {
 	return srv
 }
 
-// newRegion attaches object id to every listed node under the active
-// system, with io as the home's backing store, and registers the region
-// for crash recovery. The first listed node is the home.
-func (c *Cluster) newRegion(name string, sizePages vm.PageIdx, id vm.ObjID, nodeIdxs []int, io pager.PagerIO) *Region {
+// newRegion numbers the cluster's next shared object in node ns's
+// namespace (asvm.SharedID), attaches it to every listed node under the
+// active system, with io as the home's backing store, and registers the
+// region for crash recovery. The first listed node is the home.
+func (c *Cluster) newRegion(name string, sizePages vm.PageIdx, ns mesh.NodeID, nodeIdxs []int, io pager.PagerIO) *Region {
+	c.nextObj++
+	id := asvm.SharedID(ns, c.nextObj)
 	r := &Region{
 		Name: name, SizePages: sizePages, ID: id, Home: nodeIdxs[0],
-		Nodes:   append([]int(nil), nodeIdxs...),
-		objs:    make(map[int]*vm.Object),
-		io:      io,
-		nodeSet: newNodeSet(nodeIdxs),
+		objs: make([]*vm.Object, c.P.Nodes),
+		io:   io,
 	}
 	switch c.P.System {
 	case SysASVM:
-		mapping := make([]mesh.NodeID, len(nodeIdxs))
+		// The ring is the caller's node order, not sorted as the mesh's
+		// is: scale cells pass rotated lists, and their outputs depend on
+		// the ring order.
+		ring := make([]mesh.NodeID, len(nodeIdxs))
 		for i, n := range nodeIdxs {
-			mapping[i] = mesh.NodeID(n)
+			ring[i] = mesh.NodeID(n)
 		}
-		r.info = asvm.NewDomain(id, sizePages, mapping[0], mapping, c.P.ASVM)
+		r.info = asvm.NewDomain(id, sizePages, ring[0], ring, c.P.ASVM)
 		for _, n := range nodeIdxs {
-			c.attach(r, n)
+			r.objs[n] = asvm.Join(r.info, c.ASVMs[n], io).Obj()
 		}
 	case SysXMM:
 		nodes := make([]*xmm.Node, len(nodeIdxs))
 		for i, n := range nodeIdxs {
 			nodes[i] = c.XMMs[n]
 		}
-		for i, o := range xmm.SetupShared(id, sizePages, nodes, 0, io) {
+		for i, o := range xmm.SetupShared(id, sizePages, nodes, io) {
 			r.objs[nodeIdxs[i]] = o
 		}
 	}
@@ -413,24 +400,14 @@ func (c *Cluster) newRegion(name string, sizePages vm.PageIdx, id vm.ObjID, node
 	return r
 }
 
-// attach joins node idx to the region's ASVM domain — at setup, and again
-// when a crashed node restarts cold — handing the home its backing store.
-func (c *Cluster) attach(r *Region, idx int) {
-	in := asvm.AddNode(r.info, c.ASVMs[idx])
-	if idx == r.Home {
-		in.SetPager(r.io)
-	}
-	r.objs[idx] = in.Obj()
-}
-
 // TaskOn creates a task on a node and maps the region at base.
 func (c *Cluster) TaskOn(nodeIdx int, name string, r *Region, base vm.Addr) (*vm.Task, error) {
-	t := c.Kerns[nodeIdx].NewTask(name)
-	o := r.objs[nodeIdx]
+	o := r.Obj(nodeIdx)
 	if o == nil {
 		return nil, fmt.Errorf("machine: region %s not mapped on node %d", r.Name, nodeIdx)
 	}
-	if _, err := t.Map.MapObject(base, o, 0, r.SizePages, vm.ProtWrite, vm.InheritShare); err != nil {
+	t := c.Kerns[nodeIdx].NewTask(name)
+	if err := asvm.MapShared(t, base, o); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -2,7 +2,7 @@ package vm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"asvm/internal/sim"
 )
@@ -43,8 +43,8 @@ func (e *Entry) Pages() PageIdx { return PageIdx((e.End - e.Start) >> PageShift)
 func (k *Kernel) NewMap() *Map { return &Map{Kernel: k} }
 
 // MapObject enters object o into the address space at start for lenPages
-// pages beginning at object page offsetPages. Overlapping mappings are
-// rejected.
+// pages beginning at object page offsetPages, at its place in address
+// order. Overlapping mappings are rejected.
 func (m *Map) MapObject(start Addr, o *Object, offsetPages, lenPages PageIdx, prot Prot, inherit InheritMode) (*Entry, error) {
 	if start%PageSize != 0 {
 		return nil, fmt.Errorf("vm: unaligned mapping at %#x", start)
@@ -53,9 +53,13 @@ func (m *Map) MapObject(start Addr, o *Object, offsetPages, lenPages PageIdx, pr
 		return nil, fmt.Errorf("vm: empty mapping")
 	}
 	end := start + Addr(lenPages)*PageSize
+	at := 0 // entries below start
 	for _, e := range m.entries {
 		if start < e.End && e.Start < end {
 			return nil, fmt.Errorf("vm: mapping [%#x,%#x) overlaps [%#x,%#x)", start, end, e.Start, e.End)
+		}
+		if e.Start < start {
+			at++
 		}
 	}
 	entry := &Entry{
@@ -63,8 +67,7 @@ func (m *Map) MapObject(start Addr, o *Object, offsetPages, lenPages PageIdx, pr
 		Object: o, OffsetPages: offsetPages,
 		MaxProt: prot, Inherit: inherit,
 	}
-	m.entries = append(m.entries, entry)
-	sort.Slice(m.entries, func(i, j int) bool { return m.entries[i].Start < m.entries[j].Start })
+	m.entries = slices.Insert(m.entries, at, entry)
 	return entry, nil
 }
 
@@ -101,6 +104,8 @@ func (m *Map) Entries() []*Entry { return m.entries }
 //   - InheritCopy with the asymmetric strategy: a copy object is created
 //     now and linked into the copy chain (Figure 3).
 //   - InheritNone: the child does not get the entry.
+//
+// The child's entries come out in the parent's order, so already sorted.
 func (m *Map) ForkLocal() *Map {
 	k := m.Kernel
 	child := k.NewMap()
@@ -128,7 +133,6 @@ func (m *Map) ForkLocal() *Map {
 			}
 		}
 	}
-	sort.Slice(child.entries, func(i, j int) bool { return child.entries[i].Start < child.entries[j].Start })
 	return child
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"asvm/internal/sim"
@@ -29,6 +30,24 @@ func TestMapObjectAndLookup(t *testing.T) {
 	}
 	if got := m.Lookup(0x3FFFF); got != nil {
 		t.Fatal("Lookup before start succeeded")
+	}
+
+	// Mappings entered out of address order land in it: one above, one
+	// below and one between the existing entries.
+	for _, start := range []Addr{0x100000, 0, 0x80000} {
+		if _, err := m.MapObject(start, o, 0, 16, ProtWrite, InheritCopy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var starts []Addr
+	for _, en := range m.Entries() {
+		starts = append(starts, en.Start)
+		if got := m.Lookup(en.End - 1); got != en {
+			t.Fatalf("Lookup(%#x) = %v, want the entry at %#x", en.End-1, got, en.Start)
+		}
+	}
+	if want := []Addr{0, 0x40000, 0x80000, 0x100000}; !slices.Equal(starts, want) {
+		t.Fatalf("entry starts %#x, want %#x", starts, want)
 	}
 }
 

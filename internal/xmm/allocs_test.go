@@ -23,7 +23,7 @@ const rigPage = vm.PageIdx(5)
 func newFaultRig() *faultRig {
 	c := buildCluster(4, 0, false)
 	srv := pager.NewServer(c.eng, c.tr, 0, nil, pager.DefaultCosts(), "rig", false)
-	objs := SetupShared(vm.ObjID{Node: 0, Seq: 9100}, 16, c.xmms, 0,
+	objs := SetupShared(vm.ObjID{Node: 0, Seq: 9100}, 16, c.xmms,
 		pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
 	r := &faultRig{c: c, objs: objs}
 	r.fault(1, vm.ProtWrite) // node 1 starts as the dirty writer

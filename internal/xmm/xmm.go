@@ -125,13 +125,13 @@ func (n *Node) proxy(id vm.ObjID) *Proxy {
 // Cluster-level setup ---------------------------------------------------------
 
 // SetupShared creates an XMM-managed shared memory object across the given
-// nodes. The manager lives on mgrIdx's node (by convention the first) and
-// reaches the backing store through io, which is required: one pager's
-// client or a striped file's round-robin set, made on the manager's node
-// (anonymous memory is a pager that has no contents yet). Returns the
-// per-node vm objects, index aligned with nodes.
-func SetupShared(id vm.ObjID, sizePages vm.PageIdx, nodes []*Node, mgrIdx int, io pager.PagerIO) []*vm.Object {
-	mgrNode := nodes[mgrIdx]
+// nodes. The manager lives on the first node and reaches the backing store
+// through io, which is required: one pager's client or a striped file's
+// round-robin set, made on the manager's node (anonymous memory is a pager
+// that has no contents yet). Returns the per-node vm objects, index aligned
+// with nodes.
+func SetupShared(id vm.ObjID, sizePages vm.PageIdx, nodes []*Node, io pager.PagerIO) []*vm.Object {
+	mgrNode := nodes[0]
 	mapping := make([]mesh.NodeID, len(nodes))
 	for i, n := range nodes {
 		mapping[i] = n.Self

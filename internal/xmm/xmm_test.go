@@ -53,7 +53,7 @@ func (c *cluster) shared(t *testing.T, sizePages vm.PageIdx) []*vm.Task {
 	t.Helper()
 	id := vm.ObjID{Node: 0, Seq: 9000}
 	srv := pager.NewServer(c.eng, c.tr, 0, nil, pager.Costs{}, "mem", true)
-	objs := SetupShared(id, sizePages, c.xmms, 0, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
+	objs := SetupShared(id, sizePages, c.xmms, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
 	tasks := make([]*vm.Task, len(c.xmms))
 	for i, x := range c.xmms {
 		task := x.K.NewTask("t")
@@ -207,7 +207,7 @@ func TestXMMWithRealPagerBackingStore(t *testing.T) {
 	c.hw[0].AttachDisk(c.eng, 5*time.Millisecond, 5e6)
 	srv := pager.NewServer(c.eng, c.tr, 0, c.hw[0].Disk, pager.DefaultCosts(), "dp", true)
 	id := vm.ObjID{Node: 0, Seq: 7}
-	objs := SetupShared(id, 8, c.xmms, 0, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
+	objs := SetupShared(id, 8, c.xmms, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
 	t1 := c.xmms[1].K.NewTask("t1")
 	t1.Map.MapObject(0, objs[1], 0, 8, vm.ProtWrite, vm.InheritShare)
 	t2 := c.xmms[2].K.NewTask("t2")
@@ -240,7 +240,7 @@ func TestXMMWithRealPagerBackingStore(t *testing.T) {
 func TestXMMPressureKeepsPagesResident(t *testing.T) {
 	c := newCluster(t, 2, 6)
 	srv := pager.NewServer(c.eng, c.tr, 0, nil, pager.Costs{}, "mem", true)
-	objs := SetupShared(vm.ObjID{Node: 0, Seq: 9000}, 16, c.xmms, 0, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
+	objs := SetupShared(vm.ObjID{Node: 0, Seq: 9000}, 16, c.xmms, pager.NewClient(c.eng, c.tr, c.xmms[0].Self, srv))
 	task := c.kerns[1].NewTask("t")
 	if _, err := task.Map.MapObject(0, objs[1], 0, 16, vm.ProtWrite, vm.InheritShare); err != nil {
 		t.Fatal(err)
